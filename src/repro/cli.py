@@ -41,7 +41,7 @@ from time import perf_counter
 from typing import List, Optional
 
 from repro.report import exhibits
-from repro.sim.config import ExperimentConfig
+from repro.sim.config import SIM_KERNELS, ExperimentConfig
 from repro.sim.driver import SCHEMES, RunSpec
 from repro.sim.experiment import run_suite
 from repro.sim.options import ExecutionOptions
@@ -123,14 +123,11 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--kernel",
-        choices=["fast", "reference", "turbo"],
+        choices=SIM_KERNELS,
         default=None,
         help="simulation kernel: 'fast' (batched/inlined hot loop, the "
-        "default) or 'reference' (the readable interpreter) are "
-        "bit-identical (tests/test_kernel_equivalence.py); 'turbo' is the "
-        "opt-in vectorized tier — statistically equivalent under the "
-        "tolerance gate (tests/stat_equivalence.py), never the default, "
-        "and excluded from golden traces",
+        "default) or 'reference' (the readable interpreter); the two are "
+        "bit-identical (tests/test_kernel_equivalence.py)",
     )
     ExecutionOptions.add_arguments(parser)
     parser.add_argument(

@@ -177,19 +177,6 @@ class HotspotACEPolicy(AdaptationHooks):
         self.blocked_trials = 0
         self._ipc: Dict[str, _IpcAccumulator] = {}
         self._pending_measurements: Dict[str, list] = {}
-        #: Measurement-driven deoptimisation (see
-        #: :class:`repro.vm.vm.AdaptationHooks`): this policy decides
-        #: discrete outcomes by *measuring* fine-grained trial and A/B
-        #: verification windows whose (IPC, energy) depend on the exact
-        #: cache state carried in from all earlier execution.  Any
-        #: batched (address-relaxed) execution before the last such
-        #: window can therefore flip a near-tie choice — and promotion,
-        #: re-verification and retuning can open new windows at any
-        #: point of the run.  The only sound rule is to keep the pause
-        #: asserted for the whole run: under this policy the turbo
-        #: kernel executes its exact scalar path, bit-identical to the
-        #: fast kernel on the same configuration.
-        self.bulk_pause_depth = 1
         self._warmups: Dict[str, int] = {}
         self._slow_cus: frozenset = frozenset()
         self._cov_depth: Dict[str, List[int]] = {}
@@ -243,15 +230,6 @@ class HotspotACEPolicy(AdaptationHooks):
         for cu_name, depths in self._cov_depth.items():
             if depths[thread_id] > 0:
                 self.covered_insns[cu_name] += n_insns
-
-    def on_blocks_bulk(self, slots, total_insns, thread_id, machine) -> None:
-        # Coverage depths only change at managed-hotspot entry/exit stubs,
-        # which never run inside a turbo batch, so the depth test is
-        # loop-invariant and the per-block sums collapse to one total.
-        self.total_insns += total_insns
-        for cu_name, depths in self._cov_depth.items():
-            if depths[thread_id] > 0:
-                self.covered_insns[cu_name] += total_insns
 
     # -- hotspot detection -------------------------------------------------------
 

@@ -101,33 +101,6 @@ class MemoryBehavior(abc.ABC):
         """
         return None
 
-    def turbo_columns(self, n_loads: int, n_stores: int):
-        """Optional static address-column description for the turbo kernel.
-
-        Returns one descriptor tuple per address column, loads first then
-        stores (``n_loads + n_stores`` entries), or ``None`` (the default)
-        if the behaviour cannot be vectorized.  Each descriptor's first
-        element names the column class; ``base`` is ``"frame"`` (the
-        activation's frame base) or ``"region"`` (the method's region
-        base), displaced by ``off`` bytes:
-
-        - ``("unif", base, off, n)`` — ``BASE + off + U[0, n) * WORD``
-        - ``("mix", base, off, locality, n_hot, n_span)`` — with
-          probability ``locality`` the uniform draw spans ``n_hot`` words,
-          otherwise ``n_span``
-        - ``("wind", base, off, n, drift, span)`` —
-          ``BASE + off + ((it * drift) % span + U[0, n) * WORD) % span``
-        - ``("det", base, off, coef, step, span)`` —
-          ``BASE + off + (it * coef + step) % span`` (no randomness)
-
-        The turbo kernel pre-draws whole tables of column values from a
-        numpy ``Generator``: same marginal *distribution* as
-        :meth:`generate`, not the same sequence, so turbo results deviate
-        statistically from fast/reference (the tolerance contract,
-        docs/INTERNALS.md §17).
-        """
-        return None
-
 
 # ---------------------------------------------------------------------------
 # Branch deciders

@@ -104,16 +104,6 @@ class BBVACEPolicy(AdaptationHooks):
     ):
         self.bbv = bbv or BBVConfig()
         self.tuning = tuning or TuningConfig()
-        #: Measurement-driven deoptimisation: phase tuning compares
-        #: per-interval (IPC, energy) measurements whose values depend
-        #: on the exact cache state carried in from all earlier
-        #: execution, and a new phase can open a trial at any point of
-        #: the run.  As with the hotspot policy, the only sound rule is
-        #: to keep the turbo kernel on its exact scalar path for the
-        #: whole run (bit-identical to the fast kernel), so discrete
-        #: phase→configuration choices can never be flipped by
-        #: batching's address-stream relaxation.
-        self.bulk_pause_depth = 1
         #: Optional [20]/[24]-style next-phase predictor (the paper's BBV
         #: deliberately runs without one; see phases.prediction).
         self.next_phase_predictor = next_phase_predictor
@@ -212,28 +202,6 @@ class BBVACEPolicy(AdaptationHooks):
             for cu_name in self.cu_names:
                 self.covered_insns[cu_name] += n_insns
         self._splitter.advance(n_insns)
-
-    def on_blocks_bulk(self, slots, total_insns, thread_id, machine) -> None:
-        # Bucket adds commute and saturate identically whether applied as
-        # ``count`` increments of ``n`` or one increment of ``n * count``
-        # (both clamp at counter_max), so each slot folds into one observe.
-        # ``bulk_horizon`` guarantees the batch never reaches the next
-        # interval boundary, so the mode/coverage tests are loop-invariant
-        # and the final ``advance`` crosses no boundary.
-        self.total_insns += total_insns
-        observe = self.accumulator.observe
-        for block_pc, n_insns, count in slots:
-            observe(block_pc, n_insns * count)
-        if self._mode == "best":
-            for cu_name in self.cu_names:
-                self.covered_insns[cu_name] += total_insns
-        self._splitter.advance(total_insns)
-
-    def bulk_horizon(self):
-        splitter = self._splitter
-        # Leave at least one instruction before the boundary so it fires
-        # on a scalar block, at the same position as unbatched execution.
-        return splitter.interval_insns - splitter._in_interval - 1
 
     # -- interval boundary ------------------------------------------------------
 

@@ -157,19 +157,11 @@ class MachineConfig:
 #: v2: deterministic (CRC32) instruction-fetch addressing replaced the
 #: PYTHONHASHSEED-salted ``hash()`` base, changing every simulation's L2
 #: instruction traffic; ``sim_kernel`` was also added to the config.
+#: v3 was used only by a retired vectorized kernel (docs/INTERNALS.md §17).
 FINGERPRINT_VERSION = 2
 
-#: Fingerprint version used only when ``sim_kernel == "turbo"``.  The turbo
-#: kernel is tolerance-equivalent rather than bit-identical, so its results
-#: must never collide with fast/reference entries in the persistent store —
-#: but bumping the shared version would invalidate every existing non-turbo
-#: entry.  Keeping v2 for fast/reference and v3 for turbo preserves both
-#: properties (existing fingerprints stay byte-identical; turbo gets its
-#: own namespace).
-TURBO_FINGERPRINT_VERSION = 3
-
 #: Legal values of :attr:`ExperimentConfig.sim_kernel`.
-SIM_KERNELS = ("fast", "reference", "turbo")
+SIM_KERNELS = ("fast", "reference")
 
 
 def canonicalize(obj):
@@ -208,43 +200,24 @@ class ExperimentConfig:
     hot_threshold: int = 4
     seed: int = 12345
     #: Which interpreter executes the run: "fast" (the batched, inlined
-    #: kernel of :mod:`repro.vm.fastvm`), "reference" (the readable
-    #: :class:`repro.vm.vm.VirtualMachine` loop), or "turbo" (the opt-in
-    #: vectorized kernel of :mod:`repro.vm.turbovm`).  fast and reference
-    #: are proven bit-identical by tests/test_kernel_equivalence.py; turbo
-    #: is *statistically* equivalent under the committed tolerance spec
-    #: (tests/stat_equivalence.py) and is never selected by default.  The
-    #: field is part of the fingerprint so results from different kernels
-    #: never collide in the persistent store.
+    #: kernel of :mod:`repro.vm.fastvm`) or "reference" (the readable
+    #: :class:`repro.vm.vm.VirtualMachine` loop).  The two are proven
+    #: bit-identical by tests/test_kernel_equivalence.py.  The field is
+    #: part of the fingerprint so results from different kernels never
+    #: collide in the persistent store.
     sim_kernel: str = "fast"
-    #: Which RNG stream feeds loop/branch deciders.  "shared" (default,
-    #: the historical behaviour) draws trip counts from the same
-    #: per-thread Mersenne stream as memory addresses, so skipping *any*
-    #: draw shifts every later decision.  "split" gives deciders their own
-    #: per-thread stream: control flow becomes a pure function of the
-    #: decider stream, independent of how (or whether) address draws are
-    #: performed.  The turbo kernel replaces address draws with batched
-    #: tables and therefore requires "split"; ``__post_init__`` upgrades
-    #: it automatically.  "shared" is omitted from the fingerprint payload
-    #: so every pre-existing fingerprint is unchanged.
-    decider_stream: str = "shared"
 
     def __post_init__(self) -> None:
+        if self.sim_kernel == "turbo":
+            raise ValueError(
+                "sim_kernel='turbo' was retired; see the retirement note "
+                "in docs/INTERNALS.md §17 and use sim_kernel='fast'"
+            )
         if self.sim_kernel not in SIM_KERNELS:
             raise ValueError(
                 f"sim_kernel must be one of {SIM_KERNELS}, "
                 f"got {self.sim_kernel!r}"
             )
-        if self.decider_stream not in ("shared", "split"):
-            raise ValueError(
-                "decider_stream must be 'shared' or 'split', "
-                f"got {self.decider_stream!r}"
-            )
-        if self.sim_kernel == "turbo" and self.decider_stream == "shared":
-            # Turbo's statistical-equivalence contract (exact tuning
-            # decisions vs. the fast kernel on the same config) is only
-            # achievable with an isolated decider stream.
-            self.decider_stream = "split"
 
     def fingerprint(self) -> str:
         """Content hash over *every* nested knob (versioned, hex).
@@ -258,20 +231,9 @@ class ExperimentConfig:
         hash without anyone having to remember to extend a hand-written
         field list.
         """
-        version = (
-            TURBO_FINGERPRINT_VERSION
-            if self.sim_kernel == "turbo"
-            else FINGERPRINT_VERSION
-        )
-        canonical = canonicalize(self)
-        # Backwards-compatible fingerprints: the decider_stream knob only
-        # participates in the hash when it is non-default, so every
-        # configuration that predates the knob keeps its exact hash.
-        if canonical.get("decider_stream") == "shared":
-            del canonical["decider_stream"]
         payload = {
-            "version": version,
-            "config": canonical,
+            "version": FINGERPRINT_VERSION,
+            "config": canonicalize(self),
         }
         blob = json.dumps(
             payload, sort_keys=True, separators=(",", ":")

@@ -184,82 +184,22 @@ def make_policy(scheme: str, config: ExperimentConfig) -> AdaptationHooks:
     raise ValueError(f"unknown scheme {scheme!r}; known: {SCHEMES}")
 
 
-def _load_reference_kernel():
-    return VirtualMachine
-
-
-def _load_fast_kernel():
-    return FastVirtualMachine
-
-
-def _load_turbo_kernel():
-    try:
-        from repro.vm.turbovm import TurboVirtualMachine
-    except ImportError as exc:  # numpy missing
-        raise RuntimeError(
-            "sim_kernel='turbo' requires numpy (the turbo kernel "
-            "vectorizes cache simulation and RNG draws); install numpy "
-            "or use sim_kernel='fast'"
-        ) from exc
-    return TurboVirtualMachine
-
-
-@dataclass(frozen=True)
-class KernelSpec:
-    """Registry entry for one ``sim_kernel`` value.
-
-    ``bit_identical`` records the kernel's correctness contract:
-    bit-identical kernels must reproduce the reference interpreter's
-    results byte for byte (and share golden traces); non-bit-identical
-    kernels are gated by the statistical equivalence harness instead and
-    are excluded from golden traces and default paths.
-    """
-
-    name: str
-    loader: object  # () -> vm class; lazy so optional deps import on use
-    bit_identical: bool
-    description: str = ""
-
-    def load(self):
-        return self.loader()
-
-
-#: Authoritative kernel registry.  Tests parametrize from this mapping so
-#: new kernels are covered (or explicitly excluded) automatically; keys
-#: must match :data:`repro.sim.config.SIM_KERNELS`.
-KERNEL_REGISTRY: Dict[str, KernelSpec] = {
-    "reference": KernelSpec(
-        name="reference",
-        loader=_load_reference_kernel,
-        bit_identical=True,
-        description="readable interpreter loop (the semantics oracle)",
-    ),
-    "fast": KernelSpec(
-        name="fast",
-        loader=_load_fast_kernel,
-        bit_identical=True,
-        description="pre-decoded fused kernel, bit-identical to reference",
-    ),
-    "turbo": KernelSpec(
-        name="turbo",
-        loader=_load_turbo_kernel,
-        bit_identical=False,
-        description=(
-            "opt-in vectorized kernel; statistically equivalent under "
-            "tests/stat_equivalence.py, never selected by default"
-        ),
-    ),
+#: ``sim_kernel`` name -> interpreter class.  Both kernels are
+#: bit-identical; keys match :data:`repro.sim.config.SIM_KERNELS`.
+KERNEL_REGISTRY: Dict[str, type] = {
+    "reference": VirtualMachine,
+    "fast": FastVirtualMachine,
 }
 
 
 def make_vm_class(kernel: str):
     """Resolve a ``sim_kernel`` name to the interpreter class."""
-    spec = KERNEL_REGISTRY.get(kernel)
-    if spec is None:
+    vm_class = KERNEL_REGISTRY.get(kernel)
+    if vm_class is None:
         raise ValueError(
             f"unknown sim_kernel {kernel!r}; known: {SIM_KERNELS}"
         )
-    return spec.load()
+    return vm_class
 
 
 def run_benchmark(
@@ -334,7 +274,6 @@ def execute(spec: RunSpec, telemetry=None, fault_plan=None) -> RunResult:
         seed=config.seed,
         gc_method="gc_sweep" if built.spec.gc else "",
         gc_period_instructions=built.spec.gc_period if built.spec.gc else 0,
-        decider_stream=getattr(config, "decider_stream", "shared"),
     )
     vm_class = make_vm_class(getattr(config, "sim_kernel", "fast"))
     vm = vm_class(

@@ -341,9 +341,10 @@ class Engine:
     Parameters
     ----------
     jobs:
-        Worker processes for cells that must simulate.  ``1`` (default)
-        runs everything in the calling process; ``N > 1`` is shorthand
-        for ``pool="local:N"``.
+        Worker processes for cells that must simulate.  ``None``
+        (default) takes the backend from ``options``, else runs
+        everything in the calling process, as ``1`` does; ``N > 1`` is
+        shorthand for ``pool="local:N"``.
     pool:
         Execution backend: a spec string resolved through
         :func:`repro.sim.pools.make_pool` (``"serial"``, ``"local:4"``,
@@ -353,7 +354,7 @@ class Engine:
         An :class:`~repro.sim.options.ExecutionOptions` bundle.  Knobs
         it covers (backend/jobs, chunk_size, max_pool_rebuilds, store)
         are taken from it unless the corresponding constructor argument
-        was passed explicitly.
+        was passed, even when the passed value equals the default.
     store:
         A :class:`ResultStore` for cross-process persistence, or ``None``
         to keep results in memory only.
@@ -403,8 +404,8 @@ class Engine:
     max_pool_rebuilds:
         How many times a batch may rebuild a broken backend (worker
         crash recovery) before degrading to in-process serial execution
-        for the interrupted cells.  Backends without the ``rebuild``
-        capability degrade immediately.
+        for the interrupted cells (``None``: from ``options``, else 3).
+        Backends without the ``rebuild`` capability degrade immediately.
     fault_plan:
         Optional :class:`repro.faults.FaultPlan`.  ``None`` (default)
         injects nothing and adds no overhead.  A plan whose sites
@@ -481,14 +482,14 @@ class Engine:
 
     def __init__(
         self,
-        jobs: int = 1,
+        jobs: Optional[int] = None,
         store: Optional[ResultStore] = None,
         use_cache: bool = True,
         cell_timeout: Optional[float] = None,
         max_retries: int = 1,
         failure_policy: str = "raise",
         retry_backoff: float = 0.0,
-        max_pool_rebuilds: int = 3,
+        max_pool_rebuilds: Optional[int] = None,
         fault_plan: Optional[FaultPlan] = None,
         progress: Optional[ProgressCallback] = None,
         runner: Optional[Callable[[RunSpec], RunResult]] = None,
@@ -512,14 +513,14 @@ class Engine:
                 f"{failure_policy!r}"
             )
         if options is not None:
-            # Explicit constructor arguments win; anything left at its
-            # default is taken from the options bundle (API.md has the
+            # Explicit constructor arguments win; anything left unset
+            # (``None``) is taken from the options bundle (API.md has the
             # full mapping).
-            if pool is None and jobs == 1:
+            if pool is None and jobs is None:
                 pool = options.resolved_backend()
             if chunk_size is None:
                 chunk_size = options.chunk_size
-            if max_pool_rebuilds == 3:
+            if max_pool_rebuilds is None:
                 max_pool_rebuilds = options.max_pool_rebuilds
             if straggler_factor is None:
                 straggler_factor = options.straggler_factor
@@ -530,7 +531,7 @@ class Engine:
             if store is None:
                 store = options.make_store()
         if pool is None:
-            pool = f"local:{jobs}" if jobs > 1 else "serial"
+            pool = f"local:{jobs}" if (jobs or 1) > 1 else "serial"
         self.pool: Pool = make_pool(pool) if isinstance(pool, str) else pool
         self.jobs = self.pool.workers if self.pool.capabilities.parallel else 1
         self.store = store
@@ -539,7 +540,9 @@ class Engine:
         self.max_retries = max(0, int(max_retries))
         self.failure_policy = failure_policy
         self.retry_backoff = max(0.0, float(retry_backoff))
-        self.max_pool_rebuilds = max(0, int(max_pool_rebuilds))
+        self.max_pool_rebuilds = (
+            3 if max_pool_rebuilds is None else max(0, int(max_pool_rebuilds))
+        )
         self.fault_plan = fault_plan
         self.progress = progress
         self.runner = runner

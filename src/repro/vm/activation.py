@@ -65,18 +65,10 @@ class ThreadContext:
         program: Program,
         entry_method: str,
         seed: int,
-        decider_seed: Optional[int] = None,
     ):
         self.thread_id = thread_id
         self.program = program
         self.rng = random.Random(seed)
-        #: Stream feeding loop/branch deciders.  By default it *is* the
-        #: main stream (byte-identical to the historical behaviour); with
-        #: ``decider_stream="split"`` it is an independent stream so trip
-        #: counts do not depend on how address draws are performed.
-        self.decider_rng = (
-            self.rng if decider_seed is None else random.Random(decider_seed)
-        )
         self.stack: List[Activation] = []
         self.stack_base = STACK_BASE - thread_id * STACK_SPACING
         self.finished = False

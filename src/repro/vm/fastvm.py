@@ -288,7 +288,6 @@ class FastVirtualMachine(VirtualMachine):
         thread_insns = stats.thread_instructions
         thread_id = thread.thread_id
         rng = thread.rng
-        drng = thread.decider_rng
         block_iterations = thread.block_iterations
         persistent_states = thread.persistent_decider_states
         stack = thread.stack
@@ -395,8 +394,8 @@ class FastVirtualMachine(VirtualMachine):
                             skey = dec.bid
                         state = states.get(skey, _SENTINEL)
                         if state is _SENTINEL:
-                            state = decider.initial_state(drng)
-                        taken, new_state = decider.decide(state, drng)
+                            state = decider.initial_state(rng)
+                        taken, new_state = decider.decide(state, rng)
                         states[skey] = new_state
                         branch_pc = dec.branch_pc
                     else:
@@ -615,7 +614,6 @@ class FastVirtualMachine(VirtualMachine):
         thread_insns = stats.thread_instructions
         thread_id = thread.thread_id
         rng = thread.rng
-        drng = thread.decider_rng
         stack = thread.stack
         tables = self._decoder.tables
         get_table = self._decoder.table
@@ -765,13 +763,13 @@ class FastVirtualMachine(VirtualMachine):
                     if dec.persistent:
                         state = dec.pstate
                         if state is unset:
-                            state = decider.initial_state(drng)
-                        taken, dec.pstate = decider.decide(state, drng)
+                            state = decider.initial_state(rng)
+                        taken, dec.pstate = decider.decide(state, rng)
                     else:
                         state = loop_states.get(dec.bid, missing)
                         if state is missing:
-                            state = decider.initial_state(drng)
-                        taken, new_state = decider.decide(state, drng)
+                            state = decider.initial_state(rng)
+                        taken, new_state = decider.decide(state, rng)
                         loop_states[dec.bid] = new_state
                     branch_pc = dec.branch_pc
                 else:

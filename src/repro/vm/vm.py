@@ -19,7 +19,7 @@ Adaptation policies see execution through :class:`AdaptationHooks`.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence
 
 from repro.isa.program import (
     CondBranch,
@@ -64,11 +64,6 @@ class VMConfig:
     charge_compile_cycles: bool = True
     #: Random seed base for thread execution streams.
     seed: int = 12345
-    #: "shared" (historical): deciders and memory behaviours draw from
-    #: one per-thread stream.  "split": deciders get their own stream, so
-    #: control flow is independent of address draws (required by the
-    #: turbo kernel's equivalence contract).
-    decider_stream: str = "shared"
 
 
 class AdaptationHooks:
@@ -80,21 +75,6 @@ class AdaptationHooks:
     """
 
     name = "static"
-
-    #: Measurement-driven deoptimisation flag for the turbo kernel.
-    #: While non-zero, turbo executes its exact scalar path (no
-    #: batching), bit-identical to the fast kernel, so any metric the
-    #: policy *measures* — and therefore every discrete decision derived
-    #: from a measurement — is insulated from batching's address-stream
-    #: relaxation.  Policies that tune by measuring (both shipped ACE
-    #: schemes) assert it for the whole run, because a trial window can
-    #: open at any time and its measured (IPC, energy) depends on cache
-    #: state carried in from *all* earlier execution.  The kernel
-    #: samples the value once per scheduling quantum, so it must be set
-    #: before the run starts (``__init__``/``attach``), not toggled
-    #: mid-run.  Scalar kernels ignore it; ``0`` (the default) means
-    #: batching is unrestricted.
-    bulk_pause_depth = 0
 
     #: Declares whether this policy's ``on_block`` reads the event's
     #: ``loads``/``stores`` address lists.  The conservative default is
@@ -129,40 +109,6 @@ class AdaptationHooks:
         invoked: without an override the fast kernel falls back to
         ``on_block`` with an empty-address event.
         """
-
-    def on_blocks_bulk(
-        self,
-        slots: "Tuple[Tuple[int, int, int], ...]",
-        total_insns: int,
-        thread_id: int,
-        machine: MachineModel,
-    ) -> None:
-        """Aggregated hook for a batch of block executions (turbo kernel).
-
-        ``slots`` is a tuple of ``(block_pc, n_insns, count)`` triples;
-        ``total_insns`` is the pre-summed instruction total across the
-        batch.  The turbo kernel only takes its batched path for a
-        count-only policy that *overrides* this method (the default
-        fallback below replays ``on_block_counts`` per block, and exists
-        for API completeness and direct tests — the kernel never relies
-        on it).  An override must leave the policy in the same state as
-        ``count`` sequential ``on_block_counts`` calls would, up to the
-        deviations documented in docs/INTERNALS.md §17.
-        """
-        for block_pc, n_insns, count in slots:
-            for _ in range(count):
-                self.on_block_counts(n_insns, block_pc, thread_id, machine)
-
-    def bulk_horizon(self) -> Optional[int]:
-        """Max instructions the turbo kernel may batch past this point.
-
-        Return ``None`` for "no limit".  A policy with instruction-count
-        boundaries (e.g. BBV interval splitting) returns the distance to
-        its next boundary so a batch never lumps block counts across it —
-        the boundary then fires on a scalar block at the same position it
-        would have in unbatched execution.
-        """
-        return None
 
     def on_hotspot_detected(
         self, hotspot: HotspotInfo, vm: "VirtualMachine"
@@ -216,19 +162,8 @@ class VirtualMachine:
         for entry in entries:
             if entry not in program.methods:
                 raise ValueError(f"unknown thread entry method {entry!r}")
-        split = self.config.decider_stream == "split"
         self.threads = [
-            ThreadContext(
-                i,
-                program,
-                entry,
-                self.config.seed + 7919 * i,
-                decider_seed=(
-                    (self.config.seed + 7919 * i) ^ 0x5DEC1DE5
-                    if split
-                    else None
-                ),
-            )
+            ThreadContext(i, program, entry, self.config.seed + 7919 * i)
             for i, entry in enumerate(entries)
         ]
         self.telemetry = telemetry if telemetry is not None else NULL_TELEMETRY
@@ -408,8 +343,8 @@ class VirtualMachine:
                 state_key = block.bid
             state = states.get(state_key, _SENTINEL)
             if state is _SENTINEL:
-                state = decider.initial_state(thread.decider_rng)
-            taken, new_state = decider.decide(state, thread.decider_rng)
+                state = decider.initial_state(thread.rng)
+            taken, new_state = decider.decide(state, thread.rng)
             states[state_key] = new_state
             activation.loop_states["__pending__"] = taken
             branch_pc = block.branch_pc

@@ -105,10 +105,6 @@ class StackBehavior(MemoryBehavior):
 
         return fast
 
-    def turbo_columns(self, n_loads: int, n_stores: int):
-        n = (self.span + WORD - 1) // WORD
-        return (("unif", "frame", 0, n),) * (n_loads + n_stores)
-
     def footprint(self) -> Optional[int]:
         return self.span
 
@@ -172,14 +168,6 @@ class StridedBehavior(MemoryBehavior):
             return loads, stores
 
         return fast
-
-    def turbo_columns(self, n_loads: int, n_stores: int):
-        refs = n_loads + n_stores
-        coef = refs * self.stride
-        return tuple(
-            ("det", "region", self.offset, coef, i * self.stride, self.span)
-            for i in range(refs)
-        )
 
     def footprint(self) -> Optional[int]:
         return self.span
@@ -279,12 +267,6 @@ class WorkingSetBehavior(MemoryBehavior):
 
         return fast
 
-    def turbo_columns(self, n_loads: int, n_stores: int):
-        n_hot = (self._hot_span + WORD - 1) // WORD
-        n_span = (self.span + WORD - 1) // WORD
-        col = ("mix", "region", self.offset, self.locality, n_hot, n_span)
-        return (col,) * (n_loads + n_stores)
-
     def footprint(self) -> Optional[int]:
         return self.span
 
@@ -373,11 +355,6 @@ class WanderingWindowBehavior(MemoryBehavior):
 
         return fast
 
-    def turbo_columns(self, n_loads: int, n_stores: int):
-        n = (self.window + WORD - 1) // WORD
-        col = ("wind", "region", 0, n, self.drift, self.region_span)
-        return (col,) * (n_loads + n_stores)
-
     def footprint(self) -> Optional[int]:
         return self.window
 
@@ -444,10 +421,6 @@ class PointerChaseBehavior(MemoryBehavior):
             return loads, stores
 
         return fast
-
-    def turbo_columns(self, n_loads: int, n_stores: int):
-        n = (self.span + WORD - 1) // WORD
-        return (("unif", "region", self.offset, n),) * (n_loads + n_stores)
 
     def footprint(self) -> Optional[int]:
         return self.span
@@ -562,22 +535,6 @@ class MixedBehavior(MemoryBehavior):
             return loads, stores
 
         return fast
-
-    def turbo_columns(self, n_loads: int, n_stores: int):
-        weights = [w for _, w in self.components]
-        load_shares = self._apportion(n_loads, weights)
-        store_shares = self._apportion(n_stores, weights)
-        load_cols = []
-        store_cols = []
-        for (behavior, _), nl, ns in zip(
-            self.components, load_shares, store_shares
-        ):
-            cols = behavior.turbo_columns(nl, ns)
-            if cols is None:
-                return None
-            load_cols.extend(cols[:nl])
-            store_cols.extend(cols[nl:])
-        return tuple(load_cols) + tuple(store_cols)
 
     def footprint(self) -> Optional[int]:
         spans = [b.footprint() for b, _ in self.components]

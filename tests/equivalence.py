@@ -31,26 +31,14 @@ from repro.obs.events import Telemetry
 from repro.sim.config import ExperimentConfig
 from repro.sim.driver import KERNEL_REGISTRY, RunResult, RunSpec, execute
 
-# The exact-diff helpers moved to tests/tolerances.py (shared with the
-# statistical harness); re-exported here for existing callers.
+# The exact-diff helpers moved to tests/tolerances.py; re-exported here
+# for existing callers.
 from tests.tolerances import describe_divergence, first_divergence  # noqa: F401
 
-#: The bit-identical kernel names, reference first (the spec comes
-#: first).  Derived from the authoritative registry so a new kernel is
-#: automatically either proven here or explicitly registered as
-#: tolerance-gated (``bit_identical=False`` — e.g. ``turbo``, which is
-#: gated by ``tests/stat_equivalence.py`` and never enters this
-#: harness).
-KERNELS = tuple(
-    sorted(
-        (
-            name
-            for name, spec in KERNEL_REGISTRY.items()
-            if spec.bit_identical
-        ),
-        key=lambda name: name != "reference",
-    )
-)
+#: The kernel names, reference first (the spec comes first).  Derived
+#: from the authoritative registry so a new kernel is proven here
+#: automatically.
+KERNELS = tuple(sorted(KERNEL_REGISTRY, key=lambda name: name != "reference"))
 
 
 def run_cell(

@@ -296,6 +296,29 @@ class TestExecutionOptions:
         assert isinstance(engine.pool, SerialPool)
         assert engine.chunk_size == 4
 
+    def test_explicit_default_valued_arguments_beat_options(self):
+        # Regression: an explicit argument equal to its default used to
+        # lose to the options bundle (2 workers, 7 rebuilds here).
+        options = ExecutionOptions(jobs=2, max_pool_rebuilds=7)
+        engine = Engine(jobs=1, max_pool_rebuilds=3, options=options)
+        assert isinstance(engine.pool, SerialPool)
+        assert engine.jobs == 1
+        assert engine.max_pool_rebuilds == 3
+        from_options = Engine(options=options)
+        assert isinstance(from_options.pool, LocalProcessPool)
+        assert from_options.jobs == 2
+        assert from_options.max_pool_rebuilds == 7
+        assert Engine().max_pool_rebuilds == 3
+
+    def test_make_engine_keeps_the_options_backend(self):
+        # The `repro all --jobs 2` path: make_engine passes its own
+        # default jobs, which must not shadow the options' backend.
+        from repro.sim.experiment import make_engine
+
+        engine = make_engine(options=ExecutionOptions(jobs=2))
+        assert isinstance(engine.pool, LocalProcessPool)
+        assert engine.jobs == 2
+
     def test_fingerprint_never_sees_execution_knobs(self):
         # The backend is a location, not an identity: no ExecutionOptions
         # field may leak into the config fingerprint or the cache key.

@@ -55,17 +55,16 @@ def golden_payload(scheme: str, kernel: str = GOLDEN_KERNEL):
     """Compute the golden payload for one scheme (fast kernel — the
     equivalence grid already proves the reference kernel matches).
 
-    Only bit-identical kernels may produce golden fixtures: a
-    tolerance-gated kernel (turbo) has no byte-stable trace to pin, so
-    it is refused outright rather than producing a fixture that would
-    flap.
+    Only registered kernels, all of them bit-identical, may produce
+    golden fixtures; any other name is refused outright rather than
+    producing a fixture that would flap.
     """
     from repro.sim.driver import KERNEL_REGISTRY
 
-    if not KERNEL_REGISTRY[kernel].bit_identical:
+    if kernel not in KERNEL_REGISTRY:
         raise ValueError(
             f"golden traces accept only bit-identical kernels; {kernel!r} "
-            "is tolerance-gated (see tests/stat_equivalence.py)"
+            f"is not one of {sorted(KERNEL_REGISTRY)}"
         )
     result, telemetry = run_cell(
         GOLDEN_BENCHMARK, scheme, kernel, max_instructions=GOLDEN_BUDGET
@@ -115,16 +114,15 @@ def test_golden_trace(scheme, update_golden):
 
 
 def test_golden_traces_refuse_tolerance_gated_kernels():
-    """Turbo (and any future non-bit-identical kernel) can neither
-    produce nor back a golden fixture."""
+    """A kernel outside the bit-identical registry can neither produce
+    nor back a golden fixture."""
     from repro.sim.driver import KERNEL_REGISTRY
 
     with pytest.raises(ValueError, match="bit-identical"):
-        golden_payload("baseline", kernel="turbo")
+        golden_payload("baseline", kernel="vectorized")
     for path in sorted(GOLDEN_DIR.glob("*.json")):
         payload = json.loads(path.read_text())
-        pinned = payload["cell"]["sim_kernel"]
-        assert KERNEL_REGISTRY[pinned].bit_identical, path.name
+        assert payload["cell"]["sim_kernel"] in KERNEL_REGISTRY, path.name
 
 
 def test_golden_fixtures_are_self_described():

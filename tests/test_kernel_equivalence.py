@@ -116,20 +116,15 @@ def test_kernel_equivalence_faults_heavy(case):
 
 
 def test_kernel_list_is_registry_driven():
-    """The harness's kernel list is exactly the registry's bit-identical
-    subset, reference first; tolerance-gated kernels (turbo) are
-    excluded here and in the golden-trace suite by construction."""
+    """The harness's kernel list is exactly the registry, reference
+    first, and the registry is exactly the settable ``sim_kernel``
+    values."""
+    from repro.sim.config import SIM_KERNELS
     from repro.sim.driver import KERNEL_REGISTRY
     from tests.equivalence import KERNELS
 
-    bit_identical = {
-        name for name, spec in KERNEL_REGISTRY.items() if spec.bit_identical
-    }
-    assert set(KERNELS) == bit_identical
+    assert set(KERNELS) == set(KERNEL_REGISTRY) == set(SIM_KERNELS)
     assert KERNELS[0] == "reference"
-    assert "turbo" in KERNEL_REGISTRY
-    assert not KERNEL_REGISTRY["turbo"].bit_identical
-    assert "turbo" not in KERNELS
 
 
 def test_first_divergence_names_the_leaf():

@@ -303,6 +303,30 @@ class TestFingerprint:
             RunSpec("db", "baseline", reference).cache_key()
         )
 
+    @pytest.mark.parametrize(
+        "overrides, expected",
+        [
+            (
+                {},
+                "30cd062cbaa5f8696ee7d4c93407de9ec30a16454a318c88bc5d0742cd502832",
+            ),
+            (
+                {"max_instructions": 3_000_000},
+                "185e93aacde2040f1f1c257713acfa212b80926e235c5f7177688f30f6704021",
+            ),
+            (
+                {"sim_kernel": "reference"},
+                "e71e997bf7fde594396ac78f0789d8b8afc5f7c1705b9bc970d1d768306a0241",
+            ),
+        ],
+        ids=["default", "ablation-budget", "reference-kernel"],
+    )
+    def test_store_keys_are_pinned(self, overrides, expected):
+        """Literal store keys: a change that moves them orphans every
+        persisted entry, so it must bump FINGERPRINT_VERSION on purpose
+        rather than happen as a side effect of a config refactor."""
+        assert ExperimentConfig(**overrides).fingerprint() == expected
+
     def test_effective_fingerprint_folds_budget_override(self):
         config = ExperimentConfig(max_instructions=100_000)
         spec = RunSpec("db", "baseline", config)

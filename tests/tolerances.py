@@ -1,12 +1,8 @@
 """Tolerance-testing toolkit: bounded-deviation comparison primitives.
 
-The bit-identical equivalence harness (``tests/equivalence.py``) asks
-"are these two trees *exactly* equal, and where do they first split?".
-The statistical equivalence harness (``tests/stat_equivalence.py``) asks
-a weaker question of the turbo kernel: "is every metric within its
-committed tolerance, and how close did it come?".  Both need the same
-reporting discipline — a failure must name the cell, the metric, and the
-two values, not dump opaque blobs — so the shared primitives live here:
+A failure must name the cell, the metric, and the two values, not dump
+opaque blobs.  The shared primitives that keep that reporting
+discipline live here:
 
 * :func:`first_divergence` / :func:`describe_divergence` — exact
   tree-diff helpers (moved from ``tests/equivalence.py``, which
@@ -18,7 +14,14 @@ two values, not dump opaque blobs — so the shared primitives live here:
   renders a worst-deviation-first report (also JSON-serialisable, so CI
   can upload it as an artifact).
 
-Semantics of a tolerance check (``baseline`` is the trusted kernel,
+Users: the bit-identical equivalence harness (``tests/equivalence.py``)
+and with it the golden-trace suite take the exact tree-diff helpers;
+``tests/test_tolerances.py`` pins the tolerance semantics below.  The
+tolerance check and the report have no other caller yet.  They are kept
+for the paper-fidelity gate (ROADMAP.md), which compares the suite's
+metrics with the paper's published numbers within a tolerance.
+
+Semantics of a tolerance check (``baseline`` is the trusted value,
 ``candidate`` the one under test):
 
 * both values NaN → equal (a metric that is undefined in both runs, e.g.

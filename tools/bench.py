@@ -8,20 +8,6 @@ Times representative cells and writes a ``BENCH_<date>.json`` snapshot:
   kernels are timed back to back inside each repetition, so machine
   noise hits both alike).  The heaviest cells run at double budget —
   these are the numbers the fast-kernel default is gated on.
-* ``kernel-turbo:<benchmark>/<scheme>`` — the same cell under all three
-  kernels (reference, fast, turbo), interleaved min-of-N, each on the
-  config a user selecting that kernel would run (turbo auto-selects the
-  split decider stream).  Batching-live cells (baseline scheme) run at
-  4x budget — turbo's whole-interval batching amortises its table setup
-  over the run, and multi-million-instruction sweeps are what the tier
-  exists for — and are gated on both ``speedup_cpu_vs_reference`` and
-  ``speedup_cpu_vs_fast``.  Measuring-policy cells (hotspot) pin the
-  deoptimisation story instead: turbo must stay within a parity band of
-  fast, because ``bulk_pause_depth`` forces its exact scalar path.
-  Every turbo cell also re-runs the statistical equivalence smoke
-  (decisions exact, metrics within ``tests/tolerance_spec.json``) at a
-  small budget and records the verdict, which ``--check`` requires to
-  be a pass.
 * ``engine:cold`` — a suite batch (benchmarks x 3 schemes) against an
   empty persistent store (every cell simulates);
 * ``engine:warm`` — the same batch again on the populated store (every
@@ -94,13 +80,6 @@ from repro.sim.engine import Engine
 from repro.sim.experiment import run_suite
 from repro.sim.store import ResultStore
 
-# The turbo cells reuse the statistical-equivalence harness from the
-# test tree (single source of truth for the tolerance contract), which
-# imports as the ``tests`` package from the repo root.
-_REPO_ROOT = Path(__file__).resolve().parent.parent
-if str(_REPO_ROOT) not in sys.path:
-    sys.path.insert(0, str(_REPO_ROOT))
-
 SCHEMA = 1
 
 #: (benchmark, scheme, heavy) — ``heavy`` cells run at 2x budget; they
@@ -113,17 +92,6 @@ KERNEL_CELLS = (
     ("mtrt", "hotspot", False),
 )
 
-#: (benchmark, scheme, budget multiplier, batching_live) for the
-#: three-kernel turbo cells.  ``batching_live`` says whether turbo's
-#: batched path actually runs there (baseline scheme) or the cell pins
-#: deoptimisation parity instead (measuring policies force the exact
-#: scalar path); the ``--check`` gate differs accordingly.
-TURBO_CELLS = (
-    ("db", "baseline", 4, True),
-    ("jack", "baseline", 4, True),
-    ("db", "hotspot", 1, False),
-)
-
 #: Suite subset for the engine cells (x 3 schemes each).
 ENGINE_BENCHMARKS = ("db", "jess")
 
@@ -132,16 +100,6 @@ ENGINE_BENCHMARKS = ("db", "jess")
 #: the committed baseline.
 SPEEDUP_ABS_FLOOR = 1.25
 SPEEDUP_REL_TOLERANCE = 0.5
-#: Turbo gates.  Batching-live cells must beat the reference and the
-#: fast kernel outright (absolute floors hold even in --quick, where
-#: budgets shrink and turbo's amortisation suffers most); deopt cells
-#: must stay within a parity band of fast — turbo there *is* the fast
-#: path plus a per-quantum flag check.
-TURBO_VS_REF_ABS_FLOOR = 2.0
-TURBO_VS_FAST_ABS_FLOOR = 1.2
-TURBO_DEOPT_PARITY = 0.7
-#: Budget for each turbo cell's statistical-equivalence smoke run.
-TURBO_SMOKE_BUDGET = 200_000
 #: The warm engine pass serves every cell from the store; it must beat
 #: the cold pass outright (wall clock — see the module docstring).
 WARM_COLD_FACTOR = 0.9
@@ -206,66 +164,6 @@ def bench_kernel_cell(
         "fast": fast,
         "speedup_wall": reference["wall_s"] / fast["wall_s"],
         "speedup_cpu": reference["cpu_s"] / fast["cpu_s"],
-    }
-
-
-def _turbo_available() -> bool:
-    try:
-        import numpy  # noqa: F401
-    except ImportError:
-        return False
-    return True
-
-
-def bench_turbo_cell(
-    benchmark: str, scheme: str, budget: int, repeats: int
-) -> Dict[str, object]:
-    """Interleaved min-of-N timing of one cell under all three kernels.
-
-    Each kernel runs the config a user selecting it would run: reference
-    and fast keep the byte-stable default (shared decider stream), turbo
-    auto-selects the split stream.  The statistical-equivalence smoke at
-    the end is the correctness side of the same coin — a turbo speedup
-    only counts if the cell still passes its equivalence contract.
-    """
-    timings: Dict[str, Optional[Dict[str, float]]] = {
-        "reference": None, "fast": None, "turbo": None,
-    }
-    for _ in range(repeats):
-        for kernel in ("reference", "fast", "turbo"):
-            spec = RunSpec(
-                benchmark, scheme,
-                ExperimentConfig(
-                    max_instructions=budget, sim_kernel=kernel
-                ),
-            )
-            sample = _time_once(lambda spec=spec: execute(spec))
-            timings[kernel] = _merge_min(timings[kernel], sample)
-    reference, fast, turbo = (
-        timings["reference"], timings["fast"], timings["turbo"]
-    )
-    smoke_budget = min(budget, TURBO_SMOKE_BUDGET)
-    try:
-        from tests.stat_equivalence import assert_cell_stat_equivalent
-
-        assert_cell_stat_equivalent(
-            benchmark, scheme, max_instructions=smoke_budget
-        )
-        smoke: Dict[str, object] = {"budget": smoke_budget, "pass": True}
-    except AssertionError as exc:
-        smoke = {
-            "budget": smoke_budget, "pass": False, "error": str(exc),
-        }
-    return {
-        "budget": budget,
-        "repeats": repeats,
-        "reference": reference,
-        "fast": fast,
-        "turbo": turbo,
-        "speedup_cpu_vs_reference": reference["cpu_s"] / turbo["cpu_s"],
-        "speedup_cpu_vs_fast": fast["cpu_s"] / turbo["cpu_s"],
-        "speedup_wall_vs_reference": reference["wall_s"] / turbo["wall_s"],
-        "equivalence_smoke": smoke,
     }
 
 
@@ -536,26 +434,6 @@ def run_bench(budget: int, repeats: int, mode: str) -> Dict[str, object]:
             f"fast cpu={entry['fast']['cpu_s']:.3f}s "
             f"speedup={entry['speedup_cpu']:.2f}x"
         )
-    if _turbo_available():
-        for benchmark, scheme, multiplier, live in TURBO_CELLS:
-            cell_budget = budget * multiplier
-            name = f"kernel-turbo:{benchmark}/{scheme}"
-            print(f"  {name} @{cell_budget} ...", flush=True)
-            cells[name] = bench_turbo_cell(
-                benchmark, scheme, cell_budget, repeats
-            )
-            entry = cells[name]
-            smoke = entry["equivalence_smoke"]
-            print(
-                f"    ref cpu={entry['reference']['cpu_s']:.3f}s "
-                f"fast cpu={entry['fast']['cpu_s']:.3f}s "
-                f"turbo cpu={entry['turbo']['cpu_s']:.3f}s "
-                f"vs_ref={entry['speedup_cpu_vs_reference']:.2f}x "
-                f"vs_fast={entry['speedup_cpu_vs_fast']:.2f}x "
-                f"smoke={'pass' if smoke['pass'] else 'FAIL'}"
-            )
-    else:
-        print("  kernel-turbo cells skipped (numpy unavailable)")
     print("  obs:overhead ...", flush=True)
     cells["obs:overhead"] = bench_obs_overhead(budget, repeats)
     obs = cells["obs:overhead"]
@@ -605,19 +483,6 @@ def run_bench(budget: int, repeats: int, mode: str) -> Dict[str, object]:
         "obs_null_ratio_cpu": obs["null_ratio_cpu"],
         "obs_capture_ratio_cpu": obs["capture_ratio_cpu"],
     }
-    turbo_entries = {
-        name: entry for name, entry in cells.items()
-        if name.startswith("kernel-turbo:")
-    }
-    if turbo_entries:
-        summary["turbo_cells"] = {
-            name: {
-                "vs_reference": entry["speedup_cpu_vs_reference"],
-                "vs_fast": entry["speedup_cpu_vs_fast"],
-                "smoke_pass": entry["equivalence_smoke"]["pass"],
-            }
-            for name, entry in turbo_entries.items()
-        }
     return {
         "schema": SCHEMA,
         "date": datetime.date.today().isoformat(),
@@ -725,57 +590,6 @@ def check_against_baseline(
             f">= {required:.2f}x",
             speedup >= required,
         )
-    live_cells = {
-        f"kernel-turbo:{b}/{s}": live for b, s, _, live in TURBO_CELLS
-    }
-    for name, entry in current["cells"].items():
-        if not name.startswith("kernel-turbo:"):
-            continue
-        vs_ref = entry["speedup_cpu_vs_reference"]
-        vs_fast = entry["speedup_cpu_vs_fast"]
-        base = base_cells.get(name)
-        if live_cells.get(name, True):
-            required_ref = TURBO_VS_REF_ABS_FLOOR
-            required_fast = TURBO_VS_FAST_ABS_FLOOR
-            if base is not None:
-                required_ref = max(
-                    required_ref,
-                    base["speedup_cpu_vs_reference"] * SPEEDUP_REL_TOLERANCE,
-                )
-                required_fast = max(
-                    required_fast,
-                    base["speedup_cpu_vs_fast"] * SPEEDUP_REL_TOLERANCE,
-                )
-        else:
-            # Deoptimised cell: turbo is the fast path plus a flag
-            # check, so the gate is a parity band, not a speedup.
-            required_ref = SPEEDUP_ABS_FLOOR
-            required_fast = TURBO_DEOPT_PARITY
-        smoke = entry["equivalence_smoke"]
-        table.gate(
-            name,
-            "speedup_cpu_vs_reference",
-            f"{vs_ref:.2f}x",
-            _base_value(base_cells, name, "speedup_cpu_vs_reference"),
-            f">= {required_ref:.2f}x",
-            vs_ref >= required_ref,
-        )
-        table.gate(
-            name,
-            "speedup_cpu_vs_fast",
-            f"{vs_fast:.2f}x",
-            _base_value(base_cells, name, "speedup_cpu_vs_fast"),
-            f">= {required_fast:.2f}x",
-            vs_fast >= required_fast,
-        )
-        table.gate(
-            name,
-            "equivalence_smoke",
-            "pass" if smoke["pass"] else "FAIL",
-            "-",
-            "pass",
-            bool(smoke["pass"]),
-        )
     cold = current["cells"].get("engine:cold")
     warm = current["cells"].get("engine:warm")
     if cold and warm:
@@ -878,8 +692,7 @@ def main(argv=None) -> int:
     )
     parser.add_argument(
         "--budget", type=int, default=None,
-        help="instruction budget per kernel cell (heavy cells run 2x, "
-             "batching-live turbo cells 4x)",
+        help="instruction budget per kernel cell (heavy cells run 2x)",
     )
     parser.add_argument(
         "--repeats", type=int, default=None,
