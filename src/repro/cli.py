@@ -213,14 +213,6 @@ def make_config(args) -> ExperimentConfig:
     return config
 
 
-def configure_store(options: ExecutionOptions) -> None:
-    """Apply ``--no-store`` / ``--store-dir`` to the experiment layer."""
-    from repro.sim.experiment import set_default_store
-
-    if options.no_store or options.store_dir is not None:
-        set_default_store(options.make_store())
-
-
 def make_fault_plan(args):
     """Parse ``--inject`` into a FaultPlan (or None); exits on bad specs."""
     if args.inject is None:
@@ -324,12 +316,8 @@ def dump_stats_json(args, engine, elapsed: float) -> None:
 def run_command(args) -> int:
     """The ``run`` exhibit: one traced benchmark/scheme cell."""
     from repro.obs import Telemetry, write_chrome_trace
-    from repro.sim.engine import (
-        BatchExecutionError,
-        CellExecutionError,
-        Engine,
-    )
-    from repro.sim.experiment import get_default_store
+    from repro.sim.engine import BatchExecutionError, CellExecutionError
+    from repro.sim.experiment import make_engine
 
     if args.bench is None:
         print(
@@ -340,25 +328,17 @@ def run_command(args) -> int:
         return 2
     tracing = args.trace is not None or args.metrics
     telemetry = Telemetry() if tracing else None
-    options = ExecutionOptions.from_args(args)
-    configure_store(options)
     # A traced run must observe live tuning decisions, so both cache
     # layers are bypassed; the configured backend is used either way —
     # pool workers capture their telemetry and the engine clock-aligns
     # it into this session (docs/INTERNALS.md §15).
     resume_from = resolve_resume(args)
-    engine = Engine(
-        pool=options.resolved_backend(),
-        store=None if tracing else get_default_store(),
+    engine = make_engine(
         use_cache=not tracing,
         telemetry=telemetry,
         failure_policy=args.on_error,
         fault_plan=make_fault_plan(args),
-        chunk_size=options.chunk_size,
-        max_pool_rebuilds=options.max_pool_rebuilds,
-        straggler_factor=options.straggler_factor,
-        schedule=options.schedule,
-        cost_model_dir=options.cost_model_dir,
+        options=ExecutionOptions.from_args(args),
         progress=make_progress_printer(args),
         recorder=make_recorder(args, resume_from),
         resume=resume_from,
@@ -424,15 +404,13 @@ def main(argv: Optional[List[str]] = None) -> int:
         print(STATIC_EXHIBITS[args.exhibit]().rendered)
         return 0
 
-    options = ExecutionOptions.from_args(args)
-    configure_store(options)
     from repro.sim.experiment import make_engine
 
     resume_from = resolve_resume(args)
     engine = make_engine(
         failure_policy=args.on_error,
         fault_plan=make_fault_plan(args),
-        options=options,
+        options=ExecutionOptions.from_args(args),
         progress=make_progress_printer(args),
         recorder=make_recorder(args, resume_from),
         resume=resume_from,

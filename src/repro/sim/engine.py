@@ -62,22 +62,12 @@ from __future__ import annotations
 import statistics
 import time
 import traceback as traceback_mod
-import warnings
-from concurrent.futures import FIRST_COMPLETED, wait
+from concurrent.futures import FIRST_COMPLETED, Future, wait
 from dataclasses import dataclass
 from pathlib import Path
-from typing import (
-    Callable,
-    Dict,
-    Iterator,
-    List,
-    Optional,
-    Sequence,
-    Tuple,
-    Union,
-)
+from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple, Union
 
-from repro.faults import FaultPlan, corrupt_file, deterministic_uniform
+from repro.faults import FaultPlan, corrupt_file
 from repro.obs.events import (
     BATCH_DEGRADED,
     BATCH_RESUMED,
@@ -104,13 +94,13 @@ from repro.obs.events import (
 from repro.obs.recorder import FlightRecorder, ManifestReplay
 from repro.obs.remote import (
     DEFAULT_CELL_EVENT_CAP,
+    SNAPSHOT_VERSION,
     merge_chunk_info,
     worker_origin,
 )
 from repro.sim import schedule as schedule_mod
 from repro.sim.costmodel import CostModel
 from repro.sim.driver import RunResult, RunSpec
-from repro.sim.options import ExecutionOptions
 from repro.sim.pools import Pool, make_pool
 from repro.sim.pools.base import CellTimeout  # noqa: F401 — re-export
 from repro.sim.pools.base import HostDownError
@@ -129,10 +119,6 @@ FAILURE_POLICIES = ("raise", "skip", "partial")
 #: Shared across all Engine instances by default, so e.g. the CLI's
 #: exhibit loop and the bench fixtures see each other's runs.
 _MEMORY_CACHE: Dict[Tuple[str, str, str], RunResult] = {}
-
-#: The deprecated ``run_batch`` shim warns once per process.
-_RUN_BATCH_WARNED = False
-
 
 def clear_memory_cache() -> int:
     """Drop every in-process cached result; returns the count dropped."""
@@ -335,26 +321,44 @@ class _PoolBroken(Exception):
         self.cause = cause
 
 
+@dataclass(eq=False)
+class _Flight:
+    """One chunk submitted to the backend and not yet settled."""
+
+    chunk: List[int]
+    #: ``time.perf_counter()`` at submission (straggler clock).
+    started: float
+    #: The other copy of a speculated chunk (docs/INTERNALS.md §16);
+    #: the original and its twin point at each other.
+    twin: Optional[Future] = None
+    #: True for the speculative copy, False for the original.
+    speculative: bool = False
+
+
 class Engine:
     """Executes batches of :class:`RunSpec` cells with caching + fan-out.
+
+    Every execution setting is a keyword here, and only here;
+    :func:`repro.sim.experiment.make_engine` maps an
+    :class:`~repro.sim.options.ExecutionOptions` bundle (the CLI's
+    flags) onto these keywords.
 
     Parameters
     ----------
     jobs:
-        Worker processes for cells that must simulate.  ``None``
-        (default) takes the backend from ``options``, else runs
-        everything in the calling process, as ``1`` does; ``N > 1`` is
-        shorthand for ``pool="local:N"``.
+        Worker processes for cells that must simulate.  ``1`` (default)
+        runs everything in the calling process; ``N > 1`` is shorthand
+        for ``pool="local:N"``.
     pool:
         Execution backend: a spec string resolved through
         :func:`repro.sim.pools.make_pool` (``"serial"``, ``"local:4"``,
         ``"ssh:hostfile"``, ``"ssh-loopback:2"``) or an already
         constructed :class:`~repro.sim.pools.Pool`.  Overrides ``jobs``.
-    options:
-        An :class:`~repro.sim.options.ExecutionOptions` bundle.  Knobs
-        it covers (backend/jobs, chunk_size, max_pool_rebuilds, store)
-        are taken from it unless the corresponding constructor argument
-        was passed, even when the passed value equals the default.
+        Backends with the ``warm_start`` capability pre-build the first
+        batch's benchmarks and pre-decode their programs in every worker
+        at spawn (docs/INTERNALS.md §13; ``worker_warmup`` telemetry);
+        later batches reuse the live pool and the workers' memoised
+        benchmarks.
     store:
         A :class:`ResultStore` for cross-process persistence, or ``None``
         to keep results in memory only.
@@ -365,7 +369,8 @@ class Engine:
         Per-cell wall-clock budget in seconds (None = unbounded).  A
         timed-out cell is retried like any other failure.
     max_retries:
-        Extra attempts per cell after the first failure.
+        Extra attempts per cell after the first failure.  Retries are
+        resubmitted at once, without backoff.
     failure_policy:
         ``"raise"`` (default): a cell that exhausts its retries aborts
         the batch with :class:`CellExecutionError` — the legacy
@@ -374,14 +379,6 @@ class Engine:
         leaves ``None`` in that cell's ``values()`` slot.  ``"partial"``:
         like ``"skip"``, but a batch in which *every* cell failed raises
         :class:`BatchExecutionError`.
-    retry_backoff:
-        Base of the exponential backoff slept before each retry
-        (seconds; ``attempt n`` waits ``base * 2**(n-1)``, jittered
-        ±50 %, capped at 30 s).  ``0`` (default) disables backoff.
-        The jitter is drawn from the deterministic fault hash
-        (seeded by ``fault_plan.seed``, or 0 without a plan) keyed on
-        the cell's identity and attempt — never from global ``random``
-        — so chaos runs with backoff enabled replay identically.
     straggler_factor:
         Straggler mitigation (docs/INTERNALS.md §16): when set, a
         chunk whose runtime exceeds ``straggler_factor`` times the
@@ -404,8 +401,8 @@ class Engine:
     max_pool_rebuilds:
         How many times a batch may rebuild a broken backend (worker
         crash recovery) before degrading to in-process serial execution
-        for the interrupted cells (``None``: from ``options``, else 3).
-        Backends without the ``rebuild`` capability degrade immediately.
+        for the interrupted cells (default 3).  Backends without the
+        ``rebuild`` capability degrade immediately.
     fault_plan:
         Optional :class:`repro.faults.FaultPlan`.  ``None`` (default)
         injects nothing and adds no overhead.  A plan whose sites
@@ -471,39 +468,29 @@ class Engine:
         Directory the cost model snapshots itself into
         (``cost_model.json``, written after each batch that learned
         something); ``None`` keeps the model in memory only.
-    warm_start:
-        When True (default), backends with the ``warm_start``
-        capability pre-build the first batch's benchmarks and
-        pre-decode their programs in every worker at spawn (see
-        docs/INTERNALS.md §13); the warm-up is reported via
-        ``worker_warmup`` telemetry events.  Later batches reuse the
-        live pool and the workers' memoised benchmarks.
     """
 
     def __init__(
         self,
-        jobs: Optional[int] = None,
+        jobs: int = 1,
         store: Optional[ResultStore] = None,
         use_cache: bool = True,
         cell_timeout: Optional[float] = None,
         max_retries: int = 1,
         failure_policy: str = "raise",
-        retry_backoff: float = 0.0,
-        max_pool_rebuilds: Optional[int] = None,
+        max_pool_rebuilds: int = 3,
         fault_plan: Optional[FaultPlan] = None,
         progress: Optional[ProgressCallback] = None,
         runner: Optional[Callable[[RunSpec], RunResult]] = None,
         memory_cache: Optional[Dict] = None,
         telemetry=None,
         chunk_size: Optional[int] = None,
-        warm_start: bool = True,
         pool: Union[str, Pool, None] = None,
-        options: Optional[ExecutionOptions] = None,
         remote_capture_events: Optional[int] = None,
         recorder: Optional[FlightRecorder] = None,
         straggler_factor: Optional[float] = None,
         resume: Union[str, Path, None] = None,
-        schedule: Optional[str] = None,
+        schedule: str = "lpt",
         cost_model: Optional[CostModel] = None,
         cost_model_dir: Union[str, Path, None] = None,
     ):
@@ -512,24 +499,11 @@ class Engine:
                 f"failure_policy must be one of {FAILURE_POLICIES}, got "
                 f"{failure_policy!r}"
             )
-        if options is not None:
-            # Explicit constructor arguments win; anything left unset
-            # (``None``) is taken from the options bundle (API.md has the
-            # full mapping).
-            if pool is None and jobs is None:
-                pool = options.resolved_backend()
-            if chunk_size is None:
-                chunk_size = options.chunk_size
-            if max_pool_rebuilds is None:
-                max_pool_rebuilds = options.max_pool_rebuilds
-            if straggler_factor is None:
-                straggler_factor = options.straggler_factor
-            if schedule is None:
-                schedule = options.schedule
-            if cost_model_dir is None:
-                cost_model_dir = options.cost_model_dir
-            if store is None:
-                store = options.make_store()
+        if schedule not in schedule_mod.SCHEDULE_MODES:
+            raise ValueError(
+                f"schedule must be one of {schedule_mod.SCHEDULE_MODES}, "
+                f"got {schedule!r}"
+            )
         if pool is None:
             pool = f"local:{jobs}" if (jobs or 1) > 1 else "serial"
         self.pool: Pool = make_pool(pool) if isinstance(pool, str) else pool
@@ -539,10 +513,7 @@ class Engine:
         self.cell_timeout = cell_timeout
         self.max_retries = max(0, int(max_retries))
         self.failure_policy = failure_policy
-        self.retry_backoff = max(0.0, float(retry_backoff))
-        self.max_pool_rebuilds = (
-            3 if max_pool_rebuilds is None else max(0, int(max_pool_rebuilds))
-        )
+        self.max_pool_rebuilds = max(0, int(max_pool_rebuilds))
         self.fault_plan = fault_plan
         self.progress = progress
         self.runner = runner
@@ -553,7 +524,6 @@ class Engine:
         self.chunk_size = (
             None if chunk_size is None else max(1, int(chunk_size))
         )
-        self.warm_start = bool(warm_start)
         self.remote_capture_events = (
             DEFAULT_CELL_EVENT_CAP
             if remote_capture_events is None
@@ -568,12 +538,7 @@ class Engine:
             else float(straggler_factor)
         )
         self._resume: Union[str, Path, None] = resume
-        self.schedule = schedule if schedule is not None else "lpt"
-        if self.schedule not in schedule_mod.SCHEDULE_MODES:
-            raise ValueError(
-                f"schedule must be one of {schedule_mod.SCHEDULE_MODES}, "
-                f"got {self.schedule!r}"
-            )
+        self.schedule = schedule
         self._cost_model_dir = (
             None if cost_model_dir is None else Path(cost_model_dir)
         )
@@ -594,6 +559,8 @@ class Engine:
         self._remote_hwm: Dict[str, float] = {}
         self._in_flight = 0
         self._run_t0 = time.perf_counter()
+        #: The in-flight table of the current pool round.
+        self._flights: Dict[Future, _Flight] = {}
 
     # -- public API --------------------------------------------------------
 
@@ -612,13 +579,18 @@ class Engine:
         docstring); it overrides any ``Engine(resume=...)`` default.
         """
         specs = list(cells)
+        # One fingerprint per cell per batch: lookup, de-duplication,
+        # store writes and the flight recorder all share these keys.
+        keys = [
+            spec.cache_key() if spec.cacheable else None for spec in specs
+        ]
         resume_path = resume if resume is not None else self._resume
         self._resume = None
         replay: Optional[ManifestReplay] = None
         resume_counts: Optional[Dict[str, int]] = None
         if resume_path is not None:
             replay = FlightRecorder.replay(resume_path)
-            resume_counts = self._apply_resume(specs, replay)
+            resume_counts = self._apply_resume(specs, keys, replay)
         recorder = self.recorder
         if recorder is not None:
             recorder.begin_batch(
@@ -628,12 +600,12 @@ class Engine:
                 cell_timeout=self.cell_timeout,
                 max_retries=self.max_retries,
                 fault_plan=self.fault_plan,
-                cells=[self._cell_identity(spec) for spec in specs],
+                cells=[_identity(s, k) for s, k in zip(specs, keys)],
                 resume_of=None if replay is None else str(replay.path),
                 resume_counts=resume_counts,
             )
         try:
-            batch = self._run_specs(specs)
+            batch = self._run_specs(specs, keys)
         except BaseException as error:
             if recorder is not None:
                 recorder.batch_aborted(error)
@@ -647,7 +619,10 @@ class Engine:
         return batch
 
     def _apply_resume(
-        self, specs: List[RunSpec], replay: ManifestReplay
+        self,
+        specs: List[RunSpec],
+        keys: List[Optional[Tuple[str, str, str]]],
+        replay: ManifestReplay,
     ) -> Dict[str, int]:
         """Partition this batch's cells against a prior run's manifest.
 
@@ -659,17 +634,8 @@ class Engine:
         the manifest over the store.
         """
         counts = {"done": 0, "failed": 0, "new": 0}
-        for spec in specs:
-            identity = self._cell_identity(spec)
-            fingerprint = identity["fingerprint"]
-            kind = (
-                replay.classify(
-                    (identity["benchmark"], identity["scheme"], fingerprint)
-                )
-                if fingerprint
-                else "new"
-            )
-            counts[kind] += 1
+        for key in keys:
+            counts["new" if key is None else replay.classify(key)] += 1
         self.stats.resumed_done += counts["done"]
         self.stats.resumed_failed += counts["failed"]
         self.stats.resumed_new += counts["new"]
@@ -683,87 +649,64 @@ class Engine:
         self.telemetry.metrics.counter("engine.batches_resumed").inc()
         return counts
 
-    @staticmethod
-    def _cell_identity(spec: RunSpec) -> Dict[str, object]:
-        """Flight-recorder identity of one cell (fingerprint if any)."""
-        fingerprint = None
-        if spec.cacheable:
-            try:
-                fingerprint = spec.cache_key()[2]
-            except Exception:
-                fingerprint = None
-        return {
-            "benchmark": spec.benchmark_name,
-            "scheme": spec.scheme,
-            "fingerprint": fingerprint,
-        }
-
-    def _run_specs(self, specs: List[RunSpec]) -> "BatchResult":
-        total = len(specs)
+    def _run_specs(
+        self,
+        specs: List[RunSpec],
+        keys: List[Optional[Tuple[str, str, str]]],
+    ) -> "BatchResult":
+        self._specs, self._keys = specs, keys
+        self._outcomes: List[Optional[CellOutcome]] = [None] * len(specs)
+        self._done, self._total = 0, len(specs)
         self._run_t0 = time.perf_counter()
         self._in_flight = 0
-        results: List[Optional[RunResult]] = [None] * total
-        self._outcomes: List[Optional[CellOutcome]] = [None] * total
-        self._done = 0
-        self._total = total
 
         pending: List[int] = []
         leaders: Dict[Tuple[str, str, str], int] = {}
         followers: Dict[int, List[int]] = {}
-        for index, spec in enumerate(specs):
-            hit = self._lookup(spec)
+        for index, (spec, key) in enumerate(zip(specs, keys)):
+            hit = self._lookup(spec, key)
             if hit is not None:
                 result, source = hit
-                results[index] = result
-                outcome = CellOutcome(
-                    spec=spec, status="ok", result=result, source=source
+                self._finish(
+                    index,
+                    CellOutcome(
+                        spec=spec, status="ok", result=result, source=source
+                    ),
                 )
-                self._outcomes[index] = outcome
-                self._recorder_cell(outcome)
-                self._notify(spec, source)
                 continue
-            if self.use_cache and spec.cacheable:
-                key = spec.cache_key()
-                leader = leaders.get(key)
-                if leader is not None:
+            if self.use_cache and key is not None:
+                leader = leaders.setdefault(key, index)
+                if leader != index:
                     followers.setdefault(leader, []).append(index)
                     self.stats.deduplicated += 1
                     continue
-                leaders[key] = index
             pending.append(index)
 
         if pending:
             try:
-                self._execute_pending(specs, pending, results)
+                self._execute_pending(pending)
             finally:
                 self._flush_store()
         for leader, dupes in followers.items():
-            source = self._outcomes[leader]
+            first = self._outcomes[leader]
             for index in dupes:
-                if source is not None and source.ok:
-                    results[index] = results[leader]
+                if first.ok:
                     outcome = CellOutcome(
                         spec=specs[index],
                         status="ok",
-                        result=results[leader],
-                        attempts=0,
+                        result=first.result,
                         source=SOURCE_MEMORY,
                     )
-                    self._outcomes[index] = outcome
-                    self._recorder_cell(outcome)
-                    self._notify(specs[index], SOURCE_MEMORY)
                 else:
                     # Mirror the leader's failure onto its duplicates.
                     outcome = CellOutcome(
                         spec=specs[index],
-                        status=source.status if source else "failed",
-                        error=source.error if source else None,
-                        attempts=source.attempts if source else 0,
+                        status=first.status,
+                        error=first.error,
+                        attempts=first.attempts,
                         source=SOURCE_FAILED,
                     )
-                    self._outcomes[index] = outcome
-                    self._recorder_cell(outcome)
-                    self._notify(specs[index], SOURCE_FAILED)
+                self._finish(index, outcome)
         batch = BatchResult(self._outcomes)  # type: ignore[arg-type]
         if batch.degraded:
             telemetry = self.telemetry
@@ -776,25 +719,6 @@ class Engine:
             if self.failure_policy == "partial" and not batch.ok:
                 raise BatchExecutionError(batch)
         return batch
-
-    def run_batch(self, cells: Sequence[RunSpec]) -> "BatchResult":
-        """Deprecated alias of :meth:`run` (they merged; same return).
-
-        .. deprecated::
-            Call ``run(cells)`` — it returns the same
-            :class:`BatchResult` now.
-        """
-        global _RUN_BATCH_WARNED
-        if not _RUN_BATCH_WARNED:
-            _RUN_BATCH_WARNED = True
-            warnings.warn(
-                "Engine.run_batch() is deprecated; Engine.run() returns "
-                "the same BatchResult (use .values() for the old "
-                "list-of-results shape)",
-                DeprecationWarning,
-                stacklevel=2,
-            )
-        return self.run(cells)
 
     def run_one(self, spec: RunSpec) -> RunResult:
         """Single-cell convenience wrapper around :meth:`run`."""
@@ -839,22 +763,23 @@ class Engine:
 
     # -- cache layers ------------------------------------------------------
 
-    def _cell_cacheable(self, spec: RunSpec) -> bool:
+    def _cell_cacheable(self, key: Optional[Tuple[str, str, str]]) -> bool:
         """Both layers readable/writable for this cell in this engine?
 
         A fault plan that perturbs simulation results poisons every cell
         it touches: such results are functions of ``(spec, plan)``, not
         of the configuration fingerprint, and must never be cached.
         """
-        if not (self.use_cache and spec.cacheable):
+        if not self.use_cache or key is None:
             return False
         plan = self.fault_plan
         return plan is None or not plan.perturbs_simulation
 
-    def _lookup(self, spec: RunSpec) -> Optional[Tuple[RunResult, str]]:
-        if not self._cell_cacheable(spec):
+    def _lookup(
+        self, spec: RunSpec, key: Optional[Tuple[str, str, str]]
+    ) -> Optional[Tuple[RunResult, str]]:
+        if not self._cell_cacheable(key):
             return None
-        key = spec.cache_key()
         if key in self._memory:
             self.stats.memory_hits += 1
             self.telemetry.emit_wall(
@@ -880,14 +805,14 @@ class Engine:
 
     def _record(
         self,
-        spec: RunSpec,
+        index: int,
         result: RunResult,
         elapsed_s: Optional[float] = None,
         executed_by: Optional[str] = None,
     ) -> None:
-        if not self._cell_cacheable(spec):
+        key = self._keys[index]
+        if not self._cell_cacheable(key):
             return
-        key = spec.cache_key()
         self._memory[key] = result
         if self.store is not None:
             # The memory-cache write above serves intra-batch duplicates;
@@ -896,7 +821,9 @@ class Engine:
             # entry's meta block, warm-booting future processes' cost
             # models (docs/INTERNALS.md §18).
             meta = (
-                self.cost_model.store_meta(spec, elapsed_s, executed_by)
+                self.cost_model.store_meta(
+                    self._specs[index], elapsed_s, executed_by
+                )
                 if elapsed_s is not None
                 else None
             )
@@ -921,6 +848,27 @@ class Engine:
             for (key, _, _), path in zip(pending, paths):
                 if plan.decide("store_corrupt", key):
                     corrupt_file(path)
+
+    def _finish(self, index: int, outcome: CellOutcome) -> None:
+        """Settle cell ``index`` for good: record its outcome, write its
+        flight-recorder line, and notify progress."""
+        self._outcomes[index] = outcome
+        if self.recorder is not None:
+            # The fingerprint makes the cell record replayable:
+            # ``--resume`` matches manifest records to store entries by
+            # the same triple.
+            key = self._keys[index]
+            self.recorder.cell(
+                benchmark=outcome.spec.benchmark_name,
+                scheme=outcome.spec.scheme,
+                status=outcome.status,
+                attempts=outcome.attempts,
+                source=outcome.source,
+                error=outcome.error,
+                traceback=outcome.traceback,
+                fingerprint=None if key is None else key[2],
+            )
+        self._notify(outcome.spec, outcome.source)
 
     def _notify(self, spec: RunSpec, source: str) -> None:
         self._done += 1
@@ -953,58 +901,89 @@ class Engine:
                 )
             )
 
-    def _recorder_cell(self, outcome: CellOutcome) -> None:
-        if self.recorder is None:
-            return
-        # The fingerprint makes the cell record replayable: ``--resume``
-        # matches manifest records to store entries by the same triple.
-        identity = self._cell_identity(outcome.spec)
-        self.recorder.cell(
-            benchmark=outcome.spec.benchmark_name,
-            scheme=outcome.spec.scheme,
-            status=outcome.status,
-            attempts=outcome.attempts,
-            source=outcome.source,
-            error=outcome.error,
-            traceback=outcome.traceback,
-            fingerprint=identity["fingerprint"],
-        )
-
-    # -- failure bookkeeping ----------------------------------------------
+    # -- settling cells ----------------------------------------------------
 
     def _record_success(
-        self, spec: RunSpec, index: int, result: RunResult, attempts: int,
-        results: List[Optional[RunResult]],
+        self,
+        index: int,
+        result: RunResult,
+        attempts: int,
         elapsed_s: Optional[float] = None,
         executed_by: Optional[str] = None,
     ) -> None:
-        results[index] = result
-        outcome = CellOutcome(
-            spec=spec,
-            status="ok",
-            result=result,
-            attempts=attempts,
-            source=SOURCE_SIMULATED,
-        )
-        self._outcomes[index] = outcome
+        spec = self._specs[index]
         self.stats.simulations += 1
         self.telemetry.metrics.counter("engine.simulations").inc()
         if elapsed_s is not None:
             self.cost_model.observe(spec, elapsed_s)
-        self._record(spec, result, elapsed_s, executed_by)
+        self._record(index, result, elapsed_s, executed_by)
         if self.recorder is not None:
             # Write-ahead ordering for crash-safe resume (docs §16): the
             # store write must be durable before the manifest says
             # "done", so a SIGKILL between the two re-executes the cell
             # rather than trusting a record the store cannot back.
             self._flush_store()
-        self._recorder_cell(outcome)
-        self._notify(spec, SOURCE_SIMULATED)
+        self._finish(
+            index,
+            CellOutcome(
+                spec=spec,
+                status="ok",
+                result=result,
+                attempts=attempts,
+                source=SOURCE_SIMULATED,
+            ),
+        )
+
+    def _settle_error(
+        self,
+        index: int,
+        attempts: int,
+        error: BaseException,
+        track: Optional[str] = None,
+        reason: Optional[str] = None,
+    ) -> bool:
+        """One failed attempt of cell ``index``: True when it should be
+        retried, False once it failed for good under a skip/partial
+        policy (``"raise"`` raises :class:`CellExecutionError`).
+
+        The serial path, the pool path and crash recovery all settle
+        errors here; ``track`` and ``reason`` label the events.
+        """
+        spec = self._specs[index]
+        telemetry = self.telemetry
+        where = {} if track is None else {"track": track}
+        if isinstance(error, CellTimeout):
+            self.stats.timeouts += 1
+            telemetry.emit_wall(
+                TIMEOUT,
+                **where,
+                benchmark=spec.benchmark_name,
+                scheme=spec.scheme,
+            )
+            telemetry.metrics.counter("engine.timeouts").inc()
+        if attempts > self.max_retries:
+            if self.failure_policy == "raise":
+                raise CellExecutionError(spec, attempts, error) from error
+            self._record_failure(index, attempts, error)
+            return False
+        self.stats.retries += 1
+        if reason is not None:
+            where["reason"] = reason
+        telemetry.emit_wall(
+            RETRY,
+            benchmark=spec.benchmark_name,
+            scheme=spec.scheme,
+            attempt=attempts,
+            **where,
+        )
+        telemetry.metrics.counter("engine.retries").inc()
+        return True
 
     def _record_failure(
-        self, spec: RunSpec, index: int, attempts: int, error: BaseException
+        self, index: int, attempts: int, error: BaseException
     ) -> None:
         """Terminal failure of one cell under skip/partial policies."""
+        spec = self._specs[index]
         if isinstance(error, CellTimeout):
             status = "timeout"
         elif isinstance(
@@ -1021,15 +1000,6 @@ class Engine:
                     type(error), error, error.__traceback__
                 )
             )
-        outcome = CellOutcome(
-            spec=spec,
-            status=status,
-            error=repr(error),
-            attempts=attempts,
-            source=SOURCE_FAILED,
-            traceback=tb,
-        )
-        self._outcomes[index] = outcome
         self.stats.failures += 1
         telemetry = self.telemetry
         telemetry.emit_wall(
@@ -1041,8 +1011,17 @@ class Engine:
             error=repr(error)[:200],
         )
         telemetry.metrics.counter("engine.cell_failures").inc()
-        self._recorder_cell(outcome)
-        self._notify(spec, SOURCE_FAILED)
+        self._finish(
+            index,
+            CellOutcome(
+                spec=spec,
+                status=status,
+                error=repr(error),
+                attempts=attempts,
+                source=SOURCE_FAILED,
+                traceback=tb,
+            ),
+        )
 
     def _note_unarmed_timeout(self, count: int = 1) -> None:
         """Cell timeouts that could not be armed (no usable main thread —
@@ -1056,31 +1035,6 @@ class Engine:
                 reason="SIGALRM needs the main thread; cells run unbounded",
             )
             self.telemetry.metrics.counter("engine.timeouts_unarmed").inc()
-
-    def _sleep_backoff(
-        self, attempt: int, spec: Optional[RunSpec] = None
-    ) -> None:
-        """Exponential backoff with jitter before retry ``attempt + 1``.
-
-        Wall-clock pacing only — it never influences results.  The
-        jitter is nonetheless deterministic: it comes from the same
-        pure ``(seed, site, key)`` hash the fault plan uses (seed 0
-        without a plan), keyed on the cell identity and attempt — so a
-        chaos run with backoff enabled replays with identical pacing,
-        never touching global ``random`` state.
-        """
-        base = self.retry_backoff
-        if base <= 0.0:
-            return
-        delay = min(base * 2.0 ** max(0, attempt - 1), 30.0)
-        seed = 0 if self.fault_plan is None else self.fault_plan.seed
-        key = (
-            ("pool", attempt)
-            if spec is None
-            else (spec.benchmark_name, spec.scheme, attempt)
-        )
-        jitter = deterministic_uniform(seed, "retry_backoff", key)
-        time.sleep(delay * (0.5 + jitter))
 
     def _drain_health(self) -> None:
         """Forward the pool's buffered health transitions into
@@ -1101,22 +1055,17 @@ class Engine:
 
     # -- execution ---------------------------------------------------------
 
-    def _execute_pending(
-        self,
-        specs: Sequence[RunSpec],
-        pending: List[int],
-        results: List[Optional[RunResult]],
-    ) -> None:
+    def _execute_pending(self, pending: List[int]) -> None:
         pool_eligible = [
-            i for i in pending if self._pool_eligible(specs[i])
+            i for i in pending if self._pool_eligible(self._specs[i])
         ]
-        serial = [i for i in pending if i not in set(pool_eligible)]
         # A single eligible cell normally runs serially (cheaper, and it
         # streams simulation telemetry directly) — unless the parent's
         # telemetry session is live and worker-side capture is on, in
         # which case routing through the pool exercises the same
         # capture/merge path a multi-cell batch uses, keeping traces
         # uniform across batch sizes.
+        serial = pending
         if self.pool.capabilities.parallel and (
             len(pool_eligible) > 1
             or (
@@ -1125,11 +1074,11 @@ class Engine:
                 and self.remote_capture_events > 0
             )
         ):
-            self._run_pool(specs, pool_eligible, results)
-        else:
-            serial = sorted(set(serial) | set(pool_eligible))
+            self._run_pool(pool_eligible)
+            in_pool = set(pool_eligible)
+            serial = [i for i in pending if i not in in_pool]
         for index in serial:
-            self._run_serial(specs[index], index, results)
+            self._run_serial(index)
 
     def _pool_eligible(self, spec: RunSpec) -> bool:
         return (
@@ -1139,12 +1088,8 @@ class Engine:
             and spec.preload_database is None
         )
 
-    def _run_serial(
-        self,
-        spec: RunSpec,
-        index: int,
-        results: List[Optional[RunResult]],
-    ) -> None:
+    def _run_serial(self, index: int) -> None:
+        spec = self._specs[index]
         telemetry = self.telemetry
         attempts = 0
         while True:
@@ -1171,35 +1116,12 @@ class Engine:
                         fault_plan=self.fault_plan,
                         on_unarmed=self._note_unarmed_timeout,
                     )
-                elapsed_s = time.perf_counter() - cell_t0
-                break
             except Exception as error:  # noqa: BLE001 — retry boundary
-                if isinstance(error, CellTimeout):
-                    self.stats.timeouts += 1
-                    telemetry.emit_wall(
-                        TIMEOUT,
-                        track="worker:0",
-                        benchmark=spec.benchmark_name,
-                        scheme=spec.scheme,
-                    )
-                    telemetry.metrics.counter("engine.timeouts").inc()
-                if attempts > self.max_retries:
-                    if self.failure_policy == "raise":
-                        raise CellExecutionError(
-                            spec, attempts, error
-                        ) from error
-                    self._record_failure(spec, index, attempts, error)
-                    return
-                self.stats.retries += 1
-                telemetry.emit_wall(
-                    RETRY,
-                    track="worker:0",
-                    benchmark=spec.benchmark_name,
-                    scheme=spec.scheme,
-                    attempt=attempts,
-                )
-                telemetry.metrics.counter("engine.retries").inc()
-                self._sleep_backoff(attempts, spec)
+                if self._settle_error(index, attempts, error, "worker:0"):
+                    continue
+                return
+            break
+        elapsed_s = time.perf_counter() - cell_t0
         telemetry.emit_wall(
             CELL_DONE,
             track="worker:0",
@@ -1209,18 +1131,13 @@ class Engine:
             scheme=spec.scheme,
         )
         self._record_success(
-            spec, index, result, attempts, results,
+            index, result, attempts,
             elapsed_s=elapsed_s, executed_by=worker_origin(),
         )
 
     # -- pool execution -----------------------------------------------------
 
-    def _run_pool(
-        self,
-        specs: Sequence[RunSpec],
-        indices: List[int],
-        results: List[Optional[RunResult]],
-    ) -> None:
+    def _run_pool(self, indices: List[int]) -> None:
         """Backend fan-out with worker-crash recovery.
 
         Attempt counters, display lanes, and submission ordinals survive
@@ -1229,23 +1146,19 @@ class Engine:
         ``rebuild`` capability degrade straight to serial on the first
         crash.
         """
-        attempts: Dict[int, int] = {i: 0 for i in indices}
-        lanes: Dict[int, int] = {}
-        submitted_at: Dict[int, float] = {}
+        self._attempts: Dict[int, int] = {i: 0 for i in indices}
+        self._lanes: Dict[int, int] = {}
+        self._submitted_at: Dict[int, float] = {}
         self._submissions = 0
         to_run = list(indices)
         rebuilds = 0
         while to_run:
             try:
-                self._pool_round(
-                    specs, to_run, results, attempts, lanes, submitted_at
-                )
+                self._run_round(to_run)
                 return
             except _PoolBroken as broken:
                 self._drain_health()
-                to_run = self._survivors_of_crash(
-                    specs, broken, attempts, results
-                )
+                to_run = self._survivors_of_crash(broken)
                 if not to_run:
                     return
                 rebuilds += 1
@@ -1268,17 +1181,10 @@ class Engine:
                             cells=len(to_run),
                         )
                     for index in to_run:
-                        self._run_serial(specs[index], index, results)
+                        self._run_serial(index)
                     return
-                self._sleep_backoff(rebuilds)
 
-    def _survivors_of_crash(
-        self,
-        specs: Sequence[RunSpec],
-        broken: _PoolBroken,
-        attempts: Dict[int, int],
-        results: List[Optional[RunResult]],
-    ) -> List[int]:
+    def _survivors_of_crash(self, broken: _PoolBroken) -> List[int]:
         """Split crash-interrupted cells into resubmittable vs. exhausted."""
         telemetry = self.telemetry
         self.stats.worker_crashes += 1
@@ -1296,40 +1202,25 @@ class Engine:
                 interrupted=len(broken.interrupted),
                 error=repr(broken.cause)[:200],
             )
-        survivors: List[int] = []
-        for index in broken.interrupted:
-            spec = specs[index]
-            if attempts[index] > self.max_retries:
-                if self.failure_policy == "raise":
-                    raise CellExecutionError(
-                        spec, attempts[index], broken.cause
-                    ) from broken.cause
-                self._record_failure(
-                    spec, index, attempts[index], broken.cause
-                )
-                continue
-            self.stats.retries += 1
-            telemetry.emit_wall(
-                RETRY,
-                benchmark=spec.benchmark_name,
-                scheme=spec.scheme,
-                attempt=attempts[index],
+        return [
+            index
+            for index in broken.interrupted
+            if self._settle_error(
+                index,
+                self._attempts[index],
+                broken.cause,
                 reason="worker_crash",
             )
-            telemetry.metrics.counter("engine.retries").inc()
-            survivors.append(index)
-        return survivors
+        ]
 
-    def _ensure_pool(
-        self, specs: Sequence[RunSpec], indices: List[int]
-    ) -> Pool:
+    def _ensure_pool(self, indices: List[int]) -> Pool:
         """The live backend, starting (and warming) it if needed."""
         telemetry = self.telemetry
         pool = self.pool
         warm: Dict[str, None] = {}
-        if self.warm_start and pool.capabilities.warm_start:
+        if pool.capabilities.warm_start:
             for index in indices:
-                warm.setdefault(specs[index].benchmark_name, None)
+                warm.setdefault(self._specs[index].benchmark_name, None)
         spawned = pool.start(tuple(warm))
         if spawned:
             self.stats.pools_spawned += 1
@@ -1351,15 +1242,8 @@ class Engine:
             telemetry.metrics.counter("engine.pool_reuses").inc()
         return pool
 
-    def _chunks(self, indices: List[int]) -> List[List[int]]:
-        """Legacy deterministic chunk partition (count-based, in
-        submission order) — the planner's cold-start/fifo shape."""
-        return schedule_mod.legacy_chunks(
-            indices, self.pool.workers, self.chunk_size
-        )
-
     def _plan_round(
-        self, specs: Sequence[RunSpec], indices: List[int]
+        self, indices: List[int]
     ) -> Tuple["schedule_mod.RoundPlan", Dict[int, Optional[float]]]:
         """Lay out one pool round from the cost model's estimates.
 
@@ -1376,7 +1260,7 @@ class Engine:
                 if self.store is not None:
                     self.cost_model.bootstrap_from_store(self.store)
             estimates = {
-                i: self.cost_model.estimate(specs[i]) for i in indices
+                i: self.cost_model.estimate(self._specs[i]) for i in indices
             }
             try:
                 slot_weights = self.cost_model.host_weights(
@@ -1399,9 +1283,317 @@ class Engine:
             self.stats.predicted_makespan_s = plan.predicted_makespan_s
         return plan, estimates
 
+    def _run_round(self, indices: List[int]) -> None:
+        """One round against the persistent backend; raises
+        :class:`_PoolBroken` on worker death.
+
+        Cells go out in chunks (shared timeout/plan payload, per-cell
+        outcomes back) and every submitted chunk sits in the in-flight
+        table ``{future: _Flight}`` until it lands; retries are
+        resubmitted as single-cell chunks so a flaky cell cannot hold
+        healthy chunk-mates hostage.  Any failure path discards the
+        backend fail-fast — it may hold in-flight work of a poisoned
+        batch and must not leak into the next one.
+        """
+        telemetry = self.telemetry
+        pool = self._ensure_pool(indices)
+        plan, self._estimates = self._plan_round(indices)
+        round_t0 = time.perf_counter()
+        self._flights = {}
+        #: Completed per-cell durations feeding the median+MAD
+        #: straggler estimate (docs/INTERNALS.md §16).
+        self._durations: List[float] = []
+        # Worker-side telemetry capture is requested only when the
+        # parent session is live, so the NULL_TELEMETRY default keeps
+        # the 3-field payload on the wire.
+        self._capture = (
+            {"max_events": self.remote_capture_events}
+            if telemetry.enabled and self.remote_capture_events > 0
+            else None
+        )
+        # With speculation enabled the wait polls so a straggling
+        # chunk is noticed while its future is still pending.
+        poll = 0.05 if self.straggler_factor is not None else None
+        try:
+            for chunk in plan.chunks:
+                self._submit(chunk)
+            while self._flights:
+                finished, _ = wait(
+                    list(self._flights),
+                    timeout=poll,
+                    return_when=FIRST_COMPLETED,
+                )
+                self._drain_health()
+                for future in finished:
+                    # A future no longer in the table lost a race that
+                    # its twin already settled.
+                    if future in self._flights:
+                        self._land(future)
+                self._check_stragglers()
+            self._drain_health()
+        except BaseException:
+            # Fatal exits (CellExecutionError, _PoolBroken) must not sit
+            # waiting for in-flight cells of a poisoned batch, and the
+            # backend itself is suspect: drop it fail-fast.  The clean
+            # exit keeps the warm pool alive for the next batch.
+            self._flights = {}
+            self._in_flight = 0
+            pool.close(fail_fast=True)
+            raise
+        actual_s = time.perf_counter() - round_t0
+        self.stats.actual_makespan_s += actual_s
+        telemetry.emit_wall(
+            SCHEDULE_PLANNED,
+            backend=pool.name,
+            mode=plan.mode,
+            chunks=len(plan.chunks),
+            cells=len(indices),
+            estimated_cells=plan.estimated_cells,
+            weighted=plan.slot_weights is not None,
+            predicted_makespan_s=round(plan.predicted_makespan_s, 4),
+            actual_makespan_s=round(actual_s, 4),
+        )
+        telemetry.metrics.counter("engine.rounds_planned").inc()
+
+    def _submit(
+        self, chunk: List[int], twin_of: Optional[Future] = None
+    ) -> None:
+        """Put one chunk in flight: a first submission, a single-cell
+        retry, or — with ``twin_of`` — the speculative copy of a
+        straggling chunk.
+
+        A twin re-runs the same cells at the *same* attempt numbers (no
+        retry budget consumed, no second ``cell_start``) — speculation
+        is pure scheduling, so the fault plan's per-attempt decisions
+        replay identically while host-keyed delays redraw on the new
+        host.
+        """
+        specs = self._specs
+        if twin_of is None:
+            telemetry = self.telemetry
+            lane = self._submissions % max(1, self.pool.workers)
+            self._submissions += 1
+            for index in chunk:
+                self._attempts[index] += 1
+                self._lanes.setdefault(index, lane)
+                self._submitted_at[index] = telemetry.now_us()
+                telemetry.emit_wall(
+                    CELL_START,
+                    track=f"worker:{self._lanes[index]}",
+                    ts=self._submitted_at[index],
+                    benchmark=specs[index].benchmark_name,
+                    scheme=specs[index].scheme,
+                    attempt=self._attempts[index],
+                )
+        cells = tuple((i, specs[i], self._attempts[i]) for i in chunk)
+        payload = (cells, self.cell_timeout, self.fault_plan)
+        if self._capture is not None:
+            payload = payload + (self._capture,)
+        try:
+            future = self.pool.submit_chunk(payload)
+        except self.pool.broken_exceptions as error:
+            raise self._broken(chunk, error) from error
+        flight = _Flight(list(chunk), time.perf_counter())
+        if twin_of is not None:
+            flight.twin, flight.speculative = twin_of, True
+            self._flights[twin_of].twin = future
+        self._flights[future] = flight
+        self._sync_in_flight()
+
+    def _sync_in_flight(self) -> None:
+        # Distinct cells, so a speculation twin never double-counts.
+        self._in_flight = len(
+            {i for flight in self._flights.values() for i in flight.chunk}
+        )
+
+    def _broken(self, chunk: List[int], cause: BaseException) -> _PoolBroken:
+        """Empty the in-flight table into a :class:`_PoolBroken`."""
+        interrupted = set(chunk)
+        for flight in self._flights.values():
+            interrupted.update(flight.chunk)
+        self._flights = {}
+        self._in_flight = 0
+        return _PoolBroken(sorted(interrupted), cause)
+
+    def _land(self, future: Future) -> None:
+        """Settle one finished chunk: resolve its speculation race, then
+        each of its cells (success, retry, or terminal failure)."""
+        flight = self._flights.pop(future)
+        error = future.exception()
+        if isinstance(error, self.pool.broken_exceptions):
+            raise self._broken(flight.chunk, error) from error
+        partner = flight.twin
+        if partner in self._flights:
+            if error is not None:
+                # One speculation copy died (e.g. HostDownError — its
+                # host's breaker opened) while the other is still live:
+                # drop this copy silently; the survivor carries the
+                # cells at the same attempt numbers.
+                self._flights[partner].twin = None
+                self._sync_in_flight()
+                return
+            self._win_race(future, flight, partner)
+        chunk = flight.chunk
+        if error is None:
+            warmup, outcomes, cell_times, executed_by = self._read_reply(
+                future, flight
+            )
+        else:
+            # The chunk itself failed (not one of its cells — e.g. an
+            # unpicklable payload, or a HostDownError for a chunk
+            # stranded on a dead host): feed the error to every member
+            # through the normal retry machinery, which resubmits to
+            # surviving workers.
+            if isinstance(error, HostDownError):
+                self.stats.cells_rerouted += len(chunk)
+                self.telemetry.metrics.counter(
+                    "engine.cells_rerouted"
+                ).inc(len(chunk))
+            warmup, executed_by, cell_times = None, None, {}
+            outcomes = [(index, "error", error) for index in chunk]
+        telemetry = self.telemetry
+        if warmup is not None:
+            telemetry.emit_wall(WORKER_WARMUP, **warmup)
+            telemetry.metrics.counter("engine.worker_warmups").inc()
+        retry: List[int] = []
+        for index, status, value in outcomes:
+            track = f"worker:{self._lanes[index]}"
+            attempts = self._attempts[index]
+            if status != "ok":
+                if self._settle_error(index, attempts, value, track):
+                    retry.append(index)
+                continue
+            spec = self._specs[index]
+            telemetry.emit_wall(
+                CELL_DONE,
+                track=track,
+                ts=self._submitted_at[index],
+                dur=telemetry.now_us() - self._submitted_at[index],
+                benchmark=spec.benchmark_name,
+                scheme=spec.scheme,
+            )
+            self._record_success(
+                index,
+                value,
+                attempts,
+                elapsed_s=cell_times.get(index),
+                executed_by=executed_by,
+            )
+        for index in retry:
+            self._submit([index])
+        self._sync_in_flight()
+
+    def _win_race(
+        self, winner: Future, flight: _Flight, loser: Future
+    ) -> None:
+        """First result wins a speculation race: cancel the other copy
+        and, when it finished too, assert the two bit-identical."""
+        self._flights.pop(loser)
+        cancelled = loser.cancel()
+        if not cancelled and loser.done() and loser.exception() is None:
+            self._assert_bit_identical(winner, loser, flight.chunk)
+        if not flight.speculative:
+            return
+        specs = self._specs
+        self.stats.speculations_won += 1
+        self.telemetry.emit_wall(
+            SPECULATION_WON,
+            cells=[
+                [specs[i].benchmark_name, specs[i].scheme]
+                for i in flight.chunk
+            ],
+            loser_cancelled=cancelled,
+        )
+        self.telemetry.metrics.counter("engine.speculations_won").inc()
+        if self.recorder is not None:
+            self.recorder.note(
+                "speculation_won",
+                cells=len(flight.chunk),
+                loser_cancelled=cancelled,
+            )
+
+    def _assert_bit_identical(
+        self, winner: Future, loser: Future, chunk: List[int]
+    ) -> None:
+        """Both speculation copies finished: their per-cell results must
+        be bit-identical (determinism is the contract every backend is
+        tested against; a divergence here is a real bug, never noise to
+        paper over)."""
+        winner_map = {i: (s, v) for i, s, v in winner.result()[1]}
+        loser_map = {i: (s, v) for i, s, v in loser.result()[1]}
+        for index in chunk:
+            w_status, w_value = winner_map.get(index, (None, None))
+            l_status, l_value = loser_map.get(index, (None, None))
+            if w_status == "ok" and l_status == "ok" and w_value != l_value:
+                spec = self._specs[index]
+                raise RuntimeError(
+                    "speculative re-execution of cell "
+                    f"({spec.benchmark_name!r}, {spec.scheme!r}) diverged "
+                    "from the primary — results must be bit-identical "
+                    "across hosts (determinism contract violated)"
+                )
+
+    def _read_reply(
+        self, future: Future, flight: _Flight
+    ) -> Tuple[Optional[Dict], list, Dict[int, float], Optional[str]]:
+        """Unpack a landed chunk's ``(warmup, outcomes, chunk_info)``
+        reply and feed its timings to the straggler estimate, the cost
+        model and the telemetry merge.
+
+        Returns ``(warmup, outcomes, cell_times, executed_by)``.  A
+        reply in any other shape, or with a foreign snapshot version,
+        comes from a worker on another checkout: that aborts the batch
+        under every failure policy rather than being half-read.
+        """
+        reply = future.result()
+        chunk_info = (
+            reply[2] if isinstance(reply, tuple) and len(reply) == 3 else None
+        )
+        version = (
+            chunk_info.get("v") if isinstance(chunk_info, dict) else None
+        )
+        if version != SNAPSHOT_VERSION:
+            shape = (
+                f"{len(reply)}-tuple"
+                if isinstance(reply, tuple)
+                else type(reply).__name__
+            )
+            executor = self.pool.name
+            if isinstance(chunk_info, dict):
+                executor = (
+                    chunk_info.get("host_id")
+                    or chunk_info.get("origin")
+                    or executor
+                )
+            raise RuntimeError(
+                f"chunk reply from {executor} is a {shape} with snapshot "
+                f"version {version!r}; this engine expects a 3-tuple with "
+                f"snapshot version {SNAPSHOT_VERSION} — the worker runs a "
+                "different checkout than the parent"
+            )
+        warmup, outcomes, _ = reply
+        chunk = flight.chunk
+        per_cell = (time.perf_counter() - flight.started) / len(chunk)
+        self._durations.extend([per_cell] * len(chunk))
+        # Cost-model feed: worker-measured per-cell seconds and the
+        # executor's identity (host#incarnation over ssh, host#pid
+        # otherwise), with the parent-side chunk average as the
+        # fallback for cells the worker did not time.
+        cell_times = {
+            int(i): float(s) for i, s in chunk_info.get("cell_times") or ()
+        }
+        for member in chunk:
+            cell_times.setdefault(member, per_cell)
+        executed_by = chunk_info.get("host_id") or chunk_info.get("origin")
+        self.cost_model.observe_host(
+            executed_by, len(chunk), chunk_info.get("service_s")
+        )
+        self._merge_worker_snapshot(chunk_info, chunk, self._submitted_at)
+        return warmup, outcomes, cell_times, executed_by
+
     def _merge_worker_snapshot(
         self,
-        chunk_info: Optional[Dict],
+        chunk_info: Dict,
         chunk: List[int],
         submitted_at: Dict[int, float],
     ) -> None:
@@ -1412,8 +1604,6 @@ class Engine:
         replies); captured events/metrics clock-rebase onto per-worker
         and per-cell tracks with engine-lifetime monotonicity.
         """
-        if not chunk_info:
-            return
         unarmed = int(chunk_info.get("unarmed_timeouts", 0) or 0)
         if unarmed:
             self._note_unarmed_timeout(count=unarmed)
@@ -1429,405 +1619,68 @@ class Engine:
         )
         self.stats.remote_events_dropped += merged["dropped"]
 
-    def _pool_round(
-        self,
-        specs: Sequence[RunSpec],
-        indices: List[int],
-        results: List[Optional[RunResult]],
-        attempts: Dict[int, int],
-        lanes: Dict[int, int],
-        submitted_at: Dict[int, float],
-    ) -> None:
-        """One round against the persistent backend; raises
-        :class:`_PoolBroken` on worker death.
-
-        Cells go out in chunks (shared timeout/plan payload, per-cell
-        outcomes back); retries are resubmitted as single-cell chunks so
-        a flaky cell cannot hold healthy chunk-mates hostage.  Any
-        failure path discards the backend fail-fast — it may hold
-        in-flight work of a poisoned batch and must not leak into the
-        next one.
-        """
-        telemetry = self.telemetry
-        pool = self._ensure_pool(specs, indices)
-        broken_types = pool.broken_exceptions
-        plan, estimates = self._plan_round(specs, indices)
-        round_t0 = time.perf_counter()
-        futures: Dict = {}
-        #: Straggler-mitigation state (docs/INTERNALS.md §16): wall-clock
-        #: start per chunk future, primary↔twin links (both directions),
-        #: the twins themselves, and completed per-cell durations feeding
-        #: the median+MAD runtime estimate.
-        chunk_started: Dict = {}
-        twins: Dict = {}
-        speculative: set = set()
-        durations: List[float] = []
-        # Worker-side telemetry capture is requested only when the
-        # parent session is live, so the NULL_TELEMETRY default keeps
-        # the legacy 3-tuple payload / 2-tuple reply wire traffic.
-        capture = (
-            {"max_events": self.remote_capture_events}
-            if telemetry.enabled and self.remote_capture_events > 0
-            else None
-        )
-        try:
-
-            def _submit(chunk: List[int]) -> None:
-                lane = self._submissions % max(1, pool.workers)
-                self._submissions += 1
-                cells = []
-                for index in chunk:
-                    attempts[index] += 1
-                    lanes.setdefault(index, lane)
-                    submitted_at[index] = telemetry.now_us()
-                    telemetry.emit_wall(
-                        CELL_START,
-                        track=f"worker:{lanes[index]}",
-                        ts=submitted_at[index],
-                        benchmark=specs[index].benchmark_name,
-                        scheme=specs[index].scheme,
-                        attempt=attempts[index],
-                    )
-                    cells.append((index, specs[index], attempts[index]))
-                payload = (tuple(cells), self.cell_timeout, self.fault_plan)
-                if capture is not None:
-                    payload = payload + (capture,)
-                future = pool.submit_chunk(payload)
-                futures[future] = list(chunk)
-                chunk_started[future] = time.perf_counter()
-                _sync_in_flight()
-
-            def _sync_in_flight() -> None:
-                # Distinct cells, so a speculation twin never double-counts.
-                self._in_flight = len(
-                    {i for members in futures.values() for i in members}
-                )
-
-            def _broken(
-                chunk: List[int], cause: BaseException
-            ) -> _PoolBroken:
-                interrupted = set(chunk)
-                for in_flight in futures.values():
-                    interrupted.update(in_flight)
-                futures.clear()
-                self._in_flight = 0
-                return _PoolBroken(sorted(interrupted), cause)
-
-            def _speculate(
-                straggler, chunk: List[int], elapsed: float, estimate: float
-            ) -> None:
-                """Twin a straggling chunk onto an idle worker.
-
-                The twin re-runs the same cells at the *same* attempt
-                numbers (no retry budget consumed, no second
-                ``cell_start``) — speculation is pure scheduling, so the
-                fault plan's per-attempt decisions replay identically
-                while host-keyed delays redraw on the new host.
-                """
-                cells = tuple(
-                    (index, specs[index], attempts[index]) for index in chunk
-                )
-                payload = (cells, self.cell_timeout, self.fault_plan)
-                if capture is not None:
-                    payload = payload + (capture,)
-                try:
-                    twin = pool.submit_chunk(payload)
-                except broken_types as error:
-                    raise _broken(chunk, error) from error
-                futures[twin] = list(chunk)
-                chunk_started[twin] = time.perf_counter()
-                twins[straggler] = twin
-                twins[twin] = straggler
-                speculative.add(twin)
-                self.stats.stragglers_detected += 1
-                telemetry.emit_wall(
-                    STRAGGLER_DETECTED,
-                    cells=[
-                        [specs[i].benchmark_name, specs[i].scheme]
-                        for i in chunk
-                    ],
-                    elapsed_s=round(elapsed, 4),
-                    estimate_s=round(estimate, 4),
-                )
-                telemetry.metrics.counter("engine.stragglers_detected").inc()
-                if self.recorder is not None:
-                    self.recorder.note(
-                        "straggler_detected",
-                        cells=len(chunk),
-                        elapsed_s=round(elapsed, 4),
-                        estimate_s=round(estimate, 4),
-                    )
-
-            def _check_stragglers() -> None:
-                factor = self.straggler_factor
-                if factor is None or len(durations) < 3:
-                    return  # no robust estimate yet
-                median = statistics.median(durations)
-                spread = statistics.median(
-                    [abs(d - median) for d in durations]
-                )
-                baseline = median + 3.0 * spread
-                if baseline <= 0.0:
-                    return
-                now = time.perf_counter()
-                for straggler, chunk in list(futures.items()):
-                    if len(futures) >= max(1, pool.workers):
-                        return  # no idle worker to speculate into
-                    if straggler in twins:
-                        continue  # already twinned (or is itself a twin)
-                    elapsed = now - chunk_started[straggler]
-                    # Estimate-relative budget (docs/INTERNALS.md §18):
-                    # a chunk of cells *predicted* to run 10× longer
-                    # gets a ~10× budget instead of being flagged at
-                    # the flat median — and estimates can only extend
-                    # the legacy budget, never shrink it.
-                    estimate = schedule_mod.straggler_budget(
-                        factor, baseline, chunk, estimates
-                    )
-                    if elapsed > estimate:
-                        _speculate(straggler, chunk, elapsed, estimate)
-
-            def _assert_bit_identical(winner, loser, chunk: List[int]) -> None:
-                """Both speculation copies finished: their per-cell results
-                must be bit-identical (determinism is the contract every
-                backend is tested against; a divergence here is a real
-                bug, never noise to paper over)."""
-                winner_map = {i: (s, v) for i, s, v in winner.result()[1]}
-                loser_map = {i: (s, v) for i, s, v in loser.result()[1]}
-                for index in chunk:
-                    w_status, w_value = winner_map.get(index, (None, None))
-                    l_status, l_value = loser_map.get(index, (None, None))
-                    if w_status == "ok" and l_status == "ok" \
-                            and w_value != l_value:
-                        raise RuntimeError(
-                            "speculative re-execution of cell "
-                            f"({specs[index].benchmark_name!r}, "
-                            f"{specs[index].scheme!r}) diverged from the "
-                            "primary — results must be bit-identical "
-                            "across hosts (determinism contract violated)"
-                        )
-
-            for chunk in plan.chunks:
-                try:
-                    _submit(chunk)
-                except broken_types as error:
-                    raise _broken(
-                        chunk, error
-                    ) from error  # pool died mid-submission
-            # With speculation enabled the wait polls so a straggling
-            # chunk is noticed while its future is still pending.
-            poll = 0.05 if self.straggler_factor is not None else None
-            while futures:
-                finished, _ = wait(
-                    list(futures), timeout=poll, return_when=FIRST_COMPLETED
-                )
-                self._drain_health()
-                for future in finished:
-                    if future not in futures:
-                        continue  # loser of an already-settled race
-                    chunk = futures.pop(future)
-                    started = chunk_started.pop(future, None)
-                    partner = twins.pop(future, None)
-                    if partner is not None:
-                        twins.pop(partner, None)
-                    chunk_error = future.exception()
-                    if isinstance(chunk_error, broken_types):
-                        raise _broken(chunk, chunk_error) from chunk_error
-                    if (
-                        chunk_error is not None
-                        and partner is not None
-                        and partner in futures
-                    ):
-                        # One speculation copy died (e.g. HostDownError —
-                        # its host's breaker opened) while the other is
-                        # still live: drop this copy silently; the
-                        # survivor carries the cells at the same attempt
-                        # numbers.
-                        _sync_in_flight()
-                        continue
-                    if (
-                        chunk_error is None
-                        and partner is not None
-                        and partner in futures
-                    ):
-                        # First result wins the speculation race.
-                        futures.pop(partner)
-                        chunk_started.pop(partner, None)
-                        cancelled = partner.cancel()
-                        if (
-                            not cancelled
-                            and partner.done()
-                            and partner.exception() is None
-                        ):
-                            _assert_bit_identical(future, partner, chunk)
-                        if future in speculative:
-                            self.stats.speculations_won += 1
-                            telemetry.emit_wall(
-                                SPECULATION_WON,
-                                cells=[
-                                    [
-                                        specs[i].benchmark_name,
-                                        specs[i].scheme,
-                                    ]
-                                    for i in chunk
-                                ],
-                                loser_cancelled=cancelled,
-                            )
-                            telemetry.metrics.counter(
-                                "engine.speculations_won"
-                            ).inc()
-                            if self.recorder is not None:
-                                self.recorder.note(
-                                    "speculation_won",
-                                    cells=len(chunk),
-                                    loser_cancelled=cancelled,
-                                )
-                    if chunk_error is not None:
-                        # The chunk itself failed (not one of its cells —
-                        # e.g. an unpicklable payload, or a HostDownError
-                        # for a chunk stranded on a dead host): feed the
-                        # error to every member through the normal retry
-                        # machinery, which resubmits to surviving workers.
-                        if isinstance(chunk_error, HostDownError):
-                            self.stats.cells_rerouted += len(chunk)
-                            telemetry.metrics.counter(
-                                "engine.cells_rerouted"
-                            ).inc(len(chunk))
-                        warmup = None
-                        outcomes = [
-                            (index, "error", chunk_error) for index in chunk
-                        ]
-                        cell_times = {}
-                        executed_by = None
-                    else:
-                        reply = future.result()
-                        cell_times = {}
-                        executed_by = None
-                        per_cell = None
-                        if started is not None and chunk:
-                            per_cell = (
-                                time.perf_counter() - started
-                            ) / len(chunk)
-                            durations.extend([per_cell] * len(chunk))
-                        if len(reply) > 2:
-                            warmup, outcomes, chunk_info = reply
-                            if chunk_info:
-                                # Cost-model feed: worker-measured
-                                # per-cell seconds and the executor's
-                                # identity (host#incarnation over ssh,
-                                # host#pid otherwise).
-                                cell_times = {
-                                    int(i): float(s)
-                                    for i, s in (
-                                        chunk_info.get("cell_times") or ()
-                                    )
-                                }
-                                executed_by = (
-                                    chunk_info.get("host_id")
-                                    or chunk_info.get("origin")
-                                )
-                                self.cost_model.observe_host(
-                                    executed_by,
-                                    len(chunk),
-                                    chunk_info.get("service_s"),
-                                )
-                            self._merge_worker_snapshot(
-                                chunk_info, chunk, submitted_at
-                            )
-                        else:
-                            warmup, outcomes = reply
-                        if per_cell is not None:
-                            # Parent-side chunk average as the timing
-                            # fallback for replies without per-cell data.
-                            for member in chunk:
-                                cell_times.setdefault(member, per_cell)
-                    if warmup is not None:
-                        telemetry.emit_wall(WORKER_WARMUP, **warmup)
-                        telemetry.metrics.counter(
-                            "engine.worker_warmups"
-                        ).inc()
-                    retry: List[int] = []
-                    for index, status, value in outcomes:
-                        spec = specs[index]
-                        track = f"worker:{lanes[index]}"
-                        if status == "ok":
-                            telemetry.emit_wall(
-                                CELL_DONE,
-                                track=track,
-                                ts=submitted_at[index],
-                                dur=telemetry.now_us() - submitted_at[index],
-                                benchmark=spec.benchmark_name,
-                                scheme=spec.scheme,
-                            )
-                            self._record_success(
-                                spec,
-                                index,
-                                value,
-                                attempts[index],
-                                results,
-                                elapsed_s=cell_times.get(index),
-                                executed_by=executed_by,
-                            )
-                            continue
-                        error = value
-                        if isinstance(error, CellTimeout):
-                            self.stats.timeouts += 1
-                            telemetry.emit_wall(
-                                TIMEOUT,
-                                track=track,
-                                benchmark=spec.benchmark_name,
-                                scheme=spec.scheme,
-                            )
-                            telemetry.metrics.counter("engine.timeouts").inc()
-                        if attempts[index] > self.max_retries:
-                            if self.failure_policy == "raise":
-                                raise CellExecutionError(
-                                    spec, attempts[index], error
-                                ) from error
-                            self._record_failure(
-                                spec, index, attempts[index], error
-                            )
-                            continue
-                        self.stats.retries += 1
-                        telemetry.emit_wall(
-                            RETRY,
-                            track=track,
-                            benchmark=spec.benchmark_name,
-                            scheme=spec.scheme,
-                            attempt=attempts[index],
-                        )
-                        telemetry.metrics.counter("engine.retries").inc()
-                        self._sleep_backoff(attempts[index], spec)
-                        retry.append(index)
-                    for index in retry:
-                        try:
-                            _submit([index])
-                        except broken_types as pool_error:
-                            raise _broken(
-                                [index], pool_error
-                            ) from pool_error
-                    _sync_in_flight()
-                _check_stragglers()
-            self._drain_health()
-            actual_s = time.perf_counter() - round_t0
-            self.stats.actual_makespan_s += actual_s
-            telemetry.emit_wall(
-                SCHEDULE_PLANNED,
-                backend=pool.name,
-                mode=plan.mode,
-                chunks=len(plan.chunks),
-                cells=len(indices),
-                estimated_cells=plan.estimated_cells,
-                weighted=plan.slot_weights is not None,
-                predicted_makespan_s=round(plan.predicted_makespan_s, 4),
-                actual_makespan_s=round(actual_s, 4),
+    def _check_stragglers(self) -> None:
+        """Twin each chunk running past its budget onto an idle worker
+        (docs/INTERNALS.md §16)."""
+        factor = self.straggler_factor
+        durations = self._durations
+        if factor is None or len(durations) < 3:
+            return  # no robust estimate yet
+        median = statistics.median(durations)
+        spread = statistics.median([abs(d - median) for d in durations])
+        baseline = median + 3.0 * spread
+        if baseline <= 0.0:
+            return
+        now = time.perf_counter()
+        for future, flight in list(self._flights.items()):
+            if len(self._flights) >= max(1, self.pool.workers):
+                return  # no idle worker to speculate into
+            if flight.twin is not None:
+                continue  # already twinned (or is itself a twin)
+            elapsed = now - flight.started
+            # Estimate-relative budget (docs/INTERNALS.md §18): a chunk
+            # of cells *predicted* to run 10× longer gets a ~10× budget
+            # instead of being flagged at the flat median — and
+            # estimates can only extend the legacy budget, never shrink
+            # it.
+            budget = schedule_mod.straggler_budget(
+                factor, baseline, flight.chunk, self._estimates
             )
-            telemetry.metrics.counter("engine.rounds_planned").inc()
-        except BaseException:
-            # Fatal exits (CellExecutionError, _PoolBroken) must not sit
-            # waiting for in-flight cells of a poisoned batch, and the
-            # backend itself is suspect: drop it fail-fast.  The clean
-            # exit keeps the warm pool alive for the next batch.
-            self._in_flight = 0
-            self.pool.close(fail_fast=True)
-            raise
+            if elapsed > budget:
+                self._speculate(future, flight, elapsed, budget)
+
+    def _speculate(
+        self, straggler: Future, flight: _Flight, elapsed: float, budget: float
+    ) -> None:
+        """Submit a twin of a straggling chunk; first result wins."""
+        self._submit(flight.chunk, twin_of=straggler)
+        specs = self._specs
+        self.stats.stragglers_detected += 1
+        self.telemetry.emit_wall(
+            STRAGGLER_DETECTED,
+            cells=[
+                [specs[i].benchmark_name, specs[i].scheme]
+                for i in flight.chunk
+            ],
+            elapsed_s=round(elapsed, 4),
+            estimate_s=round(budget, 4),
+        )
+        self.telemetry.metrics.counter("engine.stragglers_detected").inc()
+        if self.recorder is not None:
+            self.recorder.note(
+                "straggler_detected",
+                cells=len(flight.chunk),
+                elapsed_s=round(elapsed, 4),
+                estimate_s=round(budget, 4),
+            )
+
+
+def _identity(
+    spec: RunSpec, key: Optional[Tuple[str, str, str]]
+) -> Dict[str, object]:
+    """Flight-recorder identity of one cell (fingerprint if any)."""
+    return {
+        "benchmark": spec.benchmark_name,
+        "scheme": spec.scheme,
+        "fingerprint": None if key is None else key[2],
+    }

@@ -13,7 +13,7 @@ shims routing through one ``Engine.run(cells)`` entry point.
 from __future__ import annotations
 
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Dict, List, Optional, Sequence
 
 from repro.sim.config import ExperimentConfig
@@ -24,6 +24,7 @@ from repro.sim.engine import (
     ProgressCallback,
     clear_memory_cache,
 )
+from repro.sim.options import ExecutionOptions
 from repro.sim.store import ResultStore
 from repro.workloads.specjvm import BENCHMARK_NAMES
 
@@ -49,46 +50,51 @@ def set_default_store(store: Optional[ResultStore]) -> None:
 
 
 def make_engine(
-    jobs: int = 1,
+    jobs: Optional[int] = None,
     use_cache: bool = True,
     progress: Optional[ProgressCallback] = None,
     failure_policy: str = "raise",
     fault_plan=None,
-    options=None,
+    options: Optional[ExecutionOptions] = None,
     telemetry=None,
     recorder=None,
     resume=None,
 ) -> Engine:
-    """An engine wired to the shared memory cache and default store.
+    """An engine wired to the shared memory cache and a result store.
 
-    ``options`` (an :class:`repro.sim.options.ExecutionOptions`) carries
-    the backend spec, chunking, and straggler knobs; the persistent
-    layer stays the module default unless the options disable it
-    (``no_store``) or point elsewhere (``store_dir`` — applied via
-    :func:`set_default_store` by the CLI before this is called).
-    ``telemetry``, ``recorder``, and ``resume`` (a prior run's
-    flight-recorder manifest) pass straight through to :class:`Engine`
-    (the CLI's ``--trace`` / ``--record`` / ``--resume`` plumbing).
+    ``options`` (an :class:`repro.sim.options.ExecutionOptions`, the
+    CLI's execution flags) is how execution settings reach
+    :class:`Engine`: the backend, chunking, crash rebuilds, straggler
+    and scheduling knobs, and the persistent layer — ``no_store``
+    disables it, ``store_dir`` roots it elsewhere, and otherwise it is
+    the module default store.  An explicit ``jobs`` overrides the
+    options' backend.  ``telemetry``, ``recorder``, and ``resume`` (a
+    prior run's flight-recorder manifest) pass straight through to
+    :class:`Engine` (the CLI's ``--trace`` / ``--record`` /
+    ``--resume`` plumbing).
     """
+    if options is None:
+        options = ExecutionOptions()
+    if jobs is not None:
+        options = replace(options, backend=None, jobs=jobs)
+    if options.no_store:
+        store = None
+    elif options.store_dir is not None:
+        store = ResultStore(options.store_dir)
+    else:
+        store = get_default_store()
     return Engine(
-        jobs=jobs,
-        store=get_default_store(),
+        pool=options.resolved_backend(),
+        store=store,
         use_cache=use_cache,
         progress=progress,
         failure_policy=failure_policy,
         fault_plan=fault_plan,
-        pool=None if options is None else options.resolved_backend(),
-        chunk_size=None if options is None else options.chunk_size,
-        max_pool_rebuilds=(
-            3 if options is None else options.max_pool_rebuilds
-        ),
-        straggler_factor=(
-            None if options is None else options.straggler_factor
-        ),
-        schedule=None if options is None else options.schedule,
-        cost_model_dir=(
-            None if options is None else options.cost_model_dir
-        ),
+        chunk_size=options.chunk_size,
+        max_pool_rebuilds=options.max_pool_rebuilds,
+        straggler_factor=options.straggler_factor,
+        schedule=options.schedule,
+        cost_model_dir=options.cost_model_dir,
         telemetry=telemetry,
         recorder=recorder,
         resume=resume,

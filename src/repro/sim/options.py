@@ -5,8 +5,10 @@ The engine's scattered execution parameters — ``--jobs``,
 ``--backend``, ``--store-dir``, ``--no-store``, ``chunk_size``,
 ``max_pool_rebuilds`` — are consolidated here: the CLI registers and
 parses them once (:meth:`ExecutionOptions.add_arguments` /
-:meth:`ExecutionOptions.from_args`), and :class:`repro.sim.engine
-.Engine` consumes the whole object via ``Engine(options=...)``.
+:meth:`ExecutionOptions.from_args`), and
+:func:`repro.sim.experiment.make_engine` maps the whole object onto
+:class:`repro.sim.engine.Engine`'s keywords — the one place the two
+meet.
 
 Backend resolution: an explicit ``backend`` spec wins; otherwise
 ``jobs > 1`` means ``local:<jobs>`` and anything else means ``serial``
@@ -21,9 +23,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from typing import Optional
-
-from repro.sim.pools import Pool, make_pool
-from repro.sim.store import ResultStore
 
 
 @dataclass
@@ -63,17 +62,6 @@ class ExecutionOptions:
         if self.backend is not None:
             return self.backend
         return f"local:{self.jobs}" if self.jobs > 1 else "serial"
-
-    def make_pool(self) -> Pool:
-        return make_pool(self.resolved_backend())
-
-    def make_store(self) -> Optional[ResultStore]:
-        """The persistent layer these options ask for (None = disabled)."""
-        if self.no_store:
-            return None
-        if self.store_dir is not None:
-            return ResultStore(self.store_dir)
-        return ResultStore()
 
     # -- argparse integration ----------------------------------------------
 

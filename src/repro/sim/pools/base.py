@@ -21,8 +21,10 @@ identity, per-cell measured seconds (``cell_times``), and unarmed
 timeout count — the scheduler's cost model feeds on these — plus the
 full clock-stamped telemetry capture when the parent session is live
 (docs/INTERNALS.md §15).  Backends pass the payload and reply through
-opaquely; legacy 2-tuple replies (older workers) are still accepted by
-the engine, which simply learns nothing from them.  Per-cell failures
+opaquely.  Any other reply shape, or a ``chunk_info["v"]`` other than
+:data:`repro.obs.remote.SNAPSHOT_VERSION`, means the worker runs a
+different checkout: the engine aborts the batch with a
+``RuntimeError``.  Per-cell failures
 are *returned*, never raised — a raised exception from a chunk means
 the transport or the worker itself died.
 
@@ -135,8 +137,8 @@ class Pool:
         raise NotImplementedError
 
     def submit_chunk(self, payload: ChunkPayload) -> "Future":
-        """Submit one chunk; the future resolves to ``(warmup, outcomes)``
-        or ``(warmup, outcomes, chunk_info)`` (telemetry snapshot).
+        """Submit one chunk; the future resolves to ``(warmup, outcomes,
+        chunk_info)`` (``chunk_info`` is the worker's snapshot).
 
         The pool must be started.  Raises one of
         :attr:`broken_exceptions` (or sets it on the future) when the

@@ -13,11 +13,10 @@ stdin/stdout:
   ``("ping", token)`` (reply ``("result", ("pong", token))`` — the
   liveness heartbeat and circuit-breaker probe of
   docs/INTERNALS.md §16), ``("chunk", payload)`` (reply
-  ``("result", (warmup, outcomes))`` or,
-  when the payload requested telemetry capture, ``("result", (warmup,
-  outcomes, chunk_info))`` — the worker passes :func:`repro.sim.pools
-  .worker.run_chunk`'s reply through unchanged, so the telemetry
-  snapshot rides the existing protocol with no new message kinds),
+  ``("result", (warmup, outcomes, chunk_info))`` — the worker passes
+  :func:`repro.sim.pools.worker.run_chunk`'s reply through unchanged,
+  so the telemetry snapshot rides the existing protocol with no new
+  message kinds),
   ``("exit",)`` (worker terminates);
 * worker → parent: ``("result", value)`` or ``("error", exception)``
   for a request that blew up outside the per-cell error contract.

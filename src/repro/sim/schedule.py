@@ -64,7 +64,7 @@ def legacy_chunks(
     ``chunk_size=None`` auto-sizes to ``ceil(n / (workers * 4))`` capped
     at 8; cells stay in submission order, sliced consecutively.  This is
     the planner's cold-start behaviour, so it must never drift from
-    what ``Engine._chunks`` always did (regression-tested).
+    the engine's historical partition (regression-tested).
     """
     size = chunk_size
     if size is None:

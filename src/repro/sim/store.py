@@ -19,9 +19,10 @@ their lease contention across 256 buckets instead of one flat dir::
       3f/.lease                       # transient per-shard writer lease
       a0/jess__baseline__a01b42....json
 
-Entries written by older checkouts into the flat root are still read
-(and migrated into their shard on first hit), so an existing store
-keeps working after an upgrade.
+Entries that older checkouts wrote into the flat root are never read:
+a lookup opens the sharded path only.  They still show up in
+:meth:`ResultStore.entries`, so ``tools/store_gc.py`` lists and sweeps
+them.
 
 Entry layout (schema version 1)::
 
@@ -257,12 +258,6 @@ class ResultStore:
             f"{benchmark}__{scheme}__{fingerprint[:24]}.json"
         )
 
-    def _legacy_path_for(
-        self, benchmark: str, scheme: str, fingerprint: str
-    ) -> Path:
-        """Flat pre-shard location (read-only compatibility)."""
-        return self.root / f"{benchmark}__{scheme}__{fingerprint[:24]}.json"
-
     # -- read/write --------------------------------------------------------
 
     def get(
@@ -274,19 +269,11 @@ class ResultStore:
         quarantined on the spot — renamed to ``<entry>.corrupt`` with a
         ``.reason`` sidecar — so the damage is preserved and visible
         (``tools/store_gc.py``) instead of being silently rewritten by
-        the re-simulation that follows the miss.  Flat entries left by
-        the pre-shard layout are found too, and migrated into their
-        shard on first hit.
+        the re-simulation that follows the miss.
         """
-        path = self.path_for(benchmark, scheme, fingerprint)
-        result = self._read_entry(path, fingerprint)
-        if result is not None:
-            return result
-        legacy = self._legacy_path_for(benchmark, scheme, fingerprint)
-        result = self._read_entry(legacy, fingerprint)
-        if result is not None:
-            self._migrate(legacy, path)
-        return result
+        return self._read_entry(
+            self.path_for(benchmark, scheme, fingerprint), fingerprint
+        )
 
     def _read_entry(
         self, path: Path, fingerprint: str
@@ -310,14 +297,6 @@ class ResultStore:
         except (ValueError, KeyError, TypeError) as error:
             self._quarantine(path, f"undecodable result: {error!r}")
             return None
-
-    def _migrate(self, legacy: Path, target: Path) -> None:
-        """Atomically move a flat pre-shard entry into its shard."""
-        try:
-            target.parent.mkdir(parents=True, exist_ok=True)
-            os.replace(legacy, target)
-        except OSError:
-            pass  # a concurrent reader migrated it (or the FS refused)
 
     def _quarantine(self, path: Path, reason: str) -> Optional[Path]:
         """Move a damaged entry aside as ``*.corrupt`` + reason sidecar."""

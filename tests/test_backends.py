@@ -19,7 +19,6 @@ from __future__ import annotations
 import os
 import subprocess
 import sys
-import warnings
 from pathlib import Path
 
 import pytest
@@ -274,40 +273,44 @@ class TestExecutionOptions:
         assert not options.no_store
 
     def test_engine_consumes_options(self, tmp_path):
+        from repro.sim.experiment import make_engine
+
         options = ExecutionOptions(
             backend="local:3",
             chunk_size=2,
             max_pool_rebuilds=7,
             store_dir=str(tmp_path / "store"),
         )
-        engine = Engine(options=options)
+        engine = make_engine(options=options)
         assert isinstance(engine.pool, LocalProcessPool)
         assert engine.jobs == 3
         assert engine.chunk_size == 2
         assert engine.max_pool_rebuilds == 7
         assert engine.store is not None
         assert engine.store.root == tmp_path / "store"
-        no_store = Engine(options=ExecutionOptions(no_store=True))
-        assert no_store.store is None
 
     def test_explicit_arguments_beat_options(self):
+        from repro.sim.experiment import make_engine
+
         options = ExecutionOptions(backend="local:3", chunk_size=2)
-        engine = Engine(pool="serial", chunk_size=4, options=options)
-        assert isinstance(engine.pool, SerialPool)
-        assert engine.chunk_size == 4
+        engine = make_engine(jobs=4, options=options)
+        assert isinstance(engine.pool, LocalProcessPool)
+        assert engine.jobs == 4
+        assert engine.chunk_size == 2
 
     def test_explicit_default_valued_arguments_beat_options(self):
-        # Regression: an explicit argument equal to its default used to
-        # lose to the options bundle (2 workers, 7 rebuilds here).
+        # An explicit ``jobs`` equal to its default value still wins
+        # over the options bundle's 2 workers.
+        from repro.sim.experiment import make_engine
+
         options = ExecutionOptions(jobs=2, max_pool_rebuilds=7)
-        engine = Engine(jobs=1, max_pool_rebuilds=3, options=options)
+        engine = make_engine(jobs=1, options=options)
         assert isinstance(engine.pool, SerialPool)
         assert engine.jobs == 1
-        assert engine.max_pool_rebuilds == 3
-        from_options = Engine(options=options)
+        assert engine.max_pool_rebuilds == 7
+        from_options = make_engine(options=options)
         assert isinstance(from_options.pool, LocalProcessPool)
         assert from_options.jobs == 2
-        assert from_options.max_pool_rebuilds == 7
         assert Engine().max_pool_rebuilds == 3
 
     def test_make_engine_keeps_the_options_backend(self):
@@ -338,30 +341,6 @@ class TestExecutionOptions:
         ):
             assert field not in str(canonical)
         assert cfg.fingerprint() == fingerprint
-
-
-class TestDeprecatedShims:
-    def test_run_batch_warns_exactly_once_and_matches_run(
-        self, monkeypatch
-    ):
-        import repro.sim.engine as engine_mod
-
-        monkeypatch.setattr(engine_mod, "_RUN_BATCH_WARNED", False)
-        engine = Engine(memory_cache={})
-        cells = [RunSpec("db", "baseline", config())]
-        expected = engine.run(cells).values()
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            first = engine.run_batch(cells)
-            second = engine.run_batch(cells)
-        deprecations = [
-            w for w in caught
-            if issubclass(w.category, DeprecationWarning)
-            and "run_batch" in str(w.message)
-        ]
-        assert len(deprecations) == 1
-        assert first.values() == expected
-        assert second.values() == expected
 
 
 # ---------------------------------------------------------------------------
@@ -472,7 +451,10 @@ class TestConcurrentWriterStress:
         assert store.lease_timeouts == 0
         assert not lease.exists()  # released after the commit
 
-    def test_legacy_flat_entry_is_read_and_migrated(self, tmp_path):
+    def test_flat_entry_is_a_miss_but_still_listed(self, tmp_path):
+        # The pre-shard flat layout has no producer left: a flat entry
+        # is never read, but entries() still lists it so store_gc can
+        # sweep it.
         import repro.sim.driver as driver
 
         store = ResultStore(tmp_path)
@@ -486,14 +468,11 @@ class TestConcurrentWriterStress:
             instructions_in_hotspots=0,
         )
         sharded_path = store.put("db", "baseline", fingerprint, result)
-        flat_path = store._legacy_path_for("db", "baseline", fingerprint)
-        # Recreate the pre-shard layout by moving the entry to the root.
+        flat_path = tmp_path / sharded_path.name
         os.replace(sharded_path, flat_path)
-        assert not sharded_path.exists()
-        assert store.get("db", "baseline", fingerprint) == result
-        # First hit migrated it into its shard.
-        assert sharded_path.exists()
-        assert not flat_path.exists()
+        assert store.get("db", "baseline", fingerprint) is None
+        assert flat_path.exists()
+        assert [entry.path for entry in store.entries()] == [flat_path]
 
 
 if __name__ == "__main__":

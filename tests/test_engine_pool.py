@@ -12,6 +12,7 @@ from __future__ import annotations
 import pytest
 
 from repro.obs.events import Telemetry
+from repro.sim import schedule as schedule_mod
 from repro.sim.config import ExperimentConfig
 from repro.sim.driver import RunSpec, execute
 from repro.sim.engine import Engine
@@ -107,9 +108,9 @@ class TestPersistentPool:
         with Engine(
             jobs=2, use_cache=False, memory_cache={}, chunk_size=2
         ) as engine:
-            assert engine._chunks(list(range(len(cells)))) == [
-                [0, 1], [2, 3]
-            ]
+            assert schedule_mod.legacy_chunks(
+                list(range(len(cells))), engine.pool.workers, engine.chunk_size
+            ) == [[0, 1], [2, 3]]
             results = engine.run(cells).values()
         assert all(r is not None for r in results)
 

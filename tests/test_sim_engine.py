@@ -13,6 +13,7 @@ import json
 
 import pytest
 
+from repro.obs.remote import SNAPSHOT_VERSION
 from repro.report import exhibits
 from repro.sim.config import ExperimentConfig
 from repro.sim.driver import RunSpec, run_benchmark
@@ -27,9 +28,12 @@ from repro.sim.experiment import (
     clear_cache,
     compare_schemes,
     get_default_store,
+    make_engine,
     run_suite,
     set_default_store,
 )
+from repro.sim.options import ExecutionOptions
+from repro.sim.pools.base import Pool, PoolCapabilities, completed_future
 from repro.sim.store import ResultStore
 
 BUDGET = 60_000
@@ -286,3 +290,114 @@ class TestExperimentFacade:
         assert [p.value for p in points] == [3, 5]
         # 2 values x (scheme + baseline) = 4 cells persisted.
         assert len(isolated_store) == 4
+
+
+class TestMakeEngineStore:
+    # Regression: make_engine used to ignore the options' store settings
+    # and write to the module default store unless the CLI had
+    # reconfigured that first.
+    def test_no_store_disables_the_persistent_layer(self):
+        engine = make_engine(options=ExecutionOptions(no_store=True))
+        assert engine.store is None
+
+    def test_store_dir_roots_the_store(self, tmp_path):
+        engine = make_engine(
+            options=ExecutionOptions(store_dir=str(tmp_path / "elsewhere"))
+        )
+        assert engine.store is not None
+        assert engine.store.root == tmp_path / "elsewhere"
+
+
+class TestOneFingerprintPerCell:
+    def test_cache_key_computed_once_per_cell(
+        self, monkeypatch, small_config
+    ):
+        calls = []
+        original = ExperimentConfig.fingerprint
+
+        def counting(self):
+            calls.append(1)
+            return original(self)
+
+        monkeypatch.setattr(ExperimentConfig, "fingerprint", counting)
+        result = cached_run("db", "baseline", small_config, use_cache=False)
+        engine = Engine(
+            store=None, memory_cache={}, runner=lambda spec: result
+        )
+        cells = [
+            RunSpec(name, "baseline", small_config)
+            for name in ("db", "jess", "db")
+        ]
+        calls.clear()
+        batch = engine.run(cells)
+        assert all(outcome.ok for outcome in batch)
+        assert engine.stats.deduplicated == 1
+        assert len(calls) == len(cells)
+
+
+class _SkewedPool(Pool):
+    """A parallel backend whose workers answer in a foreign format."""
+
+    name = "skewed"
+    capabilities = PoolCapabilities(
+        parallel=True, rebuild=False, remote=False, warm_start=False
+    )
+    workers = 2
+
+    def __init__(self, reply):
+        self.reply = reply
+        self._alive = False
+
+    def start(self, warm_benchmarks=()):
+        spawned = not self._alive
+        self._alive = True
+        return spawned
+
+    def submit_chunk(self, payload):
+        cells = payload[0]
+        return completed_future(
+            self.reply([(index, "ok", None) for index, _, _ in cells])
+        )
+
+    def close(self, fail_fast=False):
+        self._alive = False
+
+    @property
+    def alive(self):
+        return self._alive
+
+
+class TestReplyVersionSkew:
+    @pytest.mark.parametrize("policy", ["raise", "skip", "partial"])
+    @pytest.mark.parametrize(
+        "reply, version",
+        [
+            (lambda outcomes: (None, outcomes), "None"),
+            (
+                lambda outcomes: (
+                    None, outcomes, {"v": SNAPSHOT_VERSION + 1, "cells": None}
+                ),
+                str(SNAPSHOT_VERSION + 1),
+            ),
+        ],
+        ids=["2-tuple", "foreign-version"],
+    )
+    def test_skewed_reply_aborts_the_batch(
+        self, small_config, policy, reply, version
+    ):
+        engine = Engine(
+            pool=_SkewedPool(reply),
+            use_cache=False,
+            memory_cache={},
+            failure_policy=policy,
+        )
+        cells = [
+            RunSpec(name, "baseline", small_config) for name in ("db", "jess")
+        ]
+        with pytest.raises(RuntimeError) as caught:
+            engine.run(cells)
+        assert not isinstance(caught.value, CellExecutionError)
+        message = str(caught.value)
+        assert "skewed" in message
+        assert f"snapshot version {version}" in message
+        assert f"snapshot version {SNAPSHOT_VERSION}" in message
