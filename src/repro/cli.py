@@ -11,10 +11,10 @@ Examples::
 The ``run`` command executes a single benchmark/scheme cell with
 telemetry: ``--trace PATH`` writes a Chrome-trace JSON loadable in
 ``chrome://tracing`` / Perfetto (one track per CU, one per hotspot, the
-policy decision lane, and the engine worker lane) and works on every
-backend — with ``--backend local:4`` or ``ssh:hostfile`` the workers
-capture their tuning events and the engine clock-aligns them into one
-merged trace with per-worker tracks (docs/INTERNALS.md §15).
+policy decision lane, and the engine worker lane) and works on both
+backends — with ``--backend local:4`` the workers capture their tuning
+events and the engine clock-aligns them into one merged trace with
+per-worker tracks (docs/INTERNALS.md §15).
 ``--metrics`` prints the event/metric summary tables, ``--progress``
 streams a live per-cell heartbeat (done/total, in-flight, ETA) to
 stderr, ``--record [DIR]`` writes a flight-recorder JSONL manifest of

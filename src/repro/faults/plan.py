@@ -55,17 +55,15 @@ PROBABILITY_SITES = (
     "cell_timeout",
     "store_corrupt",
     "reconfig_deny",
-    "host_down",
-    "straggler_delay",
 )
 
 
 def deterministic_uniform(seed: int, site: str, key: Tuple) -> float:
     """Pure-function uniform draw in [0, 1) for ``(seed, site, key)``.
 
-    The one hash underlying every plan decision, exposed so other
-    schedule-sensitive randomness (the engine's retry-backoff jitter)
-    can share the determinism contract without carrying a plan.
+    The one hash underlying every plan decision.  Each draw is keyed by
+    its site name, so adding or removing a site never shifts the
+    schedule of the others.
     """
     token = f"{seed}|{site}|{key!r}".encode()
     digest = hashlib.sha256(token).digest()
@@ -104,22 +102,6 @@ class FaultPlan:
     reconfig_deny:
         Probability that :meth:`MachineModel.request_reconfiguration`
         denies a request the interval guard would have granted.
-    host_down:
-        Probability that a whole *host* of a multi-host backend is dead:
-        every worker spawned on that host hard-exits at its first chunk.
-        Keyed on ``(host, incarnation)`` — the host name the pool passes
-        via ``$REPRO_WORKER_HOST`` plus the per-host respawn counter —
-        so one seed deterministically picks which hosts die, and a
-        half-open circuit probe can deterministically find the host
-        healthy again at a later incarnation.  Inert on backends that
-        set no host identity (the local process pool).
-    straggler_delay / straggler_delay_s:
-        Probability that a cell *executes slowly*: before simulating,
-        the worker sleeps ``straggler_delay_s`` wall-clock seconds.
-        Keyed on ``(host, benchmark, scheme, attempt)`` — a slow *host*,
-        not a slow cell — so a speculative re-execution on a different
-        host redraws the delay.  Pure scheduling: results are never
-        perturbed, only wall-clock time.
     profile_noise:
         Sigma of multiplicative log-normal noise applied to measured
         IPC and energy samples in both tuning policies.
@@ -140,9 +122,6 @@ class FaultPlan:
     cell_timeout: float = 0.0
     store_corrupt: float = 0.0
     reconfig_deny: float = 0.0
-    host_down: float = 0.0
-    straggler_delay: float = 0.0
-    straggler_delay_s: float = 0.25
     profile_noise: float = 0.0
     drift_at: Optional[int] = None
     drift_ipc_factor: float = 1.0
@@ -157,8 +136,6 @@ class FaultPlan:
             p = getattr(self, site)
             if not 0.0 <= p <= 1.0:
                 raise ValueError(f"{site} must be in [0, 1], got {p!r}")
-        if self.straggler_delay_s < 0.0:
-            raise ValueError("straggler_delay_s must be >= 0")
         if self.profile_noise < 0.0:
             raise ValueError("profile_noise must be >= 0")
         if self.drift_ipc_factor <= 0.0:

@@ -25,7 +25,6 @@ from repro.obs.events import (
     BATCH_DEGRADED,
     BATCH_RESUMED,
     CACHE_RESIZE,
-    CIRCUIT_OPEN,
     CELL_DONE,
     CELL_EXEC,
     CELL_FAILED,
@@ -36,8 +35,6 @@ from repro.obs.events import (
     EVENT_TYPES,
     Event,
     EventLog,
-    HOST_DOWN,
-    HOST_RECOVERED,
     HOTSPOT_DETECTED,
     HOTSPOT_INVOKE,
     HOTSPOT_UNMANAGED,
@@ -50,9 +47,7 @@ from repro.obs.events import (
     RECONFIG_DENIED,
     RETRY,
     SAMPLING_RETUNE,
-    SPECULATION_WON,
     STORE_HIT,
-    STRAGGLER_DETECTED,
     TIMEOUT,
     TIMEOUT_DISABLED,
     TUNING_STARTED,
@@ -88,7 +83,6 @@ __all__ = [
     "BATCH_DEGRADED",
     "BATCH_RESUMED",
     "CACHE_RESIZE",
-    "CIRCUIT_OPEN",
     "CELL_DONE",
     "CELL_EXEC",
     "CELL_FAILED",
@@ -104,8 +98,6 @@ __all__ = [
     "EventLog",
     "FlightRecorder",
     "Gauge",
-    "HOST_DOWN",
-    "HOST_RECOVERED",
     "HOTSPOT_DETECTED",
     "HOTSPOT_INVOKE",
     "HOTSPOT_UNMANAGED",
@@ -122,9 +114,7 @@ __all__ = [
     "RECONFIG_DENIED",
     "RETRY",
     "SAMPLING_RETUNE",
-    "SPECULATION_WON",
     "STORE_HIT",
-    "STRAGGLER_DETECTED",
     "TIMEOUT",
     "TIMEOUT_DISABLED",
     "TUNING_STARTED",

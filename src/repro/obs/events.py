@@ -69,13 +69,8 @@ WORKER_WARMUP = "worker_warmup"
 # is the engine's per-cell heartbeat (done/total, in-flight, ETA).
 CELL_EXEC = "cell_exec"
 PROGRESS = "progress"
-# Wall-clock resilience events (docs/INTERNALS.md §16): per-host circuit
-# breakers, speculative straggler re-execution, manifest-replay resume.
-HOST_DOWN = "host_down"
-HOST_RECOVERED = "host_recovered"
-CIRCUIT_OPEN = "circuit_open"
-STRAGGLER_DETECTED = "straggler_detected"
-SPECULATION_WON = "speculation_won"
+# Wall-clock resilience event (docs/INTERNALS.md §16): a batch resumed
+# from a prior run's flight-recorder manifest.
 BATCH_RESUMED = "batch_resumed"
 # Wall-clock scheduling event (docs/INTERNALS.md §18): one per pool
 # round, carrying the planner's mode, chunk layout, and predicted vs
@@ -111,11 +106,6 @@ EVENT_TYPES: Tuple[str, ...] = (
     WORKER_WARMUP,
     CELL_EXEC,
     PROGRESS,
-    HOST_DOWN,
-    HOST_RECOVERED,
-    CIRCUIT_OPEN,
-    STRAGGLER_DETECTED,
-    SPECULATION_WON,
     BATCH_RESUMED,
     SCHEDULE_PLANNED,
 )
@@ -138,11 +128,6 @@ WALL_CLOCK_EVENTS = frozenset(
         WORKER_WARMUP,
         CELL_EXEC,
         PROGRESS,
-        HOST_DOWN,
-        HOST_RECOVERED,
-        CIRCUIT_OPEN,
-        STRAGGLER_DETECTED,
-        SPECULATION_WON,
         BATCH_RESUMED,
         SCHEDULE_PLANNED,
     )

@@ -1,6 +1,6 @@
 """Telemetry across the pool boundary: capture, snapshot, clock rebase.
 
-Pool workers run in other processes — often other hosts — so the tuning
+Pool workers run in other processes, so the tuning
 timeline a worker produces cannot simply share the parent's
 :class:`~repro.obs.events.Telemetry` object.  This module implements the
 distributed-telemetry contract of docs/INTERNALS.md §15:

@@ -4,9 +4,7 @@ The paper's thesis — steer optimization decisions with *measured*
 runtime behaviour instead of static heuristics — applied to our own
 execution layer.  Every cell the engine runs leaves an observation
 (wall-clock seconds); this module turns those observations into
-estimates the scheduler (:mod:`repro.sim.schedule`) packs chunks with,
-and into per-host speed weights so heterogeneous ``SSHPool`` fleets
-receive proportionally sized work.
+estimates the scheduler (:mod:`repro.sim.schedule`) packs chunks with.
 
 Estimates are EWMA means keyed on the cell's **cost key**::
 
@@ -34,9 +32,9 @@ Three history sources feed one model:
   store-less runs that still want cross-process estimates
   (``ExecutionOptions.cost_model_dir``).
 
-Estimates never influence *results* — only chunk packing, dispatch
-order, and straggler budgets.  A wildly wrong estimate can cost wall
-clock, never correctness (docs/INTERNALS.md §18).
+Estimates never influence *results* — only chunk packing and dispatch
+order.  A wildly wrong estimate can cost wall clock, never correctness
+(docs/INTERNALS.md §18).
 """
 
 from __future__ import annotations
@@ -86,14 +84,12 @@ def cost_key(spec) -> CostKey:
 
 
 class CostModel:
-    """EWMA per-cell runtime estimates plus per-host speed weights."""
+    """EWMA per-cell runtime estimates."""
 
     def __init__(self, alpha: float = EWMA_ALPHA):
         self.alpha = float(alpha)
         #: cost key -> [ewma seconds, observation count]
         self._estimates: Dict[CostKey, List[float]] = {}
-        #: ``host#incarnation`` (or ``host#pid``) -> [ewma cells/s, count]
-        self._hosts: Dict[str, List[float]] = {}
         #: Observations folded in since the last :meth:`save_dir`.
         self.dirty = False
 
@@ -127,64 +123,6 @@ class CostModel:
     def observations(self) -> int:
         return sum(int(c) for _, c in self._estimates.values())
 
-    # -- host speeds -------------------------------------------------------
-
-    def observe_host(
-        self, host_id: Optional[str], cells: int, elapsed_s: float
-    ) -> None:
-        """Fold one chunk's measured throughput into a host's EWMA.
-
-        ``host_id`` is the executor identity a chunk reply carries —
-        ``host#incarnation`` for ssh workers, ``host#pid`` otherwise.
-        Throughput (cells/second) rather than seconds/cell, so hosts
-        serving differently sized chunks stay comparable.
-        """
-        if not host_id or cells <= 0 or elapsed_s is None or elapsed_s <= 0:
-            return
-        speed = cells / float(elapsed_s)
-        entry = self._hosts.get(host_id)
-        if entry is None:
-            self._hosts[host_id] = [speed, 1]
-        else:
-            entry[0] += self.alpha * (speed - entry[0])
-            entry[1] += 1
-        self.dirty = True
-
-    def host_speed(self, host_id: Optional[str]) -> Optional[float]:
-        """EWMA cells/second of one executor; None when never observed."""
-        if not host_id:
-            return None
-        entry = self._hosts.get(host_id)
-        return None if entry is None else entry[0]
-
-    def host_weights(self, host_slots: Dict[str, int]) -> Optional[List[float]]:
-        """Per-slot relative speed weights for a pool's live hosts.
-
-        ``host_slots`` maps executor identity to its slot count (see
-        :meth:`repro.sim.pools.base.Pool.host_slots`).  Each slot of a
-        host gets the host's speed normalised by the mean observed
-        speed; hosts never observed get weight 1.0 (assumed average).
-        Returns None when no host has been observed at all — uniform
-        weights carry no information, and the scheduler skips weighting
-        entirely.
-        """
-        if not host_slots:
-            return None
-        speeds = {
-            host: self.host_speed(host) for host in host_slots
-        }
-        known = [s for s in speeds.values() if s]
-        if not known:
-            return None
-        mean = sum(known) / len(known)
-        if mean <= 0:
-            return None
-        weights: List[float] = []
-        for host, slots in host_slots.items():
-            weight = (speeds[host] / mean) if speeds[host] else 1.0
-            weights.extend([max(0.05, weight)] * max(1, int(slots)))
-        return weights
-
     # -- persistence -------------------------------------------------------
 
     def store_meta(self, spec, elapsed_s: float, executed_by: Optional[str]):
@@ -202,8 +140,8 @@ class CostModel:
 
         Entries written before metadata existed (or by a newer meta
         version) are skipped silently — bootstrap degrades to cold
-        start, never to an error.  Host speeds are *not* replayed: a
-        prior process's worker pids/incarnations never match this one's.
+        start, never to an error.  The entries' ``executed_by`` identity
+        is recorded for diagnosis only and never replayed.
         """
         replayed = 0
         if store is None:
@@ -246,14 +184,12 @@ class CostModel:
                 [list(key), mean, count]
                 for key, (mean, count) in sorted(self._estimates.items())
             ],
-            "hosts": [
-                [host, speed, count]
-                for host, (speed, count) in sorted(self._hosts.items())
-            ],
         }
 
     @classmethod
     def from_dict(cls, payload: Dict[str, object]) -> "CostModel":
+        """Inverse of :meth:`to_dict`.  Unknown keys are ignored, such as
+        the per-host speed rows (``hosts``) older snapshots carry."""
         model = cls()
         if not isinstance(payload, dict):
             return model
@@ -266,12 +202,6 @@ class CostModel:
                     (str(key[0]), str(key[1]), str(key[2]), int(key[3]))
                 ] = [float(mean), int(count)]
             except (TypeError, ValueError, IndexError):
-                continue
-        for row in payload.get("hosts") or ():
-            try:
-                host, speed, count = row
-                model._hosts[str(host)] = [float(speed), int(count)]
-            except (TypeError, ValueError):
                 continue
         return model
 
@@ -321,7 +251,4 @@ class CostModel:
             self._observe_key(tuple(key), float(elapsed))
 
     def __repr__(self) -> str:
-        return (
-            f"CostModel({self.known_keys} keys, "
-            f"{len(self._hosts)} hosts)"
-        )
+        return f"CostModel({self.known_keys} keys)"

@@ -1,5 +1,5 @@
-"""Parallel experiment engine: fan experiment cells out across a
-pluggable execution backend.
+"""Parallel experiment engine: fan experiment cells out across an
+execution backend.
 
 Every exhibit, bench, and CLI command ultimately needs the same thing: a
 batch of ``(benchmark, scheme, config)`` cells turned into
@@ -11,25 +11,25 @@ entry point for that.  It layers three mechanisms under a single
    exhibits in one process reuse the same runs — the role the old private
    ``_CACHE`` dict in ``repro.sim.experiment`` used to play;
 2. a **persistent on-disk store** (:class:`repro.sim.store.ResultStore`)
-   so *fresh processes* — another CLI invocation, another pytest worker,
-   another *host* — reuse runs too;
+   so *fresh processes* — another CLI invocation, another pytest
+   worker — reuse runs too;
 3. an execution **backend** (:class:`repro.sim.pools.Pool`) with
    per-cell timeout and bounded retry for the cells that actually have
    to simulate.
 
 Results are deterministic: a cell's outcome depends only on its
 :class:`~repro.sim.driver.RunSpec`, never on scheduling or location, so
-every backend is bit-identical to serial (tests/test_backends.py).
+the process pool is bit-identical to serial (tests/test_backends.py).
 
 Backends (docs/INTERNALS.md §14): ``Engine(pool=...)`` accepts a
-backend spec string (``"serial"``, ``"local:4"``, ``"ssh:hostfile"``) or
-a constructed :class:`~repro.sim.pools.Pool`; the legacy ``jobs=N``
-parameter still resolves to ``local:N``.  The local process backend is
-**persistent and warm** (docs/INTERNALS.md §13): the first parallel
-batch spawns it with an initializer that pre-builds the batch's
-benchmarks and pre-decodes their programs — compiling every fused block
-closure into the worker's process-wide blockjit code cache before the
-first cell arrives — and later batches on the same engine reuse the
+backend spec string (``"serial"``, ``"local:4"``) or a constructed
+:class:`~repro.sim.pools.Pool`; ``jobs=N`` resolves to ``local:N``.
+The local process backend is **persistent and warm**
+(docs/INTERNALS.md §13): the first parallel batch spawns it with an
+initializer that pre-builds the batch's benchmarks and pre-decodes
+their programs — compiling every fused block closure into the worker's
+process-wide blockjit code cache before the first cell arrives — and
+later batches on the same engine reuse the
 live workers (``pool_reused`` telemetry) instead of paying spawn +
 warm-up again.  Cells are submitted in **chunks**: one pickled payload
 carries several cells plus the shared timeout/fault-plan, and workers
@@ -44,11 +44,10 @@ selects what a cell that exhausts its retry budget does to the batch —
 while ``"skip"`` and ``"partial"`` record a per-cell failure and keep
 serving the surviving cells (``"partial"`` additionally raises
 :class:`BatchExecutionError` when *no* cell succeeded).  A worker death
-(any exception in the backend's ``broken_exceptions``) is recovered —
-on backends whose capability flags include ``rebuild`` — by rebuilding
-the pool and resubmitting the interrupted cells; after
-``max_pool_rebuilds`` (or immediately, on backends without the
-capability) the engine degrades further to in-process serial execution.
+(any exception in :data:`~repro.sim.pools.BROKEN_EXCEPTIONS`) is
+recovered by restarting the pool and resubmitting the interrupted
+cells; after ``max_pool_rebuilds`` the engine degrades further to
+in-process serial execution.
 Seeded fault injection for all of these paths lives in
 :mod:`repro.faults`.
 
@@ -59,7 +58,6 @@ parent process — they are not guaranteed picklable and are never cached.
 
 from __future__ import annotations
 
-import statistics
 import time
 import traceback as traceback_mod
 from concurrent.futures import FIRST_COMPLETED, Future, wait
@@ -74,8 +72,6 @@ from repro.obs.events import (
     CELL_DONE,
     CELL_FAILED,
     CELL_START,
-    HOST_DOWN,
-    HOST_RECOVERED,
     MEMORY_HIT,
     NULL_TELEMETRY,
     POOL_REUSED,
@@ -83,9 +79,7 @@ from repro.obs.events import (
     PROGRESS,
     RETRY,
     SCHEDULE_PLANNED,
-    SPECULATION_WON,
     STORE_HIT,
-    STRAGGLER_DETECTED,
     TIMEOUT,
     TIMEOUT_DISABLED,
     WORKER_CRASH,
@@ -101,9 +95,8 @@ from repro.obs.remote import (
 from repro.sim import schedule as schedule_mod
 from repro.sim.costmodel import CostModel
 from repro.sim.driver import RunResult, RunSpec
-from repro.sim.pools import Pool, make_pool
+from repro.sim.pools import BROKEN_EXCEPTIONS, Pool, make_pool
 from repro.sim.pools.base import CellTimeout  # noqa: F401 — re-export
-from repro.sim.pools.base import HostDownError
 from repro.sim.pools.worker import inject_cell_faults, run_with_alarm
 from repro.sim.store import ResultStore
 
@@ -259,17 +252,6 @@ class EngineStats:
     #: Worker-side telemetry events truncated at the per-cell capture
     #: cap before the snapshot shipped (docs/INTERNALS.md §15).
     remote_events_dropped: int = 0
-    #: Resilience counters (docs/INTERNALS.md §16).  Hosts whose
-    #: circuit breaker opened / were re-admitted by a half-open probe:
-    hosts_down: int = 0
-    hosts_recovered: int = 0
-    #: Cells rerouted to surviving hosts after a single-host death
-    #: (the pool stayed up; contrast ``pool_rebuilds``).
-    cells_rerouted: int = 0
-    #: Straggling chunks speculatively re-submitted, and races the
-    #: speculative copy won.
-    stragglers_detected: int = 0
-    speculations_won: int = 0
     #: ``run(..., resume=manifest)`` partition of the batch's cells
     #: against the prior run's manifest (done / failed / never-started).
     resumed_done: int = 0
@@ -326,13 +308,9 @@ class _Flight:
     """One chunk submitted to the backend and not yet settled."""
 
     chunk: List[int]
-    #: ``time.perf_counter()`` at submission (straggler clock).
+    #: ``time.perf_counter()`` at submission (the parent-side timing
+    #: fallback for cells the worker did not time).
     started: float
-    #: The other copy of a speculated chunk (docs/INTERNALS.md §16);
-    #: the original and its twin point at each other.
-    twin: Optional[Future] = None
-    #: True for the speculative copy, False for the original.
-    speculative: bool = False
 
 
 class Engine:
@@ -351,11 +329,10 @@ class Engine:
         for ``pool="local:N"``.
     pool:
         Execution backend: a spec string resolved through
-        :func:`repro.sim.pools.make_pool` (``"serial"``, ``"local:4"``,
-        ``"ssh:hostfile"``, ``"ssh-loopback:2"``) or an already
-        constructed :class:`~repro.sim.pools.Pool`.  Overrides ``jobs``.
-        Backends with the ``warm_start`` capability pre-build the first
-        batch's benchmarks and pre-decode their programs in every worker
+        :func:`repro.sim.pools.make_pool` (``"serial"``, ``"local:4"``)
+        or an already constructed :class:`~repro.sim.pools.Pool`.
+        Overrides ``jobs``.  A parallel pool pre-builds the first
+        batch's benchmarks and pre-decodes their programs in every worker
         at spawn (docs/INTERNALS.md §13; ``worker_warmup`` telemetry);
         later batches reuse the live pool and the workers' memoised
         benchmarks.
@@ -379,15 +356,6 @@ class Engine:
         leaves ``None`` in that cell's ``values()`` slot.  ``"partial"``:
         like ``"skip"``, but a batch in which *every* cell failed raises
         :class:`BatchExecutionError`.
-    straggler_factor:
-        Straggler mitigation (docs/INTERNALS.md §16): when set, a
-        chunk whose runtime exceeds ``straggler_factor`` times the
-        robust per-chunk estimate (median + 3×MAD of completed cell
-        durations) is speculatively re-submitted to an idle worker;
-        first result wins, the loser is cancelled, and when both
-        complete their results are asserted bit-identical.  ``None``
-        (default) disables speculation.  Only meaningful on parallel
-        backends with spare capacity.
     resume:
         Crash-safe resume (docs/INTERNALS.md §16): a flight-recorder
         manifest path from a previous (killed) run.  The manifest is
@@ -401,8 +369,7 @@ class Engine:
     max_pool_rebuilds:
         How many times a batch may rebuild a broken backend (worker
         crash recovery) before degrading to in-process serial execution
-        for the interrupted cells (default 3).  Backends without the
-        ``rebuild`` capability degrade immediately.
+        for the interrupted cells (default 3).
     fault_plan:
         Optional :class:`repro.faults.FaultPlan`.  ``None`` (default)
         injects nothing and adds no overhead.  A plan whose sites
@@ -451,9 +418,8 @@ class Engine:
     schedule:
         Chunk-planning mode (docs/INTERNALS.md §18).  ``"lpt"``
         (default) packs pool rounds cost-balanced from the cost model's
-        runtime estimates — longest-estimated work first, chunk sizes
-        weighted by observed per-host speed — and degrades to exactly
-        the ``"fifo"`` behaviour (submission order, count-based
+        runtime estimates — longest-estimated work first — and degrades
+        to exactly the ``"fifo"`` behaviour (submission order, count-based
         chunks) while no history exists.  ``"fifo"`` forces the legacy
         plan unconditionally.  Scheduling is semantics-free: results
         and their ordering are bit-identical either way (conformance
@@ -488,7 +454,6 @@ class Engine:
         pool: Union[str, Pool, None] = None,
         remote_capture_events: Optional[int] = None,
         recorder: Optional[FlightRecorder] = None,
-        straggler_factor: Optional[float] = None,
         resume: Union[str, Path, None] = None,
         schedule: str = "lpt",
         cost_model: Optional[CostModel] = None,
@@ -507,7 +472,7 @@ class Engine:
         if pool is None:
             pool = f"local:{jobs}" if (jobs or 1) > 1 else "serial"
         self.pool: Pool = make_pool(pool) if isinstance(pool, str) else pool
-        self.jobs = self.pool.workers if self.pool.capabilities.parallel else 1
+        self.jobs = self.pool.workers if self.pool.parallel else 1
         self.store = store
         self.use_cache = use_cache
         self.cell_timeout = cell_timeout
@@ -531,11 +496,6 @@ class Engine:
         )
         self.recorder = (
             recorder if recorder is not None else FlightRecorder.from_env()
-        )
-        self.straggler_factor = (
-            None
-            if straggler_factor is None or straggler_factor <= 0
-            else float(straggler_factor)
         )
         self._resume: Union[str, Path, None] = resume
         self.schedule = schedule
@@ -986,10 +946,7 @@ class Engine:
         spec = self._specs[index]
         if isinstance(error, CellTimeout):
             status = "timeout"
-        elif isinstance(
-            error,
-            (_PoolBroken, HostDownError) + self.pool.broken_exceptions,
-        ):
+        elif isinstance(error, (_PoolBroken,) + BROKEN_EXCEPTIONS):
             status = "crashed"
         else:
             status = "failed"
@@ -1036,23 +993,6 @@ class Engine:
             )
             self.telemetry.metrics.counter("engine.timeouts_unarmed").inc()
 
-    def _drain_health(self) -> None:
-        """Forward the pool's buffered health transitions into
-        telemetry, stats, and the flight recorder (docs §16)."""
-        events = self.pool.drain_health_events()
-        if not events:
-            return
-        telemetry = self.telemetry
-        for name, fields in events:
-            if name == HOST_DOWN:
-                self.stats.hosts_down += 1
-            elif name == HOST_RECOVERED:
-                self.stats.hosts_recovered += 1
-            telemetry.emit_wall(name, backend=self.pool.name, **fields)
-            telemetry.metrics.counter(f"engine.{name}").inc()
-            if self.recorder is not None:
-                self.recorder.note(name, backend=self.pool.name, **fields)
-
     # -- execution ---------------------------------------------------------
 
     def _execute_pending(self, pending: List[int]) -> None:
@@ -1066,7 +1006,7 @@ class Engine:
         # capture/merge path a multi-cell batch uses, keeping traces
         # uniform across batch sizes.
         serial = pending
-        if self.pool.capabilities.parallel and (
+        if self.pool.parallel and (
             len(pool_eligible) > 1
             or (
                 pool_eligible
@@ -1142,9 +1082,7 @@ class Engine:
 
         Attempt counters, display lanes, and submission ordinals survive
         pool rebuilds, so a cell's retry budget is global across crashes
-        and the telemetry lanes stay stable.  Backends without the
-        ``rebuild`` capability degrade straight to serial on the first
-        crash.
+        and the telemetry lanes stay stable.
         """
         self._attempts: Dict[int, int] = {i: 0 for i in indices}
         self._lanes: Dict[int, int] = {}
@@ -1157,22 +1095,17 @@ class Engine:
                 self._run_round(to_run)
                 return
             except _PoolBroken as broken:
-                self._drain_health()
                 to_run = self._survivors_of_crash(broken)
                 if not to_run:
                     return
                 rebuilds += 1
                 self.stats.pool_rebuilds += 1
-                if (
-                    rebuilds > self.max_pool_rebuilds
-                    or not self.pool.capabilities.rebuild
-                ):
-                    # The backend keeps dying (or cannot be rebuilt):
-                    # degrade to in-process serial execution for
-                    # whatever is left.  Worker-crash injection never
-                    # fires in the parent process, and a genuinely
-                    # poisoned environment at least fails with an
-                    # attributable per-cell error.
+                if rebuilds > self.max_pool_rebuilds:
+                    # The backend keeps dying: degrade to in-process
+                    # serial execution for whatever is left.
+                    # Worker-crash injection never fires in the parent
+                    # process, and a genuinely poisoned environment at
+                    # least fails with an attributable per-cell error.
                     if self.recorder is not None:
                         self.recorder.note(
                             "degraded_to_serial",
@@ -1218,9 +1151,8 @@ class Engine:
         telemetry = self.telemetry
         pool = self.pool
         warm: Dict[str, None] = {}
-        if pool.capabilities.warm_start:
-            for index in indices:
-                warm.setdefault(self._specs[index].benchmark_name, None)
+        for index in indices:
+            warm.setdefault(self._specs[index].benchmark_name, None)
         spawned = pool.start(tuple(warm))
         if spawned:
             self.stats.pools_spawned += 1
@@ -1242,18 +1174,14 @@ class Engine:
             telemetry.metrics.counter("engine.pool_reuses").inc()
         return pool
 
-    def _plan_round(
-        self, indices: List[int]
-    ) -> Tuple["schedule_mod.RoundPlan", Dict[int, Optional[float]]]:
+    def _plan_round(self, indices: List[int]) -> "schedule_mod.RoundPlan":
         """Lay out one pool round from the cost model's estimates.
 
-        Returns the plan plus the per-cell estimate map (the straggler
-        budget reuses it).  Under ``schedule="fifo"`` — or with no
-        usable history — this reproduces the legacy partition exactly;
-        see :func:`repro.sim.schedule.plan_round`.
+        Under ``schedule="fifo"`` — or with no usable history — this
+        reproduces the legacy partition exactly; see
+        :func:`repro.sim.schedule.plan_round`.
         """
         estimates: Dict[int, Optional[float]] = {}
-        slot_weights = None
         if self.schedule == "lpt":
             if not self._cost_bootstrapped:
                 self._cost_bootstrapped = True
@@ -1262,26 +1190,19 @@ class Engine:
             estimates = {
                 i: self.cost_model.estimate(self._specs[i]) for i in indices
             }
-            try:
-                slot_weights = self.cost_model.host_weights(
-                    self.pool.host_slots()
-                )
-            except Exception:
-                slot_weights = None
         plan = schedule_mod.plan_round(
             indices,
             estimates,
             workers=self.pool.workers,
             chunk_size=self.chunk_size,
             schedule=self.schedule,
-            slot_weights=slot_weights,
         )
         self.stats.rounds_planned += 1
         self.stats.cells_cost_estimated += plan.estimated_cells
         if plan.mode == "lpt":
             self.stats.rounds_lpt += 1
             self.stats.predicted_makespan_s = plan.predicted_makespan_s
-        return plan, estimates
+        return plan
 
     def _run_round(self, indices: List[int]) -> None:
         """One round against the persistent backend; raises
@@ -1297,12 +1218,9 @@ class Engine:
         """
         telemetry = self.telemetry
         pool = self._ensure_pool(indices)
-        plan, self._estimates = self._plan_round(indices)
+        plan = self._plan_round(indices)
         round_t0 = time.perf_counter()
         self._flights = {}
-        #: Completed per-cell durations feeding the median+MAD
-        #: straggler estimate (docs/INTERNALS.md §16).
-        self._durations: List[float] = []
         # Worker-side telemetry capture is requested only when the
         # parent session is live, so the NULL_TELEMETRY default keeps
         # the 3-field payload on the wire.
@@ -1311,26 +1229,15 @@ class Engine:
             if telemetry.enabled and self.remote_capture_events > 0
             else None
         )
-        # With speculation enabled the wait polls so a straggling
-        # chunk is noticed while its future is still pending.
-        poll = 0.05 if self.straggler_factor is not None else None
         try:
             for chunk in plan.chunks:
                 self._submit(chunk)
             while self._flights:
                 finished, _ = wait(
-                    list(self._flights),
-                    timeout=poll,
-                    return_when=FIRST_COMPLETED,
+                    list(self._flights), return_when=FIRST_COMPLETED
                 )
-                self._drain_health()
                 for future in finished:
-                    # A future no longer in the table lost a race that
-                    # its twin already settled.
-                    if future in self._flights:
-                        self._land(future)
-                self._check_stragglers()
-            self._drain_health()
+                    self._land(future)
         except BaseException:
             # Fatal exits (CellExecutionError, _PoolBroken) must not sit
             # waiting for in-flight cells of a poisoned batch, and the
@@ -1349,61 +1256,44 @@ class Engine:
             chunks=len(plan.chunks),
             cells=len(indices),
             estimated_cells=plan.estimated_cells,
-            weighted=plan.slot_weights is not None,
             predicted_makespan_s=round(plan.predicted_makespan_s, 4),
             actual_makespan_s=round(actual_s, 4),
         )
         telemetry.metrics.counter("engine.rounds_planned").inc()
 
-    def _submit(
-        self, chunk: List[int], twin_of: Optional[Future] = None
-    ) -> None:
-        """Put one chunk in flight: a first submission, a single-cell
-        retry, or — with ``twin_of`` — the speculative copy of a
-        straggling chunk.
-
-        A twin re-runs the same cells at the *same* attempt numbers (no
-        retry budget consumed, no second ``cell_start``) — speculation
-        is pure scheduling, so the fault plan's per-attempt decisions
-        replay identically while host-keyed delays redraw on the new
-        host.
-        """
+    def _submit(self, chunk: List[int]) -> None:
+        """Put one chunk in flight: a first submission or a single-cell
+        retry."""
         specs = self._specs
-        if twin_of is None:
-            telemetry = self.telemetry
-            lane = self._submissions % max(1, self.pool.workers)
-            self._submissions += 1
-            for index in chunk:
-                self._attempts[index] += 1
-                self._lanes.setdefault(index, lane)
-                self._submitted_at[index] = telemetry.now_us()
-                telemetry.emit_wall(
-                    CELL_START,
-                    track=f"worker:{self._lanes[index]}",
-                    ts=self._submitted_at[index],
-                    benchmark=specs[index].benchmark_name,
-                    scheme=specs[index].scheme,
-                    attempt=self._attempts[index],
-                )
+        telemetry = self.telemetry
+        lane = self._submissions % max(1, self.pool.workers)
+        self._submissions += 1
+        for index in chunk:
+            self._attempts[index] += 1
+            self._lanes.setdefault(index, lane)
+            self._submitted_at[index] = telemetry.now_us()
+            telemetry.emit_wall(
+                CELL_START,
+                track=f"worker:{self._lanes[index]}",
+                ts=self._submitted_at[index],
+                benchmark=specs[index].benchmark_name,
+                scheme=specs[index].scheme,
+                attempt=self._attempts[index],
+            )
         cells = tuple((i, specs[i], self._attempts[i]) for i in chunk)
         payload = (cells, self.cell_timeout, self.fault_plan)
         if self._capture is not None:
             payload = payload + (self._capture,)
         try:
             future = self.pool.submit_chunk(payload)
-        except self.pool.broken_exceptions as error:
+        except BROKEN_EXCEPTIONS as error:
             raise self._broken(chunk, error) from error
-        flight = _Flight(list(chunk), time.perf_counter())
-        if twin_of is not None:
-            flight.twin, flight.speculative = twin_of, True
-            self._flights[twin_of].twin = future
-        self._flights[future] = flight
+        self._flights[future] = _Flight(list(chunk), time.perf_counter())
         self._sync_in_flight()
 
     def _sync_in_flight(self) -> None:
-        # Distinct cells, so a speculation twin never double-counts.
-        self._in_flight = len(
-            {i for flight in self._flights.values() for i in flight.chunk}
+        self._in_flight = sum(
+            len(flight.chunk) for flight in self._flights.values()
         )
 
     def _broken(self, chunk: List[int], cause: BaseException) -> _PoolBroken:
@@ -1416,23 +1306,12 @@ class Engine:
         return _PoolBroken(sorted(interrupted), cause)
 
     def _land(self, future: Future) -> None:
-        """Settle one finished chunk: resolve its speculation race, then
-        each of its cells (success, retry, or terminal failure)."""
+        """Settle one finished chunk: each of its cells succeeds, is
+        retried, or fails for good."""
         flight = self._flights.pop(future)
         error = future.exception()
-        if isinstance(error, self.pool.broken_exceptions):
+        if isinstance(error, BROKEN_EXCEPTIONS):
             raise self._broken(flight.chunk, error) from error
-        partner = flight.twin
-        if partner in self._flights:
-            if error is not None:
-                # One speculation copy died (e.g. HostDownError — its
-                # host's breaker opened) while the other is still live:
-                # drop this copy silently; the survivor carries the
-                # cells at the same attempt numbers.
-                self._flights[partner].twin = None
-                self._sync_in_flight()
-                return
-            self._win_race(future, flight, partner)
         chunk = flight.chunk
         if error is None:
             warmup, outcomes, cell_times, executed_by = self._read_reply(
@@ -1440,15 +1319,8 @@ class Engine:
             )
         else:
             # The chunk itself failed (not one of its cells — e.g. an
-            # unpicklable payload, or a HostDownError for a chunk
-            # stranded on a dead host): feed the error to every member
-            # through the normal retry machinery, which resubmits to
-            # surviving workers.
-            if isinstance(error, HostDownError):
-                self.stats.cells_rerouted += len(chunk)
-                self.telemetry.metrics.counter(
-                    "engine.cells_rerouted"
-                ).inc(len(chunk))
+            # unpicklable payload): feed the error to every member
+            # through the normal retry machinery.
             warmup, executed_by, cell_times = None, None, {}
             outcomes = [(index, "error", error) for index in chunk]
         telemetry = self.telemetry
@@ -1483,62 +1355,12 @@ class Engine:
             self._submit([index])
         self._sync_in_flight()
 
-    def _win_race(
-        self, winner: Future, flight: _Flight, loser: Future
-    ) -> None:
-        """First result wins a speculation race: cancel the other copy
-        and, when it finished too, assert the two bit-identical."""
-        self._flights.pop(loser)
-        cancelled = loser.cancel()
-        if not cancelled and loser.done() and loser.exception() is None:
-            self._assert_bit_identical(winner, loser, flight.chunk)
-        if not flight.speculative:
-            return
-        specs = self._specs
-        self.stats.speculations_won += 1
-        self.telemetry.emit_wall(
-            SPECULATION_WON,
-            cells=[
-                [specs[i].benchmark_name, specs[i].scheme]
-                for i in flight.chunk
-            ],
-            loser_cancelled=cancelled,
-        )
-        self.telemetry.metrics.counter("engine.speculations_won").inc()
-        if self.recorder is not None:
-            self.recorder.note(
-                "speculation_won",
-                cells=len(flight.chunk),
-                loser_cancelled=cancelled,
-            )
-
-    def _assert_bit_identical(
-        self, winner: Future, loser: Future, chunk: List[int]
-    ) -> None:
-        """Both speculation copies finished: their per-cell results must
-        be bit-identical (determinism is the contract every backend is
-        tested against; a divergence here is a real bug, never noise to
-        paper over)."""
-        winner_map = {i: (s, v) for i, s, v in winner.result()[1]}
-        loser_map = {i: (s, v) for i, s, v in loser.result()[1]}
-        for index in chunk:
-            w_status, w_value = winner_map.get(index, (None, None))
-            l_status, l_value = loser_map.get(index, (None, None))
-            if w_status == "ok" and l_status == "ok" and w_value != l_value:
-                spec = self._specs[index]
-                raise RuntimeError(
-                    "speculative re-execution of cell "
-                    f"({spec.benchmark_name!r}, {spec.scheme!r}) diverged "
-                    "from the primary — results must be bit-identical "
-                    "across hosts (determinism contract violated)"
-                )
-
     def _read_reply(
         self, future: Future, flight: _Flight
     ) -> Tuple[Optional[Dict], list, Dict[int, float], Optional[str]]:
         """Unpack a landed chunk's ``(warmup, outcomes, chunk_info)``
-        reply and feed its timings to the straggler estimate, the cost
-        model and the telemetry merge.
+        reply and feed its timings to the cost model and the telemetry
+        merge.
 
         Returns ``(warmup, outcomes, cell_times, executed_by)``.  A
         reply in any other shape, or with a foreign snapshot version,
@@ -1560,11 +1382,7 @@ class Engine:
             )
             executor = self.pool.name
             if isinstance(chunk_info, dict):
-                executor = (
-                    chunk_info.get("host_id")
-                    or chunk_info.get("origin")
-                    or executor
-                )
+                executor = chunk_info.get("origin") or executor
             raise RuntimeError(
                 f"chunk reply from {executor} is a {shape} with snapshot "
                 f"version {version!r}; this engine expects a 3-tuple with "
@@ -1574,20 +1392,15 @@ class Engine:
         warmup, outcomes, _ = reply
         chunk = flight.chunk
         per_cell = (time.perf_counter() - flight.started) / len(chunk)
-        self._durations.extend([per_cell] * len(chunk))
         # Cost-model feed: worker-measured per-cell seconds and the
-        # executor's identity (host#incarnation over ssh, host#pid
-        # otherwise), with the parent-side chunk average as the
-        # fallback for cells the worker did not time.
+        # executor's ``host#pid`` identity, with the parent-side chunk
+        # average as the fallback for cells the worker did not time.
         cell_times = {
             int(i): float(s) for i, s in chunk_info.get("cell_times") or ()
         }
         for member in chunk:
             cell_times.setdefault(member, per_cell)
-        executed_by = chunk_info.get("host_id") or chunk_info.get("origin")
-        self.cost_model.observe_host(
-            executed_by, len(chunk), chunk_info.get("service_s")
-        )
+        executed_by = chunk_info.get("origin")
         self._merge_worker_snapshot(chunk_info, chunk, self._submitted_at)
         return warmup, outcomes, cell_times, executed_by
 
@@ -1618,61 +1431,6 @@ class Engine:
             hwm=self._remote_hwm,
         )
         self.stats.remote_events_dropped += merged["dropped"]
-
-    def _check_stragglers(self) -> None:
-        """Twin each chunk running past its budget onto an idle worker
-        (docs/INTERNALS.md §16)."""
-        factor = self.straggler_factor
-        durations = self._durations
-        if factor is None or len(durations) < 3:
-            return  # no robust estimate yet
-        median = statistics.median(durations)
-        spread = statistics.median([abs(d - median) for d in durations])
-        baseline = median + 3.0 * spread
-        if baseline <= 0.0:
-            return
-        now = time.perf_counter()
-        for future, flight in list(self._flights.items()):
-            if len(self._flights) >= max(1, self.pool.workers):
-                return  # no idle worker to speculate into
-            if flight.twin is not None:
-                continue  # already twinned (or is itself a twin)
-            elapsed = now - flight.started
-            # Estimate-relative budget (docs/INTERNALS.md §18): a chunk
-            # of cells *predicted* to run 10× longer gets a ~10× budget
-            # instead of being flagged at the flat median — and
-            # estimates can only extend the legacy budget, never shrink
-            # it.
-            budget = schedule_mod.straggler_budget(
-                factor, baseline, flight.chunk, self._estimates
-            )
-            if elapsed > budget:
-                self._speculate(future, flight, elapsed, budget)
-
-    def _speculate(
-        self, straggler: Future, flight: _Flight, elapsed: float, budget: float
-    ) -> None:
-        """Submit a twin of a straggling chunk; first result wins."""
-        self._submit(flight.chunk, twin_of=straggler)
-        specs = self._specs
-        self.stats.stragglers_detected += 1
-        self.telemetry.emit_wall(
-            STRAGGLER_DETECTED,
-            cells=[
-                [specs[i].benchmark_name, specs[i].scheme]
-                for i in flight.chunk
-            ],
-            elapsed_s=round(elapsed, 4),
-            estimate_s=round(budget, 4),
-        )
-        self.telemetry.metrics.counter("engine.stragglers_detected").inc()
-        if self.recorder is not None:
-            self.recorder.note(
-                "straggler_detected",
-                cells=len(flight.chunk),
-                elapsed_s=round(elapsed, 4),
-                estimate_s=round(budget, 4),
-            )
 
 
 def _identity(

@@ -64,8 +64,8 @@ def make_engine(
 
     ``options`` (an :class:`repro.sim.options.ExecutionOptions`, the
     CLI's execution flags) is how execution settings reach
-    :class:`Engine`: the backend, chunking, crash rebuilds, straggler
-    and scheduling knobs, and the persistent layer — ``no_store``
+    :class:`Engine`: the backend, chunking, crash rebuilds, the
+    scheduling knobs, and the persistent layer — ``no_store``
     disables it, ``store_dir`` roots it elsewhere, and otherwise it is
     the module default store.  An explicit ``jobs`` overrides the
     options' backend.  ``telemetry``, ``recorder``, and ``resume`` (a
@@ -92,7 +92,6 @@ def make_engine(
         fault_plan=fault_plan,
         chunk_size=options.chunk_size,
         max_pool_rebuilds=options.max_pool_rebuilds,
-        straggler_factor=options.straggler_factor,
         schedule=options.schedule,
         cost_model_dir=options.cost_model_dir,
         telemetry=telemetry,

@@ -1,10 +1,10 @@
 """One dataclass for every execution knob (docs/API.md "Execution
 backends" has the mapping table).
 
-The engine's scattered execution parameters — ``--jobs``,
-``--backend``, ``--store-dir``, ``--no-store``, ``chunk_size``,
-``max_pool_rebuilds`` — are consolidated here: the CLI registers and
-parses them once (:meth:`ExecutionOptions.add_arguments` /
+The execution parameters — ``--jobs``, ``--backend``, ``--store-dir``,
+``--no-store``, ``--chunk-size``, ``--max-pool-rebuilds``,
+``--schedule`` and ``--cost-model-dir`` — live here: the CLI registers
+and parses them once (:meth:`ExecutionOptions.add_arguments` /
 :meth:`ExecutionOptions.from_args`), and
 :func:`repro.sim.experiment.make_engine` maps the whole object onto
 :class:`repro.sim.engine.Engine`'s keywords — the one place the two
@@ -15,8 +15,8 @@ Backend resolution: an explicit ``backend`` spec wins; otherwise
 — so the historical ``--jobs N`` contract is unchanged.  The backend
 is an execution *location*, never part of a result's identity:
 ``ExperimentConfig.fingerprint()`` does not see any of these knobs, so
-a result computed over ssh, in a local pool, or serially lands under
-the same store key (asserted by the conformance suite).
+a result computed in a local pool or serially lands under the same
+store key (asserted by the conformance suite).
 """
 
 from __future__ import annotations
@@ -29,8 +29,8 @@ from typing import Optional
 class ExecutionOptions:
     """Where and how cells execute; never *what* they compute."""
 
-    #: Backend spec (``serial``, ``local[:N]``, ``ssh:HOSTFILE``, …);
-    #: ``None`` derives one from ``jobs``.
+    #: Backend spec (``serial`` or ``local[:N]``); ``None`` derives one
+    #: from ``jobs``.
     backend: Optional[str] = None
     #: Worker processes when no explicit backend spec is given.
     jobs: int = 1
@@ -43,10 +43,6 @@ class ExecutionOptions:
     chunk_size: Optional[int] = None
     #: Pool rebuilds per batch before degrading to serial.
     max_pool_rebuilds: int = 3
-    #: Straggler mitigation: speculatively re-submit a chunk running
-    #: longer than this multiple of the robust runtime estimate
-    #: (``None`` = disabled; docs/INTERNALS.md §16).
-    straggler_factor: Optional[float] = None
     #: Chunk-planning mode (docs/INTERNALS.md §18): ``"lpt"`` (default)
     #: packs chunks by estimated cost, longest first, once the cost
     #: model has history — with none it degrades to exactly the
@@ -80,10 +76,9 @@ class ExecutionOptions:
             "--backend",
             default=None,
             metavar="SPEC",
-            help="execution backend: 'serial', 'local[:N]', "
-            "'ssh:HOSTFILE' (one host[:slots] per line), or "
-            "'ssh-loopback[:N]'; overrides --jobs, results are "
-            "bit-identical on every backend",
+            help="execution backend: 'serial' or 'local[:N]' (N worker "
+            "processes, default: the CPU count); overrides --jobs, "
+            "results are bit-identical on both",
         )
         parser.add_argument(
             "--store-dir",
@@ -114,21 +109,12 @@ class ExecutionOptions:
             "to serial execution (default: 3)",
         )
         parser.add_argument(
-            "--straggler-factor",
-            type=float,
-            default=None,
-            metavar="X",
-            help="speculatively re-submit a chunk running longer than X "
-            "times the robust per-chunk runtime estimate; first result "
-            "wins, results stay bit-identical (default: disabled)",
-        )
-        parser.add_argument(
             "--schedule",
             choices=("lpt", "fifo"),
             default="lpt",
             help="chunk planning: 'lpt' packs chunks by estimated cost "
-            "(longest first, host-speed weighted) once runtime history "
-            "exists; 'fifo' keeps submission-order count-based chunks. "
+            "(longest first) once runtime history exists; 'fifo' keeps "
+            "submission-order count-based chunks. "
             "Results are bit-identical either way (default: lpt)",
         )
         parser.add_argument(
@@ -149,7 +135,6 @@ class ExecutionOptions:
             no_store=bool(getattr(args, "no_store", False)),
             chunk_size=getattr(args, "chunk_size", None),
             max_pool_rebuilds=getattr(args, "max_pool_rebuilds", 3),
-            straggler_factor=getattr(args, "straggler_factor", None),
             schedule=getattr(args, "schedule", "lpt") or "lpt",
             cost_model_dir=getattr(args, "cost_model_dir", None),
         )

@@ -1,141 +1,75 @@
-"""Pluggable execution backends behind the :class:`Pool` API.
+"""The two execution backends behind the :class:`Pool` API.
 
-One registry maps backend *specs* — the strings ``Engine(pool=...)``,
+:func:`make_pool` parses the backend *specs* that ``Engine(pool=...)``,
 :class:`repro.sim.options.ExecutionOptions`, and the CLI's
-``--backend`` all accept — to concrete pools::
+``--backend`` accept::
 
-    serial              in-process reference backend
-    local[:N]           warm persistent process pool, N workers
-    ssh:HOSTFILE        per-host warm workers over ssh (one host[:slots]
-                        per hostfile line)
-    ssh-loopback[:N]    SSHPool wire protocol without sshd (CI/tests);
-                        N single-slot *hosts* (``loop0``..``loopN-1``),
-                        so per-host health/circuit-breaker semantics
-                        (docs/INTERNALS.md §16) are exercisable locally
+    serial      in-process reference backend
+    local[:N]   warm persistent process pool, N workers (default: the
+                CPU count)
 
-``make_pool("local:4")`` returns the pool; ``register_backend`` adds
-new ones (the factory receives the text after the first ``:``, or
-``None``).  See docs/INTERNALS.md §14 for the backend contract.
+See docs/INTERNALS.md §14 for the backend contract.  The ``ssh:`` and
+``ssh-loopback:`` backends were retired (docs/INTERNALS.md §16); asking
+for them raises a ``ValueError`` naming the note.
 """
 
 from __future__ import annotations
 
 import os
-from typing import Callable, Dict, List, Optional
 
 from repro.sim.pools.base import (
+    BROKEN_EXCEPTIONS,
     CellTimeout,
     ChunkPayload,
-    HostDownError,
     Pool,
     PoolBrokenError,
-    PoolCapabilities,
     completed_future,
 )
 from repro.sim.pools.local import LocalProcessPool, SerialPool
-from repro.sim.pools.ssh import (
-    SSHPool,
-    loopback_transport,
-    parse_hostfile,
-    ssh_transport,
-)
 
 __all__ = [
+    "BACKEND_KINDS",
+    "BROKEN_EXCEPTIONS",
     "CellTimeout",
     "ChunkPayload",
-    "HostDownError",
     "LocalProcessPool",
     "Pool",
     "PoolBrokenError",
-    "PoolCapabilities",
-    "SSHPool",
     "SerialPool",
-    "available_backends",
     "completed_future",
-    "loopback_transport",
     "make_pool",
-    "parse_backend_spec",
-    "parse_hostfile",
-    "register_backend",
-    "ssh_transport",
 ]
 
-PoolFactory = Callable[[Optional[str]], Pool]
+#: Backend kinds :func:`make_pool` accepts.
+BACKEND_KINDS = ("serial", "local")
 
-_REGISTRY: Dict[str, PoolFactory] = {}
-
-
-def register_backend(name: str, factory: PoolFactory) -> None:
-    """Register (or replace) a backend under a spec prefix."""
-    _REGISTRY[name] = factory
-
-
-def available_backends() -> List[str]:
-    return sorted(_REGISTRY)
-
-
-def parse_backend_spec(spec: str) -> "tuple[str, Optional[str]]":
-    """Split ``name[:arg]``; the arg keeps any further colons intact."""
-    name, sep, arg = spec.partition(":")
-    return name.strip(), (arg if sep else None)
+#: Backend kinds that no longer exist, and fail loudly instead.
+RETIRED_BACKENDS = ("ssh", "ssh-loopback")
 
 
 def make_pool(spec: str) -> Pool:
-    """Resolve a backend spec (``local:4``, ``ssh:hosts.txt``, …)."""
-    name, arg = parse_backend_spec(spec)
-    factory = _REGISTRY.get(name)
-    if factory is None:
+    """Resolve a backend spec: ``serial``, ``local`` or ``local:N``."""
+    name, _, arg = spec.partition(":")
+    name = name.strip()
+    if name == "serial":
+        if arg:
+            raise ValueError("the serial backend takes no argument")
+        return SerialPool()
+    if name == "local":
+        try:
+            workers = int(arg) if arg else os.cpu_count() or 2
+        except ValueError:
+            raise ValueError(
+                f"backend spec {spec!r} wants an integer worker count, "
+                f"got {arg!r}"
+            ) from None
+        return LocalProcessPool(workers=max(1, workers))
+    if name in RETIRED_BACKENDS:
         raise ValueError(
-            f"unknown backend {name!r}; known: "
-            f"{', '.join(available_backends())}"
+            f"the {name!r} backend was retired with host health and "
+            "straggler speculation (docs/INTERNALS.md §16); use "
+            "'serial' or 'local[:N]'"
         )
-    return factory(arg)
-
-
-def _int_arg(arg: Optional[str], default: int, spec: str) -> int:
-    if arg is None or arg == "":
-        return default
-    try:
-        return max(1, int(arg))
-    except ValueError:
-        raise ValueError(
-            f"backend spec {spec!r} wants an integer worker count, "
-            f"got {arg!r}"
-        ) from None
-
-
-def _make_serial(arg: Optional[str]) -> Pool:
-    if arg:
-        raise ValueError("the serial backend takes no argument")
-    return SerialPool()
-
-
-def _make_local(arg: Optional[str]) -> Pool:
-    return LocalProcessPool(
-        workers=_int_arg(arg, os.cpu_count() or 2, f"local:{arg}")
+    raise ValueError(
+        f"unknown backend {name!r}; known: {', '.join(BACKEND_KINDS)}"
     )
-
-
-def _make_ssh(arg: Optional[str]) -> Pool:
-    if not arg:
-        raise ValueError(
-            "the ssh backend needs a hostfile: --backend ssh:HOSTFILE"
-        )
-    return SSHPool(hosts=arg)
-
-
-def _make_ssh_loopback(arg: Optional[str]) -> Pool:
-    workers = _int_arg(arg, 2, f"ssh-loopback:{arg}")
-    # N single-slot hosts (not one N-slot host): each loopback worker is
-    # its own "host", so losing one exercises the surgical per-host
-    # removal / circuit-breaker path instead of whole-pool breakage.
-    return SSHPool(
-        hosts=[(f"loop{i}", 1) for i in range(workers)],
-        transport=loopback_transport,
-    )
-
-
-register_backend("serial", _make_serial)
-register_backend("local", _make_local)
-register_backend("ssh", _make_ssh)
-register_backend("ssh-loopback", _make_ssh_loopback)

@@ -1,30 +1,28 @@
-"""In-process and local-multiprocess backends.
+"""The two backends: in-process and local multiprocess.
 
 :class:`SerialPool` answers chunks synchronously in the calling
-process — the reference backend every other backend must match bit for
+process — the reference backend the process pool must match bit for
 bit (and the natural choice for tracing, debugging, and single-cell
 runs).
 
 :class:`LocalProcessPool` is the warm persistent ``ProcessPoolExecutor``
-the engine grew in earlier iterations, moved behind the
-:class:`~repro.sim.pools.base.Pool` API: workers survive across
-batches, the spawn-time initializer pre-builds benchmarks and pre-fuses
-their block closures (docs/INTERNALS.md §13), and a dead worker
-surfaces as ``BrokenProcessPool`` for the engine's rebuild machinery.
+behind the :class:`~repro.sim.pools.base.Pool` API: workers survive
+across batches, the spawn-time initializer pre-builds benchmarks and
+pre-fuses their block closures (docs/INTERNALS.md §13), and a dead
+worker surfaces as ``BrokenProcessPool`` for the engine's rebuild
+machinery.
 """
 
 from __future__ import annotations
 
 from concurrent.futures import Future, ProcessPoolExecutor
-from concurrent.futures.process import BrokenProcessPool
-from typing import Dict, Optional, Sequence, Tuple
+from typing import Optional, Sequence, Tuple
 
 from repro.sim.pools import worker as worker_mod
 from repro.sim.pools.base import (
     ChunkPayload,
     Pool,
     PoolBrokenError,
-    PoolCapabilities,
     completed_future,
 )
 
@@ -35,14 +33,12 @@ class SerialPool(Pool):
     ``submit_chunk`` returns an already-resolved future; per-cell
     failures come back as ``("error", exc)`` outcomes exactly like a
     process backend would report them.  There are no workers to crash,
-    so ``rebuild`` is a no-op and ``worker_crash`` injections never
-    fire (the plan site requires a disposable process).
+    so ``worker_crash`` injections never fire (the plan site requires a
+    disposable process).
     """
 
     name = "serial"
-    capabilities = PoolCapabilities(
-        parallel=False, rebuild=False, remote=False, warm_start=False
-    )
+    parallel = False
     workers = 1
 
     def __init__(self) -> None:
@@ -69,10 +65,8 @@ class SerialPool(Pool):
             (index, dataclasses.replace(spec), attempt)
             for index, spec, attempt in cells
         )
-        if plan is not None and (plan.worker_crash or plan.host_down):
-            plan = dataclasses.replace(
-                plan, worker_crash=0.0, host_down=0.0
-            )
+        if plan is not None and plan.worker_crash:
+            plan = dataclasses.replace(plan, worker_crash=0.0)
         return completed_future(
             worker_mod.run_chunk(
                 (safe_cells, timeout, plan) + tuple(payload[3:])
@@ -87,35 +81,14 @@ class SerialPool(Pool):
         return self._alive
 
 
-def _shutdown_executor(pool: ProcessPoolExecutor, fail_fast: bool) -> None:
-    """Shut an executor down; fail-fast drops pending work, no wait.
-
-    ``cancel_futures`` exists from Python 3.9; on 3.8 the guard degrades
-    to a plain no-wait shutdown (pending cells still run, but the caller
-    is no longer blocked on them).
-    """
-    if not fail_fast:
-        pool.shutdown(wait=True)
-        return
-    try:
-        pool.shutdown(wait=False, cancel_futures=True)
-    except TypeError:  # pragma: no cover — Python 3.8 fallback
-        pool.shutdown(wait=False)
-
-
 class LocalProcessPool(Pool):
     """Persistent warm ``ProcessPoolExecutor`` backend (the default for
     ``--backend local:N`` / ``--jobs N``)."""
 
     name = "local"
-    capabilities = PoolCapabilities(
-        parallel=True, rebuild=True, remote=False, warm_start=True
-    )
-    broken_exceptions: Tuple[type, ...] = (BrokenProcessPool, PoolBrokenError)
 
-    def __init__(self, workers: int = 2, warm_start: bool = True):
+    def __init__(self, workers: int = 2):
         self.workers = max(1, int(workers))
-        self.warm_start = bool(warm_start)
         self._executor: Optional[ProcessPoolExecutor] = None
         #: Benchmarks the live executor's initializer pre-built.
         self.warmed: Tuple[str, ...] = ()
@@ -123,9 +96,7 @@ class LocalProcessPool(Pool):
     def start(self, warm_benchmarks: Sequence[str] = ()) -> bool:
         if self._executor is not None:
             return False
-        self.warmed = (
-            tuple(dict.fromkeys(warm_benchmarks)) if self.warm_start else ()
-        )
+        self.warmed = tuple(dict.fromkeys(warm_benchmarks))
         self._executor = ProcessPoolExecutor(
             max_workers=self.workers,
             initializer=worker_mod.pool_initializer,
@@ -138,18 +109,11 @@ class LocalProcessPool(Pool):
             raise PoolBrokenError("LocalProcessPool is not started")
         return self._executor.submit(worker_mod.run_chunk, payload)
 
-    def host_slots(self) -> Dict[str, int]:
-        """One homogeneous fleet: sibling processes on one machine run
-        at the same speed, so all slots share a single identity and the
-        scheduler packs them unweighted (chunk replies key their
-        ``origin`` by pid, which deliberately never matches this)."""
-        return {"local": self.workers}
-
     def close(self, fail_fast: bool = False) -> None:
         executor, self._executor = self._executor, None
         self.warmed = ()
         if executor is not None:
-            _shutdown_executor(executor, fail_fast)
+            executor.shutdown(wait=not fail_fast, cancel_futures=fail_fast)
 
     @property
     def alive(self) -> bool:

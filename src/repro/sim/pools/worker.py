@@ -1,18 +1,14 @@
-"""Worker-side chunk execution, shared by every parallel backend.
+"""Worker-side chunk execution.
 
 This is the code that runs on the far side of a pool boundary — in a
 ``ProcessPoolExecutor`` worker (:class:`~repro.sim.pools.local
-.LocalProcessPool`), in a remote ``ssh`` worker process
-(:mod:`repro.sim.pools.ssh_worker`), or inline for
-:class:`~repro.sim.pools.local.SerialPool`.  It moved here verbatim
-from ``repro.sim.engine`` when the backends were lifted behind the
-:class:`~repro.sim.pools.base.Pool` API; the engine's serial path still
+.LocalProcessPool`), or inline for
+:class:`~repro.sim.pools.local.SerialPool`.  The engine's serial path
 imports :func:`run_with_alarm` and :func:`inject_cell_faults` from
-here.
+here too.
 
 Module globals below are per worker process (each worker gets its own
-module state, whether forked, spawned, or ssh-exec'd); the parent never
-touches them.
+module state, forked or spawned); the parent never touches them.
 """
 
 from __future__ import annotations
@@ -66,66 +62,6 @@ def run_with_alarm(
     finally:
         signal.setitimer(signal.ITIMER_REAL, 0)
         signal.signal(signal.SIGALRM, previous)
-
-
-def worker_host_identity() -> Tuple[Optional[str], int]:
-    """This worker's ``(host, incarnation)``, from the pool's env vars.
-
-    Multi-host pools stamp each worker with ``$REPRO_WORKER_HOST`` and
-    ``$REPRO_HOST_INCARNATION`` (the per-host respawn counter) so the
-    ``host_down`` and ``straggler_delay`` fault sites can key on *which
-    host* is executing.  Backends without host identity (the local
-    process pool) leave them unset: ``(None, 0)``, and host faults are
-    inert there.
-    """
-    import os
-
-    host = os.environ.get("REPRO_WORKER_HOST") or None
-    try:
-        incarnation = int(os.environ.get("REPRO_HOST_INCARNATION", "0"))
-    except ValueError:
-        incarnation = 0
-    return host, incarnation
-
-
-def inject_host_faults(plan: Optional[FaultPlan]) -> None:
-    """Fire the per-chunk ``host_down`` site (hard process exit).
-
-    Decided once per chunk arrival, keyed on ``(host, incarnation)``:
-    every worker of a "down" host draws the same verdict, so the whole
-    host collapses exactly like a powered-off machine — the parent
-    observes EOF on every pipe.  A later incarnation (circuit-breaker
-    probe respawn) redraws, modelling an outage that heals.
-    """
-    if plan is None or plan.host_down <= 0.0:
-        return
-    host, incarnation = worker_host_identity()
-    if host is None:
-        return
-    if plan.decide("host_down", (host, incarnation)):
-        import os
-
-        os._exit(23)
-
-
-def inject_straggler_delay(
-    plan: Optional[FaultPlan], spec: RunSpec, attempt: int
-) -> None:
-    """Fire the per-cell ``straggler_delay`` site (wall-clock sleep).
-
-    Keyed on ``(host, benchmark, scheme, attempt)`` — a slow *host*,
-    not a slow cell — so the engine's speculative re-execution of the
-    same cell on a different host redraws the delay and can win the
-    race.  Never perturbs results; only scheduling.
-    """
-    if plan is None or plan.straggler_delay <= 0.0:
-        return
-    host, _ = worker_host_identity()
-    if host is None:
-        return
-    key = (host, spec.benchmark_name, spec.scheme, attempt)
-    if plan.decide("straggler_delay", key):
-        time.sleep(plan.straggler_delay_s)
 
 
 def inject_cell_faults(
@@ -243,11 +179,10 @@ def run_chunk(payload: ChunkPayload) -> tuple:
     Returns ``(warmup, outcomes, chunk_info)``; each outcome is
     ``(index, "ok", result)`` or ``(index, "error", error)``.
     ``chunk_info`` always carries at least the executor's identity
-    (``origin`` = ``host#pid``, ``host_id`` = ``host#incarnation`` on
-    multi-host pools), per-cell measured seconds (``cell_times``, a
-    tuple of ``(index, seconds)``), the chunk's total service seconds
-    (``service_s``), and the unarmed-timeout count — the engine's cost
-    model learns runtime estimates and host speeds from these
+    (``origin`` = ``host#pid``), per-cell measured seconds
+    (``cell_times``, a tuple of ``(index, seconds)``), the chunk's total
+    service seconds (``service_s``), and the unarmed-timeout count — the
+    engine's cost model learns runtime estimates from these
     (docs/INTERNALS.md §18).  With a live capture it is the full
     clock-stamped telemetry snapshot, same extra keys included.
     Per-cell failures are *returned*, not raised, so one bad cell
@@ -266,7 +201,6 @@ def run_chunk(payload: ChunkPayload) -> tuple:
         cells, timeout, plan = payload
         capture_spec = None
     capture = ChunkCapture(capture_spec) if capture_spec else None
-    inject_host_faults(plan)
     unarmed = 0
     outcomes: List[Tuple[int, str, object]] = []
     cell_times: List[Tuple[int, float]] = []
@@ -296,7 +230,6 @@ def run_chunk(payload: ChunkPayload) -> tuple:
         cell_started = time.perf_counter()
         try:
             inject_cell_faults(plan, spec, attempt)
-            inject_straggler_delay(plan, spec, attempt)
             spec.benchmark = worker_built(spec.benchmark)
             outcomes.append(
                 (
@@ -330,14 +263,8 @@ def run_chunk(payload: ChunkPayload) -> tuple:
             "cells": None,
         }
     # Cost-model feed (docs/INTERNALS.md §18): executor identity and
-    # measured per-cell seconds ride every reply.  ``host_id`` is the
-    # pool-level identity (``host#incarnation``) when one exists, so
-    # host-speed EWMAs survive worker respawns within an incarnation.
-    host, incarnation = worker_host_identity()
+    # measured per-cell seconds ride every reply.
     chunk_info["origin"] = worker_origin()
-    chunk_info["host_id"] = (
-        f"{host}#{incarnation}" if host is not None else None
-    )
     chunk_info["cell_times"] = tuple(cell_times)
     chunk_info["service_s"] = time.perf_counter() - chunk_started
     return warmup, outcomes, chunk_info

@@ -2,10 +2,9 @@
 
 The engine's historical dispatch was submission-order with size-blind
 chunking: ``ceil(cells / (workers * 4))`` consecutive cells per chunk,
-capped at 8.  That is optimal when every cell costs the same and every
-worker runs at the same speed — and pathological otherwise: a 10×
-cell landing in the last chunk idles every other worker while one
-grinds (the classic makespan tail).
+capped at 8.  That is optimal when every cell costs the same — and
+pathological otherwise: a 10× cell landing in the last chunk idles
+every other worker while one grinds (the classic makespan tail).
 
 This module plans one pool round from the cost model's estimates
 (:mod:`repro.sim.costmodel`):
@@ -17,10 +16,6 @@ This module plans one pool round from the cost model's estimates
   of chunks the legacy rule would produce, but greedily balanced by
   *estimated seconds* instead of by count, so every chunk represents
   roughly equal work;
-* **host-speed weighting** — when the cost model has observed per-host
-  throughput (``host#incarnation`` EWMA cells/sec), packing targets
-  are scaled per slot, so a 2× faster host's chunks carry ~2× the
-  estimated work;
 * **chunk-level LPT dispatch** — planned chunks are submitted in
   descending estimated-cost order, so the heaviest work starts first
   and the tail of the round is made of light chunks.
@@ -30,7 +25,7 @@ Planning is **semantics-free by construction**: a plan only permutes
 queue*.  Results land by batch index, every cell still runs exactly
 once (per attempt), and ``BatchResult`` ordering is positional — so the
 conformance grid (tests/test_schedule.py) proves bit-identical values
-for ``schedule=fifo|lpt`` across every backend.
+for ``schedule=fifo|lpt`` on both backends.
 
 Cold-start contract: with no usable estimates (or ``schedule="fifo"``)
 :func:`plan_round` returns **exactly** the legacy partition, verified
@@ -93,39 +88,27 @@ class RoundPlan:
     estimated_cells: int = 0
     #: LPT makespan forecast in seconds (0.0 in legacy mode).
     predicted_makespan_s: float = 0.0
-    #: Per-slot speed weights used (None = unweighted).
-    slot_weights: Optional[List[float]] = None
 
     @property
     def cells(self) -> int:
         return sum(len(chunk) for chunk in self.chunks)
 
 
-def predict_makespan(
-    chunk_costs: Sequence[float],
-    workers: int,
-    slot_weights: Optional[Sequence[float]] = None,
-) -> float:
-    """Greedy-simulated finish time of a round's chunks on the fleet.
+def predict_makespan(chunk_costs: Sequence[float], workers: int) -> float:
+    """Greedy-simulated finish time of a round's chunks on the workers.
 
     Chunks are taken in the given (dispatch) order; each goes to the
-    slot that would finish it earliest, at ``cost / weight`` seconds.
-    This mirrors how an idle-worker queue actually drains a round, so
-    the forecast is comparable to the measured round wall-clock
-    (``schedule_planned`` telemetry reports both).
+    worker that would finish it earliest.  This mirrors how an
+    idle-worker queue actually drains a round, so the forecast is
+    comparable to the measured round wall-clock (``schedule_planned``
+    telemetry reports both).
     """
     workers = max(1, workers)
-    if slot_weights and len(slot_weights) >= 1:
-        weights = [max(0.05, float(w)) for w in slot_weights[:workers]]
-        while len(weights) < workers:
-            weights.append(1.0)
-    else:
-        weights = [1.0] * workers
     finish = [0.0] * workers
     for cost in chunk_costs:
         slot = min(range(workers), key=lambda s: (finish[s], s))
-        finish[slot] += max(0.0, float(cost)) / weights[slot]
-    return max(finish) if finish else 0.0
+        finish[slot] += max(0.0, float(cost))
+    return max(finish)
 
 
 def plan_round(
@@ -134,7 +117,6 @@ def plan_round(
     workers: int,
     chunk_size: Optional[int] = None,
     schedule: str = "lpt",
-    slot_weights: Optional[Sequence[float]] = None,
 ) -> RoundPlan:
     """Partition one round's cell indices into dispatch-ordered chunks.
 
@@ -179,29 +161,13 @@ def plan_round(
     # pressure or crash-retry granularity.
     n_chunks = len(legacy_chunks(indices, workers, chunk_size))
 
-    # Per-bin weights: bin b drains at roughly slot (b % workers)'s
-    # speed (dispatch order below interleaves bins across the fleet).
-    workers = max(1, workers)
-    if slot_weights:
-        weights = [max(0.05, float(w)) for w in slot_weights[:workers]]
-        while len(weights) < workers:
-            weights.append(1.0)
-    else:
-        weights = None
-
     # LPT greedy packing: heaviest cell first (ties by ascending index,
-    # fully deterministic) into the bin with the lowest weighted load.
+    # fully deterministic) into the bin with the lowest load.
     order = sorted(indices, key=lambda i: (-cost[i], i))
     bins: List[List[int]] = [[] for _ in range(n_chunks)]
     loads = [0.0] * n_chunks
-
-    def _weighted(b: int) -> float:
-        if weights is None:
-            return loads[b]
-        return loads[b] / weights[b % workers]
-
     for i in order:
-        b = min(range(n_chunks), key=lambda b: (_weighted(b), b))
+        b = min(range(n_chunks), key=lambda b: (loads[b], b))
         bins[b].append(i)
         loads[b] += cost[i]
 
@@ -218,51 +184,6 @@ def plan_round(
         chunk_costs=chunk_costs,
         mode="lpt",
         estimated_cells=len(known),
-        predicted_makespan_s=predict_makespan(
-            chunk_costs, workers, slot_weights
-        ),
-        slot_weights=list(slot_weights) if slot_weights else None,
+        predicted_makespan_s=predict_makespan(chunk_costs, workers),
     )
 
-
-def straggler_budget(
-    factor: float,
-    baseline_per_cell: float,
-    chunk: Sequence[int],
-    estimates: Dict[int, Optional[float]],
-) -> float:
-    """Estimate-relative speculation budget for one in-flight chunk.
-
-    The legacy budget was flat: ``factor * baseline * len(chunk)`` with
-    ``baseline`` the median+3×MAD of *completed* per-cell durations —
-    which flags any cell predicted to run long as a straggler the
-    moment it exceeds ~the median.  Here the flat budget is scaled by
-    the chunk's predicted cost relative to the round's median estimate,
-    so a chunk of 10×-predicted cells gets a ~10× budget.
-
-    The scale is clamped at ≥ 1.0: estimates may *extend* a budget
-    (fewer pointless speculations — pure wall-clock win) but never
-    shrink it below the legacy value, so a wildly wrong low estimate
-    cannot make speculation fire earlier than it ever did.  Speculation
-    itself remains result-safe regardless (first-result-wins,
-    bit-identity asserted — docs/INTERNALS.md §16).
-    """
-    flat = factor * baseline_per_cell * len(chunk)
-    known = [
-        float(estimates[i])
-        for i in estimates
-        if estimates[i] is not None and estimates[i] > 0
-    ]
-    if not known or not chunk:
-        return flat
-    median = statistics.median(known)
-    if median <= 0:
-        return flat
-    chunk_est = sum(
-        float(estimates[i])
-        if estimates.get(i) is not None and estimates[i] > 0
-        else median
-        for i in chunk
-    )
-    relative = chunk_est / (median * len(chunk))
-    return flat * max(1.0, relative)

@@ -10,9 +10,9 @@ re-simulating.
 
 Directory layout (docs/INTERNALS.md §14): entries live in
 **content-hash shards** — two-hex-character directories named by the
-fingerprint prefix — so concurrent writers (a multi-host ``ssh``
-backend, parallel pytest workers) spread their directory traffic and
-their lease contention across 256 buckets instead of one flat dir::
+fingerprint prefix — so concurrent writers (parallel pytest workers,
+CLI runs sharing one store directory) spread their directory traffic
+and their lease contention across 256 buckets instead of one flat dir::
 
     results/store/
       3f/db__hotspot__3fa89c....json

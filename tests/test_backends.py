@@ -1,13 +1,11 @@
 """Backend conformance suite + concurrent-writer store stress.
 
-Every registered :class:`repro.sim.pools.Pool` backend must honour the
-same contract (docs/INTERNALS.md §14): bit-identical results to the
-serial reference on a differential grid, crash-rebuild recovery where
-the capability flags claim it, warm-pool reuse across batches, and a
-result identity (``ExperimentConfig.fingerprint()``) that never sees
-*where* a cell executed.  The SSH backend runs here through its
-sshd-less loopback transport — same wire protocol, framed pickles and
-all, no network.
+Both :class:`repro.sim.pools.Pool` backends must honour the same
+contract (docs/INTERNALS.md §14): bit-identical results to the serial
+reference on a differential grid, crash-rebuild recovery for the
+process pool, warm-pool reuse across batches, and a result identity
+(``ExperimentConfig.fingerprint()``) that never sees *where* a cell
+executed.
 
 The store side: ≥4 concurrent writer processes hammering overlapping
 cells of a sharded :class:`~repro.sim.store.ResultStore` must leave no
@@ -29,22 +27,20 @@ from repro.sim.driver import RunSpec
 from repro.sim.engine import Engine
 from repro.sim.options import ExecutionOptions
 from repro.sim.pools import (
+    BACKEND_KINDS,
+    BROKEN_EXCEPTIONS,
     LocalProcessPool,
     SerialPool,
-    SSHPool,
-    available_backends,
     make_pool,
-    parse_backend_spec,
 )
-from repro.sim.pools.ssh import loopback_transport, parse_hostfile
 from repro.sim.store import ResultStore
 
 SRC_DIR = str(Path(__file__).resolve().parent.parent / "src")
 BUDGET = 60_000
 
-#: One spec per registered backend kind, loopback for ssh.  Growing the
-#: registry without growing this list fails test_registry_is_covered.
-CONFORMANCE_SPECS = ("serial", "local:2", "ssh-loopback:2")
+#: One spec per backend kind make_pool parses.  A new kind without a
+#: row here fails test_conformance_list_covers_the_registry.
+CONFORMANCE_SPECS = ("serial", "local:2")
 
 
 def config(**kwargs) -> ExperimentConfig:
@@ -71,60 +67,33 @@ def serial_reference():
 
 class TestRegistry:
     def test_spec_parsing(self):
-        assert parse_backend_spec("serial") == ("serial", None)
-        assert parse_backend_spec("local:4") == ("local", "4")
-        assert parse_backend_spec("ssh:hosts.txt") == ("ssh", "hosts.txt")
-        assert parse_backend_spec("ssh:user@h1:hosts") == (
-            "ssh", "user@h1:hosts"
-        )
+        default = os.cpu_count() or 2
+        assert make_pool("local").workers == default
+        assert make_pool("local:").workers == default
+        assert make_pool("local:4").workers == 4
+        assert make_pool("local:0").workers == 1
+        with pytest.raises(ValueError, match="integer worker count"):
+            make_pool("local:four")
 
-    def test_factories_produce_the_right_pools(self, tmp_path):
+    def test_factories_produce_the_right_pools(self):
         assert isinstance(make_pool("serial"), SerialPool)
         local = make_pool("local:3")
         assert isinstance(local, LocalProcessPool)
         assert local.workers == 3
-        loop = make_pool("ssh-loopback:2")
-        assert isinstance(loop, SSHPool)
-        assert loop.workers == 2
-        hostfile = tmp_path / "hosts"
-        hostfile.write_text("alpha:2\nbeta # one slot\n")
-        ssh = make_pool(f"ssh:{hostfile}")
-        assert isinstance(ssh, SSHPool)
-        assert ssh.hosts == [("alpha", 2), ("beta", 1)]
-        assert ssh.workers == 3
 
     def test_bad_specs_are_rejected(self):
         with pytest.raises(ValueError, match="unknown backend"):
             make_pool("slurm:4")
-        with pytest.raises(ValueError, match="hostfile"):
-            make_pool("ssh")
         with pytest.raises(ValueError, match="serial"):
             make_pool("serial:4")
 
-    def test_hostfile_parsing(self, tmp_path):
-        hostfile = tmp_path / "hosts"
-        hostfile.write_text(
-            "# fleet\nnode1:4\nnode2\n\nuser@node3:2  # comment\n"
-        )
-        assert parse_hostfile(hostfile) == [
-            ("node1", 4), ("node2", 1), ("user@node3", 2)
-        ]
-        empty = tmp_path / "empty"
-        empty.write_text("# nothing\n")
-        with pytest.raises(ValueError, match="no hosts"):
-            parse_hostfile(empty)
-
     def test_conformance_list_covers_the_registry(self):
-        # Every registered backend kind must appear in the conformance
-        # grid ("ssh" is exercised via its loopback transport, so the
-        # ssh-loopback row covers it).  A new backend registered without
-        # a conformance row fails here.
-        kinds = {parse_backend_spec(s)[0] for s in CONFORMANCE_SPECS}
-        for name in available_backends():
-            covered = name in kinds or (
-                name == "ssh" and "ssh-loopback" in kinds
-            )
-            assert covered, f"backend {name!r} has no conformance row"
+        # Every backend kind make_pool parses must appear in the
+        # conformance grid, and each row must build its own pool class.
+        kinds = {spec.partition(":")[0] for spec in CONFORMANCE_SPECS}
+        assert kinds == set(BACKEND_KINDS)
+        pools = {type(make_pool(spec)) for spec in CONFORMANCE_SPECS}
+        assert pools == {SerialPool, LocalProcessPool}
 
 
 class TestConformance:
@@ -156,7 +125,7 @@ class TestConformance:
         self, spec, serial_reference
     ):
         pool = make_pool(spec)
-        assert pool.capabilities.rebuild
+        assert pool.parallel
         plan = FaultPlan(seed=7, worker_crash=0.3)
         with Engine(
             pool=pool,
@@ -168,13 +137,8 @@ class TestConformance:
         ) as engine:
             produced = engine.run(grid(config())).values()
         stats = engine.stats
-        # Recovery takes one of two shapes: a whole-pool rebuild
-        # (local backend, or every ssh host dead at once), or — on the
-        # per-host ssh backend — surgical rerouting of the dead host's
-        # cells onto survivors (docs/INTERNALS.md §16), which never
-        # counts as a rebuild.
-        assert stats.worker_crashes > 0 or stats.hosts_down > 0
-        assert stats.pool_rebuilds > 0 or stats.cells_rerouted > 0
+        assert stats.worker_crashes > 0
+        assert stats.pool_rebuilds > 0
         # worker_crash kills workers between cells, never mid-result —
         # the recovered batch is still bit-identical.
         assert produced == serial_reference
@@ -192,14 +156,12 @@ class TestConformance:
         assert engine.stats.worker_crashes == 0
 
     def test_shared_store_across_backends(self, tmp_path):
-        # A result computed over the loopback-ssh backend must be served
-        # from the store to a serial engine: the fingerprint never sees
-        # the execution location.
+        # A result computed in the process pool must be served from the
+        # store to a serial engine: the fingerprint never sees the
+        # execution location.
         store = ResultStore(tmp_path / "store")
         cells = grid(config())
-        with Engine(
-            pool="ssh-loopback:2", store=store, memory_cache={}
-        ) as writer:
+        with Engine(pool="local:2", store=store, memory_cache={}) as writer:
             writer.run(cells)
         assert len(store) == len(cells)
         reader = Engine(pool="serial", store=store, memory_cache={})
@@ -225,25 +187,7 @@ class TestPoolLifecycle:
         pool = make_pool("serial")
         with pytest.raises(Exception) as excinfo:
             pool.submit_chunk(((), None, None))
-        assert isinstance(excinfo.value, pool.broken_exceptions)
-
-    def test_loopback_worker_death_is_a_broken_pool(self):
-        # Kill the worker processes under the pool; the next chunk must
-        # surface a broken_exceptions member (pipe EOF → PoolBrokenError),
-        # which is what the engine's rebuild machinery keys on.
-        pool = SSHPool([("loopback", 1)], transport=loopback_transport)
-        pool.start()
-        try:
-            for breaker in pool._breakers.values():
-                for worker in breaker.workers:
-                    worker.proc.kill()
-                    worker.proc.wait(timeout=10)
-            cells = ((0, RunSpec("db", "baseline", config()), 1),)
-            future = pool.submit_chunk((cells, None, None))
-            error = future.exception(timeout=30)
-            assert isinstance(error, pool.broken_exceptions)
-        finally:
-            pool.close(fail_fast=True)
+        assert isinstance(excinfo.value, BROKEN_EXCEPTIONS)
 
 
 class TestExecutionOptions:
@@ -251,8 +195,8 @@ class TestExecutionOptions:
         assert ExecutionOptions().resolved_backend() == "serial"
         assert ExecutionOptions(jobs=4).resolved_backend() == "local:4"
         assert ExecutionOptions(
-            backend="ssh-loopback:2", jobs=4
-        ).resolved_backend() == "ssh-loopback:2"
+            backend="local:2", jobs=4
+        ).resolved_backend() == "local:2"
 
     def test_argparse_round_trip(self):
         import argparse

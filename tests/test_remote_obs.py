@@ -41,7 +41,7 @@ from repro.sim.pools.worker import picklable, run_chunk
 BUDGET = 60_000
 
 #: Same conformance rows as tests/test_backends.py: one per backend kind.
-BACKENDS = ("serial", "local:2", "ssh-loopback:2")
+BACKENDS = ("serial", "local:2")
 
 
 def config(**kwargs) -> ExperimentConfig:
@@ -359,13 +359,10 @@ class TestChunkProtocol:
         assert chunk_info["cells"] is None  # minimal, capture-less form
 
     def test_engine_counts_worker_unarmed_timeouts(self):
-        # Engine in a worker thread + a parallel backend: the workers
-        # are fresh main threads, so SIGALRM arms fine there — but the
-        # serial fallback inside a thread cannot.  Use a chunk reply
-        # fabricated by the real worker path via ssh-loopback whose
-        # workers run serve() on their main thread: timeouts arm, so
-        # unarmed stays 0.  The positive case is the thread test above;
-        # here the parent merge path is exercised directly.
+        # Pool workers run cells on their main thread, so timeouts arm
+        # there and unarmed stays 0; the positive case is the thread
+        # test above.  Here the parent merge path is exercised
+        # directly.
         engine = Engine(pool="serial", use_cache=False, memory_cache={})
         engine._merge_worker_snapshot(
             {"v": SNAPSHOT_VERSION, "unarmed_timeouts": 3, "cells": None},

@@ -1,17 +1,27 @@
 """Retired settings fail loudly instead of being silently ignored.
 
 The vectorized ``turbo`` kernel and the ``decider_stream`` knob that
-only it needed were removed (docs/INTERNALS.md §17).  A caller still
-asking for them gets an error naming the retirement, not a run on a
-different kernel.
+only it needed were removed (docs/INTERNALS.md §17), and so were the
+fleet-scale execution layer's SSH backends, host health, straggler
+speculation and their fault sites (§16).  A caller still asking for
+them gets an error before a campaign starts, not a run on a different
+configuration.
 """
 
 from __future__ import annotations
 
+import json
+
 import pytest
 
 from repro.cli import build_parser
+from repro.faults import FaultPlan
 from repro.sim.config import ExperimentConfig
+from repro.sim.costmodel import SNAPSHOT_NAME, CostModel
+from repro.sim.driver import RunSpec
+from repro.sim.engine import Engine
+from repro.sim.options import ExecutionOptions
+from repro.sim.pools import make_pool
 
 
 def test_turbo_kernel_names_the_retirement_note():
@@ -35,3 +45,52 @@ def test_cli_kernel_choices_are_the_two_kernels():
 def test_decider_stream_is_not_a_keyword(stream):
     with pytest.raises(TypeError, match="decider_stream"):
         ExperimentConfig(decider_stream=stream)
+
+
+@pytest.mark.parametrize("backend", ["ssh:hosts.txt", "ssh-loopback:2"])
+def test_ssh_backends_name_the_retirement_note(backend):
+    with pytest.raises(ValueError, match=r"retired.*INTERNALS\.md §16"):
+        make_pool(backend)
+    with pytest.raises(ValueError, match=r"retired.*INTERNALS\.md §16"):
+        Engine(pool=backend)
+
+
+def test_cli_rejects_straggler_factor(capsys):
+    with pytest.raises(SystemExit):
+        build_parser().parse_args(["all", "--straggler-factor", "2.0"])
+    assert "--straggler-factor" in capsys.readouterr().err
+
+
+def test_straggler_factor_is_not_a_keyword():
+    with pytest.raises(TypeError, match="straggler_factor"):
+        Engine(straggler_factor=2.0)
+    with pytest.raises(TypeError, match="straggler_factor"):
+        ExecutionOptions(straggler_factor=2.0)
+
+
+@pytest.mark.parametrize(
+    "site", ["host_down", "straggler_delay", "straggler_delay_s"]
+)
+def test_retired_fault_sites_are_rejected(site):
+    with pytest.raises(ValueError, match=f"unknown fault-plan field '{site}'"):
+        FaultPlan.from_spec(f"seed=1,{site}=0.1")
+
+
+def test_cost_model_ignores_host_rows_of_old_snapshots(tmp_path):
+    # A snapshot written while the model still kept per-host speeds:
+    # its estimates load, its "hosts" rows are dropped.
+    cell = RunSpec("db", "hotspot", ExperimentConfig(max_instructions=25_000))
+    (tmp_path / SNAPSHOT_NAME).write_text(
+        json.dumps(
+            {
+                "v": 1,
+                "saved": 0.0,
+                "estimates": [[["db", "hotspot", "fast", 15], 1.25, 3]],
+                "hosts": [["alpha#1", 4.0, 2], ["beta#pid", 1.0, 1]],
+            }
+        )
+    )
+    model = CostModel.load_dir(tmp_path)
+    assert model.known_keys == 1
+    assert model.estimate(cell) == pytest.approx(1.25)
+    assert "hosts" not in model.to_dict()

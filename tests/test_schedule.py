@@ -1,15 +1,14 @@
 """Cost-model-driven scheduling: planner, cost model, conformance.
 
 The scheduler (docs/INTERNALS.md §18) must be invisible to results:
-``schedule=fifo|lpt`` across every backend produces bit-identical
+``schedule=fifo|lpt`` on both backends produces bit-identical
 ``BatchResult`` values and ordering — the conformance grid here proves
 it, including with a trained cost model forcing genuinely different
 packing.  The planner itself is pure (``repro.sim.schedule``), so its
 edge cases — empty rounds, single cells, cells < workers, all-equal
 estimates, cold start — are unit-tested directly, as is the cost model
 (EWMA learning, instruction buckets, snapshot round-trip, store
-warm-boot) and the estimate-relative straggler budget's extend-only
-clamp.
+warm-boot).
 """
 
 from __future__ import annotations
@@ -18,7 +17,6 @@ import json
 
 import pytest
 
-from repro.faults import FaultPlan
 from repro.obs import Telemetry
 from repro.sim import schedule as schedule_mod
 from repro.sim.config import ExperimentConfig
@@ -37,15 +35,13 @@ from repro.sim.schedule import (
     legacy_chunks,
     plan_round,
     predict_makespan,
-    straggler_budget,
 )
 from repro.sim.store import ResultStore
 
 BUDGET = 25_000
 
-#: Same grid as tests/test_backends.py: one spec per registered backend
-#: kind, loopback for ssh.
-CONFORMANCE_SPECS = ("serial", "local:2", "ssh-loopback:2")
+#: Same grid as tests/test_backends.py: one spec per backend kind.
+CONFORMANCE_SPECS = ("serial", "local:2")
 
 
 def config(**kwargs) -> ExperimentConfig:
@@ -181,53 +177,13 @@ class TestPlanner:
         with pytest.raises(ValueError):
             Engine(schedule="random")
 
-    def test_weighted_packing_loads_fast_slot_heavier(self):
-        indices = list(range(8))
-        estimates = {i: 1.0 for i in indices}
-        plan = plan_round(
-            indices,
-            estimates,
-            workers=2,
-            chunk_size=4,
-            slot_weights=[3.0, 1.0],
-        )
-        assert plan.mode == "lpt"
-        # Two bins; bin 0 (the 3× slot) should carry ~3× the cells.
-        sizes = sorted(len(c) for c in plan.chunks)
-        assert sizes == [2, 6]
-
 
 class TestPredictMakespan:
     def test_balanced(self):
         assert predict_makespan([1.0, 1.0, 1.0, 1.0], 2) == 2.0
 
-    def test_weighted_slots(self):
-        # A 2× slot finishes the same chunk in half the time.
-        assert predict_makespan([4.0, 4.0], 2, [2.0, 1.0]) == 4.0
-
     def test_empty(self):
         assert predict_makespan([], 4) == 0.0
-
-
-class TestStragglerBudget:
-    def test_no_estimates_is_flat_legacy(self):
-        assert straggler_budget(4.0, 0.5, [0, 1], {}) == 4.0 * 0.5 * 2
-
-    def test_heavy_chunk_budget_scales_with_estimate(self):
-        estimates = {i: 1.0 for i in range(10)}
-        estimates[10] = 10.0
-        flat = 4.0 * 0.5 * 1
-        budget = straggler_budget(4.0, 0.5, [10], estimates)
-        # A 10×-predicted chunk gets a ≥10× budget.
-        assert budget >= flat * 10
-
-    def test_low_estimates_never_shrink_the_budget(self):
-        # A wildly wrong *low* estimate must not fire speculation
-        # earlier than the legacy flat budget ever did.
-        estimates = {i: 1.0 for i in range(10)}
-        estimates[0] = 0.001
-        flat = 4.0 * 0.5 * 1
-        assert straggler_budget(4.0, 0.5, [0], estimates) == flat
 
 
 # ---------------------------------------------------------------------------
@@ -287,13 +243,11 @@ class TestCostModel:
     def test_snapshot_round_trip(self, tmp_path):
         model = CostModel()
         model.observe(spec(), 1.25)
-        model.observe_host("hostA#1", 4, 2.0)
         path = model.save_dir(tmp_path)
         assert path is not None and path.name == SNAPSHOT_NAME
         assert not model.dirty
         loaded = CostModel.load_dir(tmp_path)
         assert loaded.estimate(spec()) == pytest.approx(1.25)
-        assert loaded.host_speed("hostA#1") == pytest.approx(2.0)
 
     def test_load_missing_or_corrupt_is_empty(self, tmp_path):
         assert CostModel.load_dir(tmp_path / "nope").known_keys == 0
@@ -303,17 +257,6 @@ class TestCostModel:
             json.dumps({"v": COST_MODEL_VERSION + 1, "estimates": []})
         )
         assert CostModel.load_dir(tmp_path).known_keys == 0
-
-    def test_host_weights(self):
-        model = CostModel()
-        assert model.host_weights({"a#1": 1}) is None  # nothing observed
-        model.observe_host("a#1", 4, 1.0)  # 4 cells/s
-        model.observe_host("b#1", 1, 1.0)  # 1 cell/s
-        weights = model.host_weights({"a#1": 1, "b#1": 1, "c#1": 1})
-        # a is above the mean, b below, unobserved c gets 1.0.
-        assert weights[0] > 1.0 > weights[1]
-        assert weights[2] == 1.0
-        assert all(w >= 0.05 for w in weights)
 
     def test_store_meta_and_bootstrap(self, tmp_path):
         store = ResultStore(tmp_path / "store")
@@ -332,8 +275,6 @@ class TestCostModel:
         assert fresh.bootstrap_from_store(store) == 1
         assert fresh.estimate(cell) == pytest.approx(0.5)
         assert not fresh.dirty  # replayed history is already persisted
-        # Host speeds are never replayed across processes.
-        assert fresh.host_speed("hostA#1") is None
 
     def test_bootstrap_skips_invalid_meta(self, tmp_path):
         model = CostModel()
@@ -500,62 +441,3 @@ def test_schedule_conformance_bit_identical(backend, schedule):
     assert batch.values() == expected
     assert [o.status for o in batch] == ["ok"] * len(specs)
 
-
-# ---------------------------------------------------------------------------
-# host death mid-batch: re-planning against survivors
-
-
-@pytest.mark.chaos
-class TestHostDeathReplanning:
-    #: Seed 12 at p=0.5: loop0@incarnation-1 draws dead, loop1 alive
-    #: (same draw the resilience suite documents).
-    PLAN = dict(seed=12, host_down=0.5)
-
-    def test_rerouted_chunks_replan_against_survivors(self):
-        specs = grid()
-        expected_engine = Engine(
-            pool="serial", use_cache=False, memory_cache={}
-        )
-        try:
-            expected = expected_engine.run(specs).values()
-        finally:
-            expected_engine.close()
-        model = trained_model(specs)
-        engine = Engine(
-            pool="ssh-loopback:2",
-            use_cache=False,
-            memory_cache={},
-            fault_plan=FaultPlan(**self.PLAN),
-            max_retries=3,
-            chunk_size=1,
-            failure_policy="partial",
-            cost_model=model,
-        )
-        try:
-            batch = engine.run(specs)
-            # After the death the pool's live-slot map only names the
-            # survivor: re-planned rounds weigh surviving hosts only.
-            slots = engine.pool.host_slots()
-        finally:
-            engine.close()
-        assert [o.status for o in batch] == ["ok"] * len(specs)
-        assert batch.values() == expected
-        assert engine.stats.cells_rerouted > 0
-        assert len(slots) == 1  # one of two hosts is gone
-        host_id = next(iter(slots))
-        assert "#" in host_id  # host#incarnation identity
-
-    def test_host_slots_before_and_after_start(self):
-        from repro.sim.pools import make_pool
-
-        pool = make_pool("ssh-loopback:2")
-        cold = pool.host_slots()
-        assert len(cold) == 2
-        assert all("#" in host for host in cold)
-        try:
-            pool.start()
-            live = pool.host_slots()
-            assert len(live) == 2
-            assert all(slots >= 1 for slots in live.values())
-        finally:
-            pool.close()

@@ -33,7 +33,7 @@ from repro.sim.experiment import (
     set_default_store,
 )
 from repro.sim.options import ExecutionOptions
-from repro.sim.pools.base import Pool, PoolCapabilities, completed_future
+from repro.sim.pools.base import Pool, completed_future
 from repro.sim.store import ResultStore
 
 BUDGET = 60_000
@@ -339,9 +339,7 @@ class _SkewedPool(Pool):
     """A parallel backend whose workers answer in a foreign format."""
 
     name = "skewed"
-    capabilities = PoolCapabilities(
-        parallel=True, rebuild=False, remote=False, warm_start=False
-    )
+    parallel = True
     workers = 2
 
     def __init__(self, reply):
