@@ -22,80 +22,50 @@ Quickstart::
     print(report.summary())
 """
 
-from repro.core import (
-    ACEFramework,
-    FootprintPredictor,
-    HotspotACEPolicy,
-    SizeClassifier,
-)
-from repro.core.framework import ACEReport
-from repro.isa import MethodBuilder, Program, ProgramBuilder, assemble
-from repro.phases import BBVACEPolicy
-from repro.sim.config import (
-    BBVConfig,
-    ExperimentConfig,
-    MachineConfig,
-    ScaledParameters,
-    TuningConfig,
-    build_machine,
-)
-from repro.vm import VMConfig, VirtualMachine
-from repro.workloads import (
-    BENCHMARK_NAMES,
-    benchmark_spec,
-    build_benchmark,
-    build_suite,
-)
-
 __version__ = "1.0.0"
 
-__all__ = [
-    "ACEFramework",
-    "ACEReport",
-    "BBVACEPolicy",
-    "BBVConfig",
-    "BENCHMARK_NAMES",
-    "Engine",
-    "ExperimentConfig",
-    "FootprintPredictor",
-    "HotspotACEPolicy",
-    "MachineConfig",
-    "MethodBuilder",
-    "Program",
-    "ProgramBuilder",
-    "ResultStore",
-    "RunSpec",
-    "ScaledParameters",
-    "SizeClassifier",
-    "TuningConfig",
-    "VMConfig",
-    "VirtualMachine",
-    "assemble",
-    "benchmark_spec",
-    "build_benchmark",
-    "build_machine",
-    "build_suite",
-    "run_suite",
-    "__version__",
-]
-
-#: Engine-layer names are imported lazily (PEP 562): the policy packages
-#: they pull in would otherwise create an import cycle with sim.config.
+#: Public name -> defining module.  Every name is imported on first
+#: access (PEP 562), so ``import repro`` — and with it every
+#: ``import repro.<submodule>`` — loads nothing else.
 _LAZY = {
-    "Engine": ("repro.sim.engine", "Engine"),
-    "ResultStore": ("repro.sim.store", "ResultStore"),
-    "RunSpec": ("repro.sim.driver", "RunSpec"),
-    "run_suite": ("repro.sim.experiment", "run_suite"),
+    "ACEFramework": "repro.core.framework",
+    "ACEReport": "repro.core.framework",
+    "BBVACEPolicy": "repro.phases.policy",
+    "BBVConfig": "repro.sim.config",
+    "BENCHMARK_NAMES": "repro.workloads.names",
+    "Engine": "repro.sim.engine",
+    "ExperimentConfig": "repro.sim.config",
+    "FootprintPredictor": "repro.core.prediction",
+    "HotspotACEPolicy": "repro.core.policy",
+    "MachineConfig": "repro.sim.config",
+    "MethodBuilder": "repro.isa.builder",
+    "Program": "repro.isa.program",
+    "ProgramBuilder": "repro.isa.builder",
+    "ResultStore": "repro.sim.store",
+    "RunSpec": "repro.sim.results",
+    "ScaledParameters": "repro.sim.config",
+    "SizeClassifier": "repro.core.cu_assignment",
+    "TuningConfig": "repro.sim.config",
+    "VMConfig": "repro.vm.vm",
+    "VirtualMachine": "repro.vm.vm",
+    "assemble": "repro.isa.assembler",
+    "benchmark_spec": "repro.workloads.specjvm",
+    "build_benchmark": "repro.workloads.specjvm",
+    "build_machine": "repro.sim.config",
+    "build_suite": "repro.workloads.specjvm",
+    "run_suite": "repro.sim.experiment",
 }
+
+__all__ = sorted(_LAZY) + ["__version__"]
 
 
 def __getattr__(name):
     try:
-        module_name, attr = _LAZY[name]
+        module_name = _LAZY[name]
     except KeyError:
         raise AttributeError(
             f"module {__name__!r} has no attribute {name!r}"
         ) from None
     import importlib
 
-    return getattr(importlib.import_module(module_name), attr)
+    return getattr(importlib.import_module(module_name), name)

@@ -42,10 +42,10 @@ from typing import List, Optional
 
 from repro.report import exhibits
 from repro.sim.config import SIM_KERNELS, ExperimentConfig
-from repro.sim.driver import SCHEMES, RunSpec
 from repro.sim.experiment import run_suite
 from repro.sim.options import ExecutionOptions
-from repro.workloads.specjvm import BENCHMARK_NAMES
+from repro.sim.results import SCHEMES, RunSpec
+from repro.workloads.names import BENCHMARK_NAMES
 
 SUITE_EXHIBITS = {
     "figure1": exhibits.figure1,
@@ -303,7 +303,7 @@ def dump_stats_json(args, engine, elapsed: float) -> None:
     payload = dataclasses.asdict(engine.stats)
     payload["elapsed_seconds"] = round(elapsed, 3)
     payload["jobs"] = engine.jobs
-    payload["backend"] = engine.pool.name
+    payload["backend"] = engine.backend
     text = json.dumps(payload, indent=2, sort_keys=True)
     if args.stats_json == "-":
         print(text)
@@ -478,7 +478,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         f"(suite resolved in {elapsed:.0f}s: {stats.simulations} "
         f"simulated, {stats.memory_hits} memory hits, "
         f"{stats.store_hits} store hits, "
-        f"backend={engine.pool.name}:{engine.jobs}{degraded})"
+        f"backend={engine.backend}:{engine.jobs}{degraded})"
     )
     dump_stats_json(args, engine, elapsed)
     return 0

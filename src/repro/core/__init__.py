@@ -16,29 +16,3 @@ the DO system's hotspot machinery:
 * :mod:`repro.core.prediction` — the conclusion's future-work sketch: JIT
   static analysis seeding the tuning list with a predicted configuration.
 """
-
-from repro.core.cu_assignment import CUAssignment, SizeClassifier
-from repro.core.tuning import (
-    HotspotTuningState,
-    TuningOutcome,
-    TuningPhase,
-    choose_best,
-    make_config_list,
-)
-from repro.core.policy import HotspotACEPolicy, HotspotPolicyStats
-from repro.core.prediction import FootprintPredictor
-from repro.core.framework import ACEFramework
-
-__all__ = [
-    "ACEFramework",
-    "CUAssignment",
-    "FootprintPredictor",
-    "HotspotACEPolicy",
-    "HotspotPolicyStats",
-    "HotspotTuningState",
-    "SizeClassifier",
-    "TuningOutcome",
-    "TuningPhase",
-    "choose_best",
-    "make_config_list",
-]

@@ -21,7 +21,6 @@ Wires the framework into the VM:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
 from repro.core.cu_assignment import SizeClassifier
@@ -43,6 +42,7 @@ from repro.core.tuning import (
     TuningPhase,
     make_config_list,
 )
+from repro.sim.results import HotspotPolicyStats
 from repro.trace.events import BlockEvent
 from repro.vm.hotspot import HotspotInfo
 from repro.vm.jit import EntryStub
@@ -88,46 +88,6 @@ class _IpcAccumulator:
         mean = self.total / self.n
         variance = max(0.0, self.total_sq / self.n - mean * mean)
         return (variance ** 0.5) / mean
-
-
-@dataclass
-class HotspotPolicyStats:
-    """Final statistics of one hotspot-policy run (Tables 4–6 inputs)."""
-
-    hotspots_by_kind: Dict[str, int] = field(default_factory=dict)
-    managed_hotspots: int = 0
-    tuned_hotspots: int = 0
-    unmanaged_hotspots: int = 0
-    tunings: Dict[str, int] = field(default_factory=dict)
-    reconfigs: Dict[str, int] = field(default_factory=dict)
-    denied: Dict[str, int] = field(default_factory=dict)
-    coverage: Dict[str, float] = field(default_factory=dict)
-    per_hotspot_ipc_cov: float = 0.0
-    inter_hotspot_ipc_cov: float = 0.0
-    retunes: int = 0
-    early_aborts: int = 0
-    kind_of: Dict[str, str] = field(default_factory=dict)
-    hotspot_mean_ipc: Dict[str, float] = field(default_factory=dict)
-
-    @property
-    def total_managed_hotspot_count(self) -> int:
-        return self.managed_hotspots
-
-    @property
-    def tuned_fraction(self) -> float:
-        if self.managed_hotspots == 0:
-            return 0.0
-        return self.tuned_hotspots / self.managed_hotspots
-
-    def to_dict(self) -> Dict[str, object]:
-        """Plain-JSON form (result-store schema v1)."""
-        import dataclasses
-
-        return dataclasses.asdict(self)
-
-    @classmethod
-    def from_dict(cls, payload: Dict[str, object]) -> "HotspotPolicyStats":
-        return cls(**payload)
 
 
 class HotspotACEPolicy(AdaptationHooks):

@@ -7,27 +7,3 @@ Per-access and leakage energies scale with cache capacity following
 CACTI-style laws; see :mod:`repro.energy.params` for the scaling and the
 default constants.
 """
-
-from repro.energy.params import (
-    DEFAULT_L1D_ENERGY,
-    DEFAULT_L2_ENERGY,
-    CacheEnergySpec,
-    EnergyPoint,
-    scaled_energy_table,
-)
-from repro.energy.model import (
-    CacheEnergyModel,
-    EnergyModel,
-    PipelineEnergyModel,
-)
-
-__all__ = [
-    "CacheEnergyModel",
-    "CacheEnergySpec",
-    "DEFAULT_L1D_ENERGY",
-    "DEFAULT_L2_ENERGY",
-    "EnergyModel",
-    "EnergyPoint",
-    "PipelineEnergyModel",
-    "scaled_energy_table",
-]

@@ -12,58 +12,3 @@ assembler, which keeps the representation honest for tooling
 (disassembly, static statistics) without forcing per-instruction
 interpretation.
 """
-
-from repro.isa.instructions import (
-    Instruction,
-    InstructionMix,
-    Opcode,
-    synthesize_instructions,
-)
-from repro.isa.program import (
-    AlternatingDecider,
-    BasicBlock,
-    CallSite,
-    CondBranch,
-    DataRegion,
-    Goto,
-    LoopDecider,
-    MemoryBehavior,
-    Method,
-    PeriodicDecider,
-    PersistentAlternatingDecider,
-    Program,
-    ProgramValidationError,
-    RandomDecider,
-    Return,
-)
-from repro.isa.builder import MethodBuilder, ProgramBuilder
-from repro.isa.assembler import AssemblyError, assemble
-from repro.isa.disasm import disassemble_method, disassemble_program
-
-__all__ = [
-    "AlternatingDecider",
-    "AssemblyError",
-    "BasicBlock",
-    "CallSite",
-    "CondBranch",
-    "DataRegion",
-    "Goto",
-    "Instruction",
-    "InstructionMix",
-    "LoopDecider",
-    "MemoryBehavior",
-    "Method",
-    "MethodBuilder",
-    "Opcode",
-    "PeriodicDecider",
-    "PersistentAlternatingDecider",
-    "Program",
-    "ProgramBuilder",
-    "ProgramValidationError",
-    "RandomDecider",
-    "Return",
-    "assemble",
-    "disassemble_method",
-    "disassemble_program",
-    "synthesize_instructions",
-]

@@ -70,14 +70,6 @@ from repro.obs.registry import (
     MetricsRegistry,
     NullMetricsRegistry,
 )
-from repro.obs.remote import (
-    DEFAULT_CELL_EVENT_CAP,
-    ChunkCapture,
-    merge_chunk_info,
-    merge_metrics,
-    rebase_start_us,
-    snapshot_metrics,
-)
 
 __all__ = [
     "BATCH_DEGRADED",
@@ -90,9 +82,7 @@ __all__ = [
     "CONFIG_DEMOTED",
     "CONFIG_PINNED",
     "CONFIG_TRIED",
-    "ChunkCapture",
     "Counter",
-    "DEFAULT_CELL_EVENT_CAP",
     "EVENT_TYPES",
     "Event",
     "EventLog",
@@ -122,10 +112,6 @@ __all__ = [
     "WALL_CLOCK_EVENTS",
     "WORKER_CRASH",
     "chrome_trace",
-    "merge_chunk_info",
-    "merge_metrics",
-    "rebase_start_us",
-    "snapshot_metrics",
     "summary_markdown",
     "timeline_markdown",
     "write_chrome_trace",

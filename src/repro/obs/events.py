@@ -77,6 +77,13 @@ BATCH_RESUMED = "batch_resumed"
 # measured makespan so cost-model quality is observable.
 SCHEDULE_PLANNED = "schedule_planned"
 
+#: Default per-cell event budget for worker-side capture.  Deliberately
+#: far below the parent log's bound: a chunk reply is one pickle, and an
+#: over-chatty cell must truncate (counted) rather than balloon it.
+#: Lives here, not in :mod:`repro.obs.remote`, so the engine can default
+#: to it without loading the worker-side capture code.
+DEFAULT_CELL_EVENT_CAP = 2048
+
 #: The complete vocabulary, in rough lifecycle order (used by summaries).
 EVENT_TYPES: Tuple[str, ...] = (
     HOTSPOT_DETECTED,

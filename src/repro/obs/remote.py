@@ -41,6 +41,7 @@ from typing import Dict, List, Optional, Tuple
 
 from repro.obs.events import (
     CELL_EXEC,
+    DEFAULT_CELL_EVENT_CAP,
     Event,
     EventLog,
     Telemetry,
@@ -50,11 +51,6 @@ from repro.obs.events import (
 #: a mixed-version parent/worker fleet degrades to "no telemetry"
 #: instead of mis-parsing.
 SNAPSHOT_VERSION = 1
-
-#: Default per-cell event budget for worker-side capture.  Deliberately
-#: far below the parent log's bound: a chunk reply is one pickle, and an
-#: over-chatty cell must truncate (counted) rather than balloon it.
-DEFAULT_CELL_EVENT_CAP = 2048
 
 
 def worker_origin() -> str:

@@ -14,37 +14,3 @@ tuning algorithm of Dhodapkar & Smith (ISCA'02):
   next-phase predictor — exactly the implementation the paper compares
   against.
 """
-
-from repro.phases.bbv import BBVAccumulator, BBVector, manhattan_distance
-from repro.phases.classifier import PhaseClassifier, PhaseOccurrenceStats
-from repro.phases.tuner import PhaseTuningEntry
-from repro.phases.policy import BBVACEPolicy, BBVPolicyStats
-from repro.phases.positional import (
-    LargeProcedureClassifier,
-    PositionalACEPolicy,
-)
-from repro.phases.prediction import NextPhasePredictor
-from repro.phases.working_set import (
-    WorkingSetAccumulator,
-    WorkingSetClassifier,
-    make_working_set_policy,
-    relative_signature_distance,
-)
-
-__all__ = [
-    "BBVACEPolicy",
-    "BBVAccumulator",
-    "BBVPolicyStats",
-    "BBVector",
-    "LargeProcedureClassifier",
-    "NextPhasePredictor",
-    "PhaseClassifier",
-    "PhaseOccurrenceStats",
-    "PhaseTuningEntry",
-    "PositionalACEPolicy",
-    "WorkingSetAccumulator",
-    "WorkingSetClassifier",
-    "make_working_set_policy",
-    "manhattan_distance",
-    "relative_signature_distance",
-]

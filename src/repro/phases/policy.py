@@ -20,7 +20,6 @@ polluted sample is the standard mitigation.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Dict, Optional, Tuple
 
 from repro.core.tuning import TuningConfig, TuningOutcome
@@ -32,58 +31,12 @@ from repro.obs.events import (
     PHASE_TRANSITION,
 )
 from repro.phases.bbv import BBVAccumulator, BBVConfig
-from repro.phases.classifier import PhaseClassifier, PhaseOccurrenceStats
+from repro.phases.classifier import PhaseClassifier
 from repro.phases.tuner import Config, PhaseTuningEntry
+from repro.sim.results import BBVPolicyStats
 from repro.trace.events import BlockEvent
 from repro.trace.stream import IntervalSplitter
 from repro.vm.vm import AdaptationHooks, VirtualMachine
-
-
-@dataclass
-class BBVPolicyStats:
-    """Final statistics of one BBV-policy run (Tables 5–6, Figure 1)."""
-
-    n_phases: int = 0
-    tuned_phases: int = 0
-    intervals_total: int = 0
-    intervals_in_tuned_phases: int = 0
-    per_phase_ipc_cov: float = 0.0
-    inter_phase_ipc_cov: float = 0.0
-    tunings: Dict[str, int] = field(default_factory=dict)
-    reconfigs: Dict[str, int] = field(default_factory=dict)
-    safety_reconfigs: Dict[str, int] = field(default_factory=dict)
-    coverage: Dict[str, float] = field(default_factory=dict)
-    occurrence_stats: PhaseOccurrenceStats = field(
-        default_factory=PhaseOccurrenceStats
-    )
-    discarded_trials: int = 0
-    #: Next-phase-predictor extension (None when running paper-faithful).
-    predicted_applications: int = 0
-    prediction_accuracy: Optional[float] = None
-
-    @property
-    def tuned_interval_fraction(self) -> float:
-        if self.intervals_total == 0:
-            return 0.0
-        return self.intervals_in_tuned_phases / self.intervals_total
-
-    @property
-    def tuned_phase_fraction(self) -> float:
-        return self.tuned_phases / self.n_phases if self.n_phases else 0.0
-
-    def to_dict(self) -> Dict[str, object]:
-        """Plain-JSON form (result-store schema v1)."""
-        import dataclasses
-
-        return dataclasses.asdict(self)
-
-    @classmethod
-    def from_dict(cls, payload: Dict[str, object]) -> "BBVPolicyStats":
-        payload = dict(payload)
-        payload["occurrence_stats"] = PhaseOccurrenceStats.from_dict(
-            payload["occurrence_stats"]
-        )
-        return cls(**payload)
 
 
 class BBVACEPolicy(AdaptationHooks):

@@ -6,49 +6,3 @@ regenerated through :mod:`repro.report.exhibits`; the renderers in
 way the paper lays them out, side by side with the paper's published
 numbers (:mod:`repro.report.paper`).
 """
-
-from repro.report.tables import render_kv_table, render_table
-from repro.report.figures import render_bar_chart, render_grouped_bars
-from repro.report.paper import PAPER
-from repro.report.exhibits import (
-    ExhibitResult,
-    energy_breakdown,
-    figure1,
-    figure3,
-    figure4,
-    table1,
-    table2,
-    table3,
-    table4,
-    table5,
-    table6,
-)
-from repro.report.analysis import (
-    hotspot_report,
-    phase_report,
-    render_hotspot_report,
-    render_phase_report,
-)
-
-__all__ = [
-    "ExhibitResult",
-    "PAPER",
-    "energy_breakdown",
-    "figure1",
-    "hotspot_report",
-    "phase_report",
-    "render_hotspot_report",
-    "render_phase_report",
-    "figure3",
-    "figure4",
-    "render_bar_chart",
-    "render_grouped_bars",
-    "render_kv_table",
-    "render_table",
-    "table1",
-    "table2",
-    "table3",
-    "table4",
-    "table5",
-    "table6",
-]

@@ -34,7 +34,7 @@ class HotspotReportRow:
 def hotspot_report(policy, run_result=None) -> List[HotspotReportRow]:
     """Per-hotspot rows from a finished :class:`HotspotACEPolicy` run.
 
-    ``run_result`` (a :class:`repro.sim.driver.RunResult`) enriches rows
+    ``run_result`` (a :class:`repro.sim.results.RunResult`) enriches rows
     with DO-database invocation counts when available.
     """
     summaries = run_result.hotspot_summaries if run_result else {}

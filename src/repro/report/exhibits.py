@@ -21,7 +21,7 @@ from repro.sim.config import (
     MachineConfig,
 )
 from repro.scaling import STRUCTURE_SCALE
-from repro.workloads.specjvm import SHORT_NAMES, SPECJVM_DESCRIPTIONS
+from repro.workloads.names import SHORT_NAMES, SPECJVM_DESCRIPTIONS
 
 
 @dataclass

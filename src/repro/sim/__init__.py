@@ -1,8 +1,8 @@
 """Simulation driver: configuration, single runs, experiments, metrics.
 
-``driver`` and ``experiment`` are imported lazily (PEP 562): they depend on
-the policy packages, which themselves import :mod:`repro.sim.config`, and
-eager imports here would close an import cycle.
+Only the configuration and the metric helpers are imported eagerly; every
+other name is imported on first access (PEP 562), so importing a
+``repro.sim`` submodule never loads the simulator.
 """
 
 from repro.sim.config import (
@@ -46,8 +46,8 @@ __all__ = [
 ]
 
 _LAZY = {
-    "RunResult": ("repro.sim.driver", "RunResult"),
-    "RunSpec": ("repro.sim.driver", "RunSpec"),
+    "RunResult": ("repro.sim.results", "RunResult"),
+    "RunSpec": ("repro.sim.results", "RunSpec"),
     "run_benchmark": ("repro.sim.driver", "run_benchmark"),
     "execute": ("repro.sim.driver", "execute"),
     "Engine": ("repro.sim.engine", "Engine"),

@@ -14,25 +14,24 @@ import dataclasses
 import hashlib
 import json
 from dataclasses import dataclass, field, replace
-from typing import Dict, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, Optional, Tuple
 
 # TuningConfig and BBVConfig live with the code they parameterise (they are
-# re-exported here so configuration stays one-stop for users).
+# re-exported here so configuration stays one-stop for users).  Like the
+# energy constants and timing parameters below, they come from leaf
+# modules; the machine model itself is imported by build_machine only.
 from repro.core.tuning import TuningConfig
 from repro.phases.bbv import BBVConfig
-from repro.energy.model import CacheEnergyModel, EnergyModel, PipelineEnergyModel
 from repro.energy.params import (
     CacheEnergySpec,
     DEFAULT_L1D_ENERGY,
     DEFAULT_L2_ENERGY,
     MEMORY_ACCESS_NJ,
 )
-from repro.uarch.branch import BimodalPredictor
-from repro.uarch.cache import Cache
-from repro.uarch.cu import CacheSizeCU, ConfigurableUnit, IssueQueueCU, ReorderBufferCU
-from repro.uarch.hierarchy import CacheHierarchy, InstructionCacheModel
-from repro.uarch.machine import MachineModel
 from repro.uarch.timing import TimingModel, TimingParams
+
+if TYPE_CHECKING:
+    from repro.uarch.machine import MachineModel
 
 KB = 1024
 MB = 1024 * KB
@@ -243,6 +242,22 @@ class ExperimentConfig:
 
 def build_machine(config: Optional[MachineConfig] = None) -> MachineModel:
     """Construct a fresh machine model from a configuration."""
+    from repro.energy.model import (
+        CacheEnergyModel,
+        EnergyModel,
+        PipelineEnergyModel,
+    )
+    from repro.uarch.branch import BimodalPredictor
+    from repro.uarch.cache import Cache
+    from repro.uarch.cu import (
+        CacheSizeCU,
+        ConfigurableUnit,
+        IssueQueueCU,
+        ReorderBufferCU,
+    )
+    from repro.uarch.hierarchy import CacheHierarchy, InstructionCacheModel
+    from repro.uarch.machine import MachineModel
+
     config = config or MachineConfig()
     params = config.params
     l1d_cache = Cache(

@@ -70,7 +70,7 @@ def instruction_bucket(max_instructions: Optional[int]) -> int:
 
 
 def cost_key(spec) -> CostKey:
-    """The estimate bucket a :class:`~repro.sim.driver.RunSpec` maps to."""
+    """The estimate bucket a :class:`~repro.sim.results.RunSpec` maps to."""
     config = spec.config
     budget = spec.max_instructions
     if budget is None:

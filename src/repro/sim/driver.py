@@ -2,175 +2,30 @@
 
 Wires together workload, machine, VM, and policy, runs to the instruction
 budget, and packages everything the evaluation needs into a
-:class:`RunResult`.
+:class:`RunResult`.  The cell and result types live in the light
+:mod:`repro.sim.results`; this module re-exports them, and importing it
+loads the whole simulator.
 """
 
 from __future__ import annotations
 
-import copy
-import dataclasses
-from dataclasses import dataclass, field
-from typing import Dict, Optional, Tuple, Union
+from typing import Dict, Optional, Union
 
-from repro.core.policy import HotspotACEPolicy, HotspotPolicyStats
+from repro.core.policy import HotspotACEPolicy
 from repro.core.prediction import install_program_for_prediction
-from repro.phases.policy import BBVACEPolicy, BBVPolicyStats
+from repro.phases.policy import BBVACEPolicy
 from repro.sim.config import SIM_KERNELS, ExperimentConfig, build_machine
+from repro.sim.results import (  # noqa: F401 — re-exported data layer
+    SCHEMES,
+    BBVPolicyStats,
+    HotspotPolicyStats,
+    HotspotSummary,
+    RunResult,
+    RunSpec,
+)
 from repro.vm.fastvm import FastVirtualMachine
 from repro.vm.vm import AdaptationHooks, VMConfig, VirtualMachine
 from repro.workloads.specjvm import BuiltBenchmark, build_benchmark
-
-SCHEMES = ("baseline", "bbv", "hotspot")
-
-
-@dataclass
-class RunSpec:
-    """One experiment cell: everything needed to execute a single run.
-
-    This replaces the ``run_benchmark(benchmark, scheme, config, policy,
-    max_instructions, preload_database)`` parameter sprawl — a cell is one
-    value that the driver, the engine, and the sweeps all accept.
-    ``policy`` and ``preload_database`` make a cell *non-cacheable* (their
-    state is not captured by the configuration fingerprint).
-    """
-
-    benchmark: Union[str, BuiltBenchmark]
-    scheme: str = "hotspot"
-    config: ExperimentConfig = field(default_factory=ExperimentConfig)
-    policy: Optional[AdaptationHooks] = None
-    max_instructions: Optional[int] = None
-    preload_database: Optional[object] = None
-
-    @property
-    def benchmark_name(self) -> str:
-        if isinstance(self.benchmark, str):
-            return self.benchmark
-        return self.benchmark.name
-
-    @property
-    def cacheable(self) -> bool:
-        """True when the cell is fully described by (name, scheme, config).
-
-        A prebuilt ``BuiltBenchmark`` object, an explicit ``policy``, or a
-        ``preload_database`` all carry state outside the fingerprint, so
-        such cells always execute.
-        """
-        return (
-            isinstance(self.benchmark, str)
-            and self.policy is None
-            and self.preload_database is None
-        )
-
-    def effective_fingerprint(self) -> str:
-        """Configuration fingerprint with ``max_instructions`` folded in."""
-        if self.max_instructions is None:
-            return self.config.fingerprint()
-        config = copy.deepcopy(self.config)
-        config.max_instructions = self.max_instructions
-        return config.fingerprint()
-
-    def cache_key(self) -> Tuple[str, str, str]:
-        """Identity of this cell in both cache layers."""
-        return (
-            self.benchmark_name,
-            self.scheme,
-            self.effective_fingerprint(),
-        )
-
-
-@dataclass
-class HotspotSummary:
-    """Per-hotspot data extracted from the DO database (Table 4)."""
-
-    name: str
-    invocations: int
-    mean_size: float
-    detected_at: Optional[int]
-    pre_hot_instructions: int
-
-    def to_dict(self) -> Dict[str, object]:
-        return dataclasses.asdict(self)
-
-    @classmethod
-    def from_dict(cls, payload: Dict[str, object]) -> "HotspotSummary":
-        return cls(**payload)
-
-
-@dataclass
-class RunResult:
-    """Everything measured in one run."""
-
-    benchmark: str
-    scheme: str
-    instructions: int
-    cycles: float
-    ipc: float
-    l1d_energy_nj: float
-    l2_energy_nj: float
-    l1d_breakdown: Dict[str, float]
-    l2_breakdown: Dict[str, float]
-    memory_nj: float
-    l1d_miss_rate: float
-    l2_miss_rate: float
-    branch_mispredict_rate: float
-    n_hotspots: int
-    instructions_in_hotspots: int
-    hotspot_summaries: Dict[str, HotspotSummary] = field(default_factory=dict)
-    hotspot_stats: Optional[HotspotPolicyStats] = None
-    bbv_stats: Optional[BBVPolicyStats] = None
-    applied_reconfigurations: Dict[str, int] = field(default_factory=dict)
-    denied_reconfigurations: Dict[str, int] = field(default_factory=dict)
-    gc_invocations: int = 0
-
-    @property
-    def hotspot_coverage(self) -> float:
-        """Fraction of dynamic instructions inside detected hotspots."""
-        if self.instructions == 0:
-            return 0.0
-        return self.instructions_in_hotspots / self.instructions
-
-    @property
-    def identification_latency(self) -> float:
-        """Fraction of execution spent in not-yet-hot invocations of
-        methods that eventually became hotspots (Table 4's last row)."""
-        if self.instructions == 0:
-            return 0.0
-        pre = sum(
-            h.pre_hot_instructions for h in self.hotspot_summaries.values()
-        )
-        return min(1.0, pre / self.instructions)
-
-    @property
-    def avg_hotspot_size(self) -> float:
-        sizes = [h.mean_size for h in self.hotspot_summaries.values()]
-        return sum(sizes) / len(sizes) if sizes else 0.0
-
-    @property
-    def avg_invocations_per_hotspot(self) -> float:
-        invs = [h.invocations for h in self.hotspot_summaries.values()]
-        return sum(invs) / len(invs) if invs else 0.0
-
-    def to_dict(self) -> Dict[str, object]:
-        """Plain-JSON form (store schema v1); nested dataclasses recurse."""
-        return dataclasses.asdict(self)
-
-    @classmethod
-    def from_dict(cls, payload: Dict[str, object]) -> "RunResult":
-        """Inverse of :meth:`to_dict`; raises on unknown/missing fields."""
-        payload = dict(payload)
-        payload["hotspot_summaries"] = {
-            name: HotspotSummary.from_dict(summary)
-            for name, summary in payload["hotspot_summaries"].items()
-        }
-        if payload.get("hotspot_stats") is not None:
-            payload["hotspot_stats"] = HotspotPolicyStats.from_dict(
-                payload["hotspot_stats"]
-            )
-        if payload.get("bbv_stats") is not None:
-            payload["bbv_stats"] = BBVPolicyStats.from_dict(
-                payload["bbv_stats"]
-            )
-        return cls(**payload)
 
 
 def make_policy(scheme: str, config: ExperimentConfig) -> AdaptationHooks:

@@ -3,7 +3,7 @@ execution backend.
 
 Every exhibit, bench, and CLI command ultimately needs the same thing: a
 batch of ``(benchmark, scheme, config)`` cells turned into
-:class:`~repro.sim.driver.RunResult` bundles.  :class:`Engine` is the one
+:class:`~repro.sim.results.RunResult` bundles.  :class:`Engine` is the one
 entry point for that.  It layers three mechanisms under a single
 ``run(cells)`` call:
 
@@ -18,7 +18,7 @@ entry point for that.  It layers three mechanisms under a single
    to simulate.
 
 Results are deterministic: a cell's outcome depends only on its
-:class:`~repro.sim.driver.RunSpec`, never on scheduling or location, so
+:class:`~repro.sim.results.RunSpec`, never on scheduling or location, so
 the process pool is bit-identical to serial (tests/test_backends.py).
 
 Backends (docs/INTERNALS.md §14): ``Engine(pool=...)`` accepts a
@@ -44,7 +44,7 @@ selects what a cell that exhausts its retry budget does to the batch —
 while ``"skip"`` and ``"partial"`` record a per-cell failure and keep
 serving the surviving cells (``"partial"`` additionally raises
 :class:`BatchExecutionError` when *no* cell succeeded).  A worker death
-(any exception in :data:`~repro.sim.pools.BROKEN_EXCEPTIONS`) is
+(any exception in :data:`~repro.sim.pools.local.BROKEN_EXCEPTIONS`) is
 recovered by restarting the pool and resubmitting the interrupted
 cells; after ``max_pool_rebuilds`` the engine degrades further to
 in-process serial execution.
@@ -63,7 +63,17 @@ import traceback as traceback_mod
 from concurrent.futures import FIRST_COMPLETED, Future, wait
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple, Union
+from typing import (
+    TYPE_CHECKING,
+    Callable,
+    Dict,
+    Iterator,
+    List,
+    Optional,
+    Sequence,
+    Tuple,
+    Union,
+)
 
 from repro.faults import FaultPlan, corrupt_file
 from repro.obs.events import (
@@ -72,6 +82,7 @@ from repro.obs.events import (
     CELL_DONE,
     CELL_FAILED,
     CELL_START,
+    DEFAULT_CELL_EVENT_CAP,
     MEMORY_HIT,
     NULL_TELEMETRY,
     POOL_REUSED,
@@ -86,19 +97,21 @@ from repro.obs.events import (
     WORKER_WARMUP,
 )
 from repro.obs.recorder import FlightRecorder, ManifestReplay
-from repro.obs.remote import (
-    DEFAULT_CELL_EVENT_CAP,
-    SNAPSHOT_VERSION,
-    merge_chunk_info,
-    worker_origin,
-)
-from repro.sim import schedule as schedule_mod
-from repro.sim.costmodel import CostModel
-from repro.sim.driver import RunResult, RunSpec
-from repro.sim.pools import BROKEN_EXCEPTIONS, Pool, make_pool
-from repro.sim.pools.base import CellTimeout  # noqa: F401 — re-export
-from repro.sim.pools.worker import inject_cell_faults, run_with_alarm
+from repro.sim.options import SCHEDULE_MODES
+from repro.sim.pools import make_pool, parse_pool_spec
+from repro.sim.pools.base import CellTimeout, Pool
+from repro.sim.results import RunResult, RunSpec
 from repro.sim.store import ResultStore
+
+if TYPE_CHECKING:
+    from repro.sim.costmodel import CostModel
+    from repro.sim.schedule import RoundPlan
+
+# The execution layer — the pool worker (and through it the driver, the
+# kernels and the policies), the pool classes, the scheduler, the cost
+# model and worker telemetry — is imported where a cell first executes
+# or a pool starts, never at module import: a batch the caches answer
+# whole never loads the simulator (docs/INTERNALS.md, "Import layering").
 
 #: Where a cell's result came from (progress callbacks receive this).
 SOURCE_MEMORY = "memory"
@@ -464,15 +477,25 @@ class Engine:
                 f"failure_policy must be one of {FAILURE_POLICIES}, got "
                 f"{failure_policy!r}"
             )
-        if schedule not in schedule_mod.SCHEDULE_MODES:
+        if schedule not in SCHEDULE_MODES:
             raise ValueError(
-                f"schedule must be one of {schedule_mod.SCHEDULE_MODES}, "
-                f"got {schedule!r}"
+                f"schedule must be one of {SCHEDULE_MODES}, got {schedule!r}"
             )
         if pool is None:
             pool = f"local:{jobs}" if (jobs or 1) > 1 else "serial"
-        self.pool: Pool = make_pool(pool) if isinstance(pool, str) else pool
-        self.jobs = self.pool.workers if self.pool.parallel else 1
+        # A spec is validated now and built on first use (see ``pool``).
+        # ``backend`` names the backend and ``jobs`` is its parallel
+        # width, both known without building it.
+        if isinstance(pool, str):
+            kind, workers = parse_pool_spec(pool)
+            self._pool: Optional[Pool] = None
+            self._pool_spec: Optional[str] = pool
+            self.backend = kind
+            self.jobs = workers if kind == "local" else 1
+        else:
+            self._pool, self._pool_spec = pool, None
+            self.backend = pool.name
+            self.jobs = pool.workers if pool.parallel else 1
         self.store = store
         self.use_cache = use_cache
         self.cell_timeout = cell_timeout
@@ -502,12 +525,8 @@ class Engine:
         self._cost_model_dir = (
             None if cost_model_dir is None else Path(cost_model_dir)
         )
-        if cost_model is not None:
-            self.cost_model = cost_model
-        elif self._cost_model_dir is not None:
-            self.cost_model = CostModel.load_dir(self._cost_model_dir)
-        else:
-            self.cost_model = CostModel()
+        #: Built on first use (see ``cost_model``) unless given.
+        self._cost_model: Optional[CostModel] = cost_model
         #: Store-metadata warm boot happens once, lazily, before the
         #: first planned round (scanning the store is not free).
         self._cost_bootstrapped = False
@@ -521,6 +540,31 @@ class Engine:
         self._run_t0 = time.perf_counter()
         #: The in-flight table of the current pool round.
         self._flights: Dict[Future, _Flight] = {}
+
+    @property
+    def pool(self) -> Pool:
+        """The execution backend, built from its spec on first use.
+
+        Building it imports the pool classes and, through the worker
+        module, the simulator — so a local pool's workers fork from a
+        parent that has it loaded.
+        """
+        if self._pool is None:
+            self._pool = make_pool(self._pool_spec)
+        return self._pool
+
+    @property
+    def cost_model(self) -> "CostModel":
+        """The scheduler's runtime cost model, loaded on first use."""
+        if self._cost_model is None:
+            from repro.sim.costmodel import CostModel
+
+            self._cost_model = (
+                CostModel()
+                if self._cost_model_dir is None
+                else CostModel.load_dir(self._cost_model_dir)
+            )
+        return self._cost_model
 
     # -- public API --------------------------------------------------------
 
@@ -553,9 +597,10 @@ class Engine:
             resume_counts = self._apply_resume(specs, keys, replay)
         recorder = self.recorder
         if recorder is not None:
+            pool = self._pool
             recorder.begin_batch(
-                backend=self.pool.name,
-                workers=self.pool.workers,
+                backend=self.backend,
+                workers=self.jobs if pool is None else pool.workers,
                 failure_policy=self.failure_policy,
                 cell_timeout=self.cell_timeout,
                 max_retries=self.max_retries,
@@ -574,8 +619,9 @@ class Engine:
             recorder.end_batch(
                 batch, self.stats, self.telemetry.log.dropped
             )
-        if self._cost_model_dir is not None and self.cost_model.dirty:
-            self.cost_model.save_dir(self._cost_model_dir)
+        model, directory = self._cost_model, self._cost_model_dir
+        if directory is not None and model is not None and model.dirty:
+            model.save_dir(directory)
         return batch
 
     def _apply_resume(
@@ -695,7 +741,7 @@ class Engine:
         failing idle shutdown is retried fail-fast, and a backend that
         will not even do that is abandoned rather than propagated.
         """
-        pool = getattr(self, "pool", None)
+        pool = getattr(self, "_pool", None)
         if pool is None:
             return
         try:
@@ -713,7 +759,7 @@ class Engine:
         self.close()
 
     def __del__(self) -> None:  # pragma: no cover — GC timing
-        pool = getattr(self, "pool", None)
+        pool = getattr(self, "_pool", None)
         if pool is None:
             return
         try:
@@ -943,6 +989,8 @@ class Engine:
         self, index: int, attempts: int, error: BaseException
     ) -> None:
         """Terminal failure of one cell under skip/partial policies."""
+        from repro.sim.pools.local import BROKEN_EXCEPTIONS
+
         spec = self._specs[index]
         if isinstance(error, CellTimeout):
             status = "timeout"
@@ -1029,6 +1077,9 @@ class Engine:
         )
 
     def _run_serial(self, index: int) -> None:
+        from repro.obs.remote import worker_origin
+        from repro.sim.pools.worker import inject_cell_faults, run_with_alarm
+
         spec = self._specs[index]
         telemetry = self.telemetry
         attempts = 0
@@ -1174,13 +1225,15 @@ class Engine:
             telemetry.metrics.counter("engine.pool_reuses").inc()
         return pool
 
-    def _plan_round(self, indices: List[int]) -> "schedule_mod.RoundPlan":
+    def _plan_round(self, indices: List[int]) -> "RoundPlan":
         """Lay out one pool round from the cost model's estimates.
 
         Under ``schedule="fifo"`` — or with no usable history — this
         reproduces the legacy partition exactly; see
         :func:`repro.sim.schedule.plan_round`.
         """
+        from repro.sim import schedule as schedule_mod
+
         estimates: Dict[int, Optional[float]] = {}
         if self.schedule == "lpt":
             if not self._cost_bootstrapped:
@@ -1264,6 +1317,8 @@ class Engine:
     def _submit(self, chunk: List[int]) -> None:
         """Put one chunk in flight: a first submission or a single-cell
         retry."""
+        from repro.sim.pools.local import BROKEN_EXCEPTIONS
+
         specs = self._specs
         telemetry = self.telemetry
         lane = self._submissions % max(1, self.pool.workers)
@@ -1308,6 +1363,8 @@ class Engine:
     def _land(self, future: Future) -> None:
         """Settle one finished chunk: each of its cells succeeds, is
         retried, or fails for good."""
+        from repro.sim.pools.local import BROKEN_EXCEPTIONS
+
         flight = self._flights.pop(future)
         error = future.exception()
         if isinstance(error, BROKEN_EXCEPTIONS):
@@ -1367,6 +1424,8 @@ class Engine:
         comes from a worker on another checkout: that aborts the batch
         under every failure policy rather than being half-read.
         """
+        from repro.obs.remote import SNAPSHOT_VERSION
+
         reply = future.result()
         chunk_info = (
             reply[2] if isinstance(reply, tuple) and len(reply) == 3 else None
@@ -1422,6 +1481,8 @@ class Engine:
             self._note_unarmed_timeout(count=unarmed)
         if not chunk_info.get("cells"):
             return
+        from repro.obs.remote import merge_chunk_info
+
         telemetry = self.telemetry
         merged = merge_chunk_info(
             telemetry,

@@ -17,7 +17,6 @@ from dataclasses import dataclass, field, replace
 from typing import Dict, List, Optional, Sequence
 
 from repro.sim.config import ExperimentConfig
-from repro.sim.driver import RunResult, RunSpec, SCHEMES
 from repro.sim.engine import (
     BatchExecutionError,
     Engine,
@@ -25,8 +24,9 @@ from repro.sim.engine import (
     clear_memory_cache,
 )
 from repro.sim.options import ExecutionOptions
+from repro.sim.results import SCHEMES, RunResult, RunSpec
 from repro.sim.store import ResultStore
-from repro.workloads.specjvm import BENCHMARK_NAMES
+from repro.workloads.names import BENCHMARK_NAMES
 
 #: Persistent layer used by the module-level helpers.  ``None`` disables
 #: persistence (memory-only), which is what ``--no-store`` sets.  The

@@ -24,6 +24,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
+#: Legal chunk-planning modes (docs/INTERNALS.md §18); ``--schedule``'s
+#: choices, checked by the engine and the planner.
+SCHEDULE_MODES = ("lpt", "fifo")
+
 
 @dataclass
 class ExecutionOptions:
@@ -110,7 +114,7 @@ class ExecutionOptions:
         )
         parser.add_argument(
             "--schedule",
-            choices=("lpt", "fifo"),
+            choices=SCHEDULE_MODES,
             default="lpt",
             help="chunk planning: 'lpt' packs chunks by estimated cost "
             "(longest first) once runtime history exists; 'fifo' keeps "

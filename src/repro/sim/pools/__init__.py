@@ -1,6 +1,7 @@
 """The two execution backends behind the :class:`Pool` API.
 
-:func:`make_pool` parses the backend *specs* that ``Engine(pool=...)``,
+:func:`parse_pool_spec` validates, and :func:`make_pool` builds, the
+backend *specs* that ``Engine(pool=...)``,
 :class:`repro.sim.options.ExecutionOptions`, and the CLI's
 ``--backend`` accept::
 
@@ -8,37 +9,21 @@
     local[:N]   warm persistent process pool, N workers (default: the
                 CPU count)
 
-See docs/INTERNALS.md §14 for the backend contract.  The ``ssh:`` and
-``ssh-loopback:`` backends were retired (docs/INTERNALS.md §16); asking
-for them raises a ``ValueError`` naming the note.
+See docs/INTERNALS.md §14 for the backend contract.  The classes live in
+:mod:`repro.sim.pools.base` (the contract) and
+:mod:`repro.sim.pools.local` (the backends), which only
+:func:`make_pool` imports: importing this package loads neither.  The
+``ssh:`` and ``ssh-loopback:`` backends were retired (docs/INTERNALS.md
+§16); asking for them raises a ``ValueError`` naming the note.
 """
 
 from __future__ import annotations
 
 import os
+from typing import TYPE_CHECKING, Tuple
 
-from repro.sim.pools.base import (
-    BROKEN_EXCEPTIONS,
-    CellTimeout,
-    ChunkPayload,
-    Pool,
-    PoolBrokenError,
-    completed_future,
-)
-from repro.sim.pools.local import LocalProcessPool, SerialPool
-
-__all__ = [
-    "BACKEND_KINDS",
-    "BROKEN_EXCEPTIONS",
-    "CellTimeout",
-    "ChunkPayload",
-    "LocalProcessPool",
-    "Pool",
-    "PoolBrokenError",
-    "SerialPool",
-    "completed_future",
-    "make_pool",
-]
+if TYPE_CHECKING:
+    from repro.sim.pools.base import Pool
 
 #: Backend kinds :func:`make_pool` accepts.
 BACKEND_KINDS = ("serial", "local")
@@ -47,14 +32,19 @@ BACKEND_KINDS = ("serial", "local")
 RETIRED_BACKENDS = ("ssh", "ssh-loopback")
 
 
-def make_pool(spec: str) -> Pool:
-    """Resolve a backend spec: ``serial``, ``local`` or ``local:N``."""
+def parse_pool_spec(spec: str) -> Tuple[str, int]:
+    """Validate a backend spec without building the backend.
+
+    Returns ``(kind, workers)``: ``("serial", 1)`` or ``("local", N)``.
+    Bad and retired specs raise ``ValueError`` here, before any batch
+    starts; nothing heavier than this module is imported.
+    """
     name, _, arg = spec.partition(":")
     name = name.strip()
     if name == "serial":
         if arg:
             raise ValueError("the serial backend takes no argument")
-        return SerialPool()
+        return name, 1
     if name == "local":
         try:
             workers = int(arg) if arg else os.cpu_count() or 2
@@ -63,7 +53,7 @@ def make_pool(spec: str) -> Pool:
                 f"backend spec {spec!r} wants an integer worker count, "
                 f"got {arg!r}"
             ) from None
-        return LocalProcessPool(workers=max(1, workers))
+        return name, max(1, workers)
     if name in RETIRED_BACKENDS:
         raise ValueError(
             f"the {name!r} backend was retired with host health and "
@@ -73,3 +63,18 @@ def make_pool(spec: str) -> Pool:
     raise ValueError(
         f"unknown backend {name!r}; known: {', '.join(BACKEND_KINDS)}"
     )
+
+
+def make_pool(spec: str) -> "Pool":
+    """Resolve a backend spec: ``serial``, ``local`` or ``local:N``.
+
+    Building a backend imports :mod:`repro.sim.pools.local`, and with it
+    the worker side and the whole simulator, so a local pool's workers
+    fork from a parent that has it loaded.
+    """
+    kind, workers = parse_pool_spec(spec)
+    from repro.sim.pools.local import LocalProcessPool, SerialPool
+
+    if kind == "serial":
+        return SerialPool()
+    return LocalProcessPool(workers=workers)

@@ -30,8 +30,9 @@ One flag tells the engine which semantics apply, :attr:`Pool.parallel`.
 A parallel pool fans cells out beyond the calling thread: the engine
 routes eligible cells through :meth:`Pool.submit_chunk`, pre-builds the
 batch's benchmarks in every worker at spawn (``worker_warmup``
-telemetry), and on a dead worker (any of :data:`BROKEN_EXCEPTIONS`)
-restarts the pool and resubmits the interrupted cells, up to
+telemetry), and on a dead worker (any of
+:data:`~repro.sim.pools.local.BROKEN_EXCEPTIONS`) restarts the pool
+and resubmits the interrupted cells, up to
 ``max_pool_rebuilds`` times before degrading to serial.  A non-parallel
 pool makes the engine run cells on its in-process serial path instead
 (which streams simulation telemetry and can arm SIGALRM timeouts —
@@ -41,7 +42,6 @@ things a worker boundary hides).
 from __future__ import annotations
 
 from concurrent.futures import Future
-from concurrent.futures.process import BrokenProcessPool
 from typing import Sequence, Tuple
 
 #: One submitted cell: (batch index, RunSpec, attempt number).
@@ -64,11 +64,6 @@ class PoolBrokenError(RuntimeError):
     """A pool was used while closed or not started (analogue of
     ``BrokenProcessPool``); the engine treats it as a crash and runs
     its rebuild/degrade machinery."""
-
-
-#: Exception types (raised from :meth:`Pool.submit_chunk` or set on its
-#: future) that mean "the pool died", not "the cell failed".
-BROKEN_EXCEPTIONS: Tuple[type, ...] = (BrokenProcessPool, PoolBrokenError)
 
 
 class Pool:
@@ -99,8 +94,8 @@ class Pool:
         chunk_info)`` (``chunk_info`` is the worker's snapshot).
 
         The pool must be started.  Raises one of
-        :data:`BROKEN_EXCEPTIONS` (or sets it on the future) when the
-        pool is dead.
+        :data:`~repro.sim.pools.local.BROKEN_EXCEPTIONS` (or sets it on
+        the future) when the pool is dead.
         """
         raise NotImplementedError
 

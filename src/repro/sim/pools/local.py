@@ -16,6 +16,7 @@ machinery.
 from __future__ import annotations
 
 from concurrent.futures import Future, ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
 from typing import Optional, Sequence, Tuple
 
 from repro.sim.pools import worker as worker_mod
@@ -25,6 +26,10 @@ from repro.sim.pools.base import (
     PoolBrokenError,
     completed_future,
 )
+
+#: Exception types (raised from :meth:`Pool.submit_chunk` or set on its
+#: future) that mean "the pool died", not "the cell failed".
+BROKEN_EXCEPTIONS: Tuple[type, ...] = (BrokenProcessPool, PoolBrokenError)
 
 
 class SerialPool(Pool):

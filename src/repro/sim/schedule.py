@@ -40,8 +40,7 @@ import statistics
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence
 
-#: Planner modes (``ExecutionOptions.schedule``).
-SCHEDULE_MODES = ("lpt", "fifo")
+from repro.sim.options import SCHEDULE_MODES
 
 #: Fraction of a round's cells that must have estimates before the
 #: planner trusts them; below this it falls back to the legacy plan

@@ -5,7 +5,7 @@ store directory (default ``results/store/``), addressed by the cell's
 ``(benchmark, scheme, ExperimentConfig.fingerprint())`` identity.  A
 fresh process — another CLI invocation, another pytest worker, another
 *host* feeding the same shared directory — that asks for the same cell
-gets the stored :class:`~repro.sim.driver.RunResult` back instead of
+gets the stored :class:`~repro.sim.results.RunResult` back instead of
 re-simulating.
 
 Directory layout (docs/INTERNALS.md §14): entries live in
@@ -90,7 +90,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Dict, Iterable, Iterator, List, Optional, Tuple, Union
 
-from repro.sim.driver import RunResult
+from repro.sim.results import RunResult
 
 #: Version of the on-disk entry layout.  Entries with any other value are
 #: ignored on read (and reported by ``tools/store_gc.py``).

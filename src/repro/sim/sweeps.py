@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from typing import List, Optional, Sequence
 
 from repro.sim.config import ExperimentConfig
-from repro.sim.driver import RunResult, RunSpec
+from repro.sim.results import RunResult, RunSpec
 from repro.sim.engine import Engine
 
 

@@ -1,25 +1,1 @@
 """Trace infrastructure: execution events and interval utilities."""
-
-from repro.trace.events import BlockEvent, MethodEvent, TraceStats
-from repro.trace.stream import IntervalSplitter, TraceRecorder, replay
-from repro.trace.serialize import (
-    capture_trace,
-    load_trace,
-    read_trace,
-    save_trace,
-    write_trace,
-)
-
-__all__ = [
-    "BlockEvent",
-    "IntervalSplitter",
-    "MethodEvent",
-    "TraceRecorder",
-    "TraceStats",
-    "capture_trace",
-    "load_trace",
-    "read_trace",
-    "replay",
-    "save_trace",
-    "write_trace",
-]

@@ -5,35 +5,3 @@ write-back cache model, a bimodal branch predictor, an analytic timing model,
 and the configurable-unit (CU) plumbing the paper's framework manages —
 control registers plus the per-CU reconfiguration-interval guard of §3.4.
 """
-
-from repro.uarch.cache import AccessResult, Cache, CacheStats
-from repro.uarch.branch import BimodalPredictor
-from repro.uarch.hierarchy import CacheHierarchy, InstructionCacheModel
-from repro.uarch.timing import TimingModel, TimingParams
-from repro.uarch.registers import ControlRegisterFile, ReconfigurationGuard
-from repro.uarch.cu import (
-    CacheSizeCU,
-    ConfigurableUnit,
-    IssueQueueCU,
-    ReorderBufferCU,
-)
-from repro.uarch.machine import MachineModel, MachineSnapshot
-
-__all__ = [
-    "AccessResult",
-    "BimodalPredictor",
-    "Cache",
-    "CacheHierarchy",
-    "CacheSizeCU",
-    "CacheStats",
-    "ConfigurableUnit",
-    "ControlRegisterFile",
-    "InstructionCacheModel",
-    "IssueQueueCU",
-    "MachineModel",
-    "MachineSnapshot",
-    "ReconfigurationGuard",
-    "ReorderBufferCU",
-    "TimingModel",
-    "TimingParams",
-]

@@ -8,25 +8,3 @@ them, and dispatches hotspot entry/exit hooks to an attached adaptation
 policy — the protocol the paper's ACE management framework (Figure 2) is
 built on.
 """
-
-from repro.vm.activation import Activation, ThreadContext
-from repro.vm.hotspot import DODatabase, HotspotDetector, HotspotInfo
-from repro.vm.jit import CompileEvent, JITCompiler, OptimizationLevel
-from repro.vm.sampler import SamplingProfiler
-from repro.vm.vm import AdaptationHooks, VMConfig, VMStats, VirtualMachine
-
-__all__ = [
-    "Activation",
-    "AdaptationHooks",
-    "CompileEvent",
-    "DODatabase",
-    "HotspotDetector",
-    "HotspotInfo",
-    "JITCompiler",
-    "OptimizationLevel",
-    "SamplingProfiler",
-    "ThreadContext",
-    "VMConfig",
-    "VMStats",
-    "VirtualMachine",
-]

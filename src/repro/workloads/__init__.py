@@ -7,47 +7,3 @@ synthetic programs whose hotspot structure, working-set sizes, and phase
 behaviour match the per-benchmark characteristics the paper publishes
 (Table 4, Table 5, Figure 1) at 1/100 interval scale — see DESIGN.md §2.
 """
-
-from repro.workloads.patterns import (
-    MixedBehavior,
-    PointerChaseBehavior,
-    StackBehavior,
-    StridedBehavior,
-    WorkingSetBehavior,
-)
-from repro.workloads.templates import (
-    MethodSpec,
-    TemplateLibrary,
-    leaf_method,
-    loop_method,
-    phased_driver_method,
-)
-from repro.workloads.specjvm import (
-    BENCHMARK_NAMES,
-    BenchmarkSpec,
-    SPECJVM_DESCRIPTIONS,
-    benchmark_spec,
-    build_benchmark,
-    build_suite,
-)
-from repro.workloads.synthetic import random_program
-
-__all__ = [
-    "BENCHMARK_NAMES",
-    "BenchmarkSpec",
-    "MethodSpec",
-    "MixedBehavior",
-    "PointerChaseBehavior",
-    "SPECJVM_DESCRIPTIONS",
-    "StackBehavior",
-    "StridedBehavior",
-    "TemplateLibrary",
-    "WorkingSetBehavior",
-    "benchmark_spec",
-    "build_benchmark",
-    "build_suite",
-    "leaf_method",
-    "loop_method",
-    "phased_driver_method",
-    "random_program",
-]

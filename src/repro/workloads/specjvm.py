@@ -28,6 +28,11 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.isa.program import DataRegion, Program
+from repro.workloads.names import (  # noqa: F401 — re-exported
+    BENCHMARK_NAMES,
+    SHORT_NAMES,
+    SPECJVM_DESCRIPTIONS,
+)
 from repro.workloads.patterns import (
     MixedBehavior,
     WanderingWindowBehavior,
@@ -57,32 +62,6 @@ WS_A, WS_B, WS_C, WS_D = 600, 1_200, 2_500, 5_000      # L1D: 1/2/4/8 KB
 DRV_A, DRV_B, DRV_C, DRV_D = (                          # L2: 16/32/64/128 KB
     10 * KB, 20 * KB, 40 * KB, 80 * KB,
 )
-
-#: Paper Table 3 descriptions.
-SPECJVM_DESCRIPTIONS: Dict[str, str] = {
-    "compress": "A popular LZW compression program.",
-    "db": "Data management benchmarking software written by IBM.",
-    "jack": "A real parser-generator from Sun Microsystems.",
-    "javac": "The JDK 1.0.2 Java compiler.",
-    "jess": "A Java version of NASA's popular CLIPS rule-based expert "
-            "systems.",
-    "mpegaudio": "The core algorithm for software that decodes an MPEG-3 "
-                 "audio stream.",
-    "mtrt": "A dual-threaded program that ray traces an image file.",
-}
-
-BENCHMARK_NAMES: Tuple[str, ...] = tuple(SPECJVM_DESCRIPTIONS)
-
-#: Short names as the paper's tables print them.
-SHORT_NAMES: Dict[str, str] = {
-    "compress": "comp",
-    "db": "db",
-    "jack": "jack",
-    "javac": "javac",
-    "jess": "jess",
-    "mpegaudio": "mpeg",
-    "mtrt": "mtrt",
-}
 
 
 @dataclass(frozen=True)

@@ -26,12 +26,11 @@ from repro.sim.config import ExperimentConfig
 from repro.sim.driver import RunSpec
 from repro.sim.engine import Engine
 from repro.sim.options import ExecutionOptions
-from repro.sim.pools import (
-    BACKEND_KINDS,
+from repro.sim.pools import BACKEND_KINDS, make_pool
+from repro.sim.pools.local import (
     BROKEN_EXCEPTIONS,
     LocalProcessPool,
     SerialPool,
-    make_pool,
 )
 from repro.sim.store import ResultStore
 
