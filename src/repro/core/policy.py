@@ -46,7 +46,7 @@ from repro.sim.results import HotspotPolicyStats
 from repro.trace.events import BlockEvent
 from repro.vm.hotspot import HotspotInfo
 from repro.vm.jit import EntryStub
-from repro.vm.vm import AdaptationHooks, VirtualMachine
+from repro.vm.vm import AdaptationHooks, CountsFold, VirtualMachine
 
 
 class _InvocationToken:
@@ -140,6 +140,8 @@ class HotspotACEPolicy(AdaptationHooks):
         self._warmups: Dict[str, int] = {}
         self._slow_cus: frozenset = frozenset()
         self._cov_depth: Dict[str, List[int]] = {}
+        #: Per thread, the CUs whose coverage depth is positive.
+        self._covering: List[Tuple[str, ...]] = []
         self.vm: Optional[VirtualMachine] = None
         self.machine = None
         self.telemetry = NULL_TELEMETRY
@@ -162,6 +164,7 @@ class HotspotACEPolicy(AdaptationHooks):
             self.reconfig_count.setdefault(cu_name, 0)
             self.covered_insns.setdefault(cu_name, 0)
             self._cov_depth.setdefault(cu_name, [0] * n_threads)
+        self._covering = [()] * n_threads
         max_interval = max(
             cu.reconfiguration_interval for cu in vm.machine.cus.values()
         )
@@ -177,19 +180,30 @@ class HotspotACEPolicy(AdaptationHooks):
         return self._classifier
 
     def on_block(self, event: BlockEvent, machine) -> None:
-        n = event.n_insns
-        self.total_insns += n
-        tid = event.thread_id
-        for cu_name, depths in self._cov_depth.items():
-            if depths[tid] > 0:
-                self.covered_insns[cu_name] += n
+        self._fold_counts(event.n_insns, event.thread_id)
 
     def on_block_counts(self, n_insns, block_pc, thread_id, machine) -> None:
         # Must mirror on_block exactly (see AdaptationHooks.on_block_counts).
+        self._fold_counts(n_insns, thread_id)
+
+    def counts_fold(self) -> CountsFold:
+        # Coverage depths only move in this policy's stubs, which run
+        # between runner exits, so a run of blocks is credited at once.
+        return CountsFold(self._fold_counts)
+
+    def _fold_counts(self, n_insns, thread_id) -> None:
         self.total_insns += n_insns
-        for cu_name, depths in self._cov_depth.items():
-            if depths[thread_id] > 0:
-                self.covered_insns[cu_name] += n_insns
+        for cu_name in self._covering[thread_id]:
+            self.covered_insns[cu_name] += n_insns
+
+    def _cover(self, cu_names, tid: int, step: int) -> None:
+        """Move the coverage depth of ``cu_names`` on thread ``tid``."""
+        depths = self._cov_depth
+        for cu_name in cu_names:
+            depths[cu_name][tid] += step
+        self._covering[tid] = tuple(
+            cu_name for cu_name, d in depths.items() if d[tid] > 0
+        )
 
     # -- hotspot detection -------------------------------------------------------
 
@@ -448,10 +462,7 @@ class HotspotACEPolicy(AdaptationHooks):
             target = state.best.config
             kind = "sample"
         applied, changed = self._apply_config(state, target, actor="config")
-        depths = self._cov_depth
-        tid = activation_thread_id(activation, vm)
-        for cu_name in state.cu_names:
-            depths[cu_name][tid] += 1
+        self._cover(state.cu_names, activation_thread_id(activation, vm), 1)
         if kind == "verify" and (
             not applied or self._needs_warmup(hotspot.name, changed)
         ):
@@ -474,9 +485,9 @@ class HotspotACEPolicy(AdaptationHooks):
             "warm",
         ):
             return
-        tid = activation_thread_id(activation, vm)
-        for cu_name in token.covered_cus:
-            self._cov_depth[cu_name][tid] -= 1
+        self._cover(
+            token.covered_cus, activation_thread_id(activation, vm), -1
+        )
         if token.kind == "warm":
             return
         state = self.states.get(hotspot.name)

@@ -36,7 +36,7 @@ from repro.phases.tuner import Config, PhaseTuningEntry
 from repro.sim.results import BBVPolicyStats
 from repro.trace.events import BlockEvent
 from repro.trace.stream import IntervalSplitter
-from repro.vm.vm import AdaptationHooks, VirtualMachine
+from repro.vm.vm import AdaptationHooks, CountsFold, VirtualMachine
 
 
 class BBVACEPolicy(AdaptationHooks):
@@ -140,21 +140,33 @@ class BBVACEPolicy(AdaptationHooks):
 
     def on_block(self, event: BlockEvent, machine) -> None:
         n = event.n_insns
-        self.total_insns += n
+        self._fold_counts(n, event.thread_id)
         self.accumulator.observe(event.block_pc, n)
-        if self._mode == "best":
-            for cu_name in self.cu_names:
-                self.covered_insns[cu_name] += n
         self._splitter.advance(n)
 
     def on_block_counts(self, n_insns, block_pc, thread_id, machine) -> None:
         # Must mirror on_block exactly (see AdaptationHooks.on_block_counts).
-        self.total_insns += n_insns
+        self._fold_counts(n_insns, thread_id)
         self.accumulator.observe(block_pc, n_insns)
+        self._splitter.advance(n_insns)
+
+    def counts_fold(self) -> Optional[CountsFold]:
+        # The mode only changes at interval boundaries, which the kernel
+        # reaches through a runner exit, so a run of blocks is credited
+        # at once; the buckets and the splitter are the kernel's to keep.
+        # A swapped-in accumulator (working-set signatures) keeps the
+        # per-block hook.
+        if type(self.accumulator) is not BBVAccumulator:
+            return None
+        return CountsFold(
+            self._fold_counts, self.accumulator, self._splitter
+        )
+
+    def _fold_counts(self, n_insns, thread_id) -> None:
+        self.total_insns += n_insns
         if self._mode == "best":
             for cu_name in self.cu_names:
                 self.covered_insns[cu_name] += n_insns
-        self._splitter.advance(n_insns)
 
     # -- interval boundary ------------------------------------------------------
 

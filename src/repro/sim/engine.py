@@ -26,10 +26,9 @@ backend spec string (``"serial"``, ``"local:4"``) or a constructed
 :class:`~repro.sim.pools.Pool`; ``jobs=N`` resolves to ``local:N``.
 The local process backend is **persistent and warm**
 (docs/INTERNALS.md §13): the first parallel batch spawns it with an
-initializer that pre-builds the batch's benchmarks and pre-decodes
-their programs — compiling every fused block closure into the worker's
-process-wide blockjit code cache before the first cell arrives — and
-later batches on the same engine reuse the
+initializer that pre-builds the batch's benchmarks (method runners
+compile into each worker's process-wide blockjit code cache on first
+execution) — and later batches on the same engine reuse the
 live workers (``pool_reused`` telemetry) instead of paying spawn +
 warm-up again.  Cells are submitted in **chunks**: one pickled payload
 carries several cells plus the shared timeout/fault-plan, and workers
@@ -345,7 +344,7 @@ class Engine:
         :func:`repro.sim.pools.make_pool` (``"serial"``, ``"local:4"``)
         or an already constructed :class:`~repro.sim.pools.Pool`.
         Overrides ``jobs``.  A parallel pool pre-builds the first
-        batch's benchmarks and pre-decodes their programs in every worker
+        batch's benchmarks in every worker
         at spawn (docs/INTERNALS.md §13; ``worker_warmup`` telemetry);
         later batches reuse the live pool and the workers' memoised
         benchmarks.

@@ -110,32 +110,22 @@ def worker_built(benchmark):
 def pool_initializer(benchmarks: Tuple[str, ...]) -> None:
     """Warm one worker before it serves cells.
 
-    Pre-builds the batch's benchmarks and pre-decodes every program, which
-    compiles all fused block closures into this process's blockjit code
-    cache — so the first real cell starts simulating immediately instead
-    of paying program generation + codegen.  Best-effort by design: a
+    Pre-builds the batch's benchmarks, so the first real cell starts
+    simulating without paying program generation.  Nothing is decoded
+    here: each method's runner compiles on its first execution in this
+    worker, and only for methods that run.  Best-effort by design: a
     failure here must not poison the pool (the cell itself will rebuild
     and surface the real error through the retry machinery).
     """
     global _WORKER_WARMUP
-    from repro.vm import blockjit
-    from repro.vm.jit import BlockDecoder
-
     started = time.perf_counter()
-    compiles_before = blockjit.CACHE_STATS["compiles"]
-    stats: Dict[str, object] = {"benchmarks": 0, "blocks": 0, "errors": 0}
+    stats: Dict[str, object] = {"benchmarks": 0, "errors": 0}
     for name in benchmarks:
         try:
-            built = worker_built(name)
-            decoder = BlockDecoder(built.program)
-            for method in built.program.methods.values():
-                stats["blocks"] += len(decoder.table(method))
+            worker_built(name)
             stats["benchmarks"] += 1
         except Exception:
             stats["errors"] += 1
-    stats["fused_compiles"] = (
-        blockjit.CACHE_STATS["compiles"] - compiles_before
-    )
     stats["warm_s"] = round(time.perf_counter() - started, 6)
     _WORKER_WARMUP = stats
 

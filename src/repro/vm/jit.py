@@ -17,7 +17,8 @@ from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.isa.program import CondBranch, Goto, Method, Program
-from repro.vm.blockjit import compile_fused_block
+from repro.vm.blockjit import TERM_COND, TERM_GOTO, TERM_RETURN, compile_runner
+from repro.vm.blockjit import compile_fused_block  # noqa: F401 - re-exported
 
 
 class OptimizationLevel(enum.IntEnum):
@@ -152,25 +153,15 @@ class JITCompiler:
 # Block decode tables (fast-kernel support)
 # ---------------------------------------------------------------------------
 
-#: Terminator kinds in a :class:`DecodedBlock`.
-TERM_RETURN = 0
-TERM_GOTO = 1
-TERM_COND = 2
-
-#: Initial value of :attr:`DecodedBlock.pstate` — distinct from any real
-#: decider state (``None`` could be one).
-PSTATE_UNSET = object()
-
-
 class DecodedBlock:
     """Pre-decoded execution plan of one basic block.
 
-    Everything the interpreter's hot loop needs from a block —
-    instruction counts, terminator shape, resolved callee ``Method``
-    objects, state-dictionary keys — is immutable once the program is
-    laid out, so the fast kernel decodes each block once and then runs
-    from these flat slots instead of re-deriving them (isinstance checks,
-    dict lookups, ``getattr``) millions of times.
+    Everything the fast kernel needs from a block — instruction counts,
+    terminator shape, resolved callee ``Method`` objects — is immutable
+    once the program is laid out, so each block is decoded once; the
+    method's runner (:func:`repro.vm.blockjit.compile_runner`) is
+    generated from these slots, and the kernel's driver reads them at
+    runner exits.
     """
 
     __slots__ = (
@@ -179,29 +170,18 @@ class DecodedBlock:
         "n_insns",
         "n_loads",
         "n_stores",
-        "memory",
         "gen",
-        "fast_gen",
-        "fused_gen",
         "serialized",
-        "region_base",
-        "key",
         "callees",
         "n_calls",
         "term_kind",
         "goto_target",
         "taken_target",
         "fallthrough_target",
-        "goto_dec",
-        "taken_dec",
-        "fallthrough_dec",
         "decider",
-        "persistent",
         "branch_pc",
         "block_pc",
         "needs_iter",
-        "iter_count",
-        "pstate",
     )
 
     def __init__(self, method: Method, block, program: Program):
@@ -212,7 +192,6 @@ class DecodedBlock:
         self.n_insns = mix.total
         self.n_loads = mix.loads
         self.n_stores = mix.stores
-        self.memory = memory
         #: ``memory`` when the body actually generates addresses
         #: (mirrors the reference kernel's ``memory is not None and
         #: (mix.loads or mix.stores)`` guard), else ``None``.
@@ -221,42 +200,13 @@ class DecodedBlock:
             if memory is not None and (mix.loads or mix.stores)
             else None
         )
-        #: Specialised address generator (see
-        #: ``MemoryBehavior.compile_fast``); falls back to a
-        #: ``generate``-wrapping closure for behaviours without one.
-        #: Codegen'd draw+L1-access closure (see
-        #: :mod:`repro.vm.blockjit`); only usable when no ``on_block``
-        #: hook needs the address lists.  ``None`` for behaviours
-        #: without a fused form.
-        if self.gen is None:
-            self.fast_gen = None
-            self.fused_gen = None
-        else:
-            self.fused_gen = compile_fused_block(
-                self.gen, mix.loads, mix.stores
-            )
-            fast = self.gen.compile_fast(mix.loads, mix.stores)
-            if fast is None:
-                gen, nl, ns = self.gen, mix.loads, mix.stores
-
-                def fast(rng, frame_base, region_base, iteration):
-                    return gen.generate(
-                        rng, frame_base, region_base, iteration, nl, ns
-                    )
-
-            self.fast_gen = fast
-        #: Whether the generators consume the iteration counter at all;
-        #: when False the runners skip its per-execution maintenance
-        #: (the skipped value is unobservable).
+        #: Whether the body consumes the iteration counter at all; when
+        #: False the runner skips its per-execution maintenance (the
+        #: skipped value is unobservable).
         self.needs_iter = (
             self.gen is not None and self.gen.uses_iteration
         )
         self.serialized = getattr(memory, "serialized", False)
-        region = method.region
-        self.region_base = region.base if region is not None else 0
-        #: Key into the thread's persistent per-block dictionaries
-        #: (iteration counters, persistent decider state).
-        self.key = (method.name, block.bid)
         self.callees: Tuple[Method, ...] = tuple(
             program.methods[site.callee] for site in block.calls
         )
@@ -266,7 +216,6 @@ class DecodedBlock:
         self.taken_target = None
         self.fallthrough_target = None
         self.decider = None
-        self.persistent = False
         if isinstance(term, Goto):
             self.term_kind = TERM_GOTO
             self.goto_target = term.target
@@ -275,25 +224,10 @@ class DecodedBlock:
             self.taken_target = term.taken
             self.fallthrough_target = term.fallthrough
             self.decider = term.decider
-            self.persistent = term.decider.persistent
         else:
             self.term_kind = TERM_RETURN
         self.branch_pc = block.branch_pc
         self.block_pc = block.branch_pc or 0
-        #: Direct links to successor DecodedBlocks (resolved by
-        #: :meth:`BlockDecoder.table` once the whole method is decoded) so
-        #: the fused single-thread runner chains blocks without per-step
-        #: table lookups.
-        self.goto_dec = None
-        self.taken_dec = None
-        self.fallthrough_dec = None
-        #: Per-run mutable state used only by the fused single-thread
-        #: runner (one thread, decoder owned by one VM): the block's
-        #: iteration counter and its persistent decider state.  The
-        #: general runner keeps these in the per-thread dictionaries,
-        #: exactly like the reference kernel.
-        self.iter_count = 0
-        self.pstate = PSTATE_UNSET
 
     def __repr__(self) -> str:
         return (
@@ -303,19 +237,25 @@ class DecodedBlock:
 
 
 class BlockDecoder:
-    """Per-program cache of :class:`DecodedBlock` tables.
+    """Per-program cache of :class:`DecodedBlock` tables and runners.
 
     ``tables`` maps method name to a ``{bid: DecodedBlock}`` dict;
     methods are decoded lazily on first execution so cold methods cost
-    nothing.  Decoding requires the program to be laid out (branch PCs
-    assigned), which the VM already guarantees.
+    nothing.  Decoding also fetches the method's runner factory into
+    ``runners`` (for the runner constants ``consts``, see
+    :func:`~repro.vm.blockjit.compile_runner`) — compiling it on a code
+    cache miss, so the compile is part of the decode.  Decoding requires
+    the program to be laid out (branch PCs assigned), which the VM
+    already guarantees.
     """
 
-    __slots__ = ("program", "tables")
+    __slots__ = ("program", "consts", "tables", "runners")
 
-    def __init__(self, program: Program):
+    def __init__(self, program: Program, consts: Tuple):
         self.program = program
+        self.consts = consts
         self.tables: Dict[str, Dict[str, DecodedBlock]] = {}
+        self.runners: Dict[str, Callable] = {}
 
     def table(self, method: Method) -> Dict[str, DecodedBlock]:
         table = self.tables.get(method.name)
@@ -325,11 +265,8 @@ class BlockDecoder:
                 bid: DecodedBlock(method, block, program)
                 for bid, block in method.blocks.items()
             }
-            for dec in table.values():
-                if dec.term_kind == TERM_GOTO:
-                    dec.goto_dec = table[dec.goto_target]
-                elif dec.term_kind == TERM_COND:
-                    dec.taken_dec = table[dec.taken_target]
-                    dec.fallthrough_dec = table[dec.fallthrough_target]
+            self.runners[method.name] = compile_runner(
+                list(table.values()), self.consts
+            )
             self.tables[method.name] = table
         return table

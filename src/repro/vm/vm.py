@@ -49,10 +49,12 @@ class VMConfig:
 
     #: Invocations before a method is promoted to hotspot (paper Table 1).
     hot_threshold: int = 4
-    #: Blocks each thread runs before round-robin switching.  Jikes 2.0.2
-    #: time-slices green threads every ~10 ms — ~10 M cycles at 1 GHz,
-    #: which is ~100 K instructions at the 1/100 interval scale — so the
-    #: quantum is coarse, not fine-grained interleaving.
+    #: Micro-steps each thread runs before round-robin switching: a
+    #: block body, each of its call launches and its terminator count
+    #: one step each (both kernels).  Jikes 2.0.2 time-slices green
+    #: threads every ~10 ms — ~10 M cycles at 1 GHz, which is ~100 K
+    #: instructions at the 1/100 interval scale — so the quantum is
+    #: coarse, not fine-grained interleaving.
     quantum_blocks: int = 15000
     #: Simulated cycles between profiler samples (Jikes: ~10 ms).
     sample_period_cycles: float = 10_000.0
@@ -110,6 +112,21 @@ class AdaptationHooks:
         ``on_block`` with an empty-address event.
         """
 
+    def counts_fold(self) -> Optional["CountsFold"]:
+        """Declare ``on_block_counts`` as counts the fast kernel keeps.
+
+        A count-only policy whose per-block hook only adds block counts
+        to counters may return a :class:`CountsFold` restating them; the
+        fast kernel then keeps those counts itself and never calls the
+        per-block hook.  The reference kernel still calls ``on_block``
+        for every block, and the differential equivalence grid holds
+        the two to identical results.  ``None`` (the default) keeps the
+        per-block hook.  The kernel ignores the declaration when
+        ``on_block`` or ``on_block_counts`` is overridden on the
+        instance.
+        """
+        return None
+
     def on_hotspot_detected(
         self, hotspot: HotspotInfo, vm: "VirtualMachine"
     ) -> None:
@@ -117,6 +134,42 @@ class AdaptationHooks:
 
     def on_run_end(self, vm: "VirtualMachine") -> None:
         """Called when the run's instruction budget is exhausted."""
+
+
+class CountsFold:
+    """A count-only per-block hook, restated as counts (see
+    :meth:`AdaptationHooks.counts_fold`).
+
+    The fast kernel keeps the counts and hands them over at every exit
+    of a method runner: the calls, returns, budget and quantum ends and
+    gate crossings that end a run of blocks.  Nothing a policy observes
+    changes between two exits, except through its own stubs and
+    boundaries, which only run at exits.
+
+    * ``flush(n_insns, thread_id)`` is called at every exit with the
+      instructions ``thread_id`` retired since the previous one.  It
+      must leave the policy as ``on_block_counts`` called once per block
+      would have.
+    * ``accumulator`` (optional) is a
+      :class:`~repro.phases.bbv.BBVAccumulator`: the kernel adds each
+      block's instruction count to bucket ``(block_pc >> 2) %
+      n_buckets`` of its counter list, as ``observe`` would.  The kernel
+      refuses the fold when a counter could saturate between two
+      harvests.
+    * ``splitter`` (optional) is the
+      :class:`~repro.trace.stream.IntervalSplitter` that
+      ``on_block_counts`` advances.  The kernel advances it with the
+      instructions since its last advance, right after the block that
+      crosses an interval boundary, so boundaries fire where they
+      would have.
+    """
+
+    __slots__ = ("flush", "accumulator", "splitter")
+
+    def __init__(self, flush, accumulator=None, splitter=None):
+        self.flush = flush
+        self.accumulator = accumulator
+        self.splitter = splitter
 
 
 class VMStats:
