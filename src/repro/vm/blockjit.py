@@ -211,21 +211,18 @@ _ACCESS_TAIL = """\
         if len({s}) >= assoc:
             victim = next(iter({s}))
             if {s}.pop(victim):
-{writeback}\
+                if wb_lines is None:
+                    wb_lines = []
+                wb_lines.append(victim << line_shift)
         {s}[{line}] = {fill}
 """
 
-#: Miss and writeback recording in a closure: lazily allocated lists.
+#: Miss recording in a closure: a lazily allocated list.
 _CLOSURE_MISS = """\
         {counter} += 1
         if miss_lines is None:
             miss_lines = []
         miss_lines.append({line} << line_shift)
-"""
-_CLOSURE_WRITEBACK = """\
-                if wb_lines is None:
-                    wb_lines = []
-                wb_lines.append(victim << line_shift)
 """
 
 
@@ -237,7 +234,7 @@ _RUNNER_ACCESS_TAIL = """\
     {probe}
         {hit}
     else:
-{count}\
+{miss}\
         fill({s}, {line}, {fill})
 """
 
@@ -250,14 +247,13 @@ def _access(line: str, s: str, is_store: bool, runner: bool) -> str:
     else:
         template = _ACCESS_TAIL
         miss = _CLOSURE_MISS.format(counter=counter, line=line)
-    writeback = _CLOSURE_WRITEBACK
     if is_store:
         # A store hit overwrites the dirty bit unconditionally, so the
         # popped value itself is dead — skip the temporary.
         return template.format(
             probe=f"if {s}.pop({line}, missing) is not missing:",
             line=line, s=s, hit=f"{s}[{line}] = True", miss=miss,
-            count=miss, writeback=writeback, fill="True",
+            fill="True",
         )
     return template.format(
         probe=(
@@ -265,7 +261,7 @@ def _access(line: str, s: str, is_store: bool, runner: bool) -> str:
             f"    if prev is not missing:"
         ),
         line=line, s=s, hit=f"{s}[{line}] = prev", miss=miss,
-        count=miss, writeback=writeback, fill="False",
+        fill="False",
     )
 
 

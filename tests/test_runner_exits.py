@@ -5,8 +5,10 @@ the instruction budget, a GC or BBV-interval gate, the end of a quantum,
 or a per-block hook, and writes its running totals back there.  Each
 test below steers one kind of exit onto a chosen point and diffs the
 fast kernel against the reference (``tests/equivalence.py``: the full
-``RunResult`` and the simulated timeline).  Budgets are small, so the
-whole module stays in tier-1.
+``RunResult`` and the simulated timeline).  The last test runs program
+shapes the stand-in benchmarks lack — every decider kind, behaviours
+without an inlined body, loops on a fall-through edge — through both
+kernels.  Budgets are small, so the whole module stays in tier-1.
 """
 
 from __future__ import annotations
@@ -16,13 +18,31 @@ import functools
 import pytest
 
 from repro.core.policy import HotspotACEPolicy
-from repro.isa.program import CondBranch, Return
+from repro.isa.builder import ProgramBuilder
+from repro.isa.program import (
+    AlternatingDecider,
+    CondBranch,
+    MemoryBehavior,
+    PeriodicDecider,
+    PersistentAlternatingDecider,
+    RandomDecider,
+    Return,
+)
 from repro.phases.policy import BBVACEPolicy
 from repro.sim import driver
-from repro.sim.config import ExperimentConfig
+from repro.sim.config import ExperimentConfig, MachineConfig, build_machine
 from repro.sim.driver import RunSpec, execute
-from repro.vm.vm import AdaptationHooks, VMConfig
+from repro.vm.fastvm import FastVirtualMachine
+from repro.vm.vm import AdaptationHooks, VMConfig, VirtualMachine
+from repro.workloads.patterns import (
+    MixedBehavior,
+    StackBehavior,
+    StridedBehavior,
+    WanderingWindowBehavior,
+    WorkingSetBehavior,
+)
 from repro.workloads.specjvm import build_benchmark
+from repro.workloads.synthetic import random_program
 from tests.equivalence import assert_cell_equivalent, assert_equivalent
 
 SCHEMES = ("baseline", "hotspot", "bbv")
@@ -185,3 +205,97 @@ def test_instance_override_gets_a_per_block_hook():
     assert_equivalent("javac/instance-hook", ref, fast)
     assert fast_policy.seen == ref_policy.seen
     assert sum(fast_policy.seen) > 0
+
+
+# -- shapes the stand-in benchmarks do not have -----------------------------
+
+
+class _Scatter(MemoryBehavior):
+    """A behaviour with no inlined body: the runner's list path."""
+
+    def generate(self, rng, frame_base, region_base, iteration, n_loads,
+                 n_stores):
+        base = region_base + (iteration % 7) * 256
+        return (
+            [base + rng.randrange(0, 4096, 4) for _ in range(n_loads)],
+            [base + rng.randrange(0, 4096, 4) for _ in range(n_stores)],
+        )
+
+
+def _odd_program():
+    """Every decider kind, behaviours without an inlined body, a loop
+    that repeats on its fall-through edge, and two threads."""
+    mixed = MixedBehavior(
+        [(StackBehavior(256), 1.0), (WorkingSetBehavior(8192, 0.6), 2.0)]
+    )
+    pb = ProgramBuilder(entry="main")
+    leaf = pb.method("leaf").region(0x2000_0000, 16384)
+    leaf.loop("l", 20, lambda rng: rng.randint(1, 9), "s", loads=4,
+              stores=2, memory=_Scatter())
+    leaf.branch("s", 12, AlternatingDecider(3), "w", "x", loads=3,
+                stores=1, memory=WanderingWindowBehavior(512, 8192))
+    leaf.straight("w", 30, "x", loads=13, stores=7, memory=mixed)
+    leaf.ret("x", 2)
+    leaf.done()
+    work = pb.method("work").region(0x2100_0000, 16384)
+    work.branch("p", 6, PeriodicDecider([True, True, False]), "p", "q",
+                loads=2, stores=1, memory=StridedBehavior(4096, 64))
+    work.branch("q", 8, PersistentAlternatingDecider(2), "r", "q",
+                loads=3, stores=1, memory=mixed)
+    work.branch("r", 5, RandomDecider(0.4), "t", "u", loads=1,
+                memory=StackBehavior(128))
+    work.straight("t", 4, "u")
+    work.ret("u", 3, calls=["leaf"])
+    work.done()
+    main = pb.method("main")
+    main.loop("m", 4, 1_000_000, "e", calls=["work", "leaf"])
+    main.ret("e", 1)
+    main.done()
+    return pb.build()
+
+
+def _vm_state(vm, policy):
+    machine = vm.machine
+    l1 = machine.hierarchy.l1d.stats
+    return (
+        machine.instructions,
+        machine.cycles,
+        machine.energy.totals(),
+        (l1.read_accesses, l1.write_accesses, l1.read_misses,
+         l1.write_misses, l1.fills, l1.writebacks),
+        machine.hierarchy.l2.stats.accesses,
+        (machine.predictor.lookups, machine.predictor.mispredictions),
+        (vm.stats.blocks_executed, vm.stats.instructions_in_hotspots,
+         tuple(vm.stats.thread_instructions)),
+        dict(vm.sampler.samples),
+        dict(machine.applied_reconfigurations),
+        getattr(policy, "total_insns", None),
+        dict(getattr(policy, "covered_insns", {})),
+    )
+
+
+@pytest.mark.parametrize(
+    "make_policy",
+    [
+        AdaptationHooks,
+        HotspotACEPolicy,
+        lambda: BBVACEPolicy(sampling_interval=3_001),
+    ],
+    ids=["baseline", "hotspot", "bbv"],
+)
+@pytest.mark.parametrize("program", ["odd", 3, 17, 42, 101])
+def test_unusual_programs(program, make_policy):
+    states = []
+    for kernel in (VirtualMachine, FastVirtualMachine):
+        built = _odd_program() if program == "odd" else random_program(program)
+        policy = make_policy()
+        vm = kernel(
+            built,
+            build_machine(MachineConfig()),
+            policy=policy,
+            config=VMConfig(hot_threshold=2, quantum_blocks=11),
+            thread_entries=["main", "main"] if program == "odd" else None,
+        )
+        vm.run(40_001)
+        states.append(_vm_state(vm, policy))
+    assert states[0] == states[1]
