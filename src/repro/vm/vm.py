@@ -153,9 +153,10 @@ class CountsFold:
     * ``accumulator`` (optional) is a
       :class:`~repro.phases.bbv.BBVAccumulator`: the kernel adds each
       block's instruction count to bucket ``(block_pc >> 2) %
-      n_buckets`` of its counter list, as ``observe`` would.  The kernel
-      refuses the fold when a counter could saturate between two
-      harvests.
+      n_buckets`` of its counter list, as ``observe`` would.  The policy
+      harvests it at every boundary of ``splitter``, which must be
+      given; the kernel refuses the fold when a counter could saturate
+      between two harvests.
     * ``splitter`` (optional) is the
       :class:`~repro.trace.stream.IntervalSplitter` that
       ``on_block_counts`` advances.  The kernel advances it with the
