@@ -72,9 +72,8 @@ PROGRESS = "progress"
 # Wall-clock resilience event (docs/INTERNALS.md §16): a batch resumed
 # from a prior run's flight-recorder manifest.
 BATCH_RESUMED = "batch_resumed"
-# Wall-clock scheduling event (docs/INTERNALS.md §18): one per pool
-# round, carrying the planner's mode, chunk layout, and predicted vs
-# measured makespan so cost-model quality is observable.
+# Wall-clock scheduling event: one per pool round, carrying its chunk
+# count, cell count and measured makespan.
 SCHEDULE_PLANNED = "schedule_planned"
 
 #: Default per-cell event budget for worker-side capture.  Deliberately

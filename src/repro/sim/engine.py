@@ -63,7 +63,6 @@ from concurrent.futures import FIRST_COMPLETED, Future, wait
 from dataclasses import dataclass
 from pathlib import Path
 from typing import (
-    TYPE_CHECKING,
     Callable,
     Dict,
     Iterator,
@@ -96,19 +95,15 @@ from repro.obs.events import (
     WORKER_WARMUP,
 )
 from repro.obs.recorder import FlightRecorder, ManifestReplay
-from repro.sim.options import SCHEDULE_MODES
+from repro.sim.options import check_at_least
 from repro.sim.pools import make_pool, parse_pool_spec
 from repro.sim.pools.base import CellTimeout, Pool
 from repro.sim.results import RunResult, RunSpec
-from repro.sim.store import ResultStore
-
-if TYPE_CHECKING:
-    from repro.sim.costmodel import CostModel
-    from repro.sim.schedule import RoundPlan
+from repro.sim.store import META_VERSION, ResultStore
 
 # The execution layer — the pool worker (and through it the driver, the
-# kernels and the policies), the pool classes, the scheduler, the cost
-# model and worker telemetry — is imported where a cell first executes
+# kernels and the policies), the pool classes, the chunk partition and
+# worker telemetry — is imported where a cell first executes
 # or a pool starts, never at module import: a batch the caches answer
 # whole never loads the simulator (docs/INTERNALS.md, "Import layering").
 
@@ -269,16 +264,14 @@ class EngineStats:
     resumed_done: int = 0
     resumed_failed: int = 0
     resumed_new: int = 0
-    #: Cost-model scheduling (docs/INTERNALS.md §18).  Pool rounds the
-    #: planner laid out, and how many of their cells had estimates:
+    #: Pool rounds partitioned into chunks, and their summed wall-clock
+    #: seconds.
     rounds_planned: int = 0
-    cells_cost_estimated: int = 0
-    #: Rounds packed cost-balanced (vs falling back to legacy chunking).
-    rounds_lpt: int = 0
-    #: Last planned round's LPT makespan forecast vs what it measured
-    #: (seconds; 0.0 until a round with estimates completes).
-    predicted_makespan_s: float = 0.0
     actual_makespan_s: float = 0.0
+    #: Always 0 since LPT planning was retired (docs/INTERNALS.md §18);
+    #: kept because perf/tracing.py reads them.
+    rounds_lpt: int = 0
+    predicted_makespan_s: float = 0.0
 
     def reset(self) -> None:
         for name in vars(self):
@@ -381,7 +374,7 @@ class Engine:
     max_pool_rebuilds:
         How many times a batch may rebuild a broken backend (worker
         crash recovery) before degrading to in-process serial execution
-        for the interrupted cells (default 3).
+        for the interrupted cells (default 3; must be at least 0).
     fault_plan:
         Optional :class:`repro.faults.FaultPlan`.  ``None`` (default)
         injects nothing and adds no overhead.  A plan whose sites
@@ -421,31 +414,13 @@ class Engine:
         notes).  Defaults to :meth:`FlightRecorder.from_env`, i.e. a
         recorder under ``$REPRO_FLIGHT_DIR`` when that is set.
     chunk_size:
-        Cells per pool submission.  ``None`` (default) picks
-        ``ceil(cells / (workers * 4))`` capped at 8 — enough chunks to
-        keep every worker busy for several rounds while amortising
-        pickling, without collapsing the crash-retry granularity of
-        small batches.  Retries are always resubmitted as single-cell
-        chunks.
-    schedule:
-        Chunk-planning mode (docs/INTERNALS.md §18).  ``"lpt"``
-        (default) packs pool rounds cost-balanced from the cost model's
-        runtime estimates — longest-estimated work first — and degrades
-        to exactly the ``"fifo"`` behaviour (submission order, count-based
-        chunks) while no history exists.  ``"fifo"`` forces the legacy
-        plan unconditionally.  Scheduling is semantics-free: results
-        and their ordering are bit-identical either way (conformance
-        tested); only wall-clock changes.
-    cost_model:
-        The :class:`~repro.sim.costmodel.CostModel` feeding the
-        scheduler, shared across engines if desired.  ``None`` builds a
-        private one, loaded from ``cost_model_dir`` when set and
-        warm-booted from the result store's entry metadata on the
-        first planned round.
-    cost_model_dir:
-        Directory the cost model snapshots itself into
-        (``cost_model.json``, written after each batch that learned
-        something); ``None`` keeps the model in memory only.
+        Cells per pool submission (at least 1).  ``None`` (default)
+        picks ``ceil(cells / (workers * 4))`` capped at 8 — enough
+        chunks to keep every worker busy for several rounds while
+        amortising pickling, without collapsing the crash-retry
+        granularity of small batches
+        (:func:`repro.sim.schedule.plan_round`).  Retries are always
+        resubmitted as single-cell chunks.
     """
 
     def __init__(
@@ -467,21 +442,17 @@ class Engine:
         remote_capture_events: Optional[int] = None,
         recorder: Optional[FlightRecorder] = None,
         resume: Union[str, Path, None] = None,
-        schedule: str = "lpt",
-        cost_model: Optional[CostModel] = None,
-        cost_model_dir: Union[str, Path, None] = None,
     ):
         if failure_policy not in FAILURE_POLICIES:
             raise ValueError(
                 f"failure_policy must be one of {FAILURE_POLICIES}, got "
                 f"{failure_policy!r}"
             )
-        if schedule not in SCHEDULE_MODES:
-            raise ValueError(
-                f"schedule must be one of {SCHEDULE_MODES}, got {schedule!r}"
-            )
+        check_at_least("jobs", jobs, 1)
+        check_at_least("chunk_size", chunk_size, 1)
+        check_at_least("max_pool_rebuilds", max_pool_rebuilds, 0)
         if pool is None:
-            pool = f"local:{jobs}" if (jobs or 1) > 1 else "serial"
+            pool = f"local:{jobs}" if jobs > 1 else "serial"
         # A spec is validated now and built on first use (see ``pool``).
         # ``backend`` names the backend and ``jobs`` is its parallel
         # width, both known without building it.
@@ -500,7 +471,7 @@ class Engine:
         self.cell_timeout = cell_timeout
         self.max_retries = max(0, int(max_retries))
         self.failure_policy = failure_policy
-        self.max_pool_rebuilds = max(0, int(max_pool_rebuilds))
+        self.max_pool_rebuilds = max_pool_rebuilds
         self.fault_plan = fault_plan
         self.progress = progress
         self.runner = runner
@@ -508,9 +479,7 @@ class Engine:
             _MEMORY_CACHE if memory_cache is None else memory_cache
         )
         self.telemetry = telemetry if telemetry is not None else NULL_TELEMETRY
-        self.chunk_size = (
-            None if chunk_size is None else max(1, int(chunk_size))
-        )
+        self.chunk_size = chunk_size
         self.remote_capture_events = (
             DEFAULT_CELL_EVENT_CAP
             if remote_capture_events is None
@@ -520,15 +489,6 @@ class Engine:
             recorder if recorder is not None else FlightRecorder.from_env()
         )
         self._resume: Union[str, Path, None] = resume
-        self.schedule = schedule
-        self._cost_model_dir = (
-            None if cost_model_dir is None else Path(cost_model_dir)
-        )
-        #: Built on first use (see ``cost_model``) unless given.
-        self._cost_model: Optional[CostModel] = cost_model
-        #: Store-metadata warm boot happens once, lazily, before the
-        #: first planned round (scanning the store is not free).
-        self._cost_bootstrapped = False
         self.stats = EngineStats()
         self._unarmed_warned = False
         self._store_pending: List[Tuple] = []
@@ -551,19 +511,6 @@ class Engine:
         if self._pool is None:
             self._pool = make_pool(self._pool_spec)
         return self._pool
-
-    @property
-    def cost_model(self) -> "CostModel":
-        """The scheduler's runtime cost model, loaded on first use."""
-        if self._cost_model is None:
-            from repro.sim.costmodel import CostModel
-
-            self._cost_model = (
-                CostModel()
-                if self._cost_model_dir is None
-                else CostModel.load_dir(self._cost_model_dir)
-            )
-        return self._cost_model
 
     # -- public API --------------------------------------------------------
 
@@ -618,9 +565,6 @@ class Engine:
             recorder.end_batch(
                 batch, self.stats, self.telemetry.log.dropped
             )
-        model, directory = self._cost_model, self._cost_model_dir
-        if directory is not None and model is not None and model.dirty:
-            model.save_dir(directory)
         return batch
 
     def _apply_resume(
@@ -823,12 +767,13 @@ class Engine:
             # The memory-cache write above serves intra-batch duplicates;
             # the disk write is deferred and flushed once per batch.
             # Measured runtime and executor identity ride along as the
-            # entry's meta block, warm-booting future processes' cost
-            # models (docs/INTERNALS.md §18).
+            # entry's meta block, for setup attribution and diagnosis.
             meta = (
-                self.cost_model.store_meta(
-                    self._specs[index], elapsed_s, executed_by
-                )
+                {
+                    "v": META_VERSION,
+                    "elapsed_s": round(float(elapsed_s), 6),
+                    "executed_by": executed_by,
+                }
                 if elapsed_s is not None
                 else None
             )
@@ -919,8 +864,6 @@ class Engine:
         spec = self._specs[index]
         self.stats.simulations += 1
         self.telemetry.metrics.counter("engine.simulations").inc()
-        if elapsed_s is not None:
-            self.cost_model.observe(spec, elapsed_s)
         self._record(index, result, elapsed_s, executed_by)
         if self.recorder is not None:
             # Write-ahead ordering for crash-safe resume (docs §16): the
@@ -1224,38 +1167,6 @@ class Engine:
             telemetry.metrics.counter("engine.pool_reuses").inc()
         return pool
 
-    def _plan_round(self, indices: List[int]) -> "RoundPlan":
-        """Lay out one pool round from the cost model's estimates.
-
-        Under ``schedule="fifo"`` — or with no usable history — this
-        reproduces the legacy partition exactly; see
-        :func:`repro.sim.schedule.plan_round`.
-        """
-        from repro.sim import schedule as schedule_mod
-
-        estimates: Dict[int, Optional[float]] = {}
-        if self.schedule == "lpt":
-            if not self._cost_bootstrapped:
-                self._cost_bootstrapped = True
-                if self.store is not None:
-                    self.cost_model.bootstrap_from_store(self.store)
-            estimates = {
-                i: self.cost_model.estimate(self._specs[i]) for i in indices
-            }
-        plan = schedule_mod.plan_round(
-            indices,
-            estimates,
-            workers=self.pool.workers,
-            chunk_size=self.chunk_size,
-            schedule=self.schedule,
-        )
-        self.stats.rounds_planned += 1
-        self.stats.cells_cost_estimated += plan.estimated_cells
-        if plan.mode == "lpt":
-            self.stats.rounds_lpt += 1
-            self.stats.predicted_makespan_s = plan.predicted_makespan_s
-        return plan
-
     def _run_round(self, indices: List[int]) -> None:
         """One round against the persistent backend; raises
         :class:`_PoolBroken` on worker death.
@@ -1268,10 +1179,17 @@ class Engine:
         backend fail-fast — it may hold in-flight work of a poisoned
         batch and must not leak into the next one.
         """
+        from repro.sim import schedule as schedule_mod
+
         telemetry = self.telemetry
         pool = self._ensure_pool(indices)
-        plan = self._plan_round(indices)
+        # Through the module: perf/tracing.py wraps this binding.
+        chunks = schedule_mod.plan_round(
+            indices, pool.workers, self.chunk_size
+        )
+        self.stats.rounds_planned += 1
         round_t0 = time.perf_counter()
+        self._round = indices
         self._flights = {}
         # Worker-side telemetry capture is requested only when the
         # parent session is live, so the NULL_TELEMETRY default keeps
@@ -1282,7 +1200,7 @@ class Engine:
             else None
         )
         try:
-            for chunk in plan.chunks:
+            for chunk in chunks:
                 self._submit(chunk)
             while self._flights:
                 finished, _ = wait(
@@ -1304,11 +1222,8 @@ class Engine:
         telemetry.emit_wall(
             SCHEDULE_PLANNED,
             backend=pool.name,
-            mode=plan.mode,
-            chunks=len(plan.chunks),
+            chunks=len(chunks),
             cells=len(indices),
-            estimated_cells=plan.estimated_cells,
-            predicted_makespan_s=round(plan.predicted_makespan_s, 4),
             actual_makespan_s=round(actual_s, 4),
         )
         telemetry.metrics.counter("engine.rounds_planned").inc()
@@ -1341,7 +1256,7 @@ class Engine:
         try:
             future = self.pool.submit_chunk(payload)
         except BROKEN_EXCEPTIONS as error:
-            raise self._broken(chunk, error) from error
+            raise self._broken(error) from error
         self._flights[future] = _Flight(list(chunk), time.perf_counter())
         self._sync_in_flight()
 
@@ -1350,14 +1265,16 @@ class Engine:
             len(flight.chunk) for flight in self._flights.values()
         )
 
-    def _broken(self, chunk: List[int], cause: BaseException) -> _PoolBroken:
-        """Empty the in-flight table into a :class:`_PoolBroken`."""
-        interrupted = set(chunk)
-        for flight in self._flights.values():
-            interrupted.update(flight.chunk)
+    def _broken(self, cause: BaseException) -> _PoolBroken:
+        """Empty the in-flight table into a :class:`_PoolBroken` naming
+        every cell of the round not settled yet: in flight, awaiting a
+        retry, or — when the pool died mid-submission — never
+        submitted."""
         self._flights = {}
         self._in_flight = 0
-        return _PoolBroken(sorted(interrupted), cause)
+        return _PoolBroken(
+            [i for i in self._round if self._outcomes[i] is None], cause
+        )
 
     def _land(self, future: Future) -> None:
         """Settle one finished chunk: each of its cells succeeds, is
@@ -1367,7 +1284,7 @@ class Engine:
         flight = self._flights.pop(future)
         error = future.exception()
         if isinstance(error, BROKEN_EXCEPTIONS):
-            raise self._broken(flight.chunk, error) from error
+            raise self._broken(error) from error
         chunk = flight.chunk
         if error is None:
             warmup, outcomes, cell_times, executed_by = self._read_reply(
@@ -1415,7 +1332,7 @@ class Engine:
         self, future: Future, flight: _Flight
     ) -> Tuple[Optional[Dict], list, Dict[int, float], Optional[str]]:
         """Unpack a landed chunk's ``(warmup, outcomes, chunk_info)``
-        reply and feed its timings to the cost model and the telemetry
+        reply and feed its timings to the store meta and the telemetry
         merge.
 
         Returns ``(warmup, outcomes, cell_times, executed_by)``.  A
@@ -1450,7 +1367,7 @@ class Engine:
         warmup, outcomes, _ = reply
         chunk = flight.chunk
         per_cell = (time.perf_counter() - flight.started) / len(chunk)
-        # Cost-model feed: worker-measured per-cell seconds and the
+        # Store-meta feed: worker-measured per-cell seconds and the
         # executor's ``host#pid`` identity, with the parent-side chunk
         # average as the fallback for cells the worker did not time.
         cell_times = {

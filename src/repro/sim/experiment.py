@@ -92,8 +92,6 @@ def make_engine(
         fault_plan=fault_plan,
         chunk_size=options.chunk_size,
         max_pool_rebuilds=options.max_pool_rebuilds,
-        schedule=options.schedule,
-        cost_model_dir=options.cost_model_dir,
         telemetry=telemetry,
         recorder=recorder,
         resume=resume,

@@ -2,13 +2,14 @@
 backends" has the mapping table).
 
 The execution parameters — ``--jobs``, ``--backend``, ``--store-dir``,
-``--no-store``, ``--chunk-size``, ``--max-pool-rebuilds``,
-``--schedule`` and ``--cost-model-dir`` — live here: the CLI registers
-and parses them once (:meth:`ExecutionOptions.add_arguments` /
+``--no-store``, ``--chunk-size`` and ``--max-pool-rebuilds`` — live
+here: the CLI registers and parses them once
+(:meth:`ExecutionOptions.add_arguments` /
 :meth:`ExecutionOptions.from_args`), and
 :func:`repro.sim.experiment.make_engine` maps the whole object onto
 :class:`repro.sim.engine.Engine`'s keywords — the one place the two
-meet.
+meet.  Out-of-range values raise ``ValueError`` naming the argument
+when the object is built, before any batch starts.
 
 Backend resolution: an explicit ``backend`` spec wins; otherwise
 ``jobs > 1`` means ``local:<jobs>`` and anything else means ``serial``
@@ -24,9 +25,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-#: Legal chunk-planning modes (docs/INTERNALS.md §18); ``--schedule``'s
-#: choices, checked by the engine and the planner.
-SCHEDULE_MODES = ("lpt", "fifo")
+
+def check_at_least(name: str, value: Optional[int], floor: int) -> None:
+    """Raise ``ValueError`` naming ``name`` unless ``value >= floor``
+    (``None`` passes: it means "pick a default")."""
+    if value is not None and value < floor:
+        raise ValueError(f"{name} must be at least {floor}, got {value!r}")
 
 
 @dataclass
@@ -47,16 +51,11 @@ class ExecutionOptions:
     chunk_size: Optional[int] = None
     #: Pool rebuilds per batch before degrading to serial.
     max_pool_rebuilds: int = 3
-    #: Chunk-planning mode (docs/INTERNALS.md §18): ``"lpt"`` (default)
-    #: packs chunks by estimated cost, longest first, once the cost
-    #: model has history — with none it degrades to exactly the
-    #: ``"fifo"`` behaviour (submission order, count-based chunks).
-    #: Never affects results, only wall-clock.
-    schedule: str = "lpt"
-    #: Directory for the cost model's persistent snapshot
-    #: (``cost_model.json``); ``None`` keeps estimates in memory (the
-    #: result store's entry metadata still warm-boots them).
-    cost_model_dir: Optional[str] = None
+
+    def __post_init__(self) -> None:
+        check_at_least("--jobs", self.jobs, 1)
+        check_at_least("--chunk-size", self.chunk_size, 1)
+        check_at_least("--max-pool-rebuilds", self.max_pool_rebuilds, 0)
 
     def resolved_backend(self) -> str:
         if self.backend is not None:
@@ -112,33 +111,14 @@ class ExecutionOptions:
             help="worker-crash pool rebuilds per batch before degrading "
             "to serial execution (default: 3)",
         )
-        parser.add_argument(
-            "--schedule",
-            choices=SCHEDULE_MODES,
-            default="lpt",
-            help="chunk planning: 'lpt' packs chunks by estimated cost "
-            "(longest first) once runtime history exists; 'fifo' keeps "
-            "submission-order count-based chunks. "
-            "Results are bit-identical either way (default: lpt)",
-        )
-        parser.add_argument(
-            "--cost-model-dir",
-            default=None,
-            metavar="PATH",
-            help="persist the scheduler's runtime cost model to "
-            "PATH/cost_model.json across processes (default: in-memory, "
-            "warm-booted from result-store metadata)",
-        )
 
     @classmethod
     def from_args(cls, args) -> "ExecutionOptions":
         return cls(
             backend=getattr(args, "backend", None),
-            jobs=getattr(args, "jobs", 1) or 1,
+            jobs=getattr(args, "jobs", 1),
             store_dir=getattr(args, "store_dir", None),
             no_store=bool(getattr(args, "no_store", False)),
             chunk_size=getattr(args, "chunk_size", None),
             max_pool_rebuilds=getattr(args, "max_pool_rebuilds", 3),
-            schedule=getattr(args, "schedule", "lpt") or "lpt",
-            cost_model_dir=getattr(args, "cost_model_dir", None),
         )

@@ -53,7 +53,12 @@ def parse_pool_spec(spec: str) -> Tuple[str, int]:
                 f"backend spec {spec!r} wants an integer worker count, "
                 f"got {arg!r}"
             ) from None
-        return name, max(1, workers)
+        if workers < 1:
+            raise ValueError(
+                f"backend spec {spec!r}: local:N wants at least 1 worker, "
+                f"got {workers}"
+            )
+        return name, workers
     if name in RETIRED_BACKENDS:
         raise ValueError(
             f"the {name!r} backend was retired with host health and "

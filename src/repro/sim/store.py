@@ -37,17 +37,17 @@ Entry layout (schema version 1)::
       "meta": {                       # optional execution metadata
         "v": 1,                       #   (its own schema version)
         "elapsed_s": 0.41,            # measured cell wall-clock
-        "executed_by": "host#pid",    # executor identity
-        "cost_key": ["db", "hotspot", "fast", 20]
+        "executed_by": "host#pid"     # executor identity
       }
     }
 
 The ``meta`` block is additive and independently versioned: entries
 without it (written by older checkouts) read fine, and readers ignore a
 ``meta`` whose ``v`` they don't understand.  It never participates in
-result identity — it exists so the scheduler's cost model
-(:mod:`repro.sim.costmodel`) can warm-boot runtime estimates across
-processes via :meth:`ResultStore.iter_meta`.
+result identity; it serves setup attribution (``perf/harness.py``
+subtracts each worker's first cells from their progress times to find
+when simulation began) and diagnosis (which process ran a cell, and how
+long it took).
 
 Robustness rules:
 
@@ -95,6 +95,9 @@ from repro.sim.results import RunResult
 #: Version of the on-disk entry layout.  Entries with any other value are
 #: ignored on read (and reported by ``tools/store_gc.py``).
 STORE_SCHEMA_VERSION = 1
+
+#: Version of an entry's optional ``meta`` block (see the entry layout).
+META_VERSION = 1
 
 #: Default location, overridable with the ``REPRO_STORE_DIR`` environment
 #: variable (the CLI's ``--store-dir`` wins over both).
@@ -453,26 +456,6 @@ class ResultStore:
                     size_bytes=size,
                     mtime=mtime,
                 )
-
-    def iter_meta(self) -> Iterator[Dict[str, object]]:
-        """The ``meta`` block of every known-schema entry that has one.
-
-        This is the cost model's warm-boot feed
-        (:meth:`repro.sim.costmodel.CostModel.bootstrap_from_store`):
-        entries written before metadata existed, corrupt files, and
-        foreign schema versions are all skipped silently.
-        """
-        for path in self._glob_both("*.json"):
-            try:
-                with open(path, "r", encoding="utf-8") as handle:
-                    payload = json.load(handle)
-            except (OSError, ValueError):
-                continue
-            if payload.get("schema") != STORE_SCHEMA_VERSION:
-                continue
-            meta = payload.get("meta")
-            if isinstance(meta, dict):
-                yield meta
 
     def stale_tmp_files(self) -> List[Path]:
         """Leftover atomic-write temp files (a crashed writer's debris)."""

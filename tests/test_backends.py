@@ -70,7 +70,9 @@ class TestRegistry:
         assert make_pool("local").workers == default
         assert make_pool("local:").workers == default
         assert make_pool("local:4").workers == 4
-        assert make_pool("local:0").workers == 1
+        for spec in ("local:0", "local:-2"):
+            with pytest.raises(ValueError, match="local:N"):
+                make_pool(spec)
         with pytest.raises(ValueError, match="integer worker count"):
             make_pool("local:four")
 
@@ -168,6 +170,30 @@ class TestConformance:
         assert reader.stats.store_hits == len(cells)
         assert reader.stats.simulations == 0
 
+    def test_simulated_entries_carry_timing_meta(self, tmp_path):
+        # perf/harness.py attributes pool set-up time from every entry's
+        # measured seconds and executor: both backends must write them.
+        import json
+        import socket
+
+        store = ResultStore(tmp_path / "store")
+        pooled, serial = grid(config()), grid(config(seed=7))
+        with Engine(pool="local:2", store=store, memory_cache={}) as engine:
+            engine.run(pooled)
+        Engine(pool="serial", store=store, memory_cache={}).run(serial)
+        executors = {}
+        for entry in store.entries():
+            meta = json.loads(entry.path.read_text())["meta"]
+            assert isinstance(meta["elapsed_s"], float), meta
+            assert meta["elapsed_s"] >= 0, meta
+            host, _, pid = meta["executed_by"].partition("#")
+            assert host == socket.gethostname() and pid.isdigit(), meta
+            executors.setdefault(entry.fingerprint, set()).add(int(pid))
+        assert len(executors) == 2
+        fingerprint = serial[0].cache_key()[2]
+        assert executors[fingerprint] == {os.getpid()}
+        assert os.getpid() not in executors[pooled[0].cache_key()[2]]
+
 
 class TestPoolLifecycle:
     @pytest.mark.parametrize("spec", CONFORMANCE_SPECS)
@@ -256,6 +282,36 @@ class TestExecutionOptions:
         assert from_options.jobs == 2
         assert Engine().max_pool_rebuilds == 3
 
+    @pytest.mark.parametrize(
+        "argv, name",
+        [
+            (["--jobs", "0"], "--jobs"),
+            (["--chunk-size", "0"], "--chunk-size"),
+            (["--chunk-size", "-3"], "--chunk-size"),
+            (["--max-pool-rebuilds", "-1"], "--max-pool-rebuilds"),
+            (["--backend", "local:0"], "local:N"),
+            (["--backend", "local:-2"], "local:N"),
+        ],
+    )
+    def test_out_of_range_arguments_raise_before_a_batch(self, argv, name):
+        from repro.cli import main
+
+        with pytest.raises(ValueError, match=name):
+            main(["figure3", "--no-store", *argv])
+
+    @pytest.mark.parametrize(
+        "keywords, name",
+        [
+            ({"jobs": 0}, "jobs"),
+            ({"chunk_size": 0}, "chunk_size"),
+            ({"max_pool_rebuilds": -1}, "max_pool_rebuilds"),
+            ({"pool": "local:0"}, "local:N"),
+        ],
+    )
+    def test_engine_rejects_out_of_range_keywords(self, keywords, name):
+        with pytest.raises(ValueError, match=name):
+            Engine(**keywords)
+
     def test_make_engine_keeps_the_options_backend(self):
         # The `repro all --jobs 2` path: make_engine passes its own
         # default jobs, which must not shadow the options' backend.
@@ -279,8 +335,7 @@ class TestExecutionOptions:
         canonical = canonicalize(cfg)
         for field in (
             "backend", "jobs", "store_dir", "no_store", "chunk_size",
-            "max_pool_rebuilds", "pool", "schedule", "cost_model",
-            "cost_model_dir",
+            "max_pool_rebuilds", "pool",
         ):
             assert field not in str(canonical)
         assert cfg.fingerprint() == fingerprint

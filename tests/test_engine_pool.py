@@ -110,7 +110,7 @@ class TestPersistentPool:
         with Engine(
             jobs=2, use_cache=False, memory_cache={}, chunk_size=2
         ) as engine:
-            assert schedule_mod.legacy_chunks(
+            assert schedule_mod.plan_round(
                 list(range(len(cells))), engine.pool.workers, engine.chunk_size
             ) == [[0, 1], [2, 3]]
             results = engine.run(cells).values()

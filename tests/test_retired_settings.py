@@ -5,20 +5,17 @@ only it needed were removed (docs/INTERNALS.md §17), and so were the
 fleet-scale execution layer's SSH backends, host health, straggler
 speculation and their fault sites (§16).  A caller still asking for
 them gets an error before a campaign starts, not a run on a different
-configuration.
+configuration.  So do LPT scheduling's ``schedule`` and the runtime
+cost model's ``cost_model``/``cost_model_dir`` (§18).
 """
 
 from __future__ import annotations
-
-import json
 
 import pytest
 
 from repro.cli import build_parser
 from repro.faults import FaultPlan
 from repro.sim.config import ExperimentConfig
-from repro.sim.costmodel import SNAPSHOT_NAME, CostModel
-from repro.sim.driver import RunSpec
 from repro.sim.engine import Engine
 from repro.sim.options import ExecutionOptions
 from repro.sim.pools import make_pool
@@ -76,21 +73,24 @@ def test_retired_fault_sites_are_rejected(site):
         FaultPlan.from_spec(f"seed=1,{site}=0.1")
 
 
-def test_cost_model_ignores_host_rows_of_old_snapshots(tmp_path):
-    # A snapshot written while the model still kept per-host speeds:
-    # its estimates load, its "hosts" rows are dropped.
-    cell = RunSpec("db", "hotspot", ExperimentConfig(max_instructions=25_000))
-    (tmp_path / SNAPSHOT_NAME).write_text(
-        json.dumps(
-            {
-                "v": 1,
-                "saved": 0.0,
-                "estimates": [[["db", "hotspot", "fast", 15], 1.25, 3]],
-                "hosts": [["alpha#1", 4.0, 2], ["beta#pid", 1.0, 1]],
-            }
-        )
-    )
-    model = CostModel.load_dir(tmp_path)
-    assert model.known_keys == 1
-    assert model.estimate(cell) == pytest.approx(1.25)
-    assert "hosts" not in model.to_dict()
+@pytest.mark.parametrize(
+    "flag", [["--schedule", "lpt"], ["--cost-model-dir", "models"]]
+)
+def test_cli_rejects_scheduler_flags(flag, capsys):
+    with pytest.raises(SystemExit):
+        build_parser().parse_args(["all", *flag])
+    assert flag[0] in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "keyword", ["schedule", "cost_model", "cost_model_dir"]
+)
+def test_scheduler_settings_are_not_engine_keywords(keyword):
+    with pytest.raises(TypeError, match=keyword):
+        Engine(**{keyword: None})
+
+
+@pytest.mark.parametrize("keyword", ["schedule", "cost_model_dir"])
+def test_scheduler_settings_are_not_options_fields(keyword):
+    with pytest.raises(TypeError, match=keyword):
+        ExecutionOptions(**{keyword: None})

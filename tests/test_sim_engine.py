@@ -33,7 +33,7 @@ from repro.sim.experiment import (
     set_default_store,
 )
 from repro.sim.options import ExecutionOptions
-from repro.sim.pools.base import Pool, completed_future
+from repro.sim.pools.base import Pool, PoolBrokenError, completed_future
 from repro.sim.store import ResultStore
 
 BUDGET = 60_000
@@ -363,6 +363,40 @@ class _SkewedPool(Pool):
     @property
     def alive(self):
         return self._alive
+
+
+class _DiesOnSecondSubmit(_SkewedPool):
+    """A parallel backend that dies while the engine submits its second
+    chunk, then answers every chunk after the rebuild."""
+
+    def __init__(self):
+        super().__init__(
+            lambda outcomes: (None, outcomes, {"v": SNAPSHOT_VERSION})
+        )
+        self.submits = 0
+
+    def submit_chunk(self, payload):
+        self.submits += 1
+        if self.submits == 2:
+            raise PoolBrokenError("worker died mid-submission")
+        return super().submit_chunk(payload)
+
+
+def test_pool_death_mid_submission_resubmits_unsent_chunks(small_config):
+    # Three cells on two workers go out one chunk each; the pool dies
+    # on the second submit, so the third chunk was never sent.  It must
+    # be resubmitted with the interrupted ones, not left unsettled.
+    engine = Engine(
+        pool=_DiesOnSecondSubmit(), use_cache=False, memory_cache={}
+    )
+    cells = [
+        RunSpec(name, "baseline", small_config)
+        for name in ("db", "jess", "jack")
+    ]
+    batch = engine.run(cells)
+    assert [outcome.status for outcome in batch] == ["ok"] * 3
+    assert engine.stats.worker_crashes == 1
+    assert engine.stats.pool_rebuilds == 1
 
 
 class TestReplyVersionSkew:

@@ -27,16 +27,6 @@ Times representative cells and writes a ``BENCH_<date>.json`` snapshot:
   The pool spawn is deliberately outside the timed region — a
   persistent pool pays it once per engine, not per batch — and the
   host's CPU count is recorded so the gate can be interpreted.
-* ``engine:makespan-skew`` — the scheduler cell: a deliberately skewed
-  batch (10 light cells + 2 heavy cells at ~10x the light budget, the
-  heavies *last* in submission order) through two warm jobs=2 engines
-  sharing one pre-trained cost model — one under ``schedule="fifo"``
-  (the legacy count-based chunks pair both heavies into the final
-  chunk, serialising them on one worker), one under ``schedule="lpt"``
-  (cost-balanced packing runs the heavies in parallel up front).  The
-  gate requires LPT to beat FIFO by ``SKEW_MIN_SPEEDUP`` wall clock on
-  a multi-core host; on a single-core host the ratio is recorded, not
-  gated (there is no parallelism for the plan to exploit).
 
 For the *kernel* cells the compared statistic is CPU time
 (``time.process_time``): single-process, so it is the less noisy clock.
@@ -108,12 +98,6 @@ WARM_COLD_FACTOR = 0.9
 #: parallel overhead (chunk pickling, result shipping, scheduling) to
 #: stay within this factor of the serial wall clock.
 SINGLE_CORE_OVERHEAD = 1.15
-#: The makespan-skew cell: light/heavy split and the LPT-vs-FIFO
-#: wall-clock gate (multi-core hosts only; see the module docstring).
-SKEW_LIGHT_CELLS = 10
-SKEW_HEAVY_CELLS = 2
-SKEW_FACTOR = 10
-SKEW_MIN_SPEEDUP = 1.3
 #: The instrumented-but-disabled telemetry path (NULL_TELEMETRY sink)
 #: must stay within noise of running with no telemetry argument at all:
 #: a multiplicative bound plus a small absolute slack so sub-second
@@ -263,115 +247,7 @@ def bench_engine_cells(budget: int, repeats: int) -> Dict[str, object]:
     out["engine:parallel-efficiency"] = bench_parallel_efficiency(
         config, repeats, n_cells
     )
-    out["engine:makespan-skew"] = bench_makespan_skew(budget, repeats)
     return out
-
-
-def _skew_specs(light_budget: int, heavy_budget: int) -> list:
-    """10 light + 2 heavy cells, heavies last in submission order.
-
-    Distinct seeds keep the cells' fingerprints distinct (no dedup
-    collapse) while the cost key — benchmark/scheme/kernel/budget
-    bucket — still groups all lights together and all heavies together,
-    which is exactly what the scheduler's estimates key on.
-    """
-    lights = [
-        RunSpec(
-            "db",
-            "baseline",
-            ExperimentConfig(max_instructions=light_budget, seed=seed),
-        )
-        for seed in range(SKEW_LIGHT_CELLS)
-    ]
-    heavies = [
-        RunSpec(
-            "db",
-            "baseline",
-            ExperimentConfig(max_instructions=heavy_budget, seed=100 + n),
-        )
-        for n in range(SKEW_HEAVY_CELLS)
-    ]
-    return lights + heavies
-
-
-def bench_makespan_skew(budget: int, repeats: int) -> Dict[str, object]:
-    """LPT vs FIFO wall clock on a deliberately skewed jobs=2 batch.
-
-    One untimed training batch teaches a shared cost model the ~10:1
-    light/heavy split; then two warm engines run the same batch with
-    caches off — identical work, identical results, only the chunk plan
-    differs.  FIFO's count-based chunks pair both heavies into the last
-    chunk (they serialise on one worker after the lights drain); LPT
-    fronts them on separate workers.
-    """
-    from repro.sim.costmodel import CostModel
-
-    light_budget = max(5_000, budget // 2)
-    heavy_budget = light_budget * SKEW_FACTOR
-    specs = _skew_specs(light_budget, heavy_budget)
-    model = CostModel()
-    trainer = Engine(
-        jobs=2, use_cache=False, memory_cache={}, cost_model=model
-    )
-    try:
-        trainer.run(specs)  # untimed: teaches the model the skew
-    finally:
-        trainer.close()
-    engines = {
-        "fifo": Engine(
-            jobs=2,
-            use_cache=False,
-            memory_cache={},
-            schedule="fifo",
-            cost_model=model,
-        ),
-        "lpt": Engine(
-            jobs=2,
-            use_cache=False,
-            memory_cache={},
-            schedule="lpt",
-            cost_model=model,
-        ),
-    }
-    best: Dict[str, Optional[Dict[str, float]]] = {
-        "fifo": None, "lpt": None,
-    }
-    try:
-        # Pool spawn + benchmark warm-up untimed, as in the
-        # parallel-efficiency cell: one throwaway light cell each.
-        warm = [
-            RunSpec(
-                "db",
-                "baseline",
-                ExperimentConfig(max_instructions=light_budget, seed=999),
-            )
-        ]
-        for engine in engines.values():
-            engine.run(warm)
-        for _ in range(repeats):
-            for mode, engine in engines.items():
-                best[mode] = _merge_min(
-                    best[mode],
-                    _time_once(lambda e=engine: e.run(specs)),
-                )
-        predicted = engines["lpt"].stats.predicted_makespan_s
-    finally:
-        for engine in engines.values():
-            engine.close()
-    fifo_wall = best["fifo"]["wall_s"]
-    lpt_wall = best["lpt"]["wall_s"]
-    return {
-        "light_budget": light_budget,
-        "heavy_budget": heavy_budget,
-        "cells": len(specs),
-        "jobs": 2,
-        "repeats": repeats,
-        "fifo_wall_s": fifo_wall,
-        "lpt_wall_s": lpt_wall,
-        "speedup_wall": fifo_wall / lpt_wall,
-        "lpt_predicted_makespan_s": predicted,
-        "host_cpus": os.cpu_count() or 1,
-    }
 
 
 def bench_parallel_efficiency(
@@ -452,13 +328,6 @@ def run_bench(budget: int, repeats: int, mode: str) -> Dict[str, object]:
         f"ratio={efficiency['wall_ratio']:.2f}x "
         f"(host_cpus={efficiency['host_cpus']})"
     )
-    skew = cells["engine:makespan-skew"]
-    print(
-        f"    makespan-skew: fifo wall={skew['fifo_wall_s']:.3f}s "
-        f"lpt wall={skew['lpt_wall_s']:.3f}s "
-        f"speedup={skew['speedup_wall']:.2f}x "
-        f"(host_cpus={skew['host_cpus']})"
-    )
 
     kernel_entries = {
         name: entry for name, entry in cells.items()
@@ -478,7 +347,6 @@ def run_bench(budget: int, repeats: int, mode: str) -> Dict[str, object]:
             name: cells[name]["speedup_cpu"] for name in heavy_names
         },
         "parallel_wall_ratio": efficiency["wall_ratio"],
-        "makespan_skew_speedup_wall": skew["speedup_wall"],
         "host_cpus": efficiency["host_cpus"],
         "obs_null_ratio_cpu": obs["null_ratio_cpu"],
         "obs_capture_ratio_cpu": obs["capture_ratio_cpu"],
@@ -650,34 +518,6 @@ def check_against_baseline(
             requirement,
             passed,
         )
-    skew = current["cells"].get("engine:makespan-skew")
-    if skew:
-        cpus = int(skew.get("host_cpus", 1))
-        speedup = skew["speedup_wall"]
-        base = _base_value(
-            base_cells, "engine:makespan-skew", "speedup_wall"
-        )
-        if cpus >= 2:
-            # The scheduler's raison d'être: on a skewed batch LPT must
-            # beat the legacy FIFO plan by a real margin.
-            table.gate(
-                "engine:makespan-skew",
-                "speedup_wall",
-                f"{speedup:.2f}x",
-                base,
-                f">= {SKEW_MIN_SPEEDUP:.2f}x ({cpus} cpus)",
-                speedup >= SKEW_MIN_SPEEDUP,
-            )
-        else:
-            # One core: both plans serialise; nothing to gate.
-            table.gate(
-                "engine:makespan-skew",
-                "speedup_wall",
-                f"{speedup:.2f}x",
-                base,
-                "(1 cpu: recorded, not gated)",
-                None,
-            )
     print(table.render())
     return table.failures
 
