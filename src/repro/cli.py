@@ -226,6 +226,15 @@ def make_fault_plan(args):
         raise SystemExit(2)
 
 
+def make_options(args) -> ExecutionOptions:
+    """The execution flags as ExecutionOptions; exits on bad values."""
+    try:
+        return ExecutionOptions.from_args(args)
+    except ValueError as error:
+        print(f"error: {error}", file=sys.stderr)
+        raise SystemExit(2)
+
+
 def make_progress_printer(args):
     """The ``--progress`` stderr heartbeat (or None when not asked)."""
     if not args.progress:
@@ -338,7 +347,7 @@ def run_command(args) -> int:
         telemetry=telemetry,
         failure_policy=args.on_error,
         fault_plan=make_fault_plan(args),
-        options=ExecutionOptions.from_args(args),
+        options=make_options(args),
         progress=make_progress_printer(args),
         recorder=make_recorder(args, resume_from),
         resume=resume_from,
@@ -410,7 +419,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     engine = make_engine(
         failure_policy=args.on_error,
         fault_plan=make_fault_plan(args),
-        options=ExecutionOptions.from_args(args),
+        options=make_options(args),
         progress=make_progress_printer(args),
         recorder=make_recorder(args, resume_from),
         resume=resume_from,

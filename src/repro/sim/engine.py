@@ -24,6 +24,7 @@ the process pool is bit-identical to serial (tests/test_backends.py).
 Backends (docs/INTERNALS.md §14): ``Engine(pool=...)`` accepts a
 backend spec string (``"serial"``, ``"local:4"``) or a constructed
 :class:`~repro.sim.pools.Pool`; ``jobs=N`` resolves to ``local:N``.
+``serial`` builds no pool: every cell runs in the calling process.
 The local process backend is **persistent and warm**
 (docs/INTERNALS.md §13): the first parallel batch spawns it with an
 initializer that pre-builds the batch's benchmarks (method runners
@@ -333,11 +334,12 @@ class Engine:
         runs everything in the calling process; ``N > 1`` is shorthand
         for ``pool="local:N"``.
     pool:
-        Execution backend: a spec string resolved through
-        :func:`repro.sim.pools.make_pool` (``"serial"``, ``"local:4"``)
+        Execution backend: a spec string (``"serial"``, ``"local:4"``)
         or an already constructed :class:`~repro.sim.pools.Pool`.
-        Overrides ``jobs``.  A parallel pool pre-builds the first
-        batch's benchmarks in every worker
+        Overrides ``jobs``.  ``"serial"`` builds no pool and runs every
+        cell in the calling process; ``"local:N"`` is built through
+        :func:`repro.sim.pools.make_pool` on first use.  A pool
+        pre-builds the first batch's benchmarks in every worker
         at spawn (docs/INTERNALS.md §13; ``worker_warmup`` telemetry);
         later batches reuse the live pool and the workers' memoised
         benchmarks.
@@ -351,8 +353,8 @@ class Engine:
         Per-cell wall-clock budget in seconds (None = unbounded).  A
         timed-out cell is retried like any other failure.
     max_retries:
-        Extra attempts per cell after the first failure.  Retries are
-        resubmitted at once, without backoff.
+        Extra attempts per cell after the first failure (at least 0).
+        Retries are resubmitted at once, without backoff.
     failure_policy:
         ``"raise"`` (default): a cell that exhausts its retries aborts
         the batch with :class:`CellExecutionError` — the legacy
@@ -397,17 +399,14 @@ class Engine:
         *serially* additionally stream their simulation-side tuning
         events into the same session.  Cells that run through a pool
         backend capture their tuning events worker-side instead
-        (bounded per cell by ``remote_capture_events``), ship them back
+        (bounded per cell by
+        :data:`repro.obs.events.DEFAULT_CELL_EVENT_CAP`; events beyond
+        it are counted in ``stats.remote_events_dropped``), ship them back
         on the chunk reply, and the engine clock-rebases and merges
         them into this session on per-worker/per-cell tracks — so one
         unified trace covers every backend (docs/INTERNALS.md §15).
         The capture is requested only when this session is live;
         telemetry never changes what a cell computes.
-    remote_capture_events:
-        Per-cell event budget for worker-side capture (default
-        :data:`repro.obs.remote.DEFAULT_CELL_EVENT_CAP`); events beyond
-        it are counted in ``stats.remote_events_dropped``.  ``0``
-        disables worker-side capture entirely.
     recorder:
         Optional :class:`repro.obs.FlightRecorder` writing the per-run
         JSONL manifest (batch config, per-cell outcomes, degradation
@@ -439,7 +438,6 @@ class Engine:
         telemetry=None,
         chunk_size: Optional[int] = None,
         pool: Union[str, Pool, None] = None,
-        remote_capture_events: Optional[int] = None,
         recorder: Optional[FlightRecorder] = None,
         resume: Union[str, Path, None] = None,
     ):
@@ -449,27 +447,30 @@ class Engine:
                 f"{failure_policy!r}"
             )
         check_at_least("jobs", jobs, 1)
+        check_at_least("max_retries", max_retries, 0)
         check_at_least("chunk_size", chunk_size, 1)
         check_at_least("max_pool_rebuilds", max_pool_rebuilds, 0)
         if pool is None:
             pool = f"local:{jobs}" if jobs > 1 else "serial"
-        # A spec is validated now and built on first use (see ``pool``).
+        # A spec is validated now and a local one built on first use
+        # (see ``pool``); ``serial`` leaves both fields None.
         # ``backend`` names the backend and ``jobs`` is its parallel
         # width, both known without building it.
+        self._pool: Optional[Pool] = None
+        self._pool_spec: Optional[str] = None
         if isinstance(pool, str):
-            kind, workers = parse_pool_spec(pool)
-            self._pool: Optional[Pool] = None
-            self._pool_spec: Optional[str] = pool
+            kind, self.jobs = parse_pool_spec(pool)
+            if kind == "local":
+                self._pool_spec = pool
             self.backend = kind
-            self.jobs = workers if kind == "local" else 1
         else:
-            self._pool, self._pool_spec = pool, None
+            self._pool = pool
             self.backend = pool.name
-            self.jobs = pool.workers if pool.parallel else 1
+            self.jobs = pool.workers
         self.store = store
         self.use_cache = use_cache
         self.cell_timeout = cell_timeout
-        self.max_retries = max(0, int(max_retries))
+        self.max_retries = max_retries
         self.failure_policy = failure_policy
         self.max_pool_rebuilds = max_pool_rebuilds
         self.fault_plan = fault_plan
@@ -480,11 +481,6 @@ class Engine:
         )
         self.telemetry = telemetry if telemetry is not None else NULL_TELEMETRY
         self.chunk_size = chunk_size
-        self.remote_capture_events = (
-            DEFAULT_CELL_EVENT_CAP
-            if remote_capture_events is None
-            else max(0, int(remote_capture_events))
-        )
         self.recorder = (
             recorder if recorder is not None else FlightRecorder.from_env()
         )
@@ -501,14 +497,15 @@ class Engine:
         self._flights: Dict[Future, _Flight] = {}
 
     @property
-    def pool(self) -> Pool:
-        """The execution backend, built from its spec on first use.
+    def pool(self) -> Optional[Pool]:
+        """The execution backend, built from its spec on first use
+        (None for ``serial``, which runs every cell in-process).
 
         Building it imports the pool classes and, through the worker
         module, the simulator — so a local pool's workers fork from a
         parent that has it loaded.
         """
-        if self._pool is None:
+        if self._pool is None and self._pool_spec is not None:
             self._pool = make_pool(self._pool_spec)
         return self._pool
 
@@ -543,10 +540,9 @@ class Engine:
             resume_counts = self._apply_resume(specs, keys, replay)
         recorder = self.recorder
         if recorder is not None:
-            pool = self._pool
             recorder.begin_batch(
                 backend=self.backend,
-                workers=self.jobs if pool is None else pool.workers,
+                workers=self.jobs,
                 failure_policy=self.failure_policy,
                 cell_timeout=self.cell_timeout,
                 max_retries=self.max_retries,
@@ -991,18 +987,13 @@ class Engine:
         ]
         # A single eligible cell normally runs serially (cheaper, and it
         # streams simulation telemetry directly) — unless the parent's
-        # telemetry session is live and worker-side capture is on, in
-        # which case routing through the pool exercises the same
-        # capture/merge path a multi-cell batch uses, keeping traces
-        # uniform across batch sizes.
+        # telemetry session is live, in which case routing through the
+        # pool exercises the same capture/merge path a multi-cell batch
+        # uses, keeping traces uniform across batch sizes.
         serial = pending
-        if self.pool.parallel and (
+        if self.pool is not None and (
             len(pool_eligible) > 1
-            or (
-                pool_eligible
-                and self.telemetry.enabled
-                and self.remote_capture_events > 0
-            )
+            or (pool_eligible and self.telemetry.enabled)
         ):
             self._run_pool(pool_eligible)
             in_pool = set(pool_eligible)
@@ -1195,8 +1186,8 @@ class Engine:
         # parent session is live, so the NULL_TELEMETRY default keeps
         # the 3-field payload on the wire.
         self._capture = (
-            {"max_events": self.remote_capture_events}
-            if telemetry.enabled and self.remote_capture_events > 0
+            {"max_events": DEFAULT_CELL_EVENT_CAP}
+            if telemetry.enabled
             else None
         )
         try:

@@ -25,6 +25,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
+from repro.sim.pools import parse_pool_spec
+
 
 def check_at_least(name: str, value: Optional[int], floor: int) -> None:
     """Raise ``ValueError`` naming ``name`` unless ``value >= floor``
@@ -56,6 +58,11 @@ class ExecutionOptions:
         check_at_least("--jobs", self.jobs, 1)
         check_at_least("--chunk-size", self.chunk_size, 1)
         check_at_least("--max-pool-rebuilds", self.max_pool_rebuilds, 0)
+        if self.backend is not None:
+            try:
+                parse_pool_spec(self.backend)
+            except ValueError as error:
+                raise ValueError(f"--backend: {error}") from None
 
     def resolved_backend(self) -> str:
         if self.backend is not None:

@@ -1,17 +1,17 @@
-"""The two execution backends behind the :class:`Pool` API.
+"""The execution backends ``Engine(pool=...)`` accepts.
 
-:func:`parse_pool_spec` validates, and :func:`make_pool` builds, the
-backend *specs* that ``Engine(pool=...)``,
-:class:`repro.sim.options.ExecutionOptions`, and the CLI's
-``--backend`` accept::
+:func:`parse_pool_spec` validates the backend *specs* that
+``Engine(pool=...)``, :class:`repro.sim.options.ExecutionOptions`, and
+the CLI's ``--backend`` accept, and :func:`make_pool` builds the one
+that is a :class:`Pool`::
 
-    serial      in-process reference backend
+    serial      no pool: the engine runs every cell in-process
     local[:N]   warm persistent process pool, N workers (default: the
                 CPU count)
 
 See docs/INTERNALS.md §14 for the backend contract.  The classes live in
 :mod:`repro.sim.pools.base` (the contract) and
-:mod:`repro.sim.pools.local` (the backends), which only
+:mod:`repro.sim.pools.local` (the process pool), which only
 :func:`make_pool` imports: importing this package loads neither.  The
 ``ssh:`` and ``ssh-loopback:`` backends were retired (docs/INTERNALS.md
 §16); asking for them raises a ``ValueError`` naming the note.
@@ -25,7 +25,7 @@ from typing import TYPE_CHECKING, Tuple
 if TYPE_CHECKING:
     from repro.sim.pools.base import Pool
 
-#: Backend kinds :func:`make_pool` accepts.
+#: Backend kinds :func:`parse_pool_spec` accepts.
 BACKEND_KINDS = ("serial", "local")
 
 #: Backend kinds that no longer exist, and fail loudly instead.
@@ -71,15 +71,20 @@ def parse_pool_spec(spec: str) -> Tuple[str, int]:
 
 
 def make_pool(spec: str) -> "Pool":
-    """Resolve a backend spec: ``serial``, ``local`` or ``local:N``.
+    """Build the process pool of a ``local`` or ``local:N`` spec.
 
-    Building a backend imports :mod:`repro.sim.pools.local`, and with it
-    the worker side and the whole simulator, so a local pool's workers
-    fork from a parent that has it loaded.
+    ``serial`` names no pool (the engine runs those cells in-process),
+    so it raises ``ValueError`` here.  Building a pool imports
+    :mod:`repro.sim.pools.local`, and with it the worker side and the
+    whole simulator, so its workers fork from a parent that has it
+    loaded.
     """
     kind, workers = parse_pool_spec(spec)
-    from repro.sim.pools.local import LocalProcessPool, SerialPool
-
     if kind == "serial":
-        return SerialPool()
+        raise ValueError(
+            "the serial backend builds no pool: the engine runs its "
+            "cells in-process"
+        )
+    from repro.sim.pools.local import LocalProcessPool
+
     return LocalProcessPool(workers=workers)

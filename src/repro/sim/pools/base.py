@@ -1,42 +1,39 @@
 """The ``Pool`` backend contract (docs/INTERNALS.md §14).
 
 A :class:`Pool` turns pickled **chunks** of experiment cells into
-per-cell outcomes, either in the calling process
-(:class:`~repro.sim.pools.local.SerialPool`) or in warm local worker
-processes (:class:`~repro.sim.pools.local.LocalProcessPool`).  The
-engine speaks only this interface, and the differential grid proves
-both backends bit-identical.
+per-cell outcomes in warm worker processes
+(:class:`~repro.sim.pools.local.LocalProcessPool`).  The engine speaks
+only this interface, and the differential grid proves the pool
+bit-identical to the engine's in-process serial path, which needs no
+pool at all.
 
-The chunk protocol is the one the engine has always used internally
-(:func:`repro.sim.pools.worker.run_chunk`): a payload of
-``(cells, timeout, fault_plan)`` — extended to ``(cells, timeout,
-fault_plan, capture)`` when the parent's telemetry session is live
-(docs/INTERNALS.md §15) — with ``cells`` a tuple of
+The chunk protocol is :func:`repro.sim.pools.worker.run_chunk`: a
+payload of ``(cells, timeout, fault_plan)`` — extended to ``(cells,
+timeout, fault_plan, capture)`` when the parent's telemetry session is
+live (docs/INTERNALS.md §15) — with ``cells`` a tuple of
 ``(index, spec, attempt)`` triples, answered by
 ``(warmup, outcomes, chunk_info)`` where each outcome is
 ``(index, "ok", result)`` or ``(index, "error", exception)`` and
 ``chunk_info`` is the worker's snapshot: at minimum its executor
-identity (``origin``), per-cell measured seconds (``cell_times``), and
-unarmed timeout count — the scheduler's cost model feeds on these —
-plus the full clock-stamped telemetry capture when the parent session
-is live (docs/INTERNALS.md §15).  Backends pass the payload and reply
-through opaquely.  Any other reply shape, or a ``chunk_info["v"]``
-other than :data:`repro.obs.remote.SNAPSHOT_VERSION`, means the worker
-runs a different checkout: the engine aborts the batch with a
-``RuntimeError``.  Per-cell failures are *returned*, never raised — a
-raised exception from a chunk means the worker itself died.
+identity (``origin``), per-cell measured seconds (``cell_times``, which
+the engine writes into each store entry's ``meta`` block), and
+unarmed timeout count, plus the full clock-stamped telemetry capture
+when the parent session is live (docs/INTERNALS.md §15).  Backends pass
+the payload and reply through opaquely.  Any other reply shape, or a
+``chunk_info["v"]`` other than :data:`repro.obs.remote.SNAPSHOT_VERSION`,
+means the worker runs a different checkout: the engine aborts the batch
+with a ``RuntimeError``.  Per-cell failures are *returned*, never
+raised — a raised exception from a chunk means the worker itself died.
 
-One flag tells the engine which semantics apply, :attr:`Pool.parallel`.
-A parallel pool fans cells out beyond the calling thread: the engine
-routes eligible cells through :meth:`Pool.submit_chunk`, pre-builds the
+Every pool fans cells out beyond the calling thread: the engine routes
+eligible cells through :meth:`Pool.submit_chunk`, pre-builds the
 batch's benchmarks in every worker at spawn (``worker_warmup``
 telemetry), and on a dead worker (any of
 :data:`~repro.sim.pools.local.BROKEN_EXCEPTIONS`) restarts the pool
-and resubmits the interrupted cells, up to
-``max_pool_rebuilds`` times before degrading to serial.  A non-parallel
-pool makes the engine run cells on its in-process serial path instead
-(which streams simulation telemetry and can arm SIGALRM timeouts —
-things a worker boundary hides).
+and resubmits the interrupted cells, up to ``max_pool_rebuilds`` times
+before degrading to the in-process serial path (which streams
+simulation telemetry and can arm SIGALRM timeouts — things a worker
+boundary hides).
 """
 
 from __future__ import annotations
@@ -69,16 +66,12 @@ class PoolBrokenError(RuntimeError):
 class Pool:
     """Abstract execution backend; see the module docstring for the
     contract.  :func:`repro.sim.pools.make_pool` builds the concrete
-    ones from a spec."""
+    one from a spec."""
 
-    #: Short backend name, also the spec prefix (``local``, ``serial``);
-    #: surfaced in telemetry events.
+    #: Short backend name, also the spec prefix (``local``); surfaced
+    #: in telemetry events.
     name: str = "abstract"
-    #: Fans cells out beyond the calling thread (see the module
-    #: docstring for everything that follows from it).
-    parallel: bool = True
-
-    #: Worker slots (parallel width).  1 for serial.
+    #: Worker slots (parallel width).
     workers: int = 1
 
     def start(self, warm_benchmarks: Sequence[str] = ()) -> bool:
@@ -124,9 +117,3 @@ class Pool:
         state = "alive" if self.alive else "closed"
         return f"{type(self).__name__}(workers={self.workers}, {state})"
 
-
-def completed_future(value) -> "Future":
-    """A pre-resolved future (serial pools answer synchronously)."""
-    future: Future = Future()
-    future.set_result(value)
-    return future

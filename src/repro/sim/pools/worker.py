@@ -1,11 +1,9 @@
 """Worker-side chunk execution.
 
-This is the code that runs on the far side of a pool boundary — in a
+This is the code that runs on the far side of a pool boundary, in a
 ``ProcessPoolExecutor`` worker (:class:`~repro.sim.pools.local
-.LocalProcessPool`), or inline for
-:class:`~repro.sim.pools.local.SerialPool`.  The engine's serial path
-imports :func:`run_with_alarm` and :func:`inject_cell_faults` from
-here too.
+.LocalProcessPool`).  The engine's serial path imports
+:func:`run_with_alarm` and :func:`inject_cell_faults` from here too.
 
 Module globals below are per worker process (each worker gets its own
 module state, forked or spawned); the parent never touches them.
@@ -26,6 +24,10 @@ from repro.obs.remote import SNAPSHOT_VERSION, ChunkCapture, worker_origin
 from repro.sim.driver import RunResult, RunSpec, execute
 from repro.sim.pools.base import CellTimeout, ChunkPayload
 
+#: Seconds between repeats of a cell's SIGALRM once its budget is spent
+#: (see :func:`run_with_alarm`).
+ALARM_REPEAT_S = 0.05
+
 
 def run_with_alarm(
     spec: RunSpec,
@@ -41,6 +43,13 @@ def run_with_alarm(
     qualify).  When a timeout was requested but cannot be armed, the cell
     runs unbounded and ``on_unarmed`` is invoked so the caller can make
     the disabled budget visible instead of silent.
+
+    Once the budget is spent the alarm repeats every
+    :data:`ALARM_REPEAT_S` until the cell ends: Python swallows an
+    exception raised inside a ``gc`` callback or a ``__del__`` as
+    unraisable, so a single alarm landing there would let the cell run
+    unbounded.  The timer is disarmed twice, because a repeat may land
+    in the first disarm.
     """
     if timeout is None or timeout <= 0:
         return execute(spec, telemetry=telemetry, fault_plan=fault_plan)
@@ -56,9 +65,12 @@ def run_with_alarm(
         )
 
     previous = signal.signal(signal.SIGALRM, _on_alarm)
-    signal.setitimer(signal.ITIMER_REAL, timeout)
     try:
-        return execute(spec, telemetry=telemetry, fault_plan=fault_plan)
+        signal.setitimer(signal.ITIMER_REAL, timeout, ALARM_REPEAT_S)
+        try:
+            return execute(spec, telemetry=telemetry, fault_plan=fault_plan)
+        finally:
+            signal.setitimer(signal.ITIMER_REAL, 0)
     finally:
         signal.setitimer(signal.ITIMER_REAL, 0)
         signal.signal(signal.SIGALRM, previous)
@@ -171,9 +183,9 @@ def run_chunk(payload: ChunkPayload) -> tuple:
     ``chunk_info`` always carries at least the executor's identity
     (``origin`` = ``host#pid``), per-cell measured seconds
     (``cell_times``, a tuple of ``(index, seconds)``), the chunk's total
-    service seconds (``service_s``), and the unarmed-timeout count — the
-    engine's cost model learns runtime estimates from these
-    (docs/INTERNALS.md §18).  With a live capture it is the full
+    service seconds (``service_s``), and the unarmed-timeout count; the
+    engine writes each cell's seconds and executor into its store entry's
+    ``meta`` block.  With a live capture it is the full
     clock-stamped telemetry snapshot, same extra keys included.
     Per-cell failures are *returned*, not raised, so one bad cell
     cannot discard its chunk-mates' finished work.  A worker-crash
@@ -252,8 +264,8 @@ def run_chunk(payload: ChunkPayload) -> tuple:
             "unarmed_timeouts": unarmed,
             "cells": None,
         }
-    # Cost-model feed (docs/INTERNALS.md §18): executor identity and
-    # measured per-cell seconds ride every reply.
+    # Executor identity and measured per-cell seconds ride every reply
+    # (store meta and the perf harness read them).
     chunk_info["origin"] = worker_origin()
     chunk_info["cell_times"] = tuple(cell_times)
     chunk_info["service_s"] = time.perf_counter() - chunk_started

@@ -3,20 +3,17 @@
 Every cell the engine executes can be persisted as one JSON file under a
 store directory (default ``results/store/``), addressed by the cell's
 ``(benchmark, scheme, ExperimentConfig.fingerprint())`` identity.  A
-fresh process — another CLI invocation, another pytest worker, another
-*host* feeding the same shared directory — that asks for the same cell
-gets the stored :class:`~repro.sim.results.RunResult` back instead of
-re-simulating.
+fresh process — another CLI invocation, another pytest worker — that
+asks for the same cell gets the stored
+:class:`~repro.sim.results.RunResult` back instead of re-simulating.
 
 Directory layout (docs/INTERNALS.md §14): entries live in
 **content-hash shards** — two-hex-character directories named by the
-fingerprint prefix — so concurrent writers (parallel pytest workers,
-CLI runs sharing one store directory) spread their directory traffic
-and their lease contention across 256 buckets instead of one flat dir::
+fingerprint prefix — so a store directory never grows one flat listing
+of every entry::
 
     results/store/
       3f/db__hotspot__3fa89c....json
-      3f/.lease                       # transient per-shard writer lease
       a0/jess__baseline__a01b42....json
 
 Entries that older checkouts wrote into the flat root are never read:
@@ -63,16 +60,7 @@ Robustness rules:
 * commits are atomic (temp file in the shard + ``os.replace``), so a
   crashed or concurrent writer can never leave a truncated entry
   behind — two processes ``put()``-ing the same key concurrently both
-  leave a valid entry (last replace wins);
-* writers additionally take a **per-shard lease** (``.lease``, created
-  ``O_CREAT | O_EXCL``) around a batch of commits.  The lease is an
-  optimisation and an observability hook, not a correctness
-  requirement: it serialises same-shard batches so rename storms don't
-  interleave, a crashed writer's lease goes *stale* after
-  ``LEASE_STALE_S`` and is taken over, and a writer that cannot acquire
-  a lease within ``LEASE_WAIT_S`` proceeds anyway (counted in
-  :attr:`ResultStore.lease_timeouts`) because the rename commit is
-  already safe without it;
+  leave a valid entry (last replace wins), and writers take no lock;
 * ``STORE_SCHEMA_VERSION`` must be bumped whenever the serialised shape
   of :class:`RunResult` changes, and the *fingerprint* version
   (:data:`repro.sim.config.FINGERPRINT_VERSION`) whenever simulator
@@ -105,16 +93,6 @@ DEFAULT_STORE_DIR = "results/store"
 
 #: Hex characters of the fingerprint naming a shard directory.
 SHARD_WIDTH = 2
-
-#: Per-shard writer-lease file name (never matches the entry globs).
-LEASE_NAME = ".lease"
-
-#: A lease untouched for this long belongs to a dead writer: take it over.
-LEASE_STALE_S = 30.0
-
-#: How long a writer waits for a shard lease before proceeding without
-#: one (commits are atomic either way; the overrun is only counted).
-LEASE_WAIT_S = 10.0
 
 
 def default_store_dir() -> Path:
@@ -161,81 +139,6 @@ class StoreEntryInfo:
         return max(0.0, (now - self.created) / 86_400.0)
 
 
-class _ShardLease:
-    """Advisory per-shard writer lease (``O_CREAT | O_EXCL`` file).
-
-    ``acquire()`` loops until the exclusive create succeeds, taking over
-    leases whose mtime is older than ``stale_after`` (a crashed writer
-    never releases).  Two takeover racers both unlink; exactly one wins
-    the re-create.  On timeout the caller proceeds *without* the lease —
-    commits stay atomic regardless — and the overrun is reported through
-    the return value.
-    """
-
-    def __init__(
-        self,
-        shard: Path,
-        stale_after: float = LEASE_STALE_S,
-        timeout: float = LEASE_WAIT_S,
-    ):
-        self.path = shard / LEASE_NAME
-        self.stale_after = stale_after
-        self.timeout = timeout
-        self.held = False
-
-    def acquire(self) -> bool:
-        deadline = time.monotonic() + self.timeout
-        while True:
-            try:
-                fd = os.open(
-                    self.path, os.O_CREAT | os.O_EXCL | os.O_WRONLY
-                )
-            except FileExistsError:
-                if self._steal_if_stale():
-                    continue
-                if time.monotonic() >= deadline:
-                    return False
-                time.sleep(0.02)
-                continue
-            except OSError:
-                # Unwritable shard (permissions, read-only mount): the
-                # commit itself will surface the real error.
-                return False
-            with os.fdopen(fd, "w", encoding="utf-8") as handle:
-                handle.write(f"pid={os.getpid()} ts={time.time():.0f}\n")
-            self.held = True
-            return True
-
-    def _steal_if_stale(self) -> bool:
-        try:
-            age = time.time() - self.path.stat().st_mtime
-        except OSError:
-            return True  # holder released between our create and stat
-        if age <= self.stale_after:
-            return False
-        try:
-            self.path.unlink()
-        except OSError:
-            pass  # the other racer's unlink won; retry the create
-        return True
-
-    def release(self) -> None:
-        if not self.held:
-            return
-        self.held = False
-        try:
-            self.path.unlink()
-        except OSError:
-            pass
-
-    def __enter__(self) -> "_ShardLease":
-        self.acquire()
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.release()
-
-
 class ResultStore:
     """On-disk result cache, one JSON file per experiment cell."""
 
@@ -243,9 +146,6 @@ class ResultStore:
         self.root = Path(root) if root is not None else default_store_dir()
         #: Entries this instance quarantined (renamed to ``*.corrupt``).
         self.quarantined = 0
-        #: Batches committed without a shard lease (waited past
-        #: ``LEASE_WAIT_S``); nonzero means heavy same-shard contention.
-        self.lease_timeouts = 0
 
     # -- addressing --------------------------------------------------------
 
@@ -343,13 +243,9 @@ class ResultStore:
         module docstring); a 4-tuple writes an entry without one,
         exactly as before.
 
-        Entries are grouped **per shard**: each shard is created once,
-        its writer lease taken once, and its entries committed under it
-        back to back.  Each commit is still an independent atomic
-        rename (a crash mid-batch leaves a valid prefix, never a
-        truncated file), so a lease that could not be acquired in time
-        degrades to plain unserialised commits, counted in
-        :attr:`lease_timeouts`.
+        Entries are grouped **per shard**, so each shard directory is
+        created once.  Each commit is an independent atomic rename: a
+        crash mid-batch leaves a valid prefix, never a truncated file.
         """
         entries = list(entries)
         if not entries:
@@ -365,14 +261,8 @@ class ResultStore:
         paths: List[Optional[Path]] = [None] * len(entries)
         for shard, positions in by_shard.items():
             shard.mkdir(parents=True, exist_ok=True)
-            lease = _ShardLease(shard)
-            if not lease.acquire():
-                self.lease_timeouts += 1
-            try:
-                for position in positions:
-                    paths[position] = self._put_one(*keyed[position])
-            finally:
-                lease.release()
+            for position in positions:
+                paths[position] = self._put_one(*keyed[position])
         return paths  # type: ignore[return-value]
 
     def _put_one(
@@ -469,23 +359,6 @@ class ResultStore:
             if path.suffix == ".corrupt"
         ]
 
-    def stale_lease_files(self, now: Optional[float] = None) -> List[Path]:
-        """Shard leases older than ``LEASE_STALE_S`` (dead writers).
-
-        Live writers take these over on contact; this listing exists so
-        ``tools/store_gc.py`` can surface (and sweep) them even when no
-        writer ever comes back to that shard.
-        """
-        now = time.time() if now is None else now
-        stale = []
-        for path in self._glob_both(LEASE_NAME):
-            try:
-                if now - path.stat().st_mtime > LEASE_STALE_S:
-                    stale.append(path)
-            except OSError:
-                continue
-        return stale
-
     def quarantine_reason(self, path: Path) -> Optional[str]:
         """First line of a quarantined entry's reason sidecar, if any."""
         try:
@@ -502,8 +375,8 @@ class ResultStore:
         Returns per-kind counts (entries / tmp / corrupt) rather than one
         conflated number — a large ``tmp`` count means crashed writers,
         a large ``corrupt`` count means quarantined damage, and neither
-        should masquerade as cache size.  Shard directories (and any
-        leases in them) are removed too.
+        should masquerade as cache size.  Emptied shard directories are
+        removed too.
         """
         if not self.root.is_dir():
             return ClearStats()
@@ -515,8 +388,6 @@ class ResultStore:
         for path in self.corrupt_files():
             corrupt += self._unlink(path)
             self._unlink(path.with_name(path.name + ".reason"))
-        for path in self._glob_both(LEASE_NAME):
-            self._unlink(path)
         for shard in self.root.iterdir():
             if shard.is_dir():
                 try:

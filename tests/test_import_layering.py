@@ -3,6 +3,8 @@
 A warm ``repro all`` answers every cell from the result store, so it
 must not import the kernels, the policies, the machine model, the pool
 worker or ``multiprocessing`` (docs/INTERNALS.md, "Import layering").
+A cold serial run simulates in-process, so it never loads the process
+pool or ``multiprocessing``.
 Every module must also import on its own, in a fresh ``repro``
 namespace: an eager package ``__init__`` can no longer hide a cycle.
 """
@@ -86,6 +88,21 @@ def test_warm_repro_all_never_loads_the_simulator(tmp_path):
     warm = _loaded_by_repro_all(store, tmp_path)
     assert warm == []
 
+
+
+def test_cold_serial_run_never_loads_the_process_pool(tmp_path):
+    # A serial engine builds no pool: its cells run in-process, so
+    # neither the pool module nor multiprocessing is imported.
+    pool_layer = ("repro.sim.pools.local", "multiprocessing")
+    proc = _run(
+        "-c", _RUN_CLI, json.dumps(pool_layer),
+        "quick", "--instructions", "20000", "--no-store",
+        cwd=tmp_path,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert "slowdown:" in proc.stdout  # the cells really simulated
+    marker = proc.stdout.rstrip().splitlines()[-1]
+    assert marker == "LOADED []", marker
 
 def _modules():
     root = SRC_DIR / "repro"

@@ -33,6 +33,7 @@ from repro.obs.remote import (
     rebase_start_us,
     snapshot_metrics,
 )
+from repro.sim import engine as engine_mod
 from repro.sim.config import ExperimentConfig
 from repro.sim.driver import RunSpec
 from repro.sim.engine import Engine
@@ -78,14 +79,16 @@ class TestBitIdentity:
             produced = engine.run(grid(config())).values()
         assert produced == reference
 
-    def test_truncated_capture_still_bit_identical(self, reference):
+    def test_truncated_capture_still_bit_identical(
+        self, reference, monkeypatch
+    ):
+        monkeypatch.setattr(engine_mod, "DEFAULT_CELL_EVENT_CAP", 4)
         telemetry = Telemetry()
         with Engine(
             pool="local:2",
             use_cache=False,
             memory_cache={},
             telemetry=telemetry,
-            remote_capture_events=4,
         ) as engine:
             produced = engine.run(grid(config())).values()
         assert produced == reference
@@ -178,19 +181,6 @@ class TestMergedTrace:
         ]
         assert worker_side, "worker metrics were not folded into the parent"
         assert telemetry.metrics.counter("vm.hotspots_detected").value > 0
-
-    def test_zero_cap_disables_worker_capture(self):
-        telemetry = Telemetry()
-        with Engine(
-            pool="local:2",
-            use_cache=False,
-            memory_cache={},
-            telemetry=telemetry,
-            remote_capture_events=0,
-        ) as engine:
-            engine.run(grid(config()))
-        assert not [t for t in telemetry.log.tracks() if "|" in t]
-        assert engine.stats.remote_events_dropped == 0
 
 
 class _IdentityAxis:

@@ -3,7 +3,7 @@
 * **crash-safe resume** — ``Engine.run(cells, resume=manifest)``
   replays a prior run's flight-recorder manifest, re-executes only the
   never-finished cells (done cells come back from the result store
-  under the same fingerprints), and survives stale store leases and
+  under the same fingerprints), and survives orphaned store leases and
   GC'd entries;
 * **close robustness** — closing an engine is idempotent, even over a
   pool whose workers already died or an engine whose constructor never
@@ -14,7 +14,6 @@
 
 from __future__ import annotations
 
-import os
 import time
 import warnings
 
@@ -119,29 +118,29 @@ class TestCrashSafeResume:
         assert engine.stats.simulations == 3  # ...but the store rules
         assert engine.stats.store_hits == 0
 
-    def test_resume_recommit_takes_over_stale_lease(self, tmp_path):
-        # A writer SIGKILL'd mid-batch leaves its per-shard lease
-        # behind; the resume's re-commit must take the stale lease over
-        # instead of stalling or double-writing.
+    def test_resume_recommit_ignores_orphaned_lease(self, tmp_path):
+        # A writer from an older checkout, SIGKILL'd mid-batch, leaves a
+        # fresh per-shard ``.lease`` behind; the resume's re-commit must
+        # neither wait on it nor double-write.
         store = ResultStore(tmp_path / "store")
         specs = cells(benchmarks=("db", "jess"))
         manifest = self._record_partial(tmp_path, specs[:3], store)
-        long_ago = time.time() - 3600.0
         for spec in specs[3:]:
             shard = store.shard_for(spec.cache_key()[2])
             shard.mkdir(parents=True, exist_ok=True)
-            lease = shard / ".lease"
-            lease.touch()
-            os.utime(lease, (long_ago, long_ago))
+            (shard / ".lease").touch()
         engine = Engine(pool="serial", store=store, memory_cache={})
+        started = time.monotonic()
         try:
             batch = engine.run(specs, resume=manifest)
         finally:
             engine.close()
         assert all(o.ok for o in batch)
         assert engine.stats.simulations == 3
-        assert store.lease_timeouts == 0  # takeover, not overrun
         assert len(store) == len(specs)
+        # Three cells simulate in well under a second together; waiting
+        # out a fresh lease took 10 s per shard.
+        assert time.monotonic() - started < 5.0
 
 
 class TestCloseRobustness:

@@ -94,3 +94,9 @@ def test_scheduler_settings_are_not_engine_keywords(keyword):
 def test_scheduler_settings_are_not_options_fields(keyword):
     with pytest.raises(TypeError, match=keyword):
         ExecutionOptions(**{keyword: None})
+
+
+def test_remote_capture_events_is_not_a_keyword():
+    # The worker-side capture cap is the DEFAULT_CELL_EVENT_CAP constant.
+    with pytest.raises(TypeError, match="remote_capture_events"):
+        Engine(remote_capture_events=4)

@@ -10,6 +10,7 @@ layers in both directions, and the old entry points (`cached_run`,
 from __future__ import annotations
 
 import json
+from concurrent.futures import Future
 
 import pytest
 
@@ -33,7 +34,7 @@ from repro.sim.experiment import (
     set_default_store,
 )
 from repro.sim.options import ExecutionOptions
-from repro.sim.pools.base import Pool, PoolBrokenError, completed_future
+from repro.sim.pools.base import Pool, PoolBrokenError
 from repro.sim.store import ResultStore
 
 BUDGET = 60_000
@@ -203,6 +204,45 @@ class TestRetryAndTimeout:
         assert isinstance(excinfo.value.cause, CellTimeout)
         assert engine.stats.timeouts == 1
 
+    def test_timeout_swallowed_by_a_gc_callback_fires_again(
+        self, small_config, monkeypatch
+    ):
+        # Python swallows an exception raised inside a gc callback as
+        # unraisable.  The first alarm lands in such a callback; the
+        # cell must still time out instead of running unbounded.
+        import gc
+        import sys
+        import time
+
+        from repro.sim.pools import worker as worker_mod
+
+        def slow_gc_hook(phase, info):
+            if phase == "start":
+                time.sleep(0.2)
+
+        def spinning_execute(spec, telemetry=None, fault_plan=None):
+            gc.callbacks.append(slow_gc_hook)
+            try:
+                gc.collect()
+            finally:
+                gc.callbacks.remove(slow_gc_hook)
+            deadline = time.monotonic() + 2.0
+            while time.monotonic() < deadline:
+                pass
+            return "finished"
+
+        swallowed = []
+        monkeypatch.setattr(sys, "unraisablehook", swallowed.append)
+        monkeypatch.setattr(worker_mod, "execute", spinning_execute)
+        started = time.monotonic()
+        with pytest.raises(CellTimeout):
+            worker_mod.run_with_alarm(
+                RunSpec("db", "baseline", small_config), 0.05
+            )
+        assert time.monotonic() - started < 1.5
+        # Not vacuous: at least one alarm really was swallowed.
+        assert any(isinstance(u.exc_value, CellTimeout) for u in swallowed)
+
 
 class TestParallelParity:
     def test_jobs2_bitwise_identical_to_serial(self, small_config):
@@ -335,11 +375,17 @@ class TestOneFingerprintPerCell:
         assert len(calls) == len(cells)
 
 
+def completed_future(value) -> Future:
+    """A pre-resolved future (the fakes below answer synchronously)."""
+    future: Future = Future()
+    future.set_result(value)
+    return future
+
+
 class _SkewedPool(Pool):
-    """A parallel backend whose workers answer in a foreign format."""
+    """A backend whose workers answer in a foreign format."""
 
     name = "skewed"
-    parallel = True
     workers = 2
 
     def __init__(self, reply):
@@ -366,8 +412,8 @@ class _SkewedPool(Pool):
 
 
 class _DiesOnSecondSubmit(_SkewedPool):
-    """A parallel backend that dies while the engine submits its second
-    chunk, then answers every chunk after the rebuild."""
+    """A backend that dies while the engine submits its second chunk,
+    then answers every chunk after the rebuild."""
 
     def __init__(self):
         super().__init__(

@@ -257,16 +257,6 @@ def main(argv: List[str] = None) -> int:
             for path in stale:
                 print(f"  {path.name}")
             print("  (prune with --all --prune)")
-        leases = store.stale_lease_files()
-        if leases:
-            print()
-            print(
-                f"{len(leases)} stale shard lease(s) — dead writers "
-                "(live writers take these over automatically):"
-            )
-            for path in leases:
-                print(f"  {path.parent.name}/{path.name}")
-            print("  (prune with --all --prune)")
         return 0
     filtering = (
         args.all
@@ -318,14 +308,6 @@ def main(argv: List[str] = None) -> int:
                         pass
         for path in store.stale_tmp_files():
             print(f"{verb} {path.name}: leftover .tmp")
-            extra += 1
-            if args.prune:
-                try:
-                    path.unlink()
-                except OSError as error:
-                    print(f"  failed: {error}", file=sys.stderr)
-        for path in store.stale_lease_files():
-            print(f"{verb} {path.parent.name}/{path.name}: stale lease")
             extra += 1
             if args.prune:
                 try:
