@@ -87,20 +87,6 @@ class MemoryBehavior(abc.ABC):
         """Approximate byte working set, if statically known (for docs/tests)."""
         return None
 
-    def compile_fast(self, n_loads: int, n_stores: int):
-        """Optional specialised generator for the fast simulation kernel.
-
-        Returns a callable ``(rng, frame_base, region_base, iteration) ->
-        (loads, stores)`` that produces *exactly* the addresses (and the
-        exact RNG draw sequence) :meth:`generate` would for the given
-        fixed ``n_loads``/``n_stores``, or ``None`` when no
-        specialisation exists (the fast kernel then falls back to
-        :meth:`generate`).  Block reference counts are static, so the
-        fast kernel compiles one specialised closure per block at decode
-        time (see :class:`repro.vm.jit.DecodedBlock`).
-        """
-        return None
-
 
 # ---------------------------------------------------------------------------
 # Branch deciders

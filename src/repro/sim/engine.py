@@ -927,12 +927,12 @@ class Engine:
         self, index: int, attempts: int, error: BaseException
     ) -> None:
         """Terminal failure of one cell under skip/partial policies."""
-        from repro.sim.pools.local import BROKEN_EXCEPTIONS
-
         spec = self._specs[index]
         if isinstance(error, CellTimeout):
             status = "timeout"
-        elif isinstance(error, (_PoolBroken,) + BROKEN_EXCEPTIONS):
+        elif isinstance(error, _PoolBroken) or (
+            self.pool is not None and self._pool_error(error)
+        ):
             status = "crashed"
         else:
             status = "failed"
@@ -1267,14 +1267,21 @@ class Engine:
             [i for i in self._round if self._outcomes[i] is None], cause
         )
 
+    @staticmethod
+    def _pool_error(error: BaseException) -> bool:
+        """Whether ``error`` says the process pool itself broke.  Only
+        asked with a pool, so a serial engine never loads the pool
+        module."""
+        from repro.sim.pools.local import BROKEN_EXCEPTIONS
+
+        return isinstance(error, BROKEN_EXCEPTIONS)
+
     def _land(self, future: Future) -> None:
         """Settle one finished chunk: each of its cells succeeds, is
         retried, or fails for good."""
-        from repro.sim.pools.local import BROKEN_EXCEPTIONS
-
         flight = self._flights.pop(future)
         error = future.exception()
-        if isinstance(error, BROKEN_EXCEPTIONS):
+        if self._pool_error(error):
             raise self._broken(error) from error
         chunk = flight.chunk
         if error is None:

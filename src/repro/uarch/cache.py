@@ -7,9 +7,14 @@ written back, all lines invalidated) — a strict upper bound on the paper's
 cost, applied identically to both adaptation schemes (DESIGN.md §6).
 
 Lines are tracked per set as insertion-ordered dicts mapping line number to
-a dirty bit; LRU touch is delete-and-reinsert.  The access loops are written
-for speed — they process whole address lists per call, since they execute
-millions of times per experiment.
+a dirty bit; LRU touch is delete-and-reinsert.  ``_mru`` records, per set,
+the line last touched: invariant, ``_mru[i]`` is ``None`` or the last key
+of ``_sets[i]``.  An access that hits that line skips the re-insert (it
+would change nothing); a store hit there only sets the dirty bit.  Every
+path that touches a line records it, and ``flush``/``resize`` reset the
+record.  The access loops are written for speed — they process whole
+address lists per call, since they execute millions of times per
+experiment.
 """
 
 from __future__ import annotations
@@ -165,6 +170,7 @@ class Cache:
         self._line_shift = line_size.bit_length() - 1
         self.size = 0  # set by _configure
         self._sets: List[Dict[int, bool]] = []
+        self._mru: List[Optional[int]] = []
         self._set_mask = 0
         self._configure(size)
 
@@ -180,6 +186,7 @@ class Cache:
         n_sets = size // (self.line_size * self.associativity)
         self.size = size
         self._sets = [dict() for _ in range(n_sets)]
+        self._mru = [None] * n_sets
         self._set_mask = n_sets - 1
 
     # -- geometry ---------------------------------------------------------
@@ -222,6 +229,7 @@ class Cache:
         line_shift = self._line_shift
         set_mask = self._set_mask
         sets = self._sets
+        mru = self._mru
         assoc = self.associativity
         miss_lines: List[int] = []
         wb_lines: List[int] = []
@@ -230,9 +238,12 @@ class Cache:
         read_misses = 0
         for addr in loads:
             line = addr >> line_shift
-            s = sets[line & set_mask]
+            i = line & set_mask
+            s = sets[i]
             if line in s:
-                s[line] = s.pop(line)  # LRU touch, keep dirty bit
+                if mru[i] != line:
+                    s[line] = s.pop(line)  # LRU touch, keep dirty bit
+                    mru[i] = line
                 read_hits += 1
             else:
                 read_misses += 1
@@ -242,14 +253,18 @@ class Cache:
                     if s.pop(victim):
                         wb_lines.append(victim << line_shift)
                 s[line] = False
+                mru[i] = line
 
         write_hits = 0
         write_misses = 0
         for addr in stores:
             line = addr >> line_shift
-            s = sets[line & set_mask]
+            i = line & set_mask
+            s = sets[i]
             if line in s:
-                s.pop(line)
+                if mru[i] != line:
+                    s.pop(line)
+                    mru[i] = line
                 s[line] = True  # LRU touch + mark dirty
                 write_hits += 1
             else:
@@ -260,6 +275,7 @@ class Cache:
                     if s.pop(victim):
                         wb_lines.append(victim << line_shift)
                 s[line] = True
+                mru[i] = line
 
         st = self.stats
         st.read_accesses += read_hits + read_misses
@@ -284,13 +300,15 @@ class Cache:
         are *identical* to :meth:`access_many` — the hit path uses a
         single ``pop``-with-default instead of a membership probe plus
         ``pop`` (one hash lookup saved per hit), which leaves the dict in
-        exactly the same insertion order.  ``tests/test_properties.py``
+        exactly the same insertion order; a hit on the set's MRU line
+        skips the re-insert altogether.  ``tests/test_properties.py``
         drives both entry points with the same access streams to keep
         them in lockstep.
         """
         line_shift = self._line_shift
         set_mask = self._set_mask
         sets = self._sets
+        mru = self._mru
         assoc = self.associativity
         miss_lines: List[int] = []
         wb_lines: List[int] = []
@@ -302,7 +320,12 @@ class Cache:
         read_misses = 0
         for addr in loads:
             line = addr >> line_shift
-            s = sets[line & set_mask]
+            i = line & set_mask
+            if mru[i] == line:
+                read_hits += 1
+                continue
+            s = sets[i]
+            mru[i] = line
             prev = s.pop(line, missing)
             if prev is not missing:
                 s[line] = prev  # LRU touch, keep dirty bit
@@ -320,7 +343,13 @@ class Cache:
         write_misses = 0
         for addr in stores:
             line = addr >> line_shift
-            s = sets[line & set_mask]
+            i = line & set_mask
+            s = sets[i]
+            if mru[i] == line:
+                s[line] = True  # mark dirty; already last
+                write_hits += 1
+                continue
+            mru[i] = line
             if s.pop(line, missing) is not missing:
                 s[line] = True  # LRU touch + mark dirty
                 write_hits += 1
@@ -366,6 +395,7 @@ class Cache:
         ]
         for s in self._sets:
             s.clear()
+        self._mru = [None] * len(self._sets)
         self.stats.flushes += 1
         self.stats.flushed_dirty_lines += len(dirty)
         self.stats.writebacks += len(dirty)
@@ -427,6 +457,7 @@ class Cache:
                         invalidated += 1
         self.size = new_size
         self._sets = surviving
+        self._mru = [None] * new_n_sets
         self._set_mask = new_mask
         self.stats.flushes += 1
         self.stats.flushed_dirty_lines += len(dirty)

@@ -3,11 +3,12 @@
 The fast kernel (:mod:`repro.vm.fastvm`) runs every method through a
 *runner* generated here: one Python function per method shape that
 executes the method's blocks back to back — block bodies, the built-in
-branch deciders, the bimodal predictor, the timing arithmetic and the
-energy accumulation all inlined — until it reaches an *exit* (a call, a
-return, the combined instruction limit, the end of the quantum, or a
-per-block hook).  A runner is compiled once per shape into the
-process-wide code cache below, then bound per run and per thread
+branch deciders, the bimodal predictor, the timing arithmetic, the
+energy accumulation and calls to plain leaf methods all inlined — until
+it reaches an *exit* (a call it does not inline, a return, the combined
+instruction limit, the end of the quantum, or a per-block hook).  A
+runner is compiled once per shape into the process-wide code cache
+below, then bound per run and per thread
 (:meth:`FastVirtualMachine._bind`).
 
 Block bodies
@@ -15,9 +16,10 @@ Block bodies
 When nothing reads a block's load/store address lists, the addresses
 are generated, pushed through the L1D and discarded.  The body snippet
 draws each address and applies the L1D state transition in the same
-step, skipping the intermediate lists.  :func:`compile_fused_block`
-wraps one body in a stand-alone closure; the property tests pin the
-snippets through it.
+step, skipping the intermediate lists: a hit on the set's MRU line
+inline, anything else through the run's shared ``touch`` helper.
+:func:`compile_fused_block` wraps one body in a stand-alone closure;
+the property tests pin the snippets through it.
 
 Correctness contract (enforced by ``tests/test_kernel_equivalence.py``
 and the property tests): a body must consume the RNG stream and mutate
@@ -35,10 +37,10 @@ cache state *exactly* like the readable pair
 * the draw's address arithmetic is replaced by a **draw table**: for
   the affine behaviours (stack / working-set / pointer-chase) the line
   index and the set index are pure functions of the draw ``r``, whose
-  range is small (``span // WORD`` values), so the body precomputes
-  ``r -> (line, set index)`` tuples once per ``(base, geometry)`` pair
-  and each access costs two tuple reads instead of four big-int
-  operations.  The tables hold exactly the values the reference
+  range is small (``span // WORD`` values), so the bodies share
+  ``r -> (line, set index)`` tuples built once per ``(base, geometry,
+  range)`` and each access costs two tuple reads instead of four
+  big-int operations.  The tables hold exactly the values the reference
   arithmetic produces — bit-identity is preserved by construction, and
   geometry is part of the table key, so mid-run resizes switch tables.
 * ``MixedBehavior`` fuses in two phases: phase one draws every
@@ -47,13 +49,14 @@ cache state *exactly* like the readable pair
   transitions in ``access_many``'s order (all loads, then all stores).
   Draw order and access order differ for mixes, which is why the
   single-pass form used for flat behaviours cannot apply.
-* the cache-update snippet mirrors ``Cache.access_block`` line for line:
-  pop-with-default LRU touch, write-allocate, dirty-victim writeback.
+* the cache-update snippet and its ``touch`` helper make
+  ``Cache.access_block``'s transition: the MRU check, pop-with-default
+  LRU touch, write-allocate, dirty-victim writeback.
 
-The stand-alone closure returns ``(read_misses, write_misses,
-miss_lines, writeback_lines)`` with the two lists lazily allocated
-(``None`` when empty).  Inside a runner the misses go to two lists
-shared by the run, which one miss helper drains into the L2.
+The stand-alone closure runs the same body with its own miss lists and
+returns ``(read_misses, write_misses, miss_lines, writeback_lines)``
+(``None`` for an empty list).  Inside a runner the misses go to two
+lists shared by the run, which one miss helper drains into the L2.
 
 The code cache
 --------------
@@ -77,6 +80,7 @@ from repro.isa.program import (
     PersistentAlternatingDecider,
     RandomDecider,
 )
+from repro.vm.activation import FRAME_BYTES, Activation
 from repro.workloads.patterns import (
     WORD,
     MixedBehavior,
@@ -97,9 +101,10 @@ UNROLL_LIMIT = 16
 #: a process serving one benchmark's cells compiles each runner once.
 CACHE_LIMIT = 40
 
-#: Draw-table variants kept per body (one per distinct ``(base,
-#: geometry)`` pair seen at run time) before the table cache is reset.
-LUT_KEY_LIMIT = 512
+#: Draw tables kept process-wide (one per distinct base, geometry and
+#: draw range seen at run time) before the table cache is reset; a run
+#: of one benchmark uses about 60.
+LUT_KEY_LIMIT = 256
 
 #: Terminator kinds of a decoded block.
 TERM_RETURN = 0
@@ -109,6 +114,13 @@ TERM_COND = 2
 #: Process-wide cache of compiled runner factories and fused closures,
 #: keyed by shape.
 _CACHE: Dict[Tuple, Callable] = {}
+
+#: Cache-probe sentinel of :func:`line_touch`.
+_MISSING = object()
+
+#: Process-wide draw tables (see :func:`draw_table`), shared by every
+#: body that draws from the same range.
+_LUTS: Dict[Tuple, Tuple] = {}
 
 #: Monotonic codegen-cache telemetry (process lifetime).
 CACHE_STATS = {"compiles": 0, "hits": 0, "evictions": 0}
@@ -126,9 +138,11 @@ def publish_metrics(metrics) -> None:
 
 
 def clear_cache() -> int:
-    """Drop every compiled entry (tests); returns the count dropped."""
+    """Drop every compiled entry and draw table (tests); returns the
+    count of compiled entries dropped."""
     count = len(_CACHE)
     _CACHE.clear()
+    _LUTS.clear()
     return count
 
 
@@ -198,86 +212,77 @@ def _signature(behavior) -> Optional[Tuple]:
     return _flat_signature(behavior)
 
 
-#: L1D state transition per address — textually mirrors
-#: ``Cache.access_block`` (kept in lockstep by the equivalence and
-#: property suites).  ``{line}``/``{s}`` name the locals holding the
-#: line index and its set dict; ``{hit}``/``{miss}``/``{fill}`` are
-#: filled per access type.
-_ACCESS_TAIL = """\
-    {probe}
-        {hit}
-    else:
-{miss}\
-        if len({s}) >= assoc:
-            victim = next(iter({s}))
-            if {s}.pop(victim):
-                if wb_lines is None:
-                    wb_lines = []
-                wb_lines.append(victim << line_shift)
-        {s}[{line}] = {fill}
+#: L1D state transition per address, as ``Cache.access_block`` makes it
+#: (kept in lockstep by the equivalence and property suites).
+#: ``{line}``/``{i}`` name the locals holding the line index and its set
+#: index.  A hit on the set's MRU line (``mru[{i}]``) does nothing more,
+#: and a store there only sets the dirty bit; anything else goes to the
+#: run's shared ``touch`` helper (:func:`line_touch`), which keeps the
+#: unrolled bodies, their compile and their code small.  ``touch``
+#: returns 1 on a miss: a body counts read misses only (its write misses
+#: are its miss lines minus its read misses).
+_LOAD = """\
+    if mru[{i}] != {line}:
+        r_m += touch({i}, {line}, False)
 """
 
-#: Miss recording in a closure: a lazily allocated list.
-_CLOSURE_MISS = """\
-        {counter} += 1
-        if miss_lines is None:
-            miss_lines = []
-        miss_lines.append({line} << line_shift)
+_STORE = """\
+    if mru[{i}] == {line}:
+        sets[{i}][{line}] = True
+    else:
+        touch({i}, {line}, True)
 """
 
 
-#: A runner's miss: count read misses only (a block's write misses are
-#: its miss lines minus its read misses) and leave the line fill — miss
-#: line, LRU eviction, writeback — to the run's shared ``fill`` helper,
-#: which keeps the unrolled bodies, and their compile, small.
-_RUNNER_ACCESS_TAIL = """\
-    {probe}
-        {hit}
-    else:
-{miss}\
-        fill({s}, {line}, {fill})
-"""
+def _access(line: str, i: str, is_store: bool) -> str:
+    return (_STORE if is_store else _LOAD).format(i=i, line=line)
 
 
-def _access(line: str, s: str, is_store: bool, runner: bool) -> str:
-    counter = "w_m" if is_store else "r_m"
-    if runner:
-        template = _RUNNER_ACCESS_TAIL
-        miss = "" if is_store else "        r_m += 1\n"
-    else:
-        template = _ACCESS_TAIL
-        miss = _CLOSURE_MISS.format(counter=counter, line=line)
-    if is_store:
-        # A store hit overwrites the dirty bit unconditionally, so the
-        # popped value itself is dead — skip the temporary.
-        return template.format(
-            probe=f"if {s}.pop({line}, missing) is not missing:",
-            line=line, s=s, hit=f"{s}[{line}] = True", miss=miss,
-            fill="True",
-        )
-    return template.format(
-        probe=(
-            f"prev = {s}.pop({line}, missing)\n"
-            f"    if prev is not missing:"
-        ),
-        line=line, s=s, hit=f"{s}[{line}] = prev", miss=miss,
-        fill="False",
-    )
+def line_touch(l1, miss_lines: List[int], wb_lines: List[int]):
+    """``touch(index, line, store)``: an L1D access that missed its set's
+    MRU line, as ``Cache.access_block`` does it — the LRU touch on a hit
+    (a store sets the dirty bit), or the line fill on a miss: record the
+    miss line, evict the LRU victim of a full set (recording its
+    writeback when dirty), insert the line.  Either way the line
+    becomes the set's MRU line.  Returns 1 on a miss, else 0.  Reads the
+    live geometry, so one helper serves every runner of a run.
+    """
+    miss_append = miss_lines.append
+    wb_append = wb_lines.append
+    missing = _MISSING
+
+    def touch(i, line, store):
+        s = l1._sets[i]
+        l1._mru[i] = line
+        prev = s.pop(line, missing)
+        if prev is not missing:
+            s[line] = store or prev
+            return 0
+        line_shift = l1._line_shift
+        miss_append(line << line_shift)
+        if len(s) >= l1.associativity:
+            victim = next(iter(s))
+            if s.pop(victim):
+                wb_append(victim << line_shift)
+        s[line] = store
+        return 1
+
+    return touch
 
 
-def draw_table(luts: Dict, key: Tuple, n_values: int) -> Tuple:
-    """Build (and keep in ``luts``) the ``r -> line`` / ``r -> set
-    index`` tuples for ``key = (base, line_shift, set_mask)``."""
-    base, line_shift, set_mask = key
-    if len(luts) >= LUT_KEY_LIMIT:
-        luts.clear()
+def draw_table(key: Tuple) -> Tuple:
+    """Build (and keep process-wide) the ``r -> line`` / ``r -> set
+    index`` tuples for ``key = (base, line_shift, set_mask, n_values)``."""
+    base, line_shift, set_mask, n_values = key
+    if len(_LUTS) >= LUT_KEY_LIMIT:
+        _LUTS.clear()
     lines = []
     idxs = []
     for r in range(n_values):
         line = (base + r * WORD) >> line_shift
         lines.append(line)
         idxs.append(line & set_mask)
-    pair = luts[key] = (tuple(lines), tuple(idxs))
+    pair = _LUTS[key] = (tuple(lines), tuple(idxs))
     return pair
 
 
@@ -285,45 +290,46 @@ def _lut_prologue(tag: str, base_expr: str, n_values: int) -> str:
     """Draw-table lookup (see :func:`draw_table`).
 
     The table is keyed by everything its values depend on — the base
-    address and the live cache geometry — so a mid-run resize (new
-    ``set_mask``) or a different frame/region base selects a different
-    table.  Entries are exactly the reference arithmetic's results,
+    address, the live cache geometry and the draw range — so a mid-run
+    resize (new ``set_mask``) or a different frame/region base selects
+    a different table, and bodies drawing from the same range share
+    one.  Entries are exactly the reference arithmetic's results,
     computed once instead of per access.
     """
     return (
-        f"    base{tag} = {base_expr}\n"
-        f"    _k = (base{tag}, line_shift, set_mask)\n"
-        f"    _pair = _luts{tag}.get(_k)\n"
+        f"    _k = ({base_expr}, line_shift, set_mask, {n_values})\n"
+        f"    _pair = LUTS.get(_k)\n"
         f"    if _pair is None:\n"
-        f"        _pair = draw_table(_luts{tag}, _k, {n_values})\n"
+        f"        _pair = draw_table(_k)\n"
         f"    lines{tag}, idxs{tag} = _pair\n"
     )
 
 
-def _draw_parts(behavior, n_loads: int, n_stores: int, tag: str, runner: bool):
-    """Returns ``(prologue, load_snippet, store_snippet, uses_lut)``.
+def _draw_parts(behavior, n_loads: int, n_stores: int, tag: str, runner: bool,
+                fb: str = "frame_base", rb: str = "region_base"):
+    """Returns ``(prologue, load_snippet, store_snippet)``.
 
     Each snippet draws one address and leaves its cache-line index in
-    ``line`` and the target set dict in ``s`` (the address itself is
-    never materialised — only the line matters to the L1D).  ``tag``
+    ``line`` and its set index in ``i`` (the address itself is never
+    materialised — only the line matters to the L1D).  ``tag``
     suffixes every behaviour-local name so mixed-behaviour components
-    (and the blocks of one runner) can coexist.  The prologue runs once
-    per body.  A runner binds ``random`` once per run; a closure
-    fetches it per call.
+    (and the blocks of one runner) can coexist; ``fb``/``rb`` name the
+    frame and region bases.  The prologue runs once per body.  A runner
+    binds ``random`` once per run; a closure fetches it per call.
     """
     if type(behavior) is StackBehavior:
         n, k = _u4(behavior.span)
-        prologue = _lut_prologue(tag, "frame_base", n)
+        prologue = _lut_prologue(tag, fb, n)
         snippet = _rejection_draw(n, k, "    ") + (
             f"    line = lines{tag}[r]\n"
-            f"    s = sets[idxs{tag}[r]]\n"
+            f"    i = idxs{tag}[r]\n"
         )
-        return prologue, snippet, snippet, True
+        return prologue, snippet, snippet
     if type(behavior) is WorkingSetBehavior:
         n_hot, k_hot = _u4(behavior._hot_span)
         n_span, k_span = _u4(behavior.span)
         prologue = _lut_prologue(
-            tag, f"region_base + {behavior.offset}", n_span
+            tag, f"{rb} + {behavior.offset}", n_span
         ) + ("" if runner else "    random = rng.random\n")
         snippet = (
             f"    if random() < {behavior.locality!r}:\n"
@@ -331,19 +337,17 @@ def _draw_parts(behavior, n_loads: int, n_stores: int, tag: str, runner: bool):
             + "    else:\n"
             + _rejection_draw(n_span, k_span, "        ")
             + f"    line = lines{tag}[r]\n"
-            + f"    s = sets[idxs{tag}[r]]\n"
+            + f"    i = idxs{tag}[r]\n"
         )
-        return prologue, snippet, snippet, True
+        return prologue, snippet, snippet
     if type(behavior) is PointerChaseBehavior:
         n, k = _u4(behavior.span)
-        prologue = _lut_prologue(
-            tag, f"region_base + {behavior.offset}", n
-        )
+        prologue = _lut_prologue(tag, f"{rb} + {behavior.offset}", n)
         snippet = _rejection_draw(n, k, "    ") + (
             f"    line = lines{tag}[r]\n"
-            f"    s = sets[idxs{tag}[r]]\n"
+            f"    i = idxs{tag}[r]\n"
         )
-        return prologue, snippet, snippet, True
+        return prologue, snippet, snippet
     if type(behavior) is WanderingWindowBehavior:
         n, k = _u4(behavior.window)
         span = behavior.region_span
@@ -351,11 +355,11 @@ def _draw_parts(behavior, n_loads: int, n_stores: int, tag: str, runner: bool):
             f"    position{tag} = (iteration * {behavior.drift}) % {span}\n"
         )
         snippet = _rejection_draw(n, k, "    ") + (
-            "    line = (region_base"
+            f"    line = ({rb}"
             f" + (position{tag} + r * {WORD}) % {span}) >> line_shift\n"
-            "    s = sets[line & set_mask]\n"
+            "    i = line & set_mask\n"
         )
-        return prologue, snippet, snippet, False
+        return prologue, snippet, snippet
     if type(behavior) is StridedBehavior:
         span = behavior.span
         stride = behavior.stride
@@ -364,15 +368,15 @@ def _draw_parts(behavior, n_loads: int, n_stores: int, tag: str, runner: bool):
         # start = iteration*refs*stride; stepping off by stride modulo
         # span yields the same sequence without the per-ref multiply.
         prologue = (
-            f"    base{tag} = region_base + {behavior.offset}\n"
+            f"    base{tag} = {rb} + {behavior.offset}\n"
             f"    off{tag} = (iteration * {refs * stride}) % {span}\n"
         )
         snippet = (
             f"    line = (base{tag} + off{tag}) >> line_shift\n"
             f"    off{tag} = (off{tag} + {stride}) % {span}\n"
-            "    s = sets[line & set_mask]\n"
+            "    i = line & set_mask\n"
         )
-        return prologue, snippet, snippet, False
+        return prologue, snippet, snippet
     raise AssertionError(f"unfusable behaviour {behavior!r}")
 
 
@@ -394,20 +398,21 @@ def _indent(source: str, spaces: int) -> str:
     )
 
 
-def _emit_flat(behavior, n_loads: int, n_stores: int, tag: str, runner: bool):
-    """Body + draw-table tags for a non-mixed behaviour."""
-    prologue, load_snip, store_snip, uses_lut = _draw_parts(
-        behavior, n_loads, n_stores, tag, runner
+def _emit_flat(behavior, n_loads: int, n_stores: int, tag: str, runner: bool,
+               bases: Tuple[str, str]):
+    """Body for a non-mixed behaviour."""
+    prologue, load_snip, store_snip = _draw_parts(
+        behavior, n_loads, n_stores, tag, runner, *bases
     )
-    body = (
+    return (
         prologue
-        + _emit_refs(load_snip, _access("line", "s", False, runner), n_loads)
-        + _emit_refs(store_snip, _access("line", "s", True, runner), n_stores)
+        + _emit_refs(load_snip, _access("line", "i", False), n_loads)
+        + _emit_refs(store_snip, _access("line", "i", True), n_stores)
     )
-    return body, [tag] if uses_lut else []
 
 
-def _emit_mixed(behavior, n_loads: int, n_stores: int, tag: str, runner: bool):
+def _emit_mixed(behavior, n_loads: int, n_stores: int, tag: str, runner: bool,
+                bases: Tuple[str, str]):
     """Two-phase body for ``MixedBehavior``, or ``None``.
 
     ``generate`` draws per component (its loads, then its stores) while
@@ -423,7 +428,6 @@ def _emit_mixed(behavior, n_loads: int, n_stores: int, tag: str, runner: bool):
     load_shares = MixedBehavior._apportion(n_loads, weights)
     store_shares = MixedBehavior._apportion(n_stores, weights)
     prologues = []
-    luts = []
     draw_phase = []
     load_tails = []
     store_tails = []
@@ -433,50 +437,51 @@ def _emit_mixed(behavior, n_loads: int, n_stores: int, tag: str, runner: bool):
         if nl == 0 and ns == 0:
             continue
         sub = f"{tag}_{ci}"
-        prologue, load_snip, store_snip, uses_lut = _draw_parts(
-            component, nl, ns, sub, runner
+        prologue, load_snip, store_snip = _draw_parts(
+            component, nl, ns, sub, runner, *bases
         )
         prologues.append(prologue)
-        if uses_lut:
-            luts.append(sub)
         for snip, count, tails, is_store in (
             (load_snip, nl, load_tails, False),
             (store_snip, ns, store_tails, True),
         ):
             for _ in range(count):
                 line_var = f"ln{ref_id}"
-                s_var = f"sd{ref_id}"
+                i_var = f"ix{ref_id}"
                 ref_id += 1
                 draw_phase.append(
                     snip.replace("    line = ", f"    {line_var} = ")
-                    .replace("    s = ", f"    {s_var} = ")
+                    .replace("    i = ", f"    {i_var} = ")
                     .replace("line & set_mask", f"{line_var} & set_mask")
                 )
-                tails.append(_access(line_var, s_var, is_store, runner))
-    body = "".join(prologues) + "".join(
+                tails.append(_access(line_var, i_var, is_store))
+    return "".join(prologues) + "".join(
         draw_phase + load_tails + store_tails
     )
-    return body, luts
 
 
-def _fused_body(behavior, n_loads: int, n_stores: int, tag: str, runner: bool):
-    """``(source, draw-table tags)`` of one body, or ``None`` if unfusable.
+def _fused_body(behavior, n_loads: int, n_stores: int, tag: str, runner: bool,
+               bases: Tuple[str, str] = ("frame_base", "region_base")):
+    """Source of one body, or ``None`` if unfusable.
 
-    The source sits at function-body indentation (4 spaces).
+    The source sits at function-body indentation (4 spaces); ``bases``
+    names the frame and region bases it reads.
     """
     if _signature(behavior) is None:
         return None
     if type(behavior) is MixedBehavior:
-        return _emit_mixed(behavior, n_loads, n_stores, tag, runner)
-    return _emit_flat(behavior, n_loads, n_stores, tag, runner)
+        return _emit_mixed(behavior, n_loads, n_stores, tag, runner, bases)
+    return _emit_flat(behavior, n_loads, n_stores, tag, runner, bases)
 
 
 def compile_fused_block(behavior, n_loads: int, n_stores: int):
     """Compile (or fetch from cache) a stand-alone fused body.
 
-    Returns ``fused(rng, frame_base, region_base, iteration, l1,
-    missing)`` or ``None`` when the behaviour has no fused form
-    (custom behaviours, oversized mixes).
+    Returns ``fused(rng, frame_base, region_base, iteration, l1)`` or
+    ``None`` when the behaviour has no fused form (custom behaviours,
+    oversized mixes).  ``fused`` runs the body a runner would and
+    returns ``(read_misses, write_misses, miss_lines,
+    writeback_lines)``, an empty list as ``None``.
     """
     sig = _signature(behavior)
     if sig is None:
@@ -484,28 +489,27 @@ def compile_fused_block(behavior, n_loads: int, n_stores: int):
     key = ("fused",) + sig + (n_loads, n_stores)
 
     def build():
-        emitted = _fused_body(behavior, n_loads, n_stores, "0", False)
-        if emitted is None:
+        body = _fused_body(behavior, n_loads, n_stores, "0", False)
+        if body is None:
             return None
-        body, luts = emitted
-        params = "".join(f", _luts{tag}={{}}" for tag in luts)
         source = (
-            "def fused(rng, frame_base, region_base, iteration, l1, "
-            f"missing{params}):\n"
+            "def fused(rng, frame_base, region_base, iteration, l1):\n"
             "    getrandbits = rng.getrandbits\n"
             "    line_shift = l1._line_shift\n"
             "    set_mask = l1._set_mask\n"
             "    sets = l1._sets\n"
-            "    assoc = l1.associativity\n"
-            "    miss_lines = None\n"
-            "    wb_lines = None\n"
+            "    mru = l1._mru\n"
+            "    miss_lines = []\n"
+            "    wb_lines = []\n"
+            "    touch = line_touch(l1, miss_lines, wb_lines)\n"
             "    r_m = 0\n"
-            "    w_m = 0\n"
             + body
-            + "    return r_m, w_m, miss_lines, wb_lines\n"
+            + "    return (r_m, len(miss_lines) - r_m, miss_lines or None,\n"
+            "            wb_lines or None)\n"
         )
         return _exec(
-            source, "fused", f"fused:{sig[0]}", {"draw_table": draw_table}
+            source, "fused", f"fused:{sig[0]}",
+            {"draw_table": draw_table, "LUTS": _LUTS, "line_touch": line_touch},
         )
 
     return _cached(key, build)
@@ -523,7 +527,7 @@ RUNNER_PARAMS = (
     "E2",           # L2 energy account: leakage total, price
     "PIPE",         # pipeline energy accounts, as a tuple
     "T",            # timing model: _ilp_factor
-    "L1",           # L1D cache: geometry
+    "L1",           # L1D cache: geometry, MRU record
     "L1S",          # L1D statistics: read/write accesses
     "PR",           # branch predictor: lookups, mispredictions
     "PT",           # branch predictor counter table
@@ -531,11 +535,14 @@ RUNNER_PARAMS = (
     "TI",           # VMStats.thread_instructions
     "TID",          # thread id
     "TH",           # ThreadContext: hotspot_depth
+    "TS",           # the thread's activation stack
+    "SB",           # the thread's stack base
     "rng",          # the thread's random stream
     "getrandbits",  # rng.getrandbits
     "random",       # rng.random
     "missing",      # cache-probe sentinel
-    "fill",         # fill(set, line, dirty): an L1D miss's line fill
+    "touch",        # touch(index, line, store): an L1D access past the
+                    # MRU check; 1 on a miss
     "ML",           # run-shared L1D miss-line list
     "MISS",         # miss(read_misses) -> L2 misses; drains the lists
     "IT",           # per-block iteration counters (this thread)
@@ -552,6 +559,16 @@ RUNNER_PARAMS = (
     "INV",          # the VM's _invoke(thread, method)
     "RET",          # the VM's _return(thread)
     "CE",           # per-block first callee (call blocks), else None
+    "IN",           # True: inlined calls may take their fast path
+    "IL",           # per inlined call: (method, name, IT, PS, DC, AL,
+                    # region base) of the callee
+    "PF",           # DO database: method profiles by name
+    "HS",           # DO database: hotspots by name
+    "LV",           # JIT: compiled methods by name
+    "ENS",          # JIT: entry stubs by name
+    "EXS",          # JIT: exit stubs by name
+    "IC",           # the L1I model: method_switches
+    "RES",          # the L1I model's resident methods, in LRU order
 )
 
 
@@ -601,7 +618,7 @@ def _block_key(dec, index: Dict[str, int]) -> Tuple:
         dec.n_stores,
         dec.needs_iter,
         dec.serialized,
-        dec.n_calls > 0,
+        dec.n_calls,
         dec.term_kind,
         targets,
         decider_shape(dec.decider),
@@ -610,58 +627,84 @@ def _block_key(dec, index: Dict[str, int]) -> Tuple:
     )
 
 
-def compile_runner(blocks: Sequence, consts: Tuple):
+def _method_key(blocks: Sequence) -> Tuple:
+    index = {dec.bid: k for k, dec in enumerate(blocks)}
+    return tuple(_block_key(dec, index) for dec in blocks)
+
+
+def compile_runner(blocks: Sequence, consts: Tuple, sites: Sequence = ()):
     """Runner factory for a method's decoded blocks (compiled or cached).
 
     ``blocks`` are the method's :class:`~repro.vm.jit.DecodedBlock`
     objects in layout order; ``consts`` is ``(cycles_per_insn,
     l2_hit_latency, memory_latency, mispredict_penalty, mlp,
-    predictor_mask, n_buckets, n_pipeline)``.  The factory takes the
+    predictor_mask, n_buckets, n_pipeline)``.  ``sites`` lists the
+    calls to inline, in block and call order, as ``(block index, call
+    number, callee blocks, callee entry index)``; a block's inlined
+    calls are a prefix of its calls.  The factory takes the
     :data:`RUNNER_PARAMS` as keywords and returns ``run(activation,
-    max_bodies, limit)``, which executes bodies from ``activation.bid``
-    until an exit and returns the micro-steps it consumed.
+    max_steps, limit)``, which executes bodies from ``activation.bid``
+    until an exit and returns twice the micro-steps it consumed, plus
+    one when its last step was a body.
     """
-    index = {dec.bid: k for k, dec in enumerate(blocks)}
-    key = ("runner", consts, tuple(_block_key(dec, index) for dec in blocks))
-    return _cached(key, lambda: _build_runner(key, blocks, consts))
+    key = (
+        "runner",
+        consts,
+        _method_key(blocks),
+        tuple(
+            (k, q, entry, _method_key(callee))
+            for k, q, callee, entry in sites
+        ),
+    )
+    return _cached(key, lambda: _build_runner(blocks, consts, sites))
 
 
-def _build_runner(key: Tuple, blocks: Sequence, consts: Tuple):
-    source, luts = _RunnerSource(blocks, consts).render()
-    namespace: Dict[str, object] = {f"_luts{tag}": {} for tag in luts}
-    namespace["draw_table"] = draw_table
-    namespace["B"] = tuple(dec.bid for dec in blocks)
-    namespace["BIX"] = {dec.bid: k for k, dec in enumerate(blocks)}
-    return _exec(source, "bind", f"runner:{blocks[0].method_name}", namespace)
+def _build_runner(blocks: Sequence, consts: Tuple, sites: Sequence):
+    emitter = _RunnerSource(blocks, consts, sites)
+    namespace = {
+        "draw_table": draw_table,
+        "LUTS": _LUTS,
+        "Activation": Activation,
+        "B": tuple(
+            dec.bid for frame in emitter.frames for dec in frame.blocks
+        ),
+        "BIX": {dec.bid: k for k, dec in enumerate(blocks)},
+    }
+    return _exec(
+        emitter.render(), "bind", f"runner:{blocks[0].method_name}",
+        namespace,
+    )
 
 
-class _RunnerSource:
-    """Emits the source of one method's runner factory.
+def _no_miss(n_loads: int, n_stores: int) -> str:
+    """A body's L1D dynamic energy when none of its accesses miss."""
+    if not n_loads:
+        return f"{n_stores} * wn"
+    return f"{n_loads} * rn" + (f" + {n_stores} * wn" if n_stores else "")
 
-    Locals of ``run``: ``ni``/``cy`` (instructions, cycles), ``d1``,
-    ``k1``, ``k2``, ``p<i>`` (L1D dynamic, L1D and L2 leakage, pipeline
-    energy totals), ``rn``/``wn``/``kn1``/``kn2``/``pn<i>`` (their
-    prices), ``ilp``, the L1D geometry, ``ra``/``wa``/``lk``/``mp``
-    (L1D access and predictor counters), ``nb`` (bodies run) and ``bi``
-    (current block index).  Every total keeps its per-block operands in
-    the reference order; the epilogue writes them all back.
+
+class _Frame:
+    """One method's blocks in a runner: their numbers in the runner's
+    block numbering (``off`` onward) and the names of their state.
+
+    The runner's own method is frame ``None``; inlined call ``j`` gets a
+    copy of its callee's blocks whose state names carry the suffix
+    ``j``, bound to the callee's per-thread state.
     """
 
-    def __init__(self, blocks: Sequence, consts: Tuple):
-        (
-            self.cpi,
-            self.l2_latency,
-            self.memory_latency,
-            self.penalty,
-            self.mlp,
-            self.pred_mask,
-            self.n_buckets,
-            self.n_pipe,
-        ) = consts
+    def __init__(self, blocks: Sequence, off: int, site: Optional[int]):
         self.blocks = list(blocks)
         self.index = {dec.bid: k for k, dec in enumerate(self.blocks)}
-        self.lines: List[str] = []
-        self.luts: List[str] = []
+        self.off = off
+        self.site = site
+        sfx = "" if site is None else str(site)
+        self.it, self.ps, self.dc, self.al = (
+            f"IT{sfx}", f"PS{sfx}", f"DC{sfx}", f"AL{sfx}"
+        )
+        self.ls = f"ls{sfx}"
+        self.fb = "frame_base" if site is None else f"fb{sfx}"
+        self.rb = "region_base" if site is None else f"rb{sfx}"
+        self.tag = "" if site is None else f"i{sfx}_"
         bodies = [_body_key(dec) for dec in self.blocks]
         self.has_mem = any(body is not None for body in bodies)
         self.has_loads = any(
@@ -674,24 +717,91 @@ class _RunnerSource:
         )
         self.has_cond = any(dec.decider is not None for dec in self.blocks)
 
+    def targets(self, dec) -> Tuple[int, ...]:
+        """Runner block numbers of ``dec``'s successors."""
+        if dec.term_kind == TERM_GOTO:
+            return (self.off + self.index[dec.goto_target],)
+        if dec.term_kind == TERM_COND:
+            return (
+                self.off + self.index[dec.taken_target],
+                self.off + self.index[dec.fallthrough_target],
+            )
+        return ()
+
+
+class _RunnerSource:
+    """Emits the source of one method's runner factory.
+
+    Locals of ``run``: ``ni``/``cy`` (instructions, cycles), ``d1``,
+    ``k1``, ``k2``, ``p<i>`` (L1D dynamic, L1D and L2 leakage, pipeline
+    energy totals), ``rn``/``wn``/``kn1``/``kn2``/``pn<i>`` (their
+    prices), ``ilp``, the L1D geometry, ``ra``/``wa``/``lk``/``mp``
+    (L1D access and predictor counters), ``nb`` (bodies run), ``nbm``
+    (bodies the step budget allows) and ``bi`` (current block number).
+    Every total keeps its per-block operands in the reference order;
+    the epilogue writes them all back.
+
+    A runner with inlined calls also keeps ``ca`` (the activation on
+    top of the stack), ``cx`` (steps beyond two per body: each inlined
+    call adds one), ``s1`` (the step budget plus one), ``hs`` (where
+    hotspot coverage was last credited) and, while a callee runs, its
+    profile ``pf``, hotspot ``hi`` and entry count ``en``.
+    """
+
+    def __init__(self, blocks: Sequence, consts: Tuple, sites: Sequence):
+        (
+            self.cpi,
+            self.l2_latency,
+            self.memory_latency,
+            self.penalty,
+            self.mlp,
+            self.pred_mask,
+            self.n_buckets,
+            self.n_pipe,
+        ) = consts
+        self.root = _Frame(blocks, 0, None)
+        self.frames = [self.root]
+        #: Inlined call ``j``: (caller block index, call number, callee
+        #: entry index, callee frame).
+        self.sites = []
+        #: Caller block index -> its inlined calls ``j``, in call order.
+        self.calls: Dict[int, List[int]] = {}
+        off = len(blocks)
+        for j, (k, q, callee, entry) in enumerate(sites):
+            frame = _Frame(callee, off, j)
+            off += len(frame.blocks)
+            self.frames.append(frame)
+            self.sites.append((k, q, entry, frame))
+            self.calls.setdefault(k, []).append(j)
+        self.inlines = bool(self.sites)
+        self.has_mem = any(f.has_mem for f in self.frames)
+        self.has_loads = any(f.has_loads for f in self.frames)
+        self.has_stores = any(f.has_stores for f in self.frames)
+        self.has_cond = any(f.has_cond for f in self.frames)
+        self.lines: List[str] = []
+
     def emit(self, indent: int, *lines: str) -> None:
         pad = " " * indent
         self.lines.extend(pad + line for line in lines)
 
-    def render(self) -> Tuple[str, List[str]]:
+    def render(self) -> str:
         params = ", ".join(RUNNER_PARAMS)
         self.emit(0, f"def bind({params}):")
         if self.n_pipe:
             names = ", ".join(f"P{i}" for i in range(self.n_pipe))
             self.emit(4, f"{names}, = PIPE")
-        self.emit(4, "def run(act, nbm, lim):")
+        for j in range(len(self.sites)):
+            self.emit(4, f"MT{j}, N{j}, IT{j}, PS{j}, DC{j}, AL{j}, rb{j} = "
+                         f"IL[{j}]")
+        self.emit(4, "def run(act, sm, lim):")
         self.prologue(8)
         self.emit(8, "while True:")
-        for k, dec in enumerate(self.blocks):
-            self.block(k, dec, 12)
+        for frame in self.frames:
+            for k, dec in enumerate(frame.blocks):
+                self.block(frame, k, dec, 12)
         self.epilogue(8)
         self.emit(4, "return run")
-        return "\n".join(self.lines) + "\n", self.luts
+        return "\n".join(self.lines) + "\n"
 
     def prologue(self, ind: int) -> None:
         e = self.emit
@@ -702,14 +812,19 @@ class _RunnerSource:
             e(ind, f"p{i} = P{i}.energy_nj", f"pn{i} = P{i}._nj")
         if self.has_mem:
             e(ind, "d1 = E1.dynamic_nj", "rn = E1._read_nj",
-              "wn = E1._write_nj", "sets = L1._sets",
+              "wn = E1._write_nj", "sets = L1._sets", "mru = L1._mru",
               "set_mask = L1._set_mask", "line_shift = L1._line_shift",
-              "frame_base = act.frame_base",
               "ra = 0", "wa = 0")
+        if self.root.has_mem:
+            e(ind, "frame_base = act.frame_base")
+        if self.root.has_cond:
+            e(ind, "ls = act.loop_states")
         if self.has_cond:
-            e(ind, "ls = act.loop_states", "lk = 0", "mp = 0")
-        e(ind, "nb = 0", "ex = 0")
-        e(ind, "bi = BIX[act.bid]" if len(self.blocks) > 1 else "bi = 0")
+            e(ind, "lk = 0", "mp = 0")
+        e(ind, "nb = 0", "nbm = (sm + 1) >> 1", "ex = 0")
+        if self.inlines:
+            e(ind, "s1 = sm + 1", "cx = 0", "hs = ni", "ca = act")
+        e(ind, "bi = BIX[act.bid]" if len(self.root.blocks) > 1 else "bi = 0")
 
     def epilogue(self, ind: int) -> None:
         e = self.emit
@@ -725,16 +840,23 @@ class _RunnerSource:
                 e(ind, "L1S.write_accesses += wa")
         if self.has_cond:
             e(ind, "PR.lookups += lk", "PR.mispredictions += mp")
+        steps = "nb + nb + cx" if self.inlines else "nb + nb"
         e(ind, "ST.blocks_executed += nb", "seg = ni - ni0",
           "TI[TID] += seg",
           "if TH.hotspot_depth:",
-          "    ST.instructions_in_hotspots += seg",
+          "    ST.instructions_in_hotspots += "
+          + ("ni - hs" if self.inlines else "seg"),
           "if FF is not None:",
-          "    FF(seg, TID)",
-          # A call or return no gate stops is the next micro-step: run
-          # it here, after the sampler catches up with the body.  An
-          # even step count tells the driver it happened.
-          "if ex and ni < lim and nb < nbm:",
+          "    FF(seg, TID)")
+        if self.inlines:
+            # Stopped between steps: at a caller's next call or next
+            # block, after an inlined return.
+            e(ind, "if ex == 3:", "    ca.bid = B[bi]", "    ca.phase = ph",
+              f"    return ({steps}) << 1")
+        # A call or return no gate stops is the next micro-step: run it
+        # here, after the sampler catches up with the body.  An even
+        # result tells the driver it happened.
+        e(ind, "if ex and ni < lim and nb < nbm:",
           "    if cy >= SP._next_sample_at:",
           "        SP.advance(cy, NAME)",
           "    if ex == 1:",
@@ -745,89 +867,212 @@ class _RunnerSource:
           "        RET(TH)",
           "        if not TH.stack:",
           "            TH.finished = True",
-          "    return nb + nb",
-          "act.bid = B[bi]",
-          "act.phase = 1",
-          "return nb + nb - 1")
+          f"    return ({steps}) << 1")
+        top = "ca" if self.inlines else "act"
+        e(ind, f"{top}.bid = B[bi]", f"{top}.phase = 1",
+          f"return (({steps}) << 1) - 1")
 
     # -- one block ---------------------------------------------------------
 
-    def block(self, k: int, dec, ind: int) -> None:
+    def block(self, frame: _Frame, k: int, dec, ind: int) -> None:
         e = self.emit
-        e(ind, f"if bi == {k}:")
+        n = frame.off + k
+        e(ind, f"if bi == {n}:")
         ind += 4
-        targets = ()
-        if dec.term_kind == TERM_GOTO:
-            targets = (self.index[dec.goto_target],)
-        elif dec.term_kind == TERM_COND:
-            targets = (
-                self.index[dec.taken_target],
-                self.index[dec.fallthrough_target],
-            )
+        targets = frame.targets(dec)
         exits = dec.n_calls > 0 or dec.term_kind == TERM_RETURN
         self_loop = (
             not exits
             and dec.term_kind == TERM_COND
-            and (targets[0] == k) != (targets[1] == k)
+            and (targets[0] == n) != (targets[1] == n)
         )
         if self_loop:
             # The loop's own state — its iteration counter and decider
             # state — stays in locals while it spins.
-            load, store = self.loop_state(k, dec)
+            load, store = self.loop_state(frame, k, dec)
             e(ind, *load)
             e(ind, "while True:")
-            self.body(k, dec, ind + 4, hoisted=True)
-            self.gate(dec, ind + 4, store)
-            loop_if = "taken" if targets[0] == k else "not taken"
-            out = targets[1] if targets[0] == k else targets[0]
+            self.body(frame, k, dec, ind + 4, hoisted=True)
+            self.gate(frame, dec, ind + 4, store)
+            loop_if = "taken" if targets[0] == n else "not taken"
+            out = targets[1] if targets[0] == n else targets[0]
             e(ind + 4, f"if {loop_if}:", "    continue", *store,
               f"bi = {out}", "break")
-            e(ind, f"if bi == {k}:", "    break")
-            if out <= k:
+            e(ind, f"if bi == {n}:", "    break")
+            if out <= n:
                 e(ind, "continue")
             return
-        self.body(k, dec, ind)
+        self.body(frame, k, dec, ind)
+        if frame.site is not None and dec.term_kind == TERM_RETURN:
+            self.gate(frame, dec, ind)
+            self.inline_return(frame.site, n, ind)
+            return
         if exits:
             if dec.decider is not None:
-                e(ind, "ls['__pending__'] = taken")
+                e(ind, f"{frame.ls}['__pending__'] = taken")
+            if k in self.calls and frame.site is None:
+                self.gate(frame, None, ind)
+                self.launch(self.calls[k][0], n, ind)
+                return
             e(ind, "ex = 1" if dec.n_calls else "ex = 2", "break")
             return
-        self.gate(dec, ind)
-        if dec.term_kind == TERM_GOTO:
+        self.gate(frame, dec, ind)
+        self.jump(targets, n, ind)
+
+    def jump(self, targets: Tuple[int, ...], n: int, ind: int,
+             taken: str = "taken") -> None:
+        """A terminator from block number ``n``: a goto or a branch on
+        ``taken``."""
+        e = self.emit
+        if len(targets) == 1:
             e(ind, f"bi = {targets[0]}")
-            if targets[0] <= k:
+            if targets[0] <= n:
                 e(ind, "continue")
             return
-        for cond, target in zip(("if taken:", "else:"), targets):
+        for cond, target in zip((f"if {taken}:", "else:"), targets):
             e(ind, cond, f"    bi = {target}")
-            if target <= k:
+            if target <= n:
                 e(ind, "    continue")
 
-    def loop_state(self, k: int, dec):
-        """Lines loading and storing a self-loop's hoisted state."""
-        load, store = [], []
+    # -- inlined calls -----------------------------------------------------
+
+    def launch(self, j: int, n: int, ind: int) -> None:
+        """Call ``j``, after its caller's body (first call) or its
+        previous call's return: the fast path of ``_invoke`` on the
+        runner's locals, or the way out to the driver's.
+
+        The fast path needs a callee that is compiled, already hot (so
+        no detection can fire), L1I-resident and stub-free, and room in
+        the step budget for the launch and the callee's first body.
+        """
+        e = self.emit
+        k, q, entry, frame = self.sites[j]
+        name = f"N{j}"
+        e(ind, f"pf = PF.get({name})")
+        if q == 1:
+            # The caller's gate just passed: room for launch and body.
+            cond = "IN and pf is not None"
+        else:
+            cond = "nb < (s1 - cx - 1) >> 1 and pf is not None"
+        e(ind, f"if {cond} and pf.is_hot and {name} in LV and "
+               f"{name} in RES and {name} not in ENS and "
+               f"{name} not in EXS:")
+        ind += 4
+        if q == 1:
+            e(ind, "if cy >= SP._next_sample_at:",
+              "    SP.advance(cy, NAME)")
+        else:
+            e(ind, "cx += 1", "nbm = (s1 - cx) >> 1")
+        callee_entry = frame.blocks[entry]
+        e(ind, "pf.invocations += 1", f"hi = HS[{name}]",
+          "hi.invocations_since_hot += 1",
+          "ca = Activation.__new__(Activation)",
+          f"ca.method = MT{j}",
+          f"ca.bid = {callee_entry.bid!r}",
+          "ca.phase = 0",
+          f"ca.frame_base = {frame.fb} = SB - len(TS) * {FRAME_BYTES}",
+          f"ca.loop_states = {frame.ls} = {{}}",
+          "ca.entry_instructions = en = ni",
+          "ca.entry_cycles = cy",
+          "ca.is_hotspot = True",
+          "ca.policy_token = None",
+          "TS.append(ca)",
+          "IC.method_switches += 1",
+          f"RES[{name}] = RES.pop({name})",
+          "if TH.hotspot_depth:",
+          "    ST.instructions_in_hotspots += ni - hs",
+          "hs = ni",
+          "TH.hotspot_depth += 1",
+          f"act.bid = {self.root.blocks[k].bid!r}",
+          f"act.phase = {q + 1}")
+        target = frame.off + entry
+        e(ind, f"bi = {target}")
+        if target <= n:
+            e(ind, "continue")
+        ind -= 4
+        if q == 1:
+            e(ind, "else:", "    ex = 1", "    break")
+        else:
+            # Stop between steps: the driver launches call q.
+            e(ind, "else:", f"    bi = {k}", f"    ph = {q}", "    ex = 3",
+              "    break")
+
+    def inline_return(self, j: int, n: int, ind: int) -> None:
+        """The return of inlined call ``j`` from block number ``n`` (its
+        gate passed): the fast path of ``_return`` on the runner's
+        locals, then the caller's next call or its terminator."""
+        e = self.emit
+        k, q, _, _ = self.sites[j]
+        e(ind, "if cy >= SP._next_sample_at:", f"    SP.advance(cy, N{j})",
+          "TS.pop()",
+          "inc = ni - en",
+          "cn = pf.completed_invocations + 1",
+          "pf.completed_invocations = cn",
+          "if cn == 1:",
+          "    pf.mean_size = float(inc)",
+          "else:",
+          "    pf.mean_size += pf.ALPHA * (inc - pf.mean_size)",
+          "ST.instructions_in_hotspots += ni - hs",
+          "hs = ni",
+          "TH.hotspot_depth -= 1",
+          "hi.instructions_inside += inc",
+          "ca = act")
+        caller = self.root.blocks[k]
+        if j != self.calls[k][-1]:
+            self.launch(j + 1, n, ind)
+            return
+        if q < caller.n_calls:
+            # The next call is not inlined: the driver launches it.
+            e(ind, f"bi = {k}", f"ph = {q + 1}", "ex = 3", "break")
+            return
+        # The caller's terminator is one more step; stop before the
+        # next body if the step budget is spent.
+        e(ind, "cx += 1", "nbm = (s1 - cx) >> 1")
+        targets = self.root.targets(caller)
+        if len(targets) == 2:
+            e(ind, "if ls.pop('__pending__'):", f"    bi = {targets[0]}",
+              "else:", f"    bi = {targets[1]}")
+        else:
+            e(ind, f"bi = {targets[0]}")
+        e(ind, "if nb >= nbm:", "    ph = 0", "    ex = 3", "    break",
+          "continue")
+
+    # -- block parts ---------------------------------------------------------
+
+    def loop_state(self, frame: _Frame, k: int, dec):
+        """Lines loading and storing a self-loop's hoisted state.
+
+        The load also computes the body's loop invariants once: its base
+        cycles and its no-miss L1D energy, with the float operations the
+        body would run.
+        """
+        load = [f"hc = {dec.n_insns * self.cpi!r} / ilp"]
+        if _body_key(dec) is not None:
+            load.append(f"hd = {_no_miss(dec.n_loads, dec.n_stores)}")
+        store = []
         if dec.needs_iter:
-            load.append(f"iteration = IT[{k}]")
-            store.append(f"IT[{k}] = iteration")
+            load.append(f"iteration = {frame.it}[{k}]")
+            store.append(f"{frame.it}[{k}] = iteration")
         kind = decider_shape(dec.decider)[0]
         slot = repr(dec.bid)
         if kind in ("loop", "loopc", "alt"):
             initial = "0" if kind == "alt" else "missing"
-            load.append(f"st = ls.get({slot}, {initial})")
-            store.append(f"ls[{slot}] = st")
+            load.append(f"st = {frame.ls}.get({slot}, {initial})")
+            store.append(f"{frame.ls}[{slot}] = st")
         elif kind == "palt":
-            load.append(f"st = PS[{k}]")
-            store.append(f"PS[{k}] = st")
+            load.append(f"st = {frame.ps}[{k}]")
+            store.append(f"{frame.ps}[{k}] = st")
         return load, store
 
-    def gate(self, dec, ind: int, store=()) -> None:
+    def gate(self, frame: _Frame, dec, ind: int, store=()) -> None:
         self.emit(ind, "if ni >= lim or nb >= nbm:")
         self.emit(ind + 4, *store)
-        if dec.decider is not None:
-            self.emit(ind, "    ls['__pending__'] = taken")
+        if dec is not None and dec.decider is not None:
+            self.emit(ind, f"    {frame.ls}['__pending__'] = taken")
         self.emit(ind, "    break")
 
-    def body(self, k: int, dec, ind: int, hoisted: bool = False) -> None:
+    def body(self, frame: _Frame, k: int, dec, ind: int,
+             hoisted: bool = False) -> None:
         e = self.emit
         n_insns = dec.n_insns
         base = n_insns * self.cpi
@@ -835,14 +1080,17 @@ class _RunnerSource:
         if body_key is not None:
             nl, ns = dec.n_loads, dec.n_stores
             if dec.needs_iter and not hoisted:
-                e(ind, f"iteration = IT[{k}]", f"IT[{k}] = iteration + 1")
+                e(ind, f"iteration = {frame.it}[{k}]",
+                  f"{frame.it}[{k}] = iteration + 1")
             it = "iteration" if dec.needs_iter else "0"
-            call = f"AL({k}, frame_base, {it})"
+            call = f"{frame.al}({k}, {frame.fb}, {it})"
             if nl:
                 call = "r_m = " + call
             if body_key[1]:
-                source, luts = _fused_body(dec.gen, nl, ns, str(k), True)
-                self.luts.extend(luts)
+                source = _fused_body(
+                    dec.gen, nl, ns, f"{frame.tag}{k}", True,
+                    (frame.fb, frame.rb),
+                )
                 e(ind, "if AD:", f"    {call}", "else:")
                 if nl:
                     e(ind + 4, "r_m = 0")
@@ -856,22 +1104,22 @@ class _RunnerSource:
             if ns:
                 e(ind, f"wa += {ns}")
             overlap = 1.0 if dec.serialized else self.mlp
-            e(ind, f"c = {base!r} / ilp",
+            e(ind, "c = hc" if hoisted else f"c = {base!r} / ilp",
               "if ML:",
               "    l1m = len(ML)",
               f"    l2m = MISS({'r_m' if nl else '0'})",
               f"    c += l1m * {self.l2_latency / overlap!r}",
               f"    c += l2m * {self.memory_latency / overlap!r}")
             if nl:
-                e(ind, f"    d1 += {nl} * rn + ({ns} + l1m) * wn", "else:",
-                  f"    d1 += {nl} * rn" + (f" + {ns} * wn" if ns else ""))
+                e(ind, f"    d1 += {nl} * rn + ({ns} + l1m) * wn")
             else:
-                e(ind, f"    d1 += ({ns} + l1m) * wn", "else:",
-                  f"    d1 += {ns} * wn")
+                e(ind, f"    d1 += ({ns} + l1m) * wn")
+            e(ind, "else:",
+              "    d1 += hd" if hoisted else f"    d1 += {_no_miss(nl, ns)}")
         else:
-            e(ind, f"c = {base!r} / ilp")
+            e(ind, "c = hc" if hoisted else f"c = {base!r} / ilp")
         if dec.decider is not None:
-            self.decider(k, dec, ind, hoisted)
+            self.decider(frame, k, dec, ind, hoisted)
             self.predictor(dec, ind)
         e(ind, "k1 += c * kn1", "k2 += c * kn2")
         for i in range(self.n_pipe):
@@ -880,42 +1128,44 @@ class _RunnerSource:
         bucket = (dec.block_pc >> 2) % self.n_buckets
         e(ind, "if BV:", f"    BK[{bucket}] += {n_insns}")
 
-    def decider(self, k: int, dec, ind: int, hoisted: bool) -> None:
+    def decider(self, frame: _Frame, k: int, dec, ind: int,
+                hoisted: bool) -> None:
         e = self.emit
         shape = decider_shape(dec.decider)
         kind = shape[0]
         slot = repr(dec.bid)
+        ls, ps, dc = frame.ls, frame.ps, frame.dc
         if hoisted and kind in ("loop", "loopc"):
-            draw = repr(shape[1]) if kind == "loop" else f"DC[{k}](rng)"
+            draw = repr(shape[1]) if kind == "loop" else f"{dc}[{k}](rng)"
             e(ind, "if st is missing:", f"    st = {draw}", "if st > 1:",
               "    st -= 1", "    taken = True", "else:",
               f"    st = {draw}", "    taken = False")
         elif hoisted and kind in ("alt", "palt"):
             e(ind, f"taken = (st // {shape[1]}) % 2 == 0", "st += 1")
         elif kind in ("loop", "loopc"):
-            draw = repr(shape[1]) if kind == "loop" else f"DC[{k}](rng)"
-            e(ind, f"st = ls.get({slot}, missing)", "if st is missing:",
-              f"    st = {draw}", "if st > 1:", f"    ls[{slot}] = st - 1",
-              "    taken = True", "else:", f"    ls[{slot}] = {draw}",
+            draw = repr(shape[1]) if kind == "loop" else f"{dc}[{k}](rng)"
+            e(ind, f"st = {ls}.get({slot}, missing)", "if st is missing:",
+              f"    st = {draw}", "if st > 1:", f"    {ls}[{slot}] = st - 1",
+              "    taken = True", "else:", f"    {ls}[{slot}] = {draw}",
               "    taken = False")
         elif kind == "alt":
-            e(ind, f"st = ls.get({slot}, 0)",
+            e(ind, f"st = {ls}.get({slot}, 0)",
               f"taken = (st // {shape[1]}) % 2 == 0",
-              f"ls[{slot}] = st + 1")
+              f"{ls}[{slot}] = st + 1")
         elif kind == "palt":
-            e(ind, f"st = PS[{k}]",
+            e(ind, f"st = {ps}[{k}]",
               f"taken = (st // {shape[1]}) % 2 == 0",
-              f"PS[{k}] = st + 1")
+              f"{ps}[{k}] = st + 1")
         elif kind == "rand":
             e(ind, f"taken = random() < {shape[1]!r}")
         elif shape[1]:
-            e(ind, f"st = PS[{k}]", "if st is missing:",
-              f"    st = DC[{k}].initial_state(rng)",
-              f"taken, PS[{k}] = DC[{k}].decide(st, rng)")
+            e(ind, f"st = {ps}[{k}]", "if st is missing:",
+              f"    st = {dc}[{k}].initial_state(rng)",
+              f"taken, {ps}[{k}] = {dc}[{k}].decide(st, rng)")
         else:
-            e(ind, f"st = ls.get({slot}, missing)", "if st is missing:",
-              f"    st = DC[{k}].initial_state(rng)",
-              f"taken, ls[{slot}] = DC[{k}].decide(st, rng)")
+            e(ind, f"st = {ls}.get({slot}, missing)", "if st is missing:",
+              f"    st = {dc}[{k}].initial_state(rng)",
+              f"taken, {ls}[{slot}] = {dc}[{k}].decide(st, rng)")
 
     def predictor(self, dec, ind: int) -> None:
         index = (dec.branch_pc >> 2) & self.pred_mask

@@ -9,10 +9,12 @@ speed around one compiled *runner* per method (see
 * a runner executes the method's blocks back to back with the block
   bodies, the built-in branch deciders, the branch predictor and the
   timing/energy arithmetic inlined, and per-block constants as
-  literals.  Its running totals live in locals and are written back at
-  every *exit*: a call, a return, the combined instruction limit (the
-  budget, a GC due, a BBV interval boundary), the end of the quantum,
-  or a per-block hook;
+  literals.  A call to a hot, stub-free leaf method runs inside the
+  caller's runner, with the fast paths of ``_invoke``/``_return`` on
+  its locals.  Its running totals live in locals and are written back
+  at every *exit*: a call it does not inline, a return, the combined
+  instruction limit (the budget, a GC due, a BBV interval boundary),
+  the end of the quantum, or a per-block hook;
 * the driver (:meth:`FastVirtualMachine._slice`) runs everything
   between exits with the reference's micro-step bookkeeping: call
   launches, terminators after a call, GC, quanta, sampler, hooks;
@@ -36,7 +38,7 @@ from __future__ import annotations
 from repro.obs.events import HOTSPOT_DETECTED, HOTSPOT_INVOKE
 from repro.trace.events import BlockEvent
 from repro.vm.activation import FRAME_BYTES, Activation
-from repro.vm.blockjit import decider_shape
+from repro.vm.blockjit import decider_shape, line_touch
 from repro.vm.hotspot import HotspotInfo, MethodProfile
 from repro.vm.jit import TERM_GOTO, TERM_RETURN, BlockDecoder
 from repro.vm.vm import AdaptationHooks, VirtualMachine, _EMPTY, _SENTINEL
@@ -160,28 +162,7 @@ def _miss_path(machine, miss_lines, wb_lines):
     return miss
 
 
-def _line_fill(l1, miss_lines, wb_lines):
-    """``fill(set, line, dirty)``: one L1D miss's line fill, as
-    ``Cache.access_block`` does it — record the miss line, evict the LRU
-    victim of a full set (recording its writeback when dirty), insert
-    the line.  Shared by every runner of a run; reads the live geometry.
-    """
-    miss_append = miss_lines.append
-    wb_append = wb_lines.append
-
-    def fill(s, line, dirty):
-        line_shift = l1._line_shift
-        miss_append(line << line_shift)
-        if len(s) >= l1.associativity:
-            victim = next(iter(s))
-            if s.pop(victim):
-                wb_append(victim << line_shift)
-        s[line] = dirty
-
-    return fill
-
-
-def _address_path(blocks, rng, region_base, l1, fill, box):
+def _address_path(blocks, rng, region_base, l1, touch, box):
     """``AL(k, frame_base, iteration)``: block ``k``'s body through its
     address lists.
 
@@ -191,7 +172,6 @@ def _address_path(blocks, rng, region_base, l1, fill, box):
     those).  Returns the read misses.  Serves behaviours without a
     fused body, and every body while an ``on_block`` reads addresses.
     """
-    missing = _SENTINEL
 
     def address_body(k, frame_base, iteration):
         dec = blocks[k]
@@ -203,24 +183,20 @@ def _address_path(blocks, rng, region_base, l1, fill, box):
         box[1] = stores
         line_shift = l1._line_shift
         set_mask = l1._set_mask
-        sets = l1._sets
+        mru = l1._mru
         read_misses = 0
         for addr in loads:
             line = addr >> line_shift
-            s = sets[line & set_mask]
-            prev = s.pop(line, missing)
-            if prev is not missing:
-                s[line] = prev
-            else:
-                read_misses += 1
-                fill(s, line, False)
+            i = line & set_mask
+            if mru[i] != line:
+                read_misses += touch(i, line, False)
         for addr in stores:
             line = addr >> line_shift
-            s = sets[line & set_mask]
-            if s.pop(line, missing) is missing:
-                fill(s, line, True)
+            i = line & set_mask
+            if mru[i] == line:
+                l1._sets[i][line] = True
             else:
-                s[line] = True
+                touch(i, line, True)
         return read_misses
 
     return address_body
@@ -254,16 +230,21 @@ class FastVirtualMachine(VirtualMachine):
                 else _DEFAULT_BUCKETS,
                 len(machine.energy.pipeline),
             ),
+            self.config.gc_method,
         )
         self._miss_lines = []
         self._wb_lines = []
         self._miss = _miss_path(machine, self._miss_lines, self._wb_lines)
-        self._fill = _line_fill(
+        self._touch = line_touch(
             machine.hierarchy.l1d, self._miss_lines, self._wb_lines
         )
         self._address_box = [_EMPTY, _EMPTY]
         #: Bound runners, per thread: method name -> ``run``.
         self._bound = [{} for _ in self.threads]
+        #: Per-method state, per thread: method name -> ``(IT, PS, DC,
+        #: AL, region base)``, shared by the method's runner and every
+        #: runner that inlines it.
+        self._states = [{} for _ in self.threads]
         config = self.config
         self._gc_period = (
             config.gc_period_instructions
@@ -403,25 +384,54 @@ class FastVirtualMachine(VirtualMachine):
         if self._gc_active and name == self.config.gc_method:
             self._gc_active -= 1
 
-    def _bind(self, thread, method):
-        """Bind ``method``'s runner to this run and ``thread``.
+    def _state(self, thread, method):
+        """``method``'s per-thread state: per-block iteration counters,
+        persistent decider states and decider callables, its
+        address-list body and its region base."""
+        states = self._states[thread.thread_id]
+        state = states.get(method.name)
+        if state is None:
+            decoder = self._decoder
+            blocks = tuple(decoder.table(method).values())
+            region = method.region
+            region_base = region.base if region is not None else 0
+            shapes = [decider_shape(dec.decider) for dec in blocks]
+            state = states[method.name] = (
+                [0] * len(blocks),
+                [
+                    0 if shape is not None and shape[0] == "palt"
+                    else _SENTINEL
+                    for shape in shapes
+                ],
+                tuple(
+                    dec.decider._draw
+                    if shape is not None and shape[0] == "loopc"
+                    else dec.decider
+                    for dec, shape in zip(blocks, shapes)
+                ),
+                _address_path(
+                    blocks, thread.rng, region_base,
+                    self.machine.hierarchy.l1d, self._touch,
+                    self._address_box,
+                ),
+                region_base,
+            )
+        return state
 
-        The binding owns the thread's per-block iteration counters and
-        persistent decider states for the method.
-        """
+    def _bind(self, thread, method):
+        """Bind ``method``'s runner to this run and ``thread``."""
         decoder = self._decoder
-        if method.name not in decoder.tables:
-            decoder.table(method)
-        blocks = tuple(decoder.tables[method.name].values())
+        blocks = tuple(decoder.table(method).values())
+        iterations, persistent, deciders, address_path, region_base = (
+            self._state(thread, method)
+        )
         machine = self.machine
         energy = machine.energy
         l1 = machine.hierarchy.l1d
+        l1i = machine.hierarchy.l1i
         predictor = machine.predictor
         stats = self.stats
         rng = thread.rng
-        region = method.region
-        region_base = region.base if region is not None else 0
-        shapes = [decider_shape(dec.decider) for dec in blocks]
         fold = self._fold
         accumulator = fold.accumulator if fold is not None else None
         run = decoder.runners[method.name](
@@ -438,27 +448,19 @@ class FastVirtualMachine(VirtualMachine):
             TI=stats.thread_instructions,
             TID=thread.thread_id,
             TH=thread,
+            TS=thread.stack,
+            SB=thread.stack_base,
             rng=rng,
             getrandbits=rng.getrandbits,
             random=rng.random,
             missing=_SENTINEL,
-            fill=self._fill,
+            touch=self._touch,
             ML=self._miss_lines,
             MISS=self._miss,
-            IT=[0] * len(blocks),
-            PS=[
-                0 if shape is not None and shape[0] == "palt" else _SENTINEL
-                for shape in shapes
-            ],
-            DC=tuple(
-                dec.decider._draw
-                if shape is not None and shape[0] == "loopc"
-                else dec.decider
-                for dec, shape in zip(blocks, shapes)
-            ),
-            AL=_address_path(
-                blocks, rng, region_base, l1, self._fill, self._address_box
-            ),
+            IT=iterations,
+            PS=persistent,
+            DC=deciders,
+            AL=address_path,
             AD=self._addresses,
             BV=accumulator is not None,
             BK=accumulator._buckets if accumulator is not None else None,
@@ -471,6 +473,18 @@ class FastVirtualMachine(VirtualMachine):
             CE=tuple(
                 dec.callees[0] if dec.n_calls else None for dec in blocks
             ),
+            IN=not self.telemetry.enabled,
+            IL=tuple(
+                (callee, callee.name) + self._state(thread, callee)
+                for callee in decoder.sites[method.name]
+            ),
+            PF=self._profiles,
+            HS=self._hotspots,
+            LV=self._levels,
+            ENS=self._entry_stubs,
+            EXS=self._exit_stubs,
+            IC=l1i,
+            RES=l1i._resident,
         )
         self._bound[thread.thread_id][method.name] = run
         return run
@@ -513,12 +527,13 @@ class FastVirtualMachine(VirtualMachine):
     def _slice(self, thread, steps) -> None:
         """Run one thread for up to ``steps`` micro-steps.
 
-        Block bodies (and the terminators between them) run inside the
-        method runners; everything else — GC, call launches, the
-        terminator after a runner exit, returns — runs here, gated like
-        the reference's micro-steps.  A runner always exits right after
-        a body, before the terminator it would leave to the quantum's
-        last step.
+        Block bodies (and the terminators between them, and inlined
+        leaf calls) run inside the method runners; everything else — GC,
+        call launches, the terminator after a runner exit, returns —
+        runs here, gated like the reference's micro-steps.  A runner
+        exits right after a body, before the terminator it would leave
+        to the quantum's last step, or between steps after an inlined
+        return.
         """
         machine = self.machine
         stack = thread.stack
@@ -571,23 +586,22 @@ class FastVirtualMachine(VirtualMachine):
                 due = self._gc_last + gc_period
                 if due < limit:
                     limit = due
-            used = run(
-                activation, 1 if per_block else (steps + 1) >> 1, limit
-            )
-            steps -= used
+            used = run(activation, 1 if per_block else steps, limit)
+            steps -= used >> 1
             if not used & 1:
-                # The runner also ran the call launch or the return that
-                # followed its last body.
+                # The runner's last step was not a body: a call launch
+                # or return after it, or an inlined call's return.
                 continue
             # After the body, as in the reference's _execute_body: the
-            # policy's per-block work, then the sampler.
+            # policy's per-block work, then the sampler.  The body may
+            # have been an inlined callee's, now on top of the stack.
             if machine.instructions >= self._bbv_at:
                 self._bbv_boundary()
             if per_block:
                 self._per_block_hook(thread, activation)
             cycles = machine.cycles
             if cycles >= sampler._next_sample_at:
-                sampler.advance(cycles, method.name)
+                sampler.advance(cycles, stack[-1].method.name)
 
     def _bbv_boundary(self) -> None:
         """Advance the folded interval splitter to now; fires the

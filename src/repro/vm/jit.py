@@ -153,6 +153,11 @@ class JITCompiler:
 # Block decode tables (fast-kernel support)
 # ---------------------------------------------------------------------------
 
+#: Inlined callees have at most this many blocks (the stand-in
+#: benchmarks' leaves have at most three).
+INLINE_LIMIT = 4
+
+
 class DecodedBlock:
     """Pre-decoded execution plan of one basic block.
 
@@ -244,18 +249,27 @@ class BlockDecoder:
     nothing.  Decoding also fetches the method's runner factory into
     ``runners`` (for the runner constants ``consts``, see
     :func:`~repro.vm.blockjit.compile_runner`) — compiling it on a code
-    cache miss, so the compile is part of the decode.  Decoding requires
-    the program to be laid out (branch PCs assigned), which the VM
-    already guarantees.
+    cache miss, so the compile is part of the decode — and records in
+    ``sites`` the callees its runner inlines, one per inlined call.
+    Decoding requires the program to be laid out (branch PCs assigned),
+    which the VM already guarantees.
+
+    A call is inlined when its callee is a leaf (no call blocks) of at
+    most :data:`INLINE_LIMIT` blocks and is not ``gc_method``, every
+    earlier call of its block is inlined, and its block does not end in
+    a return.
     """
 
-    __slots__ = ("program", "consts", "tables", "runners")
+    __slots__ = ("program", "consts", "gc_method", "tables", "runners",
+                 "sites")
 
-    def __init__(self, program: Program, consts: Tuple):
+    def __init__(self, program: Program, consts: Tuple, gc_method: str = ""):
         self.program = program
         self.consts = consts
+        self.gc_method = gc_method
         self.tables: Dict[str, Dict[str, DecodedBlock]] = {}
         self.runners: Dict[str, Callable] = {}
+        self.sites: Dict[str, Tuple[Method, ...]] = {}
 
     def table(self, method: Method) -> Dict[str, DecodedBlock]:
         table = self.tables.get(method.name)
@@ -265,8 +279,30 @@ class BlockDecoder:
                 bid: DecodedBlock(method, block, program)
                 for bid, block in method.blocks.items()
             }
+            blocks = list(table.values())
+            sites = []
+            callees = []
+            for k, dec in enumerate(blocks):
+                if dec.term_kind == TERM_RETURN:
+                    continue
+                for q, callee in enumerate(dec.callees, 1):
+                    if not self._inlinable(callee):
+                        break
+                    callee_table = self.table(callee)
+                    entry = list(callee_table).index(callee.entry)
+                    sites.append((k, q, list(callee_table.values()), entry))
+                    callees.append(callee)
             self.runners[method.name] = compile_runner(
-                list(table.values()), self.consts
+                blocks, self.consts, sites
             )
+            self.sites[method.name] = tuple(callees)
             self.tables[method.name] = table
         return table
+
+    def _inlinable(self, method: Method) -> bool:
+        blocks = method.blocks.values()
+        return (
+            method.name != self.gc_method
+            and len(blocks) <= INLINE_LIMIT
+            and not any(block.calls for block in blocks)
+        )

@@ -40,12 +40,13 @@ def _u4(span: int) -> Tuple[int, int]:
 
     Returns ``(n, k)`` such that the draw equals ``WORD * r`` where ``r``
     is produced by CPython's ``_randbelow`` rejection loop: ``r =
-    getrandbits(k)`` redrawn while ``r >= n``.  The ``compile_fast``
-    generators below inline that loop, so they consume *exactly* the same
-    underlying ``getrandbits`` sequence as the readable ``generate``
-    paths — the property the kernel-equivalence harness depends on.  (The
-    rejection loop has been CPython's ``Random._randbelow`` for every
-    supported version; the differential tests would catch a change.)
+    getrandbits(k)`` redrawn while ``r >= n``.  The fast kernel's block
+    bodies (:mod:`repro.vm.blockjit`) inline that loop, so they consume
+    *exactly* the same underlying ``getrandbits`` sequence as the
+    readable ``generate`` paths — the property the kernel-equivalence
+    harness depends on.  (The rejection loop has been CPython's
+    ``Random._randbelow`` for every supported version; the differential
+    tests would catch a change.)
     """
     n = (span + WORD - 1) // WORD
     return n, n.bit_length()
@@ -79,31 +80,6 @@ class StackBehavior(MemoryBehavior):
             frame_base + randrange(0, span, WORD) for _ in range(n_stores)
         ]
         return loads, stores
-
-    def compile_fast(self, n_loads: int, n_stores: int):
-        n, k = _u4(self.span)
-        load_iter = range(n_loads)
-        store_iter = range(n_stores)
-
-        def fast(rng, frame_base, region_base, iteration):
-            getrandbits = rng.getrandbits
-            loads: List[int] = []
-            append = loads.append
-            for _ in load_iter:
-                r = getrandbits(k)
-                while r >= n:
-                    r = getrandbits(k)
-                append(frame_base + r * WORD)
-            stores: List[int] = []
-            append = stores.append
-            for _ in store_iter:
-                r = getrandbits(k)
-                while r >= n:
-                    r = getrandbits(k)
-                append(frame_base + r * WORD)
-            return loads, stores
-
-        return fast
 
     def footprint(self) -> Optional[int]:
         return self.span
@@ -147,27 +123,6 @@ class StridedBehavior(MemoryBehavior):
             base + ((start + i * stride) % span) for i in range(refs)
         ]
         return addrs[:n_loads], addrs[n_loads:]
-
-    def compile_fast(self, n_loads: int, n_stores: int):
-        span = self.span
-        stride = self.stride
-        offset = self.offset
-        refs = n_loads + n_stores
-        load_iter = range(n_loads)
-        store_iter = range(n_loads, refs)
-
-        def fast(rng, frame_base, region_base, iteration):
-            base = region_base + offset
-            start = iteration * refs * stride
-            loads = [
-                base + ((start + i * stride) % span) for i in load_iter
-            ]
-            stores = [
-                base + ((start + i * stride) % span) for i in store_iter
-            ]
-            return loads, stores
-
-        return fast
 
     def footprint(self) -> Optional[int]:
         return self.span
@@ -226,46 +181,6 @@ class WorkingSetBehavior(MemoryBehavior):
             self._addresses(rng, base, n_loads),
             self._addresses(rng, base, n_stores),
         )
-
-    def compile_fast(self, n_loads: int, n_stores: int):
-        locality = self.locality
-        offset = self.offset
-        n_hot, k_hot = _u4(self._hot_span)
-        n_span, k_span = _u4(self.span)
-        load_iter = range(n_loads)
-        store_iter = range(n_stores)
-
-        def fast(rng, frame_base, region_base, iteration):
-            base = region_base + offset
-            random = rng.random
-            getrandbits = rng.getrandbits
-            loads: List[int] = []
-            append = loads.append
-            for _ in load_iter:
-                if random() < locality:
-                    r = getrandbits(k_hot)
-                    while r >= n_hot:
-                        r = getrandbits(k_hot)
-                else:
-                    r = getrandbits(k_span)
-                    while r >= n_span:
-                        r = getrandbits(k_span)
-                append(base + r * WORD)
-            stores: List[int] = []
-            append = stores.append
-            for _ in store_iter:
-                if random() < locality:
-                    r = getrandbits(k_hot)
-                    while r >= n_hot:
-                        r = getrandbits(k_hot)
-                else:
-                    r = getrandbits(k_span)
-                    while r >= n_span:
-                        r = getrandbits(k_span)
-                append(base + r * WORD)
-            return loads, stores
-
-        return fast
 
     def footprint(self) -> Optional[int]:
         return self.span
@@ -327,34 +242,6 @@ class WanderingWindowBehavior(MemoryBehavior):
         stores = [address() for _ in range(n_stores)]
         return loads, stores
 
-    def compile_fast(self, n_loads: int, n_stores: int):
-        drift = self.drift
-        span = self.region_span
-        n, k = _u4(self.window)
-        load_iter = range(n_loads)
-        store_iter = range(n_stores)
-
-        def fast(rng, frame_base, region_base, iteration):
-            position = (iteration * drift) % span
-            getrandbits = rng.getrandbits
-            loads: List[int] = []
-            append = loads.append
-            for _ in load_iter:
-                r = getrandbits(k)
-                while r >= n:
-                    r = getrandbits(k)
-                append(region_base + (position + r * WORD) % span)
-            stores: List[int] = []
-            append = stores.append
-            for _ in store_iter:
-                r = getrandbits(k)
-                while r >= n:
-                    r = getrandbits(k)
-                append(region_base + (position + r * WORD) % span)
-            return loads, stores
-
-        return fast
-
     def footprint(self) -> Optional[int]:
         return self.window
 
@@ -394,33 +281,6 @@ class PointerChaseBehavior(MemoryBehavior):
         loads = [base + randrange(0, span, WORD) for _ in range(n_loads)]
         stores = [base + randrange(0, span, WORD) for _ in range(n_stores)]
         return loads, stores
-
-    def compile_fast(self, n_loads: int, n_stores: int):
-        offset = self.offset
-        n, k = _u4(self.span)
-        load_iter = range(n_loads)
-        store_iter = range(n_stores)
-
-        def fast(rng, frame_base, region_base, iteration):
-            base = region_base + offset
-            getrandbits = rng.getrandbits
-            loads: List[int] = []
-            append = loads.append
-            for _ in load_iter:
-                r = getrandbits(k)
-                while r >= n:
-                    r = getrandbits(k)
-                append(base + r * WORD)
-            stores: List[int] = []
-            append = stores.append
-            for _ in store_iter:
-                r = getrandbits(k)
-                while r >= n:
-                    r = getrandbits(k)
-                append(base + r * WORD)
-            return loads, stores
-
-        return fast
 
     def footprint(self) -> Optional[int]:
         return self.span
@@ -508,33 +368,6 @@ class MixedBehavior(MemoryBehavior):
             loads.extend(sub_loads)
             stores.extend(sub_stores)
         return loads, stores
-
-    def compile_fast(self, n_loads: int, n_stores: int):
-        weights = [w for _, w in self.components]
-        load_shares = self._apportion(n_loads, weights)
-        store_shares = self._apportion(n_stores, weights)
-        subs = []
-        for (behavior, _), nl, ns in zip(
-            self.components, load_shares, store_shares
-        ):
-            sub = behavior.compile_fast(nl, ns)
-            if sub is None:
-                def sub(rng, fb, rb, it, _b=behavior, _nl=nl, _ns=ns):
-                    return _b.generate(rng, fb, rb, it, _nl, _ns)
-            subs.append(sub)
-
-        def fast(rng, frame_base, region_base, iteration):
-            loads: List[int] = []
-            stores: List[int] = []
-            for sub in subs:
-                sub_loads, sub_stores = sub(
-                    rng, frame_base, region_base, iteration
-                )
-                loads.extend(sub_loads)
-                stores.extend(sub_stores)
-            return loads, stores
-
-        return fast
 
     def footprint(self) -> Optional[int]:
         spans = [b.footprint() for b, _ in self.components]

@@ -48,19 +48,22 @@ def run_cell(
     max_instructions: int = 250_000,
     config_kwargs: Optional[Dict[str, object]] = None,
     fault_spec: Optional[str] = None,
-) -> Tuple[RunResult, Telemetry]:
+    traced: bool = True,
+) -> Tuple[RunResult, Optional[Telemetry]]:
     """Execute one cell under ``kernel``; returns (result, telemetry).
 
     ``config_kwargs`` are extra :class:`ExperimentConfig` fields (e.g. a
     customised ``machine``); ``fault_spec`` is a
-    :meth:`FaultPlan.from_spec` string for fault-injected cells.
+    :meth:`FaultPlan.from_spec` string for fault-injected cells.  An
+    untraced cell runs without a telemetry session (and returns
+    ``None`` for it), as the engine runs cells.
     """
     config = ExperimentConfig(
         max_instructions=max_instructions,
         sim_kernel=kernel,
         **(config_kwargs or {}),
     )
-    telemetry = Telemetry()
+    telemetry = Telemetry() if traced else None
     fault_plan = FaultPlan.from_spec(fault_spec) if fault_spec else None
     result = execute(
         RunSpec(benchmark=benchmark, scheme=scheme, config=config),
@@ -189,7 +192,12 @@ def assert_cell_equivalent(
 ) -> RunResult:
     """Run one cell under every bit-identical kernel and assert they
     cannot be told apart; returns the (shared) result for further
-    assertions."""
+    assertions.
+
+    Each kernel runs the cell twice: traced, for the timeline, and
+    untraced, where the fast kernel's inlined calls take their fast
+    path (a live telemetry session sends every call through
+    ``_invoke``)."""
     ref, ref_telemetry = run_cell(
         benchmark, scheme, KERNELS[0],
         max_instructions, config_kwargs, fault_spec,
@@ -204,4 +212,9 @@ def assert_cell_equivalent(
             f"+faults[{fault_spec}]" if fault_spec else ""
         )
         assert_equivalent(cell, ref, fast, ref_telemetry, fast_telemetry)
+        untraced, _ = run_cell(
+            benchmark, scheme, kernel,
+            max_instructions, config_kwargs, fault_spec, traced=False,
+        )
+        assert_equivalent(cell + "[untraced]", ref, untraced)
     return fast

@@ -136,3 +136,61 @@ def test_golden_fixtures_are_self_described():
         assert cell["benchmark"] == GOLDEN_BENCHMARK
         assert cell["max_instructions"] == GOLDEN_BUDGET
         assert payload["decision_events"], path.name
+
+
+#: sha256 over every cell of the 21-cell grid at the ablation budget,
+#: seed 12345, ``PYTHONHASHSEED=0`` — the ``suite-serial`` benchmark's
+#: ``results_digest`` (``perf/harness.py``).
+GRID_DIGEST = (
+    "1cc30a0e3ec988ae8a6f3ea60ff65b7b21ae29bd2ccc90563a7512068df53237"
+)
+
+#: Resolves the grid through ``run_suite`` on the default serial engine
+#: (no telemetry session, as the benchmark runs it) into a store.
+_RUN_GRID = """
+import sys
+from repro.sim.config import ExperimentConfig
+from repro.sim.experiment import run_suite, set_default_store
+from repro.sim.store import ResultStore
+set_default_store(ResultStore(sys.argv[1]))
+run_suite(config=ExperimentConfig(seed=12345, max_instructions=3_000_000))
+"""
+
+
+@pytest.mark.slow
+def test_grid_results_digest(tmp_path):
+    """The whole grid, hashed as the benchmark hashes it.
+
+    Both kernels share the cache model, so the kernel-vs-kernel grids
+    cannot see a change there; this pins what the fast kernel computes
+    for every benchmark and scheme at the benchmark's budget.
+    """
+    import hashlib
+    import os
+    import subprocess
+    import sys
+
+    src = Path(__file__).resolve().parent.parent / "src"
+    proc = subprocess.run(
+        [sys.executable, "-c", _RUN_GRID, str(tmp_path)],
+        env=dict(os.environ, PYTHONPATH=str(src), PYTHONHASHSEED="0"),
+        capture_output=True,
+        text=True,
+        timeout=900,
+    )
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    entries = {}
+    for path in sorted(tmp_path.glob("*/*.json")):
+        payload = json.loads(path.read_text(encoding="utf-8"))
+        key = (payload["benchmark"], payload["scheme"], payload["fingerprint"])
+        entries[key] = payload["result"]
+    assert len(entries) == 21
+    digest = hashlib.sha256()
+    for key in sorted(entries):
+        digest.update("|".join(key).encode())
+        digest.update(
+            json.dumps(
+                entries[key], sort_keys=True, separators=(",", ":")
+            ).encode()
+        )
+    assert digest.hexdigest() == GRID_DIGEST

@@ -104,6 +104,22 @@ def test_cold_serial_run_never_loads_the_process_pool(tmp_path):
     marker = proc.stdout.rstrip().splitlines()[-1]
     assert marker == "LOADED []", marker
 
+
+def test_serial_cell_failure_never_loads_the_process_pool(tmp_path):
+    # Classifying a terminal failure asks about broken pools only when
+    # there is a pool: a serial run that skips a failed cell stays off
+    # the pool layer too.
+    pool_layer = ("repro.sim.pools.local", "multiprocessing")
+    proc = _run(
+        "-c", _RUN_CLI, json.dumps(pool_layer),
+        "quick", "--instructions", "20000", "--no-store",
+        "--inject", "seed=1,cell_exception=1.0", "--on-error", "skip",
+        cwd=tmp_path,
+    )
+    marker = proc.stdout.rstrip().splitlines()[-1]
+    assert marker == "LOADED []", marker
+
+
 def _modules():
     root = SRC_DIR / "repro"
     for path in sorted(root.rglob("*.py")):

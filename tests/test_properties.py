@@ -2,6 +2,7 @@
 invariants."""
 
 import random
+import types
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -16,7 +17,8 @@ from repro.phases.bbv import BBVAccumulator, manhattan_distance, normalize
 from repro.trace.stream import IntervalSplitter
 from repro.uarch.cache import Cache
 from repro.uarch.registers import ReconfigurationGuard
-from repro.vm.blockjit import compile_fused_block
+from repro.vm.blockjit import compile_fused_block, line_touch
+from repro.vm.fastvm import _address_path
 from repro.workloads.patterns import (
     MixedBehavior,
     PointerChaseBehavior,
@@ -290,9 +292,6 @@ class TestWorkloadProperties:
 # Kernel-facing invariants (reference vs fast simulation paths)
 # ---------------------------------------------------------------------------
 
-#: Sentinel passed to fused closures, like the fast kernel does.
-_MISSING = object()
-
 #: Every fusable behaviour family, with parameter ranges wide enough to
 #: hit unrolled and looped emission, multi-set caches, and wrap-around
 #: arithmetic (Strided/WanderingWindow offsets).
@@ -346,7 +345,7 @@ class TestFusedClosureLockstep:
         )
         result = ref_cache.access_many(loads, stores)
         read_misses, write_misses, miss_lines, wb_lines = fused(
-            fast_rng, frame_base, region_base, iteration, fast_cache, _MISSING
+            fast_rng, frame_base, region_base, iteration, fast_cache
         )
         # Identical RNG stream consumption...
         assert fast_rng.getstate() == ref_rng.getstate()
@@ -362,6 +361,7 @@ class TestFusedClosureLockstep:
             ref_cache._sets[0].items()
         )
         assert fast_cache._sets == ref_cache._sets
+        assert_mru_invariant(fast_cache)
 
     @given(
         behavior=fusable_behaviors,
@@ -391,7 +391,7 @@ class TestFusedClosureLockstep:
         )
         result = ref_cache.access_many(loads, stores)
         read_misses, write_misses, miss_lines, wb_lines = fused(
-            fast_rng, frame_base, region_base, iteration, fast_cache, _MISSING
+            fast_rng, frame_base, region_base, iteration, fast_cache
         )
         assert fast_rng.getstate() == ref_rng.getstate()
         assert (read_misses, write_misses) == (
@@ -400,6 +400,7 @@ class TestFusedClosureLockstep:
         assert (miss_lines or []) == result.miss_lines
         assert (wb_lines or []) == result.writeback_lines
         assert fast_cache._sets == ref_cache._sets
+        assert_mru_invariant(fast_cache)
 
     def test_oversized_mixed_blocks_keep_the_list_path(self):
         """Mixes beyond the unroll budget stay unfused (no loop form
@@ -481,3 +482,139 @@ class TestCacheInvariantsUnderKernelPaths:
         )
         assert after == before
         assert cache.resident_lines <= cache.n_lines
+
+
+# ---------------------------------------------------------------------------
+# The MRU record against a plain LRU model
+# ---------------------------------------------------------------------------
+
+
+def assert_mru_invariant(cache):
+    """``_mru[i]`` is ``None`` or the last line of set ``i``."""
+    assert len(cache._mru) == len(cache._sets)
+    for mru, s in zip(cache._mru, cache._sets):
+        assert mru is None or (s and mru == next(reversed(s))), (mru, s)
+
+
+class _LruModel:
+    """The cache's sets kept by plain pop-and-re-insert LRU, with no MRU
+    record: every access touches, every miss evicts the set's first
+    line when it is full."""
+
+    def __init__(self, cache):
+        self.line_shift = cache._line_shift
+        self.assoc = cache.associativity
+        self.sets = [dict() for _ in cache._sets]
+
+    def touch(self, addr, store):
+        line = addr >> self.line_shift
+        s = self.sets[line & (len(self.sets) - 1)]
+        if line in s:
+            dirty = s.pop(line)
+            s[line] = True if store else dirty
+            return
+        if len(s) >= self.assoc:
+            s.pop(next(iter(s)))
+        s[line] = store
+
+    def flush(self):
+        for s in self.sets:
+            s.clear()
+
+    def resize(self, n_sets, policy):
+        if n_sets == len(self.sets):
+            return
+        if policy == "flush":
+            self.sets = [dict() for _ in range(n_sets)]
+        elif n_sets < len(self.sets):
+            self.sets = self.sets[:n_sets]
+        else:
+            mask = n_sets - 1
+            self.sets = [
+                {line: d for line, d in s.items() if line & mask == i}
+                for i, s in enumerate(self.sets)
+            ] + [dict() for _ in range(n_sets - len(self.sets))]
+
+
+class _FixedAddresses:
+    """A behaviour that returns the addresses it was given."""
+
+    def __init__(self, loads, stores):
+        self.loads, self.stores = loads, stores
+
+    def generate(self, rng, frame_base, region_base, iteration, n_loads,
+                 n_stores):
+        return list(self.loads), list(self.stores)
+
+
+#: Few lines, so sets fill, hit their MRU line and evict.
+_near = st.lists(
+    st.integers(min_value=0, max_value=4095), min_size=0, max_size=12
+)
+_mru_ops = st.lists(
+    st.one_of(
+        st.tuples(st.sampled_from(["block", "many", "address"]), _near, _near),
+        st.tuples(st.just("touch"), st.integers(0, 4095), st.booleans()),
+        st.tuples(st.just("flush")),
+        st.tuples(
+            st.just("resize"),
+            st.sampled_from([4 * KB, 2 * KB, 1 * KB, 512]),
+        ),
+    ),
+    min_size=1,
+    max_size=25,
+)
+
+
+class TestMruRecord:
+    """Every path that touches the L1D — both batched entry points, the
+    runners' ``touch`` helper and the address-list path — keeps
+    ``Cache._mru`` the last line of its set, and the MRU shortcut leaves
+    the sets exactly as pop-and-re-insert LRU would."""
+
+    @given(ops=_mru_ops, policy=st.sampled_from(["selective", "flush"]))
+    @settings(max_examples=150, deadline=None)
+    def test_interleaved_paths_match_plain_lru(self, ops, policy):
+        cache = Cache(
+            "c", 4 * KB, 64, 2, sizes=(4 * KB, 2 * KB, 1 * KB, 512),
+            resize_policy=policy,
+        )
+        model = _LruModel(cache)
+        miss_lines, wb_lines = [], []
+        touch = line_touch(cache, miss_lines, wb_lines)
+        box = [None, None]
+        for op in ops:
+            kind = op[0]
+            if kind in ("block", "many"):
+                getattr(cache, f"access_{kind}")(op[1], op[2])
+            elif kind == "address":
+                block = types.SimpleNamespace(
+                    gen=_FixedAddresses(op[1], op[2]),
+                    n_loads=len(op[1]),
+                    n_stores=len(op[2]),
+                )
+                body = _address_path(
+                    [block], random.Random(0), 0, cache, touch, box
+                )
+                body(0, 0, 0)
+            if kind in ("block", "many", "address"):
+                for addr in op[1]:
+                    model.touch(addr, False)
+                for addr in op[2]:
+                    model.touch(addr, True)
+            elif kind == "touch":
+                # The runners' access past the MRU check.
+                line = op[1] >> cache._line_shift
+                missed = line not in cache._sets[line & cache._set_mask]
+                assert touch(line & cache._set_mask, line, op[2]) == missed
+                model.touch(op[1], op[2])
+            elif kind == "flush":
+                cache.flush()
+                model.flush()
+            else:
+                cache.resize(op[1])
+                model.resize(len(cache._sets), policy)
+            assert [list(s.items()) for s in cache._sets] == [
+                list(s.items()) for s in model.sets
+            ]
+            assert_mru_invariant(cache)

@@ -5,10 +5,12 @@ the instruction budget, a GC or BBV-interval gate, the end of a quantum,
 or a per-block hook, and writes its running totals back there.  Each
 test below steers one kind of exit onto a chosen point and diffs the
 fast kernel against the reference (``tests/equivalence.py``: the full
-``RunResult`` and the simulated timeline).  The last test runs program
+``RunResult`` and the simulated timeline).  A test then runs program
 shapes the stand-in benchmarks lack — every decider kind, behaviours
 without an inlined body, loops on a fall-through edge — through both
-kernels.  Budgets are small, so the whole module stays in tier-1.
+kernels.  The last group puts each gate inside a leaf call the runner
+inlined and sends calls down each fallback to ``_invoke``.  Budgets are
+small, so the whole module stays in tier-1.
 """
 
 from __future__ import annotations
@@ -43,7 +45,11 @@ from repro.workloads.patterns import (
 )
 from repro.workloads.specjvm import build_benchmark
 from repro.workloads.synthetic import random_program
-from tests.equivalence import assert_cell_equivalent, assert_equivalent
+from tests.equivalence import (
+    assert_cell_equivalent,
+    assert_equivalent,
+    run_cell,
+)
 
 SCHEMES = ("baseline", "hotspot", "bbv")
 
@@ -299,3 +305,290 @@ def test_unusual_programs(program, make_policy):
         vm.run(40_001)
         states.append(_vm_state(vm, policy))
     assert states[0] == states[1]
+
+
+# -- inlined leaf calls ------------------------------------------------------
+#
+# Without a telemetry session, a runner runs a call to a hot, compiled,
+# L1I-resident, stub-free leaf method inside itself.  The cases below
+# put each gate inside such a callee and send calls down each fallback,
+# against the reference, with both kernels untraced.
+
+
+class _Spy:
+    """Keeps every VM a test runs and the activations the fast kernel's
+    ``_invoke`` pushed; any other activation was pushed by an inlined
+    call."""
+
+    def __init__(self, monkeypatch):
+        self.vms = []
+        self.invoked = []
+        self._ids = set()
+        self.thread = None
+        spy = self
+        for kernel in (VirtualMachine, FastVirtualMachine):
+            monkeypatch.setattr(kernel, "run", self._wrap_run(kernel.run))
+        invoke = FastVirtualMachine._invoke
+        run_slice = FastVirtualMachine._slice
+
+        def spy_invoke(vm, thread, method):
+            invoke(vm, thread, method)
+            spy.invoked.append(thread.stack[-1])
+            spy._ids.add(id(thread.stack[-1]))
+
+        def spy_slice(vm, thread, steps):
+            spy.thread = thread
+            run_slice(vm, thread, steps)
+
+        monkeypatch.setattr(FastVirtualMachine, "_invoke", spy_invoke)
+        monkeypatch.setattr(FastVirtualMachine, "_slice", spy_slice)
+
+    def _wrap_run(self, run):
+        def spy_run(vm, max_instructions):
+            self.vms.append(vm)
+            run(vm, max_instructions)
+
+        return spy_run
+
+    def inside_inlined(self, thread) -> bool:
+        """Whether ``thread`` stopped right after a body of an inlined
+        callee."""
+        if not thread.stack:
+            return False
+        top = thread.stack[-1]
+        return id(top) not in self._ids and top.phase == 1
+
+    def inlined_calls(self, vm) -> int:
+        """Calls the last run made without ``_invoke``."""
+        calls = sum(p.invocations for p in vm.database._profiles.values())
+        return calls - len(self.invoked)
+
+    def reset(self):
+        self.vms.clear()
+        self.invoked.clear()
+        self._ids.clear()
+
+
+def _untraced(spy, bench, scheme, budget, policy=None):
+    """Reference and fast results of one untraced cell; asserts the
+    results and the sampler's per-method samples match.  Returns the
+    fast result and VM."""
+    spy.reset()
+    results = []
+    for kernel in ("reference", "fast"):
+        results.append(
+            execute(
+                RunSpec(
+                    bench,
+                    scheme,
+                    ExperimentConfig(max_instructions=budget,
+                                     sim_kernel=kernel),
+                    policy=policy() if policy is not None else None,
+                )
+            )
+        )
+    ref_vm, fast_vm = spy.vms
+    assert_equivalent(f"{bench}/{scheme}@{budget}[untraced]", *results)
+    assert fast_vm.sampler.samples == ref_vm.sampler.samples
+    assert fast_vm.sampler.total_samples > 0
+    return results[1], fast_vm
+
+
+def _leaf_body_ends(bench: str, start: int = 20_000, spacing: int = 3_000):
+    """Budgets whose last body belongs to a leaf method, with the thread
+    that ran it: one per ``spacing`` instructions."""
+    program = build_benchmark(bench).program
+    recorder = _BlockEnds()
+    execute(
+        RunSpec(
+            bench,
+            "baseline",
+            ExperimentConfig(max_instructions=start + 40_000),
+            policy=recorder,
+        )
+    )
+    picks = []
+    for ends, event in recorder.ends:
+        method = program.methods[event.method]
+        if ends >= start and not any(
+            block.calls for block in method.blocks.values()
+        ):
+            picks.append((ends, event.thread_id, event.method))
+            start = ends + spacing
+    return picks
+
+
+@pytest.mark.parametrize("bench", ["javac", "mtrt"])  # jess: few calls yet
+@pytest.mark.parametrize("scheme", SCHEMES)
+def test_budget_inside_inlined_leaf(monkeypatch, bench, scheme):
+    spy = _Spy(monkeypatch)
+    for budget, thread_id, method in _leaf_body_ends(bench):
+        result, vm = _untraced(spy, bench, scheme, budget)
+        assert result.instructions == budget
+        thread = vm.threads[thread_id]
+        if spy.inside_inlined(thread):
+            assert thread.stack[-1].method.name == method
+            return
+    pytest.fail(f"no budget stopped inside an inlined {bench} leaf")
+
+
+@pytest.mark.parametrize("bench", ["jess", "mtrt"])
+def test_bbv_boundary_inside_inlined_leaf(monkeypatch, bench):
+    spy = _Spy(monkeypatch)
+    inside = []
+    boundary = FastVirtualMachine._bbv_boundary
+
+    def spy_boundary(vm):
+        inside.append(spy.inside_inlined(spy.thread))
+        boundary(vm)
+
+    monkeypatch.setattr(FastVirtualMachine, "_bbv_boundary", spy_boundary)
+    _untraced(
+        spy, bench, "baseline", 90_001,
+        lambda: BBVACEPolicy(sampling_interval=7_919),
+    )
+    assert any(inside) and len(inside) >= 10
+
+
+@pytest.mark.parametrize("scheme", SCHEMES)
+def test_gc_due_inside_inlined_leaf(monkeypatch, scheme):
+    def vm_config(**kwargs):
+        if kwargs.get("gc_method"):
+            kwargs["gc_period_instructions"] = 9_973
+        return VMConfig(**kwargs)
+
+    monkeypatch.setattr(driver, "VMConfig", vm_config)
+    spy = _Spy(monkeypatch)
+    inside = []
+    maybe_gc = FastVirtualMachine._maybe_gc
+
+    def spy_gc(vm, thread):
+        inside.append(spy.inside_inlined(thread))
+        maybe_gc(vm, thread)
+
+    monkeypatch.setattr(FastVirtualMachine, "_maybe_gc", spy_gc)
+    result, _ = _untraced(spy, "javac", scheme, 60_001)
+    assert result.gc_invocations >= 5
+    assert any(inside)
+
+
+@pytest.mark.parametrize("quantum", [1, 3, 8])
+@pytest.mark.parametrize("scheme", SCHEMES)
+def test_tiny_quantum_inside_inlined_leaf(monkeypatch, quantum, scheme):
+    # A quantum of 8 also ends after an inlined return, at the caller's
+    # terminator; a short sample period puts samples in every quantum.
+    monkeypatch.setattr(
+        driver,
+        "VMConfig",
+        functools.partial(
+            VMConfig, quantum_blocks=quantum, sample_period_cycles=97.0
+        ),
+    )
+    spy = _Spy(monkeypatch)
+    inside = []
+    run_slice = FastVirtualMachine._slice
+
+    def spy_slice(vm, thread, steps):
+        run_slice(vm, thread, steps)
+        inside.append(spy.inside_inlined(thread))
+
+    monkeypatch.setattr(FastVirtualMachine, "_slice", spy_slice)
+    _, vm = _untraced(spy, "mtrt", scheme, 40_001)
+    if quantum == 1:
+        # No room for a launch and the callee's first body: every call
+        # goes through _invoke.
+        assert spy.inlined_calls(vm) == 0
+    else:
+        assert spy.inlined_calls(vm) > 0 and any(inside)
+
+
+def _leaf_program(big_leaf: bool = False):
+    """``main`` calls ``leaf`` (and, with ``big_leaf``, a leaf whose code
+    fills the L1I) in a long loop."""
+    pb = ProgramBuilder(entry="main")
+    leaf = pb.method("leaf").region(0x2000_0000, 8192)
+    leaf.loop("a", 12, 3, "b", loads=3, stores=1,
+              memory=WorkingSetBehavior(4096, 0.5))
+    leaf.ret("b", 4, loads=1, memory=StackBehavior(128))
+    leaf.done()
+    calls = ["leaf"]
+    if big_leaf:
+        big = pb.method("big")
+        big.straight("a", 128, "b", loads=2, memory=StackBehavior(64))
+        big.ret("b", 2)
+        big.done()
+        calls.append("big")
+    main = pb.method("main")
+    main.loop("m", 6, 1_000_000, "e", calls=calls, stores=1,
+              memory=StackBehavior(64))
+    main.ret("e", 1)
+    main.done()
+    return pb.build()
+
+
+def _program_states(spy, make_program, machine_config):
+    states = []
+    for kernel in (VirtualMachine, FastVirtualMachine):
+        policy = AdaptationHooks()
+        vm = kernel(
+            make_program(),
+            build_machine(machine_config),
+            policy=policy,
+            config=VMConfig(hot_threshold=4),
+        )
+        vm.run(40_001)
+        states.append(_vm_state(vm, policy))
+    assert states[0] == states[1]
+    return spy.vms[-1]
+
+
+def test_not_yet_hot_callee_takes_invoke(monkeypatch):
+    spy = _Spy(monkeypatch)
+    vm = _program_states(spy, _leaf_program, MachineConfig())
+    leaf = [a for a in spy.invoked if a.method.name == "leaf"]
+    # Invocations 1-3 run cold and the 4th turns the leaf hot: all four
+    # through _invoke; every later one is inlined.
+    assert len(leaf) == 4
+    assert vm.database._profiles["leaf"].invocations > 100
+
+
+def test_l1i_miss_takes_invoke(monkeypatch):
+    spy = _Spy(monkeypatch)
+    vm = _program_states(
+        spy, lambda: _leaf_program(big_leaf=True),
+        MachineConfig(l1i_size=512),
+    )
+    # The big leaf evicts the small one on every iteration, so every
+    # call of either misses the L1I and goes through _invoke.
+    leaf = [a for a in spy.invoked if a.method.name == "leaf"]
+    assert len(leaf) == vm.database._profiles["leaf"].invocations > 100
+    assert vm.machine.hierarchy.l1i.fetch_misses > 200
+
+
+def test_stubbed_callee_takes_invoke(monkeypatch):
+    spy = _Spy(monkeypatch)
+    stubbed = []
+    invoke = FastVirtualMachine._invoke
+
+    def spy_invoke(vm, thread, method):
+        name = method.name
+        if name in vm._hotspots and (
+            name in vm._entry_stubs or name in vm._exit_stubs
+        ) and not any(b.calls for b in method.blocks.values()):
+            stubbed.append(name)
+        invoke(vm, thread, method)
+
+    monkeypatch.setattr(FastVirtualMachine, "_invoke", spy_invoke)
+    _, vm = _untraced(spy, "javac", "hotspot", 120_001)
+    assert stubbed
+    assert spy.inlined_calls(vm) > 0
+
+
+def test_telemetry_sends_every_call_through_invoke(monkeypatch):
+    spy = _Spy(monkeypatch)
+    inlined = []
+    for traced in (True, False):
+        spy.reset()
+        run_cell("javac", "hotspot", "fast", 60_001, traced=traced)
+        inlined.append(spy.inlined_calls(spy.vms[-1]))
+    assert inlined[0] == 0 < inlined[1]
