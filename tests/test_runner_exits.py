@@ -35,6 +35,7 @@ from repro.sim import driver
 from repro.sim.config import ExperimentConfig, MachineConfig, build_machine
 from repro.sim.driver import RunSpec, execute
 from repro.vm.fastvm import FastVirtualMachine
+from repro.vm.hotspot import DODatabase
 from repro.vm.vm import AdaptationHooks, VMConfig, VirtualMachine
 from repro.workloads.patterns import (
     MixedBehavior,
@@ -592,3 +593,34 @@ def test_telemetry_sends_every_call_through_invoke(monkeypatch):
         run_cell("javac", "hotspot", "fast", 60_001, traced=traced)
         inlined.append(spy.inlined_calls(spy.vms[-1]))
     assert inlined[0] == 0 < inlined[1]
+
+
+def test_preloaded_hotspots_are_inlined_once_compiled(monkeypatch):
+    # A persisted DO database makes its hotspots hot from their first
+    # call, before this run has compiled them or completed a call: the
+    # first call compiles through _invoke, later ones are inlined.
+    spy = _Spy(monkeypatch)
+    built = build_benchmark("db")
+    recorder = VirtualMachine(
+        built.program, build_machine(MachineConfig()),
+        policy=HotspotACEPolicy(), config=VMConfig(),
+        thread_entries=built.thread_entries,
+    )
+    recorder.run(150_001)
+    saved = recorder.database.to_dict()
+    spy.reset()
+    results = []
+    for kernel in ("reference", "fast"):
+        results.append(
+            execute(
+                RunSpec(
+                    "db",
+                    "hotspot",
+                    ExperimentConfig(max_instructions=150_001,
+                                     sim_kernel=kernel),
+                    preload_database=DODatabase.from_dict(saved),
+                )
+            )
+        )
+    assert_equivalent("db/hotspot[preloaded]", *results)
+    assert spy.inlined_calls(spy.vms[-1]) > 0
