@@ -29,7 +29,7 @@ from repro.phases.positional import PositionalACEPolicy
 from repro.phases.prediction import NextPhasePredictor
 from repro.phases.working_set import make_working_set_policy
 from repro.sim.config import ExperimentConfig
-from repro.sim.driver import run_benchmark
+from repro.sim.driver import RunSpec, execute
 from repro.workloads.specjvm import build_benchmark
 
 BENCH = "javac"  # transitional-heavy: the discriminating workload
@@ -53,14 +53,14 @@ def runs():
     config = ExperimentConfig(max_instructions=ABLATION_BUDGET)
     out = {
         "baseline": (
-            run_benchmark(build_benchmark(BENCH), "baseline", config),
+            execute(RunSpec(build_benchmark(BENCH), "baseline", config)),
             None,
         )
     }
     for label, policy in build_policies(config).items():
-        result = run_benchmark(
+        result = execute(RunSpec(
             build_benchmark(BENCH), "hotspot", config, policy=policy
-        )
+        ))
         out[label] = (result, policy)
     return out
 

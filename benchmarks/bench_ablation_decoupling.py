@@ -14,7 +14,7 @@ import pytest
 from benchmarks.conftest import ABLATION_BUDGET
 from repro.core.policy import HotspotACEPolicy
 from repro.sim.config import ExperimentConfig
-from repro.sim.driver import run_benchmark
+from repro.sim.driver import RunSpec, execute
 from repro.workloads.specjvm import build_benchmark
 
 BENCHES = ("db", "jess")
@@ -27,9 +27,9 @@ def run_with_decoupling(decoupling: bool):
         policy = HotspotACEPolicy(
             tuning=config.tuning, decoupling=decoupling
         )
-        result = run_benchmark(
+        result = execute(RunSpec(
             build_benchmark(name), "hotspot", config, policy=policy
-        )
+        ))
         results[name] = (result, policy.finalize(), policy.blocked_trials)
     return results
 

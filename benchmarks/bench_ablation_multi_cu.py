@@ -12,7 +12,7 @@ import pytest
 
 from benchmarks.conftest import ABLATION_BUDGET
 from repro.sim.config import ExperimentConfig, MachineConfig
-from repro.sim.driver import run_benchmark
+from repro.sim.driver import RunSpec, execute
 from repro.workloads.specjvm import build_benchmark
 
 BENCH = "jess"
@@ -23,7 +23,7 @@ def run(scheme: str):
         machine=MachineConfig(enable_pipeline_cus=True),
         max_instructions=ABLATION_BUDGET,
     )
-    return run_benchmark(build_benchmark(BENCH), scheme, config)
+    return execute(RunSpec(build_benchmark(BENCH), scheme, config))
 
 
 @pytest.fixture(scope="module")

@@ -21,7 +21,7 @@ from repro.core.prediction import (
     install_program_for_prediction,
 )
 from repro.sim.config import ExperimentConfig
-from repro.sim.driver import run_benchmark
+from repro.sim.driver import RunSpec, execute
 from repro.workloads.specjvm import build_benchmark
 
 BENCH = "db"
@@ -32,7 +32,7 @@ def run(predict: bool):
     built = build_benchmark(BENCH)
     predictor = FootprintPredictor() if predict else None
     policy = HotspotACEPolicy(tuning=config.tuning, predictor=predictor)
-    result = run_benchmark(built, "hotspot", config, policy=policy)
+    result = execute(RunSpec(built, "hotspot", config, policy=policy))
     return result, policy
 
 

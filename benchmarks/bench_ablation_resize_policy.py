@@ -14,7 +14,7 @@ import pytest
 
 from benchmarks.conftest import ABLATION_BUDGET
 from repro.sim.config import ExperimentConfig, MachineConfig
-from repro.sim.driver import run_benchmark
+from repro.sim.driver import RunSpec, execute
 from repro.workloads.specjvm import build_benchmark
 
 BENCH = "db"
@@ -25,8 +25,8 @@ def run(resize_policy: str):
         machine=MachineConfig(resize_policy=resize_policy),
         max_instructions=ABLATION_BUDGET,
     )
-    hotspot = run_benchmark(build_benchmark(BENCH), "hotspot", config)
-    baseline = run_benchmark(build_benchmark(BENCH), "baseline", config)
+    hotspot = execute(RunSpec(build_benchmark(BENCH), "hotspot", config))
+    baseline = execute(RunSpec(build_benchmark(BENCH), "baseline", config))
     return hotspot, baseline
 
 

@@ -16,7 +16,7 @@ import dataclasses
 import pytest
 
 from repro.sim.config import ExperimentConfig, MachineConfig, ScaledParameters
-from repro.sim.driver import run_benchmark
+from repro.sim.driver import RunSpec, execute
 from repro.workloads.specjvm import build_benchmark
 
 BENCH = "db"
@@ -32,12 +32,12 @@ def run_at_scale(scale: float, budget: int):
         max_instructions=budget,
     )
     size_scale = scale / BASE_SCALE
-    hotspot = run_benchmark(
+    hotspot = execute(RunSpec(
         build_benchmark(BENCH, size_scale=size_scale), "hotspot", config
-    )
-    baseline = run_benchmark(
+    ))
+    baseline = execute(RunSpec(
         build_benchmark(BENCH, size_scale=size_scale), "baseline", config
-    )
+    ))
     base_cpi = baseline.cycles / baseline.instructions
     cpi = hotspot.cycles / hotspot.instructions
 

@@ -12,7 +12,7 @@ import pytest
 from benchmarks.conftest import ABLATION_BUDGET
 from repro.core.tuning import TuningConfig
 from repro.sim.config import ExperimentConfig
-from repro.sim.driver import run_benchmark
+from repro.sim.driver import RunSpec, execute
 from repro.sim.experiment import cached_run, clear_cache
 from repro.workloads.specjvm import build_benchmark
 
@@ -24,8 +24,8 @@ def run_with_threshold(threshold: float):
         tuning=TuningConfig(performance_threshold=threshold),
         max_instructions=ABLATION_BUDGET,
     )
-    hotspot = run_benchmark(build_benchmark(BENCH), "hotspot", config)
-    baseline = run_benchmark(build_benchmark(BENCH), "baseline", config)
+    hotspot = execute(RunSpec(build_benchmark(BENCH), "hotspot", config))
+    baseline = execute(RunSpec(build_benchmark(BENCH), "baseline", config))
     epi = hotspot.l1d_energy_nj / hotspot.instructions
     base_epi = baseline.l1d_energy_nj / baseline.instructions
     return 1 - epi / base_epi

@@ -8,7 +8,7 @@ Python, and these benches quantify it and catch regressions.
 import pytest
 
 from repro.sim.config import ExperimentConfig, MachineConfig, build_machine
-from repro.sim.driver import run_benchmark
+from repro.sim.driver import RunSpec, execute
 from repro.vm.vm import VMConfig, VirtualMachine
 from repro.workloads.specjvm import build_benchmark
 
@@ -17,7 +17,7 @@ BUDGET = 500_000
 
 def simulate(scheme: str) -> int:
     config = ExperimentConfig(max_instructions=BUDGET)
-    result = run_benchmark(build_benchmark("db"), scheme, config)
+    result = execute(RunSpec(build_benchmark("db"), scheme, config))
     return result.instructions
 
 

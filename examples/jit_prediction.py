@@ -16,7 +16,7 @@ after two trials instead of four.
 from repro.core.policy import HotspotACEPolicy
 from repro.core.prediction import FootprintPredictor
 from repro.sim.config import ExperimentConfig
-from repro.sim.driver import run_benchmark
+from repro.sim.driver import RunSpec, execute
 from repro.workloads.specjvm import build_benchmark
 
 
@@ -26,9 +26,9 @@ def run(predict: bool):
         tuning=config.tuning,
         predictor=FootprintPredictor() if predict else None,
     )
-    result = run_benchmark(
+    result = execute(RunSpec(
         build_benchmark("db"), "hotspot", config, policy=policy
-    )
+    ))
     return result, policy
 
 

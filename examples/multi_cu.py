@@ -10,7 +10,7 @@ each hotspot's list at its own CU subset.
 """
 
 from repro.sim.config import ExperimentConfig, MachineConfig
-from repro.sim.driver import run_benchmark
+from repro.sim.driver import RunSpec, execute
 from repro.workloads.specjvm import build_benchmark
 
 
@@ -23,7 +23,7 @@ def main() -> None:
     print("simulating 'jess' under all three schemes ...\n")
 
     runs = {
-        scheme: run_benchmark(build_benchmark("jess"), scheme, config)
+        scheme: execute(RunSpec(build_benchmark("jess"), scheme, config))
         for scheme in ("baseline", "bbv", "hotspot")
     }
 

@@ -12,7 +12,7 @@ sampling code, so stale entries are walked back instead of trusted.
 
 from repro.core.policy import HotspotACEPolicy
 from repro.sim.config import ExperimentConfig, build_machine
-from repro.sim.driver import run_benchmark
+from repro.sim.driver import RunSpec, execute
 from repro.vm.hotspot import DODatabase
 from repro.vm.vm import VMConfig, VirtualMachine
 from repro.workloads.specjvm import build_benchmark
@@ -54,11 +54,11 @@ def main() -> None:
     warm_policy = HotspotACEPolicy(
         tuning=config.tuning, warm_start=chosen
     )
-    result = run_benchmark(
+    result = execute(RunSpec(
         build_benchmark("db"), "hotspot", config,
         policy=warm_policy,
         preload_database=DODatabase.from_dict(database_blob),
-    )
+    ))
     warm_stats = warm_policy.finalize()
     print(f"  warm-started      : {warm_policy.warm_started} hotspots")
     print(f"  tuning trials     : {sum(warm_stats.tunings.values())}")

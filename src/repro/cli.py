@@ -20,15 +20,6 @@ streams a live per-cell heartbeat (done/total, in-flight, ETA) to
 stderr, ``--record [DIR]`` writes a flight-recorder JSONL manifest of
 the run, and ``--stats-json PATH`` (all available on every command)
 dumps the engine's counters as machine-readable JSON.
-
-Crash-safe resume (docs/INTERNALS.md §16): ``--resume MANIFEST``
-replays a killed run's flight-recorder manifest (a ``.jsonl`` path, or
-a directory whose newest manifest is taken), partitions the batch into
-done / failed / never-started cells, and re-executes only the
-remainder — finished cells come back from the result store under the
-same fingerprints, with zero re-simulation.  The continuation writes
-its own manifest (next to the original unless ``--record`` says
-otherwise) linking back via ``resume_of``.
 """
 
 from __future__ import annotations
@@ -162,16 +153,6 @@ def build_parser() -> argparse.ArgumentParser:
         "directory or a .jsonl path, default results/runs/",
     )
     parser.add_argument(
-        "--resume",
-        default=None,
-        metavar="MANIFEST",
-        help="resume a killed run from its flight-recorder manifest (a "
-        ".jsonl path, or a directory whose newest manifest is used): "
-        "finished cells are served from the result store under the same "
-        "fingerprints, only the remainder re-executes, and the "
-        "continuation manifest links back via resume_of",
-    )
-    parser.add_argument(
         "--stats-json",
         default=None,
         metavar="PATH",
@@ -256,47 +237,13 @@ def make_progress_printer(args):
     return _print
 
 
-def resolve_resume(args) -> Optional[str]:
-    """Resolve ``--resume`` into a manifest path (or None).
-
-    A directory argument picks its newest ``*.jsonl`` manifest, so
-    ``--resume results/runs`` continues whatever run died last.
-    """
-    if getattr(args, "resume", None) is None:
+def make_recorder(args):
+    """Resolve ``--record`` into a FlightRecorder (or None)."""
+    if args.record is None:
         return None
-    from pathlib import Path
-
-    target = Path(args.resume)
-    if target.is_dir():
-        manifests = list(target.glob("*.jsonl"))
-        if not manifests:
-            raise SystemExit(
-                f"error: --resume {target}: no *.jsonl manifest found"
-            )
-        target = max(manifests, key=lambda p: p.stat().st_mtime)
-    elif not target.exists():
-        raise SystemExit(f"error: --resume {target}: no such manifest")
-    print(f"(resuming from {target})", file=sys.stderr)
-    return str(target)
-
-
-def make_recorder(args, resume_from: Optional[str] = None):
-    """Resolve ``--record`` into a FlightRecorder (or None).
-
-    A resumed run always records — the continuation manifest is the
-    crash-safety artifact — landing next to the original manifest
-    unless ``--record`` points elsewhere.
-    """
-    if args.record is None and resume_from is None:
-        return None
-    from pathlib import Path
-
     from repro.obs import FlightRecorder
 
-    if args.record is None:
-        target = str(Path(resume_from).parent)
-    else:
-        target = "results/runs" if args.record == "auto" else args.record
+    target = "results/runs" if args.record == "auto" else args.record
     if target.endswith(".jsonl"):
         recorder = FlightRecorder(target)
     else:
@@ -341,7 +288,6 @@ def run_command(args) -> int:
     # layers are bypassed; the configured backend is used either way —
     # pool workers capture their telemetry and the engine clock-aligns
     # it into this session (docs/INTERNALS.md §15).
-    resume_from = resolve_resume(args)
     engine = make_engine(
         use_cache=not tracing,
         telemetry=telemetry,
@@ -349,8 +295,7 @@ def run_command(args) -> int:
         fault_plan=make_fault_plan(args),
         options=make_options(args),
         progress=make_progress_printer(args),
-        recorder=make_recorder(args, resume_from),
-        resume=resume_from,
+        recorder=make_recorder(args),
     )
     config = make_config(args)
     start = perf_counter()
@@ -415,14 +360,12 @@ def main(argv: Optional[List[str]] = None) -> int:
 
     from repro.sim.experiment import make_engine
 
-    resume_from = resolve_resume(args)
     engine = make_engine(
         failure_policy=args.on_error,
         fault_plan=make_fault_plan(args),
         options=make_options(args),
         progress=make_progress_printer(args),
-        recorder=make_recorder(args, resume_from),
-        resume=resume_from,
+        recorder=make_recorder(args),
     )
     config = make_config(args)
     if args.exhibit == "quick":

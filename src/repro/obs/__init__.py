@@ -23,7 +23,6 @@ overhead contract.
 
 from repro.obs.events import (
     BATCH_DEGRADED,
-    BATCH_RESUMED,
     CACHE_RESIZE,
     CELL_DONE,
     CELL_EXEC,
@@ -62,7 +61,7 @@ from repro.obs.export import (
     write_chrome_trace,
     write_jsonl,
 )
-from repro.obs.recorder import FlightRecorder, ManifestReplay
+from repro.obs.recorder import FlightRecorder
 from repro.obs.registry import (
     Counter,
     Gauge,
@@ -73,7 +72,6 @@ from repro.obs.registry import (
 
 __all__ = [
     "BATCH_DEGRADED",
-    "BATCH_RESUMED",
     "CACHE_RESIZE",
     "CELL_DONE",
     "CELL_EXEC",
@@ -93,7 +91,6 @@ __all__ = [
     "HOTSPOT_UNMANAGED",
     "Histogram",
     "MEMORY_HIT",
-    "ManifestReplay",
     "MetricsRegistry",
     "NULL_TELEMETRY",
     "NullMetricsRegistry",

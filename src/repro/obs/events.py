@@ -69,9 +69,6 @@ WORKER_WARMUP = "worker_warmup"
 # is the engine's per-cell heartbeat (done/total, in-flight, ETA).
 CELL_EXEC = "cell_exec"
 PROGRESS = "progress"
-# Wall-clock resilience event (docs/INTERNALS.md §16): a batch resumed
-# from a prior run's flight-recorder manifest.
-BATCH_RESUMED = "batch_resumed"
 # Wall-clock scheduling event: one per pool round, carrying its chunk
 # count, cell count and measured makespan.
 SCHEDULE_PLANNED = "schedule_planned"
@@ -112,7 +109,6 @@ EVENT_TYPES: Tuple[str, ...] = (
     WORKER_WARMUP,
     CELL_EXEC,
     PROGRESS,
-    BATCH_RESUMED,
     SCHEDULE_PLANNED,
 )
 
@@ -134,7 +130,6 @@ WALL_CLOCK_EVENTS = frozenset(
         WORKER_WARMUP,
         CELL_EXEC,
         PROGRESS,
-        BATCH_RESUMED,
         SCHEDULE_PLANNED,
     )
 )

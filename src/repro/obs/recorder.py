@@ -22,16 +22,16 @@ CLI ``--record``) or when ``$REPRO_FLIGHT_DIR`` names a directory —
 the environment hook exists so CI chaos jobs can dump every run's
 manifest without plumbing a flag through each entry point.
 
-Manifests are also the substrate of crash-safe resume
-(docs/INTERNALS.md §16): ``repro run --resume MANIFEST`` replays the
-records via :meth:`FlightRecorder.replay` to learn which cells already
-reached a terminal state, then re-runs the campaign under the same
-fingerprints so finished work is answered by the result store instead
-of re-simulated.  Three properties make the replay trustworthy: every
-record carries a ``schema`` version, batch begin/end records are
-fsynced (a manifest that *starts* is durably marked as such), and a
-torn trailing line — the expected wound of a SIGKILL mid-write — is
-skipped with a warning rather than poisoning the whole file.
+A manifest is the forensic record of a run, not a way to continue
+one: the engine writes each result through to the result store, so a
+plain re-run of a killed campaign is served its finished cells from the
+store (docs/INTERNALS.md §16).  Three properties keep a crashed run's
+manifest readable: every record carries a ``schema`` version, batch
+begin/end records are fsynced (a manifest that *starts* is durably
+marked as such), and a torn trailing line — the expected wound of a
+SIGKILL mid-write — is skipped with a warning by :meth:`read` rather
+than poisoning the whole file.  Each ``cell`` record carries its
+config fingerprint, which names the cell's store entry.
 """
 
 from __future__ import annotations
@@ -42,43 +42,14 @@ import os
 import time
 import warnings
 from pathlib import Path
-from typing import Dict, List, Optional, Set, Tuple, Union
+from typing import Dict, List, Optional, Union
 
-#: Manifest record schema.  v1 (implicit, PR 7) had no schema field and
-#: no fingerprints on cell records; v2 adds both plus resume linkage.
-SCHEMA_VERSION = 2
-
-#: A cell's replay identity: ``(benchmark, scheme, fingerprint)`` — the
-#: same triple that keys the result store, so "done in the manifest"
-#: and "answerable by the store" agree.
-CellIdentity = Tuple[str, str, str]
-
-
-@dataclasses.dataclass
-class ManifestReplay:
-    """What a prior run's manifest says about each cell.
-
-    ``done``/``failed`` hold identities whose last ``cell`` record was
-    terminal-ok / terminal-not-ok; ``declared`` holds every identity
-    the ``begin_batch`` record announced (so never-started cells are
-    ``declared - done - failed``).  ``completed`` is True when the
-    manifest reached ``end_batch`` — resuming a batch that finished is
-    legal but usually a sign the wrong manifest was named.
-    """
-
-    path: Path
-    declared: Set[CellIdentity]
-    done: Set[CellIdentity]
-    failed: Set[CellIdentity]
-    completed: bool
-    aborted: bool
-
-    def classify(self, identity: CellIdentity) -> str:
-        if identity in self.done:
-            return "done"
-        if identity in self.failed:
-            return "failed"
-        return "new"
+#: Manifest record schema.  v1 (implicit) had no schema field and no
+#: fingerprints on cell records; v2 added both, plus two ``begin_batch``
+#: fields linking a continued run to the manifest it replayed and
+#: counting that replay's partition.  v3 drops those two fields: a
+#: re-run is served by the result store and never reads a manifest.
+SCHEMA_VERSION = 3
 
 
 class FlightRecorder:
@@ -114,9 +85,9 @@ class FlightRecorder:
         # managed to learn.  default=repr degrades unserialisable
         # payloads (an exotic fault-plan field) to their repr instead of
         # losing the record.  Batch lifecycle records additionally
-        # fsync: resume must be able to trust that a manifest which
-        # names its cells really started (and one with ``end_batch``
-        # really finished) even across power loss.
+        # fsync, so a manifest which names its cells really started (and
+        # one with ``end_batch`` really finished) even across power
+        # loss.
         with open(self.path, "a", encoding="utf-8") as handle:
             handle.write(json.dumps(record, sort_keys=True, default=repr))
             handle.write("\n")
@@ -135,8 +106,6 @@ class FlightRecorder:
         max_retries: int,
         fault_plan: Optional[object],
         cells: List[Dict[str, object]],
-        resume_of: Optional[str] = None,
-        resume_counts: Optional[Dict[str, int]] = None,
     ) -> None:
         self._write(
             "begin_batch",
@@ -148,8 +117,6 @@ class FlightRecorder:
             max_retries=max_retries,
             fault_plan=None if fault_plan is None else repr(fault_plan),
             cells=cells,
-            resume_of=resume_of,
-            resume_counts=resume_counts,
         )
 
     def cell(
@@ -200,7 +167,7 @@ class FlightRecorder:
         Tolerant of torn lines: a record whose write was cut off by a
         SIGKILL (or a disk-full truncation) is skipped with a warning
         rather than raised — everything decodable is still returned,
-        which is exactly what ``--resume`` needs from a crashed run.
+        which is what a post-mortem of a crashed run needs.
         """
         records = []
         for number, line in enumerate(
@@ -218,60 +185,6 @@ class FlightRecorder:
                     stacklevel=2,
                 )
         return records
-
-    @staticmethod
-    def replay(path: Union[str, Path]) -> ManifestReplay:
-        """Replay a manifest into per-cell terminal states for resume.
-
-        Identities come from ``begin_batch`` (declared) and ``cell``
-        records (terminal outcomes); only records that carry a
-        fingerprint participate — a v1 manifest without fingerprints
-        yields an empty partition and the resume degenerates to a
-        plain re-run (correct, just without the bookkeeping).  When a
-        cell appears more than once (a batch resumed twice), the last
-        record wins.
-        """
-        path = Path(path)
-        declared: Set[CellIdentity] = set()
-        last_status: Dict[CellIdentity, str] = {}
-        completed = False
-        aborted = False
-        for record in FlightRecorder.read(path):
-            kind = record.get("kind")
-            if kind == "begin_batch":
-                for cell in record.get("cells") or []:
-                    fingerprint = cell.get("fingerprint")
-                    if fingerprint:
-                        declared.add(
-                            (
-                                str(cell.get("benchmark")),
-                                str(cell.get("scheme")),
-                                str(fingerprint),
-                            )
-                        )
-            elif kind == "cell":
-                fingerprint = record.get("fingerprint")
-                if fingerprint:
-                    identity = (
-                        str(record.get("benchmark")),
-                        str(record.get("scheme")),
-                        str(fingerprint),
-                    )
-                    last_status[identity] = str(record.get("status"))
-            elif kind == "end_batch":
-                completed = True
-            elif kind == "batch_aborted":
-                aborted = True
-        done = {i for i, s in last_status.items() if s == "ok"}
-        failed = {i for i in last_status if i not in done}
-        return ManifestReplay(
-            path=path,
-            declared=declared | done | failed,
-            done=done,
-            failed=failed,
-            completed=completed,
-            aborted=aborted,
-        )
 
     def __repr__(self) -> str:
         return f"FlightRecorder({str(self.path)!r})"

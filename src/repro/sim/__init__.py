@@ -40,7 +40,6 @@ __all__ = [
     "execute",
     "mean",
     "population_std",
-    "run_benchmark",
     "run_suite",
     "sweep_parameter",
 ]
@@ -48,7 +47,6 @@ __all__ = [
 _LAZY = {
     "RunResult": ("repro.sim.results", "RunResult"),
     "RunSpec": ("repro.sim.results", "RunSpec"),
-    "run_benchmark": ("repro.sim.driver", "run_benchmark"),
     "execute": ("repro.sim.driver", "execute"),
     "Engine": ("repro.sim.engine", "Engine"),
     "EngineStats": ("repro.sim.engine", "EngineStats"),

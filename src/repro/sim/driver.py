@@ -9,7 +9,7 @@ loads the whole simulator.
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Union
+from typing import Dict
 
 from repro.core.policy import HotspotACEPolicy
 from repro.core.prediction import install_program_for_prediction
@@ -25,7 +25,7 @@ from repro.sim.results import (  # noqa: F401 — re-exported data layer
 )
 from repro.vm.fastvm import FastVirtualMachine
 from repro.vm.vm import AdaptationHooks, VMConfig, VirtualMachine
-from repro.workloads.specjvm import BuiltBenchmark, build_benchmark
+from repro.workloads.specjvm import build_benchmark
 
 
 def make_policy(scheme: str, config: ExperimentConfig) -> AdaptationHooks:
@@ -55,39 +55,6 @@ def make_vm_class(kernel: str):
             f"unknown sim_kernel {kernel!r}; known: {SIM_KERNELS}"
         )
     return vm_class
-
-
-def run_benchmark(
-    benchmark: Union[str, BuiltBenchmark, RunSpec],
-    scheme: str = "hotspot",
-    config: Optional[ExperimentConfig] = None,
-    policy: Optional[AdaptationHooks] = None,
-    max_instructions: Optional[int] = None,
-    preload_database=None,
-) -> RunResult:
-    """Run one benchmark under one scheme; returns the result bundle.
-
-    .. deprecated::
-        The keyword form is a compatibility shim; describe cells with a
-        :class:`RunSpec` and call :func:`execute` (or route batches
-        through :class:`repro.sim.engine.Engine`) instead.
-
-    ``policy`` overrides the scheme's default policy object (used by the
-    ablation benches to pass customised policies while keeping the same
-    plumbing).
-    """
-    if isinstance(benchmark, RunSpec):
-        return execute(benchmark)
-    return execute(
-        RunSpec(
-            benchmark=benchmark,
-            scheme=scheme,
-            config=config or ExperimentConfig(),
-            policy=policy,
-            max_instructions=max_instructions,
-            preload_database=preload_database,
-        )
-    )
 
 
 def execute(spec: RunSpec, telemetry=None, fault_plan=None) -> RunResult:

@@ -62,7 +62,6 @@ import time
 import traceback as traceback_mod
 from concurrent.futures import FIRST_COMPLETED, Future, wait
 from dataclasses import dataclass
-from pathlib import Path
 from typing import (
     Callable,
     Dict,
@@ -77,7 +76,6 @@ from typing import (
 from repro.faults import FaultPlan, corrupt_file
 from repro.obs.events import (
     BATCH_DEGRADED,
-    BATCH_RESUMED,
     CELL_DONE,
     CELL_FAILED,
     CELL_START,
@@ -95,7 +93,7 @@ from repro.obs.events import (
     WORKER_CRASH,
     WORKER_WARMUP,
 )
-from repro.obs.recorder import FlightRecorder, ManifestReplay
+from repro.obs.recorder import FlightRecorder
 from repro.sim.options import check_at_least
 from repro.sim.pools import make_pool, parse_pool_spec
 from repro.sim.pools.base import CellTimeout, Pool
@@ -260,11 +258,6 @@ class EngineStats:
     #: Worker-side telemetry events truncated at the per-cell capture
     #: cap before the snapshot shipped (docs/INTERNALS.md §15).
     remote_events_dropped: int = 0
-    #: ``run(..., resume=manifest)`` partition of the batch's cells
-    #: against the prior run's manifest (done / failed / never-started).
-    resumed_done: int = 0
-    resumed_failed: int = 0
-    resumed_new: int = 0
     #: Pool rounds partitioned into chunks, and their summed wall-clock
     #: seconds.
     rounds_planned: int = 0
@@ -345,7 +338,10 @@ class Engine:
         benchmarks.
     store:
         A :class:`ResultStore` for cross-process persistence, or ``None``
-        to keep results in memory only.
+        to keep results in memory only.  Each simulated result is
+        written through as soon as its cell settles, so a killed batch
+        keeps every cell it finished and a re-run of the same cells
+        simulates only the rest (docs/INTERNALS.md §16).
     use_cache:
         When False, both cache layers are bypassed *in both directions*:
         nothing is read, nothing is written, every cell simulates.
@@ -363,16 +359,6 @@ class Engine:
         leaves ``None`` in that cell's ``values()`` slot.  ``"partial"``:
         like ``"skip"``, but a batch in which *every* cell failed raises
         :class:`BatchExecutionError`.
-    resume:
-        Crash-safe resume (docs/INTERNALS.md §16): a flight-recorder
-        manifest path from a previous (killed) run.  The manifest is
-        replayed to partition this batch's cells into done / failed /
-        never-started (``stats.resumed_*``); execution itself is
-        unchanged — finished cells are answered by the result store
-        under the same fingerprints (zero re-simulation; entries GC'd
-        from the store simply re-execute), and the new manifest links
-        back to the original (``resume_of``).  Consumed by the next
-        :meth:`run` call; ``run(cells, resume=...)`` overrides.
     max_pool_rebuilds:
         How many times a batch may rebuild a broken backend (worker
         crash recovery) before degrading to in-process serial execution
@@ -439,7 +425,6 @@ class Engine:
         chunk_size: Optional[int] = None,
         pool: Union[str, Pool, None] = None,
         recorder: Optional[FlightRecorder] = None,
-        resume: Union[str, Path, None] = None,
     ):
         if failure_policy not in FAILURE_POLICIES:
             raise ValueError(
@@ -484,10 +469,8 @@ class Engine:
         self.recorder = (
             recorder if recorder is not None else FlightRecorder.from_env()
         )
-        self._resume: Union[str, Path, None] = resume
         self.stats = EngineStats()
         self._unarmed_warned = False
-        self._store_pending: List[Tuple] = []
         #: Per-track high-water marks for clock-rebased worker events;
         #: engine-lifetime so merged tracks stay monotone across batches.
         self._remote_hwm: Dict[str, float] = {}
@@ -511,19 +494,13 @@ class Engine:
 
     # -- public API --------------------------------------------------------
 
-    def run(
-        self,
-        cells: Sequence[RunSpec],
-        resume: Union[str, Path, None] = None,
-    ) -> "BatchResult":
+    def run(self, cells: Sequence[RunSpec]) -> "BatchResult":
         """Resolve every cell (cache, store, or backend) into a
         :class:`BatchResult` of per-cell :class:`CellOutcome`\\ s.
 
         ``run(cells).values()`` gives the old list-of-results shape.
         Under ``failure_policy="skip"``/``"partial"`` a failed cell's
-        ``values()`` slot holds ``None``.  ``resume`` names a previous
-        run's flight-recorder manifest to replay (see the constructor
-        docstring); it overrides any ``Engine(resume=...)`` default.
+        ``values()`` slot holds ``None``.
         """
         specs = list(cells)
         # One fingerprint per cell per batch: lookup, de-duplication,
@@ -531,13 +508,6 @@ class Engine:
         keys = [
             spec.cache_key() if spec.cacheable else None for spec in specs
         ]
-        resume_path = resume if resume is not None else self._resume
-        self._resume = None
-        replay: Optional[ManifestReplay] = None
-        resume_counts: Optional[Dict[str, int]] = None
-        if resume_path is not None:
-            replay = FlightRecorder.replay(resume_path)
-            resume_counts = self._apply_resume(specs, keys, replay)
         recorder = self.recorder
         if recorder is not None:
             recorder.begin_batch(
@@ -548,8 +518,6 @@ class Engine:
                 max_retries=self.max_retries,
                 fault_plan=self.fault_plan,
                 cells=[_identity(s, k) for s, k in zip(specs, keys)],
-                resume_of=None if replay is None else str(replay.path),
-                resume_counts=resume_counts,
             )
         try:
             batch = self._run_specs(specs, keys)
@@ -562,37 +530,6 @@ class Engine:
                 batch, self.stats, self.telemetry.log.dropped
             )
         return batch
-
-    def _apply_resume(
-        self,
-        specs: List[RunSpec],
-        keys: List[Optional[Tuple[str, str, str]]],
-        replay: ManifestReplay,
-    ) -> Dict[str, int]:
-        """Partition this batch's cells against a prior run's manifest.
-
-        The partition is bookkeeping, not a scheduling change: done
-        cells still flow through the normal lookup path, where the
-        result store answers them under the same fingerprint (zero
-        re-simulation).  A store entry GC'd between the runs simply
-        misses and re-executes — resume is idempotent, never trusting
-        the manifest over the store.
-        """
-        counts = {"done": 0, "failed": 0, "new": 0}
-        for key in keys:
-            counts["new" if key is None else replay.classify(key)] += 1
-        self.stats.resumed_done += counts["done"]
-        self.stats.resumed_failed += counts["failed"]
-        self.stats.resumed_new += counts["new"]
-        self.telemetry.emit_wall(
-            BATCH_RESUMED,
-            resume_of=str(replay.path),
-            prior_completed=replay.completed,
-            prior_aborted=replay.aborted,
-            **counts,
-        )
-        self.telemetry.metrics.counter("engine.batches_resumed").inc()
-        return counts
 
     def _run_specs(
         self,
@@ -628,10 +565,7 @@ class Engine:
             pending.append(index)
 
         if pending:
-            try:
-                self._execute_pending(pending)
-            finally:
-                self._flush_store()
+            self._execute_pending(pending)
         for leader, dupes in followers.items():
             first = self._outcomes[leader]
             for index in dupes:
@@ -759,50 +693,33 @@ class Engine:
         if not self._cell_cacheable(key):
             return
         self._memory[key] = result
-        if self.store is not None:
-            # The memory-cache write above serves intra-batch duplicates;
-            # the disk write is deferred and flushed once per batch.
-            # Measured runtime and executor identity ride along as the
-            # entry's meta block, for setup attribution and diagnosis.
-            meta = (
-                {
-                    "v": META_VERSION,
-                    "elapsed_s": round(float(elapsed_s), 6),
-                    "executed_by": executed_by,
-                }
-                if elapsed_s is not None
-                else None
-            )
-            self._store_pending.append((key, result, meta))
-
-    def _flush_store(self) -> None:
-        """Batch-write this batch's simulated results to the store.
-
-        One :meth:`ResultStore.put_many` pass instead of a put per cell;
-        runs in a ``finally`` so results completed before a mid-batch
-        failure are still persisted (the pre-batching contract).
-        """
-        pending, self._store_pending = self._store_pending, []
-        if self.store is None or not pending:
+        if self.store is None:
             return
-        paths = self.store.put_many(
-            (key[0], key[1], key[2], result, meta)
-            for key, result, meta in pending
+        # Written through before the cell settles: a killed batch keeps
+        # every cell it finished, and a re-run serves them from the
+        # store (docs/INTERNALS.md §16).  Measured runtime and executor
+        # identity ride along as the entry's meta block, for setup
+        # attribution and diagnosis.
+        meta = (
+            {
+                "v": META_VERSION,
+                "elapsed_s": round(float(elapsed_s), 6),
+                "executed_by": executed_by,
+            }
+            if elapsed_s is not None
+            else None
         )
+        path = self.store.put(*key, result, meta)
         plan = self.fault_plan
-        if plan is not None:
-            for (key, _, _), path in zip(pending, paths):
-                if plan.decide("store_corrupt", key):
-                    corrupt_file(path)
+        if plan is not None and plan.decide("store_corrupt", key):
+            corrupt_file(path)
 
     def _finish(self, index: int, outcome: CellOutcome) -> None:
         """Settle cell ``index`` for good: record its outcome, write its
         flight-recorder line, and notify progress."""
         self._outcomes[index] = outcome
         if self.recorder is not None:
-            # The fingerprint makes the cell record replayable:
-            # ``--resume`` matches manifest records to store entries by
-            # the same triple.
+            # The fingerprint ties the cell record to its store entry.
             key = self._keys[index]
             self.recorder.cell(
                 benchmark=outcome.spec.benchmark_name,
@@ -861,12 +778,6 @@ class Engine:
         self.stats.simulations += 1
         self.telemetry.metrics.counter("engine.simulations").inc()
         self._record(index, result, elapsed_s, executed_by)
-        if self.recorder is not None:
-            # Write-ahead ordering for crash-safe resume (docs §16): the
-            # store write must be durable before the manifest says
-            # "done", so a SIGKILL between the two re-executes the cell
-            # rather than trusting a record the store cannot back.
-            self._flush_store()
         self._finish(
             index,
             CellOutcome(

@@ -58,20 +58,17 @@ def make_engine(
     options: Optional[ExecutionOptions] = None,
     telemetry=None,
     recorder=None,
-    resume=None,
 ) -> Engine:
     """An engine wired to the shared memory cache and a result store.
 
     ``options`` (an :class:`repro.sim.options.ExecutionOptions`, the
     CLI's execution flags) is how execution settings reach
-    :class:`Engine`: the backend, chunking, crash rebuilds, the
-    scheduling knobs, and the persistent layer — ``no_store``
-    disables it, ``store_dir`` roots it elsewhere, and otherwise it is
-    the module default store.  An explicit ``jobs`` overrides the
-    options' backend.  ``telemetry``, ``recorder``, and ``resume`` (a
-    prior run's flight-recorder manifest) pass straight through to
-    :class:`Engine` (the CLI's ``--trace`` / ``--record`` /
-    ``--resume`` plumbing).
+    :class:`Engine`: the backend, the chunk size, crash rebuilds,
+    and the persistent layer — ``no_store`` disables it, ``store_dir``
+    roots it elsewhere, and otherwise it is the module default store.
+    An explicit ``jobs`` overrides the options' backend.  ``telemetry``
+    and ``recorder`` pass straight through to :class:`Engine` (the
+    CLI's ``--trace`` / ``--record`` plumbing).
     """
     if options is None:
         options = ExecutionOptions()
@@ -94,7 +91,6 @@ def make_engine(
         max_pool_rebuilds=options.max_pool_rebuilds,
         telemetry=telemetry,
         recorder=recorder,
-        resume=resume,
     )
 
 

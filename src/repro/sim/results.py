@@ -31,9 +31,8 @@ SCHEMES = ("baseline", "bbv", "hotspot")
 class RunSpec:
     """One experiment cell: everything needed to execute a single run.
 
-    This replaces the ``run_benchmark(benchmark, scheme, config, policy,
-    max_instructions, preload_database)`` parameter sprawl — a cell is one
-    value that the driver, the engine, and the sweeps all accept.
+    A cell is one value that the driver (:func:`repro.sim.driver.execute`),
+    the engine, and the sweeps all accept.
     ``policy`` and ``preload_database`` make a cell *non-cacheable* (their
     state is not captured by the configuration fingerprint).
     """

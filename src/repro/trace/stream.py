@@ -1,4 +1,4 @@
-"""Interval splitting and trace capture utilities.
+"""Interval splitting for the block-event stream.
 
 The BBV baseline samples execution in fixed-size instruction intervals
 (paper §4.1: 1 M instructions, scaled here).  :class:`IntervalSplitter`
@@ -10,9 +10,7 @@ hardware instruction counter would fire.
 
 from __future__ import annotations
 
-from typing import Callable, Iterable, List, Optional
-
-from repro.trace.events import BlockEvent, TraceStats
+from typing import Callable
 
 
 class IntervalSplitter:
@@ -64,47 +62,3 @@ class IntervalSplitter:
             self.on_boundary(self._index, self._in_interval)
             self._index += 1
             self._in_interval = 0
-
-
-class TraceRecorder:
-    """Captures block events (optionally capped) with running statistics.
-
-    Used by tests and examples; production runs feed the machine model
-    directly without materialising the trace.
-    """
-
-    def __init__(self, capacity: Optional[int] = None):
-        self.capacity = capacity
-        self.events: List[BlockEvent] = []
-        self.stats = TraceStats()
-        self.dropped = 0
-
-    def observe(self, event: BlockEvent) -> None:
-        self.stats.observe(event)
-        if self.capacity is None or len(self.events) < self.capacity:
-            self.events.append(event)
-        else:
-            self.dropped += 1
-
-    def __len__(self) -> int:
-        return len(self.events)
-
-    def __iter__(self):
-        return iter(self.events)
-
-
-def replay(
-    events: Iterable[BlockEvent],
-    *sinks: Callable[[BlockEvent], None],
-) -> TraceStats:
-    """Feed a recorded event stream through one or more sinks.
-
-    Lets tests run the same captured trace through, e.g., two differently
-    configured cache hierarchies and compare.
-    """
-    stats = TraceStats()
-    for event in events:
-        stats.observe(event)
-        for sink in sinks:
-            sink(event)
-    return stats

@@ -143,12 +143,12 @@ class TestMultiCUClassification:
             machine=MachineConfig(enable_pipeline_cus=True),
             max_instructions=400_000,
         )
-        from repro.sim.driver import run_benchmark
+        from repro.sim.driver import RunSpec, execute
 
         policy = HotspotACEPolicy(tuning=config.tuning)
-        run_benchmark(
+        execute(RunSpec(
             build_benchmark("db"), "hotspot", config, policy=policy
-        )
+        ))
         kinds = set(policy.kind_of.values())
         # With IQ/ROB at a 100-instruction scaled interval, tiny leaf
         # methods (size 50-500) become managed pipeline-CU hotspots.

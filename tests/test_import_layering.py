@@ -161,11 +161,7 @@ def test_public_names_still_import_from_their_old_homes():
     from repro.core import policy as core_policy
     from repro.phases import policy as phases_policy
     from repro.sim import driver, results
-    from repro.sim.driver import (  # noqa: F401
-        KERNEL_REGISTRY,
-        execute,
-        run_benchmark,
-    )
+    from repro.sim.driver import KERNEL_REGISTRY, execute  # noqa: F401
 
     assert callable(repro.ACEFramework) and callable(repro.build_benchmark)
     assert repro.RunSpec is results.RunSpec

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.sim.config import ExperimentConfig
-from repro.sim.driver import run_benchmark
+from repro.sim.driver import RunSpec, execute
 from repro.sim.experiment import compare_schemes, run_suite
 from repro.workloads.specjvm import build_benchmark
 
@@ -66,24 +66,24 @@ class TestPipeline:
 
 class TestReproducibility:
     def test_identical_configs_identical_results(self, config):
-        a = run_benchmark(build_benchmark("jess"), "hotspot", config)
-        b = run_benchmark(build_benchmark("jess"), "hotspot", config)
+        a = execute(RunSpec(build_benchmark("jess"), "hotspot", config))
+        b = execute(RunSpec(build_benchmark("jess"), "hotspot", config))
         assert a.cycles == b.cycles
         assert a.l1d_energy_nj == b.l1d_energy_nj
         assert a.applied_reconfigurations == b.applied_reconfigurations
 
     def test_seed_changes_results(self, config):
-        a = run_benchmark(build_benchmark("jess"), "hotspot", config)
+        a = execute(RunSpec(build_benchmark("jess"), "hotspot", config))
         other = ExperimentConfig(
             max_instructions=config.max_instructions, seed=777
         )
-        b = run_benchmark(build_benchmark("jess"), "hotspot", other)
+        b = execute(RunSpec(build_benchmark("jess"), "hotspot", other))
         assert a.cycles != b.cycles
 
 
 class TestMultiThreaded:
     def test_mtrt_runs_both_threads(self, config):
-        result = run_benchmark(build_benchmark("mtrt"), "hotspot", config)
+        result = execute(RunSpec(build_benchmark("mtrt"), "hotspot", config))
         assert result.n_hotspots > 0
         assert result.instructions >= config.max_instructions
 
@@ -105,9 +105,9 @@ class TestMultiCUExtension:
             machine=MachineConfig(enable_pipeline_cus=True),
             max_instructions=500_000,
         )
-        result = run_benchmark(
+        result = execute(RunSpec(
             build_benchmark("db"), "hotspot", config
-        )
+        ))
         stats = result.hotspot_stats
         assert "IQ" in stats.tunings and "ROB" in stats.tunings
         # The four-CU machine classifies small hotspots to IQ/ROB bands.

@@ -6,7 +6,7 @@ import pytest
 from repro.core.framework import ACEFramework
 from repro.phases.positional import PositionalACEPolicy
 from repro.sim.config import ExperimentConfig
-from repro.sim.driver import run_benchmark
+from repro.sim.driver import RunSpec, execute
 from repro.workloads.specjvm import build_benchmark
 from repro.workloads.synthetic import random_program
 from tests.conftest import make_two_tier_program
@@ -14,7 +14,7 @@ from tests.conftest import make_two_tier_program
 
 class TestHotspotSummaries:
     def test_summaries_track_do_database(self, small_config):
-        result = run_benchmark("db", "hotspot", small_config)
+        result = execute(RunSpec("db", "hotspot", small_config))
         assert set(result.hotspot_summaries)
         for name, summary in result.hotspot_summaries.items():
             assert summary.name == name
@@ -23,7 +23,7 @@ class TestHotspotSummaries:
             assert summary.detected_at is not None
 
     def test_avg_metrics_derive_from_summaries(self, small_config):
-        result = run_benchmark("db", "hotspot", small_config)
+        result = execute(RunSpec("db", "hotspot", small_config))
         sizes = [
             s.mean_size for s in result.hotspot_summaries.values()
         ]
@@ -58,9 +58,9 @@ class TestPositionalOnStandIns:
     def test_positional_runs_on_benchmark(self):
         config = ExperimentConfig(max_instructions=500_000)
         policy = PositionalACEPolicy(tuning=config.tuning)
-        result = run_benchmark(
+        result = execute(RunSpec(
             build_benchmark("jess"), "hotspot", config, policy=policy
-        )
+        ))
         assert result.scheme == "positional"
         stats = policy.finalize()
         # Drivers (>= the L2 interval in size) are managed; mids are not.
@@ -115,7 +115,7 @@ class TestBenchmarkSizeScale:
 
 class TestRunResultEdges:
     def test_identification_latency_clamped(self, small_config):
-        result = run_benchmark("jack", "hotspot", small_config)
+        result = execute(RunSpec("jack", "hotspot", small_config))
         assert 0.0 <= result.identification_latency <= 1.0
 
     def test_empty_hotspot_metrics_are_zero(self):

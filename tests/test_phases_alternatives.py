@@ -15,7 +15,7 @@ from repro.phases.working_set import (
     relative_signature_distance,
 )
 from repro.sim.config import ExperimentConfig, MachineConfig, build_machine
-from repro.sim.driver import run_benchmark
+from repro.sim.driver import RunSpec, execute
 from repro.vm.vm import VMConfig, VirtualMachine
 from repro.workloads.specjvm import build_benchmark
 from tests.conftest import make_two_tier_program
@@ -132,9 +132,9 @@ class TestNextPhasePredictor:
             tuning=config.tuning,
             next_phase_predictor=NextPhasePredictor(),
         )
-        result = run_benchmark(
+        result = execute(RunSpec(
             build_benchmark("javac"), "bbv", config, policy=policy
-        )
+        ))
         stats = result.bbv_stats
         assert stats.prediction_accuracy is not None
         assert policy.next_phase_predictor.predictions >= 0
@@ -182,9 +182,9 @@ class TestWorkingSetSignatures:
     def test_working_set_policy_runs(self):
         config = ExperimentConfig(max_instructions=600_000)
         policy = make_working_set_policy(tuning=config.tuning)
-        result = run_benchmark(
+        result = execute(RunSpec(
             build_benchmark("db"), "bbv", config, policy=policy
-        )
+        ))
         assert result.scheme == "working-set"
         stats = result.bbv_stats
         assert stats.n_phases >= 1

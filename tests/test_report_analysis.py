@@ -9,7 +9,7 @@ from repro.report.analysis import (
     render_phase_report,
 )
 from repro.sim.config import ExperimentConfig
-from repro.sim.driver import make_policy, run_benchmark
+from repro.sim.driver import RunSpec, execute, make_policy
 from repro.workloads.specjvm import build_benchmark
 
 
@@ -17,9 +17,9 @@ from repro.workloads.specjvm import build_benchmark
 def hotspot_run():
     config = ExperimentConfig(max_instructions=500_000)
     policy = make_policy("hotspot", config)
-    result = run_benchmark(
+    result = execute(RunSpec(
         build_benchmark("db"), "hotspot", config, policy=policy
-    )
+    ))
     return policy, result
 
 
@@ -27,7 +27,7 @@ def hotspot_run():
 def bbv_run():
     config = ExperimentConfig(max_instructions=500_000)
     policy = make_policy("bbv", config)
-    run_benchmark(build_benchmark("db"), "bbv", config, policy=policy)
+    execute(RunSpec(build_benchmark("db"), "bbv", config, policy=policy))
     return policy
 
 

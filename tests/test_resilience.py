@@ -1,10 +1,10 @@
 """Resilience suite (docs/INTERNALS.md §16).
 
-* **crash-safe resume** — ``Engine.run(cells, resume=manifest)``
-  replays a prior run's flight-recorder manifest, re-executes only the
-  never-finished cells (done cells come back from the result store
-  under the same fingerprints), and survives orphaned store leases and
-  GC'd entries;
+* **crash-safe re-runs** — each simulated result is written through to
+  the result store as its cell settles, so re-running a killed batch
+  re-executes only the never-finished cells (done cells come back from
+  the store under the same fingerprints), with or without a flight
+  recorder, and survives orphaned store leases and GC'd entries;
 * **close robustness** — closing an engine is idempotent, even over a
   pool whose workers already died or an engine whose constructor never
   ran;
@@ -41,90 +41,79 @@ def cells(benchmarks=("db",), schemes=SCHEMES) -> list:
 
 
 class TestCrashSafeResume:
-    """Manifest replay: only never-finished cells re-execute."""
+    """Re-running a batch is the resume: each result is written through
+    to the store as it settles, so a re-run simulates only the cells
+    the first run never finished."""
 
-    def _record_partial(self, tmp_path, done_specs, store):
-        recorder = FlightRecorder(tmp_path / "original.jsonl")
-        engine = Engine(
-            pool="serial",
-            store=store,
-            memory_cache={},
-            recorder=recorder,
-        )
+    def _run_partial(self, done_specs, store):
+        engine = Engine(pool="serial", store=store, memory_cache={})
         try:
             batch = engine.run(done_specs)
         finally:
             engine.close()
         assert all(o.ok for o in batch)
-        return recorder.path
 
-    def test_resume_partitions_and_skips_done_cells(self, tmp_path):
+    def test_store_written_through_without_recorder(self, tmp_path):
+        # A SIGKILL between two cells must not lose the first one: when
+        # cell k starts, the k cells before it are already committed,
+        # with no flight recorder attached.
+        from repro.sim.driver import execute
+
+        store = ResultStore(tmp_path / "store")
+        seen = []
+
+        def runner(spec):
+            seen.append(len(store))
+            return execute(spec)
+
+        engine = Engine(
+            pool="serial", store=store, memory_cache={}, runner=runner
+        )
+        assert engine.recorder is None
+        try:
+            engine.run(cells())
+        finally:
+            engine.close()
+        assert seen == [0, 1, 2]
+        assert len(store) == 3
+
+    def test_rerun_skips_done_cells(self, tmp_path):
         store = ResultStore(tmp_path / "store")
         specs = cells(benchmarks=("db", "jess"))  # 6 cells
-        manifest = self._record_partial(tmp_path, specs[:3], store)
-
-        recorder = FlightRecorder(tmp_path / "continuation.jsonl")
-        engine = Engine(
-            pool="serial",
-            store=store,
-            memory_cache={},
-            recorder=recorder,
-        )
-        try:
-            batch = engine.run(specs, resume=manifest)
-        finally:
-            engine.close()
-        assert all(o.ok for o in batch)
-        stats = engine.stats
-        assert stats.resumed_done == 3
-        assert stats.resumed_new == 3
-        # The store-hit gate: zero re-simulation of done cells.
-        assert stats.simulations == 3
-        assert stats.store_hits == 3
-        # The continuation manifest links back to the original.
-        begin = FlightRecorder.read(recorder.path)[0]
-        assert begin["resume_of"] == str(manifest)
-        assert begin["resume_counts"] == {
-            "done": 3, "failed": 3 - 3, "new": 3
-        }
-
-    def test_resume_consumed_once(self, tmp_path):
-        store = ResultStore(tmp_path / "store")
-        specs = cells()
-        manifest = self._record_partial(tmp_path, specs, store)
+        self._run_partial(specs[:3], store)
         engine = Engine(pool="serial", store=store, memory_cache={})
         try:
-            engine.run(specs, resume=manifest)
-            assert engine.stats.resumed_done == 3
-            engine.run(specs)  # no resume carry-over
-            assert engine.stats.resumed_done == 3
-        finally:
-            engine.close()
-
-    def test_resume_with_gcd_store_reexecutes(self, tmp_path):
-        # An entry GC'd between the runs must simply re-execute: resume
-        # never trusts the manifest over the store.
-        store = ResultStore(tmp_path / "store")
-        specs = cells()
-        manifest = self._record_partial(tmp_path, specs, store)
-        empty = ResultStore(tmp_path / "fresh-store")
-        engine = Engine(pool="serial", store=empty, memory_cache={})
-        try:
-            batch = engine.run(specs, resume=manifest)
+            batch = engine.run(specs)
         finally:
             engine.close()
         assert all(o.ok for o in batch)
-        assert engine.stats.resumed_done == 3  # manifest still says done
-        assert engine.stats.simulations == 3  # ...but the store rules
-        assert engine.stats.store_hits == 0
+        # The store-hit gate: zero re-simulation of done cells.
+        assert engine.stats.store_hits == 3
+        assert engine.stats.simulations == 3
+
+    def test_resume_with_gcd_store_reexecutes(self, tmp_path):
+        # An entry GC'd between the runs simply re-executes.
+        store = ResultStore(tmp_path / "store")
+        specs = cells()
+        self._run_partial(specs, store)
+        store.path_for(*specs[0].cache_key()).unlink()
+        engine = Engine(pool="serial", store=store, memory_cache={})
+        try:
+            batch = engine.run(specs)
+        finally:
+            engine.close()
+        assert all(o.ok for o in batch)
+        assert engine.stats.simulations == 1
+        assert engine.stats.store_hits == 2
+        assert len(store) == 3
 
     def test_resume_recommit_ignores_orphaned_lease(self, tmp_path):
         # A writer from an older checkout, SIGKILL'd mid-batch, leaves a
-        # fresh per-shard ``.lease`` behind; the resume's re-commit must
+        # fresh per-shard ``.lease`` behind; the re-run's commits must
         # neither wait on it nor double-write.
         store = ResultStore(tmp_path / "store")
         specs = cells(benchmarks=("db", "jess"))
-        manifest = self._record_partial(tmp_path, specs[:3], store)
+        self._run_partial(specs[:3], store)
         for spec in specs[3:]:
             shard = store.shard_for(spec.cache_key()[2])
             shard.mkdir(parents=True, exist_ok=True)
@@ -132,7 +121,7 @@ class TestCrashSafeResume:
         engine = Engine(pool="serial", store=store, memory_cache={})
         started = time.monotonic()
         try:
-            batch = engine.run(specs, resume=manifest)
+            batch = engine.run(specs)
         finally:
             engine.close()
         assert all(o.ok for o in batch)
@@ -200,6 +189,3 @@ class TestRecorderHardening:
         assert any(
             issubclass(w.category, RuntimeWarning) for w in caught
         )
-        # And replay still partitions what it can see.
-        replay = FlightRecorder.replay(recorder.path)
-        assert replay.path == recorder.path

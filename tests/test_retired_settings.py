@@ -6,7 +6,9 @@ fleet-scale execution layer's SSH backends, host health, straggler
 speculation and their fault sites (§16).  A caller still asking for
 them gets an error before a campaign starts, not a run on a different
 configuration.  So do LPT scheduling's ``schedule`` and the runtime
-cost model's ``cost_model``/``cost_model_dir`` (§18).
+cost model's ``cost_model``/``cost_model_dir`` (§18), and manifest
+replay's ``--resume``/``resume=``: the result store is written through
+per cell, so a plain re-run continues a killed campaign (§16).
 """
 
 from __future__ import annotations
@@ -17,6 +19,7 @@ from repro.cli import build_parser
 from repro.faults import FaultPlan
 from repro.sim.config import ExperimentConfig
 from repro.sim.engine import Engine
+from repro.sim.experiment import make_engine
 from repro.sim.options import ExecutionOptions
 from repro.sim.pools import make_pool
 
@@ -100,3 +103,25 @@ def test_remote_capture_events_is_not_a_keyword():
     # The worker-side capture cap is the DEFAULT_CELL_EVENT_CAP constant.
     with pytest.raises(TypeError, match="remote_capture_events"):
         Engine(remote_capture_events=4)
+
+
+def test_cli_rejects_resume(capsys):
+    with pytest.raises(SystemExit):
+        build_parser().parse_args(["all", "--resume", "runs/run.jsonl"])
+    assert "--resume" in capsys.readouterr().err
+
+
+def test_resume_is_not_an_engine_keyword():
+    with pytest.raises(TypeError, match="resume"):
+        Engine(resume="runs/run.jsonl")
+
+
+def test_resume_is_not_a_run_keyword():
+    with Engine(use_cache=False) as engine:
+        with pytest.raises(TypeError, match="resume"):
+            engine.run([], resume="runs/run.jsonl")
+
+
+def test_resume_is_not_a_make_engine_keyword():
+    with pytest.raises(TypeError, match="resume"):
+        make_engine(resume="runs/run.jsonl")

@@ -9,7 +9,7 @@ from repro.sim.config import (
     ScaledParameters,
     build_machine,
 )
-from repro.sim.driver import SCHEMES, make_policy, run_benchmark
+from repro.sim.driver import SCHEMES, RunSpec, execute, make_policy
 from repro.sim.experiment import (
     cached_run,
     clear_cache,
@@ -120,7 +120,7 @@ class TestDriver:
             make_policy("oracle", config)
 
     def test_run_benchmark_result_fields(self, small_config):
-        result = run_benchmark("db", "hotspot", small_config)
+        result = execute(RunSpec("db", "hotspot", small_config))
         assert result.benchmark == "db"
         assert result.scheme == "hotspot"
         assert result.instructions >= small_config.max_instructions
@@ -132,23 +132,23 @@ class TestDriver:
         assert 0 < result.hotspot_coverage <= 1.0
 
     def test_baseline_has_no_policy_stats(self, small_config):
-        result = run_benchmark("db", "baseline", small_config)
+        result = execute(RunSpec("db", "baseline", small_config))
         assert result.hotspot_stats is None
         assert result.bbv_stats is None
         assert result.applied_reconfigurations == {"L1D": 0, "L2": 0}
 
     def test_bbv_run_has_bbv_stats(self, small_config):
-        result = run_benchmark("db", "bbv", small_config)
+        result = execute(RunSpec("db", "bbv", small_config))
         assert result.bbv_stats is not None
         assert result.bbv_stats.intervals_total >= 19
 
     def test_prebuilt_benchmark_accepted(self, small_config):
         built = build_benchmark("jess")
-        result = run_benchmark(built, "baseline", small_config)
+        result = execute(RunSpec(built, "baseline", small_config))
         assert result.benchmark == "jess"
 
     def test_identification_latency_bounded(self, small_config):
-        result = run_benchmark("db", "hotspot", small_config)
+        result = execute(RunSpec("db", "hotspot", small_config))
         assert 0.0 <= result.identification_latency <= 1.0
 
 

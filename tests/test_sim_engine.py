@@ -4,7 +4,7 @@ The acceptance bar for the engine redesign: parallel execution is
 bit-identical to serial, cache layers compose (memory → store →
 simulate) with accurate counters, `use_cache=False` bypasses both
 layers in both directions, and the old entry points (`cached_run`,
-`compare_schemes`, `run_suite`, `run_benchmark`) behave as before.
+`compare_schemes`, `run_suite`) behave as before.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ import pytest
 from repro.obs.remote import SNAPSHOT_VERSION
 from repro.report import exhibits
 from repro.sim.config import ExperimentConfig
-from repro.sim.driver import RunSpec, run_benchmark
+from repro.sim.driver import RunSpec, execute
 from repro.sim.engine import (
     CellExecutionError,
     CellTimeout,
@@ -167,7 +167,7 @@ class TestRetryAndTimeout:
             calls["n"] += 1
             if calls["n"] < 3:
                 raise RuntimeError("transient")
-            return run_benchmark(spec)
+            return execute(spec)
 
         engine = Engine(
             memory_cache={}, runner=flaky, max_retries=2
@@ -306,13 +306,6 @@ class TestExperimentFacade:
         assert comparison.bbv.scheme == "bbv"
         assert comparison.hotspot.scheme == "hotspot"
         assert len(isolated_store) == 3
-
-    def test_runspec_shim_equivalent_to_keyword_form(
-        self, isolated_store, small_config
-    ):
-        keyword = run_benchmark("db", "baseline", small_config)
-        spec = run_benchmark(RunSpec("db", "baseline", small_config))
-        assert keyword == spec
 
     def test_sweep_parameter_routed_through_engine(
         self, isolated_store, small_config

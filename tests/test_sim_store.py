@@ -23,7 +23,7 @@ from repro.core.policy import HotspotPolicyStats
 from repro.phases.classifier import PhaseOccurrenceStats
 from repro.phases.policy import BBVPolicyStats
 from repro.sim.config import ExperimentConfig
-from repro.sim.driver import HotspotSummary, RunResult, RunSpec, run_benchmark
+from repro.sim.driver import HotspotSummary, RunResult, RunSpec, execute
 from repro.sim.store import STORE_SCHEMA_VERSION, ResultStore
 
 SRC_DIR = str(Path(__file__).resolve().parent.parent / "src")
@@ -130,7 +130,7 @@ class TestRoundTrip:
     @pytest.mark.parametrize("scheme", ["bbv", "hotspot"])
     def test_real_run_round_trips_through_store(self, tmp_path, scheme):
         config = ExperimentConfig(max_instructions=60_000)
-        result = run_benchmark("db", scheme, config)
+        result = execute(RunSpec("db", scheme, config))
         store = ResultStore(tmp_path)
         fingerprint = config.fingerprint()
         store.put("db", scheme, fingerprint, result)

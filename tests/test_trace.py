@@ -2,8 +2,8 @@
 
 import pytest
 
-from repro.trace.events import BlockEvent, MethodEvent, TraceStats
-from repro.trace.stream import IntervalSplitter, TraceRecorder, replay
+from repro.trace.events import BlockEvent
+from repro.trace.stream import IntervalSplitter
 
 
 def event(n=10, loads=0, stores=0, branch_pc=0x4000, taken=True):
@@ -26,31 +26,6 @@ class TestBlockEvent:
         ev = BlockEvent("m", "b", 5, [], [], None, True, block_pc=0x9000)
         assert ev.block_pc == 0x9000
         assert ev.branch_pc is None
-
-
-class TestMethodEvent:
-    def test_kinds(self):
-        MethodEvent(MethodEvent.ENTRY, "m", 0, 100)
-        with pytest.raises(ValueError):
-            MethodEvent("bogus", "m", 0, 0)
-
-
-class TestTraceStats:
-    def test_observe_accumulates(self):
-        stats = TraceStats()
-        stats.observe(event(n=10, loads=2, stores=1, taken=True))
-        stats.observe(event(n=5, branch_pc=None))
-        assert stats.blocks == 2
-        assert stats.instructions == 15
-        assert stats.memory_refs == 3
-        assert stats.conditional_branches == 1
-        assert stats.taken_branches == 1
-
-    def test_memory_intensity(self):
-        stats = TraceStats()
-        stats.observe(event(n=10, loads=2))
-        assert stats.memory_intensity == pytest.approx(0.2)
-        assert TraceStats().memory_intensity == 0.0
 
 
 class TestIntervalSplitter:
@@ -92,38 +67,3 @@ class TestIntervalSplitter:
     def test_rejects_bad_interval(self):
         with pytest.raises(ValueError):
             IntervalSplitter(0, lambda i, n: None)
-
-
-class TestTraceRecorder:
-    def test_capacity_cap(self):
-        recorder = TraceRecorder(capacity=2)
-        for _ in range(5):
-            recorder.observe(event())
-        assert len(recorder) == 2
-        assert recorder.dropped == 3
-        assert recorder.stats.blocks == 5  # stats see everything
-
-    def test_unbounded(self):
-        recorder = TraceRecorder()
-        for _ in range(5):
-            recorder.observe(event())
-        assert len(recorder) == 5
-
-
-class TestReplay:
-    def test_replay_feeds_sinks(self):
-        events = [event(n=i) for i in range(1, 4)]
-        seen = []
-        stats = replay(events, seen.append)
-        assert len(seen) == 3
-        assert stats.instructions == 6
-
-    def test_replay_through_cache_is_deterministic(self):
-        from repro.uarch.cache import Cache
-
-        events = [event(loads=4) for _ in range(10)]
-        c1 = Cache("a", 1024, 64, 2, sizes=(1024,))
-        c2 = Cache("b", 1024, 64, 2, sizes=(1024,))
-        replay(events, lambda e: c1.access_many(e.loads, e.stores))
-        replay(events, lambda e: c2.access_many(e.loads, e.stores))
-        assert c1.stats.snapshot() == c2.stats.snapshot()

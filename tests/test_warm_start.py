@@ -11,7 +11,7 @@ from repro.core.tuning import (
     selection_key,
 )
 from repro.sim.config import ExperimentConfig, MachineConfig, build_machine
-from repro.sim.driver import run_benchmark
+from repro.sim.driver import RunSpec, execute
 from repro.uarch.cache import Cache
 from repro.vm.hotspot import DODatabase
 from repro.workloads.specjvm import build_benchmark
@@ -23,7 +23,7 @@ class TestDatabasePersistence:
     def run_once(self, config):
         policy = HotspotACEPolicy(tuning=config.tuning)
         built = build_benchmark("db")
-        result = run_benchmark(built, "hotspot", config, policy=policy)
+        result = execute(RunSpec(built, "hotspot", config, policy=policy))
         return result, policy
 
     def capture_database(self, config):
@@ -59,10 +59,10 @@ class TestDatabasePersistence:
         config = ExperimentConfig(max_instructions=300_000)
         database = self.capture_database(config)
         preload = DODatabase.from_dict(database.to_dict())
-        result = run_benchmark(
+        result = execute(RunSpec(
             build_benchmark("db"), "hotspot", config,
             preload_database=preload,
-        )
+        ))
         assert result.identification_latency == 0.0
         assert result.n_hotspots >= len(database.hotspots)
 
@@ -71,16 +71,16 @@ class TestWarmStart:
     def test_warm_start_skips_tuning(self):
         config = ExperimentConfig(max_instructions=400_000)
         first = HotspotACEPolicy(tuning=config.tuning)
-        run_benchmark(build_benchmark("db"), "hotspot", config,
-                      policy=first)
+        execute(RunSpec(build_benchmark("db"), "hotspot", config,
+                      policy=first))
         chosen = first.chosen_configs()
         assert chosen
 
         second = HotspotACEPolicy(
             tuning=config.tuning, warm_start=chosen
         )
-        run_benchmark(build_benchmark("db"), "hotspot", config,
-                      policy=second)
+        execute(RunSpec(build_benchmark("db"), "hotspot", config,
+                      policy=second))
         assert second.warm_started >= 1
         # Warm-started hotspots spend no tuning trials.
         warm_trials = sum(second.trial_count.values())
@@ -93,20 +93,20 @@ class TestWarmStart:
             tuning=config.tuning,
             warm_start={"mid0": (1, 2, 3)},  # wrong CU-subset width
         )
-        run_benchmark(build_benchmark("db"), "hotspot", config,
-                      policy=policy)
+        execute(RunSpec(build_benchmark("db"), "hotspot", config,
+                      policy=policy))
         assert policy.warm_started == 0
 
     def test_inherited_config_is_verified(self):
         config = ExperimentConfig(max_instructions=400_000)
         first = HotspotACEPolicy(tuning=config.tuning)
-        run_benchmark(build_benchmark("db"), "hotspot", config,
-                      policy=first)
+        execute(RunSpec(build_benchmark("db"), "hotspot", config,
+                      policy=first))
         chosen = first.chosen_configs()
         second = HotspotACEPolicy(tuning=config.tuning,
                                   warm_start=chosen)
-        run_benchmark(build_benchmark("db"), "hotspot", config,
-                      policy=second)
+        execute(RunSpec(build_benchmark("db"), "hotspot", config,
+                      policy=second))
         # After the run, warm-started states have been through (or are
         # still in) verification — none are left unverified-and-untouched.
         for name in chosen:
@@ -148,7 +148,7 @@ class TestObjectives:
             tuning=TuningConfig(objective="edp"),
             max_instructions=300_000,
         )
-        result = run_benchmark(build_benchmark("db"), "hotspot", config)
+        result = execute(RunSpec(build_benchmark("db"), "hotspot", config))
         assert result.hotspot_stats.tuned_hotspots >= 1
 
 

@@ -10,7 +10,7 @@ from repro.report.analysis import (
     render_phase_report,
 )
 from repro.sim.config import ExperimentConfig
-from repro.sim.driver import make_policy, run_benchmark
+from repro.sim.driver import RunSpec, execute, make_policy
 from repro.workloads.specjvm import build_benchmark
 
 
@@ -30,7 +30,7 @@ def main() -> None:
 
     print("\n=== hotspot scheme ===")
     policy = make_policy("hotspot", config)
-    result = run_benchmark(built, "hotspot", config, policy=policy)
+    result = execute(RunSpec(built, "hotspot", config, policy=policy))
     print(
         f"ipc={result.ipc:.3f} l1dmiss={result.l1d_miss_rate:.4f} "
         f"l2miss={result.l2_miss_rate:.4f} "
@@ -40,7 +40,7 @@ def main() -> None:
 
     print("\n=== bbv scheme ===")
     bbv_policy = make_policy("bbv", config)
-    bbv_result = run_benchmark(built, "bbv", config, policy=bbv_policy)
+    bbv_result = execute(RunSpec(built, "bbv", config, policy=bbv_policy))
     print(
         f"ipc={bbv_result.ipc:.3f} l1dmiss={bbv_result.l1d_miss_rate:.4f} "
         f"l2miss={bbv_result.l2_miss_rate:.4f} "

@@ -1,32 +1,32 @@
 #!/usr/bin/env python
-"""Crash-safe resume acceptance check: SIGKILL a campaign, resume it.
+"""Crash-safety acceptance check: SIGKILL a campaign, re-run it.
 
-The end-to-end gate behind ``--resume`` (docs/INTERNALS.md §16), run by
-CI's ``resilience`` step::
+The end-to-end gate behind write-through result storage
+(docs/INTERNALS.md §16), run by CI's ``chaos`` job::
 
     PYTHONPATH=src python tools/resilience_check.py --workdir ci-resilience
 
-1. launch ``python -m repro table4 --record --store-dir ...`` as a
-   subprocess;
-2. poll its flight-recorder manifest until at least ``--min-done``
-   cells have committed, then SIGKILL the process — a real crash, no
-   cleanup handlers;
-3. re-run the same campaign with ``--resume`` pointing at the orphaned
-   manifest and ``--stats-json``;
-4. assert the resumed run (a) exits 0, (b) partitioned exactly the
-   done cells the manifest recorded, and (c) re-simulated **none** of
-   them — every done cell came back as a store hit under its original
-   fingerprint (the write-ahead ordering the engine guarantees when a
-   recorder is attached).
+1. launch ``python -m repro table4 --store-dir ...`` as a subprocess,
+   without ``--record``;
+2. poll the store until at least ``--min-done`` cells have committed
+   entries, then SIGKILL the process — a real crash, no cleanup
+   handlers;
+3. re-run the same command with ``--stats-json``;
+4. assert the re-run (a) exits 0 and (b) re-simulated **none** of the
+   finished cells — each came back as a store hit — so it simulated
+   at most the cells the killed run had not finished.
 
-Exit status 0 = gate passed.  Both manifests are left in the workdir
-for upload as CI artifacts.
+A finished cell is a committed ``*.json`` entry in a store shard; an
+atomic write in progress is a ``*.tmp`` file, which the count skips.
+Exit status 0 = gate passed.  The re-run's stats are left in the
+workdir for upload as a CI artifact.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import signal
 import subprocess
 import sys
@@ -40,47 +40,26 @@ BENCHMARKS = ["db", "jess", "javac", "mtrt"]
 SCHEMES = 3  # run_suite's baseline/bbv/hotspot grid
 
 
-def campaign_command(args, flight_dir: Path, store_dir: Path) -> list:
+def campaign_command(args, store_dir: Path) -> list:
     return [
         sys.executable, "-m", "repro", "table4",
         "--benchmarks", *BENCHMARKS,
         "--instructions", str(args.instructions),
-        "--record", str(flight_dir),
         "--store-dir", str(store_dir),
     ]
 
 
-def manifest_in(flight_dir: Path) -> Path:
-    manifests = sorted(flight_dir.glob("*.jsonl"))
-    if not manifests:
-        raise SystemExit(f"no manifest appeared under {flight_dir}")
-    return max(manifests, key=lambda p: p.stat().st_mtime)
-
-
-def count_done_cells(manifest: Path) -> int:
-    done = set()
-    for line in manifest.read_bytes().splitlines():
-        try:
-            record = json.loads(line.decode("utf-8"))
-        except (UnicodeDecodeError, json.JSONDecodeError):
-            continue  # torn tail of the killed writer
-        if record.get("kind") == "cell" and record.get("status") == "ok":
-            done.add(
-                (
-                    record.get("benchmark"),
-                    record.get("scheme"),
-                    record.get("fingerprint"),
-                )
-            )
-    return len(done)
+def count_done_cells(store_dir: Path) -> int:
+    """Committed store entries: one per finished cell."""
+    return len(list(store_dir.glob("*/*.json")))
 
 
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument(
         "--workdir", default="ci-resilience", metavar="DIR",
-        help="scratch directory for store, manifests, stats (kept for "
-        "artifact upload)",
+        help="scratch directory for the store and the re-run's stats "
+        "(kept for artifact upload)",
     )
     parser.add_argument(
         "--min-done", type=int, default=2, metavar="N",
@@ -99,37 +78,31 @@ def main() -> int:
     args = parser.parse_args()
 
     workdir = Path(args.workdir)
-    flight_dir = workdir / "flight"
     store_dir = workdir / "store"
-    flight_dir.mkdir(parents=True, exist_ok=True)
+    workdir.mkdir(parents=True, exist_ok=True)
+    env = {**os.environ, "PYTHONPATH": SRC_DIR}
 
-    command = campaign_command(args, flight_dir, store_dir)
+    command = campaign_command(args, store_dir)
     print(f"[resilience] launching: {' '.join(command)}", flush=True)
     victim = subprocess.Popen(
-        command,
-        env={**__import__("os").environ, "PYTHONPATH": SRC_DIR},
-        stdout=subprocess.DEVNULL,
-        stderr=subprocess.DEVNULL,
+        command, env=env, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL
     )
 
     deadline = time.monotonic() + args.kill_timeout
     done_before = 0
-    manifest = None
     while time.monotonic() < deadline:
         if victim.poll() is not None:
             raise SystemExit(
                 "campaign finished (or died) before the kill landed — "
                 "raise --instructions so the check can interrupt it"
             )
-        manifests = list(flight_dir.glob("*.jsonl"))
-        if manifests:
-            manifest = max(manifests, key=lambda p: p.stat().st_mtime)
-            done_before = count_done_cells(manifest)
-            if done_before >= args.min_done:
-                break
+        done_before = count_done_cells(store_dir)
+        if done_before >= args.min_done:
+            break
         time.sleep(0.2)
     else:
         victim.kill()
+        victim.wait(timeout=60)
         raise SystemExit(
             f"only {done_before} cells committed within "
             f"{args.kill_timeout:.0f}s; cannot exercise the kill"
@@ -137,39 +110,21 @@ def main() -> int:
 
     victim.send_signal(signal.SIGKILL)
     victim.wait(timeout=60)
-    print(
-        f"[resilience] SIGKILL after {done_before} done cells; "
-        f"manifest: {manifest}",
-        flush=True,
-    )
     # Recount after death: cells may have committed between the poll
-    # and the kill.  This is the resumed run's baseline.
-    done_before = count_done_cells(manifest)
+    # and the kill.  This is the re-run's baseline.
+    done_before = count_done_cells(store_dir)
+    print(f"[resilience] SIGKILL after {done_before} done cells", flush=True)
 
-    stats_path = workdir / "resume-stats.json"
-    resume_command = command + [
-        "--resume", str(manifest),
-        "--stats-json", str(stats_path),
-    ]
-    print(f"[resilience] resuming: {' '.join(resume_command)}", flush=True)
-    resumed = subprocess.run(
-        resume_command,
-        env={**__import__("os").environ, "PYTHONPATH": SRC_DIR},
-    )
-    if resumed.returncode != 0:
-        raise SystemExit(
-            f"resumed campaign failed with exit {resumed.returncode}"
-        )
+    stats_path = workdir / "rerun-stats.json"
+    rerun_command = command + ["--stats-json", str(stats_path)]
+    print(f"[resilience] re-running: {' '.join(rerun_command)}", flush=True)
+    rerun = subprocess.run(rerun_command, env=env)
+    if rerun.returncode != 0:
+        raise SystemExit(f"re-run failed with exit {rerun.returncode}")
 
     stats = json.loads(stats_path.read_text())
     total = len(BENCHMARKS) * SCHEMES
     failures = []
-    if stats["resumed_done"] != done_before:
-        failures.append(
-            f"manifest partition saw {stats['resumed_done']} done cells, "
-            f"expected {done_before}"
-        )
-    # The store-hit gate: zero re-simulated done cells.
     if stats["store_hits"] < done_before:
         failures.append(
             f"only {stats['store_hits']} store hits for {done_before} "
@@ -180,26 +135,13 @@ def main() -> int:
             f"{stats['simulations']} simulations for "
             f"{total - done_before} unfinished cells"
         )
-    continuation = manifest_in(flight_dir)
-    if continuation == manifest:
-        failures.append("resumed run wrote no continuation manifest")
-    else:
-        begin = json.loads(
-            continuation.read_text().splitlines()[0]
-        )
-        if begin.get("resume_of") != str(manifest):
-            failures.append(
-                f"continuation manifest does not link to the original: "
-                f"resume_of={begin.get('resume_of')!r}"
-            )
     if failures:
         for failure in failures:
             print(f"[resilience] FAIL: {failure}", file=sys.stderr)
         return 1
     print(
         f"[resilience] OK: {done_before} done cells served from the "
-        f"store, {stats['simulations']} re-executed, continuation "
-        f"manifest {continuation.name} links to {manifest.name}"
+        f"store, {stats['simulations']} simulated on the re-run"
     )
     return 0
 
