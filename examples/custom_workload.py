@@ -1,4 +1,4 @@
-"""Adapt caches for a program written in the textual assembly DSL.
+"""Adapt caches for a program written with ``ProgramBuilder``.
 
 Demonstrates the public IR surface: a hand-written program with one
 streaming kernel (cache-size-insensitive) and one table-walk kernel
@@ -9,87 +9,51 @@ L1D and the driver to the L2, and tunes each independently.
     python examples/custom_workload.py
 """
 
-from repro import ACEFramework, assemble
+from repro import ACEFramework, ProgramBuilder
+from repro.workloads.patterns import StridedBehavior, WorkingSetBehavior
 
-SOURCE = """
-entry main
 
-method stream_kernel {
-    region 0x20000000 2048
-    block e {
-        insns 6
-        goto loop
-    }
-    block loop {
-        insns 40
-        loads 8
-        stores 2
-        mem stride span=2048 stride=64
-        loop trips=25 exit=x
-    }
-    block x {
-        insns 2
-        ret
-    }
-}
+def build_program():
+    builder = ProgramBuilder(entry="main")
 
-method table_kernel {
-    region 0x21000000 2200
-    block e {
-        insns 6
-        goto loop
-    }
-    block loop {
-        insns 44
-        loads 10
-        stores 2
-        mem workingset span=2200 locality=0.6
-        loop trips=30 exit=x
-    }
-    block x {
-        insns 2
-        ret
-    }
-}
+    stream = builder.method("stream_kernel").region(0x2000_0000, 2048)
+    stream.straight("e", 6, "loop")
+    stream.loop(
+        "loop", 40, 25, "x", loads=8, stores=2,
+        memory=StridedBehavior(2048, stride=64),
+    )
+    stream.ret("x", 2)
+    stream.done()
 
-method driver {
-    region 0x22000000 20480
-    block e {
-        insns 8
-        goto loop
-    }
-    block loop {
-        insns 30
-        loads 6
-        stores 2
-        mem workingset span=20480 locality=0.0
-        call stream_kernel
-        call table_kernel
-        loop trips=4 exit=x
-    }
-    block x {
-        insns 2
-        ret
-    }
-}
+    table = builder.method("table_kernel").region(0x2100_0000, 2200)
+    table.straight("e", 6, "loop")
+    table.loop(
+        "loop", 44, 30, "x", loads=10, stores=2,
+        memory=WorkingSetBehavior(2200, locality=0.6),
+    )
+    table.ret("x", 2)
+    table.done()
 
-method main {
-    block top {
-        insns 3
-        call driver
-        loop trips=100000 exit=end
-    }
-    block end {
-        insns 1
-        ret
-    }
-}
-"""
+    driver = builder.method("driver").region(0x2200_0000, 20480)
+    driver.straight("e", 8, "loop")
+    driver.loop(
+        "loop", 30, 4, "x", loads=6, stores=2,
+        memory=WorkingSetBehavior(20480, locality=0.0),
+        calls=["stream_kernel", "table_kernel"],
+    )
+    driver.ret("x", 2)
+    driver.done()
+
+    main = builder.method("main")
+    main.loop("top", 3, 100_000, "end", calls=["driver"])
+    main.ret("end", 1)
+    main.done()
+    return builder.build()
 
 
 def main() -> None:
-    program = assemble(SOURCE)
-    print(f"assembled: {program}")
+    program = build_program()
+    print(f"built: {program}")
 
     framework = ACEFramework()
     report = framework.run(program, max_instructions=1_200_000)

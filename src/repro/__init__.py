@@ -48,7 +48,6 @@ _LAZY = {
     "TuningConfig": "repro.sim.config",
     "VMConfig": "repro.vm.vm",
     "VirtualMachine": "repro.vm.vm",
-    "assemble": "repro.isa.assembler",
     "benchmark_spec": "repro.workloads.specjvm",
     "build_benchmark": "repro.workloads.specjvm",
     "build_machine": "repro.sim.config",

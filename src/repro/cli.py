@@ -11,10 +11,12 @@ Examples::
 The ``run`` command executes a single benchmark/scheme cell with
 telemetry: ``--trace PATH`` writes a Chrome-trace JSON loadable in
 ``chrome://tracing`` / Perfetto (one track per CU, one per hotspot, the
-policy decision lane, and the engine worker lane) and works on both
-backends — with ``--backend local:4`` the workers capture their tuning
-events and the engine clock-aligns them into one merged trace with
-per-worker tracks (docs/INTERNALS.md §15).
+policy decision lane, and the engine worker lane) and works for any
+``--jobs`` — with ``--jobs 4`` the workers capture their tuning events
+and the engine clock-aligns them into one merged trace with per-worker
+tracks (docs/INTERNALS.md §15).  ``--jobs`` is the one execution-width
+flag: 1 (the default) runs every cell in this process, N > 1 on N
+warm worker processes.
 ``--metrics`` prints the event/metric summary tables, ``--progress``
 streams a live per-cell heartbeat (done/total, in-flight, ETA) to
 stderr, ``--record [DIR]`` writes a flight-recorder JSONL manifest of
@@ -127,7 +129,7 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="PATH",
         help="write a Chrome-trace JSON (chrome://tracing / Perfetto) of "
         "the tuning-event timeline ('run' command; forces a live, "
-        "uncached simulation).  Works on every --backend: pool workers "
+        "uncached simulation).  Works with any --jobs: pool workers "
         "capture their events and the engine merges them into one "
         "clock-aligned trace with per-worker tracks",
     )
@@ -148,7 +150,7 @@ def build_parser() -> argparse.ArgumentParser:
         const="auto",
         default=None,
         metavar="DIR",
-        help="write a flight-recorder JSONL manifest of the run (backend "
+        help="write a flight-recorder JSONL manifest of the run (batch "
         "config, per-cell outcomes, degradation notes); DIR may be a "
         "directory or a .jsonl path, default results/runs/",
     )
@@ -285,7 +287,7 @@ def run_command(args) -> int:
     tracing = args.trace is not None or args.metrics
     telemetry = Telemetry() if tracing else None
     # A traced run must observe live tuning decisions, so both cache
-    # layers are bypassed; the configured backend is used either way —
+    # layers are bypassed; --jobs applies either way —
     # pool workers capture their telemetry and the engine clock-aligns
     # it into this session (docs/INTERNALS.md §15).
     engine = make_engine(

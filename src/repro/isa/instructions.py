@@ -3,8 +3,7 @@
 Instructions exist for fidelity and tooling: the interpreter executes blocks
 from their aggregate profiles, but every block can be *lowered* to a concrete
 instruction listing consistent with those aggregates
-(:func:`synthesize_instructions`), and the assembler/disassembler round-trip
-through this representation.
+(:func:`synthesize_instructions`).
 """
 
 from __future__ import annotations

@@ -7,7 +7,7 @@ the process is gone.  One :class:`FlightRecorder` writes one append-only
 JSONL file per engine run, flushed record by record so a crashed or
 killed run still leaves everything it knew on disk:
 
-* ``begin_batch`` — backend spec, worker count, failure policy, retry
+* ``begin_batch`` — backend name, worker count, failure policy, retry
   budget, fault-plan spec, and every cell's ``(benchmark, scheme,
   config-fingerprint)`` identity;
 * ``cell`` — one record per terminal cell outcome (status, attempts,

@@ -1,5 +1,5 @@
-"""Parallel experiment engine: fan experiment cells out across an
-execution backend.
+"""Parallel experiment engine: fan experiment cells out across worker
+processes.
 
 Every exhibit, bench, and CLI command ultimately needs the same thing: a
 batch of ``(benchmark, scheme, config)`` cells turned into
@@ -13,19 +13,18 @@ entry point for that.  It layers three mechanisms under a single
 2. a **persistent on-disk store** (:class:`repro.sim.store.ResultStore`)
    so *fresh processes* — another CLI invocation, another pytest
    worker — reuse runs too;
-3. an execution **backend** (:class:`repro.sim.pools.Pool`) with
-   per-cell timeout and bounded retry for the cells that actually have
-   to simulate.
+3. an execution **pool** (:class:`repro.sim.pools.local.LocalProcessPool`,
+   when ``jobs > 1``) with per-cell timeout and bounded retry for the
+   cells that actually have to simulate.
 
 Results are deterministic: a cell's outcome depends only on its
 :class:`~repro.sim.results.RunSpec`, never on scheduling or location, so
 the process pool is bit-identical to serial (tests/test_backends.py).
 
-Backends (docs/INTERNALS.md §14): ``Engine(pool=...)`` accepts a
-backend spec string (``"serial"``, ``"local:4"``) or a constructed
-:class:`~repro.sim.pools.Pool`; ``jobs=N`` resolves to ``local:N``.
-``serial`` builds no pool: every cell runs in the calling process.
-The local process backend is **persistent and warm**
+Execution width (docs/INTERNALS.md §14): ``jobs`` is the one setting.
+``jobs=1`` builds no pool: every cell runs in the calling process.
+``jobs=N`` builds a ``LocalProcessPool(N)`` on first use, which is
+**persistent and warm**
 (docs/INTERNALS.md §13): the first parallel batch spawns it with an
 initializer that pre-builds the batch's benchmarks (method runners
 compile into each worker's process-wide blockjit code cache on first
@@ -36,7 +35,7 @@ carries several cells plus the shared timeout/fault-plan, and workers
 memoise built benchmarks by name, so a 3-scheme sweep builds each
 benchmark once per worker rather than once per cell.  Call
 :meth:`Engine.close` (or use the engine as a context manager) to shut
-the backend down; a dropped engine cleans up in ``__del__``.
+the pool down; a dropped engine cleans up in ``__del__``.
 
 Graceful degradation (docs/INTERNALS.md §11): ``failure_policy``
 selects what a cell that exhausts its retry budget does to the batch —
@@ -63,6 +62,7 @@ import traceback as traceback_mod
 from concurrent.futures import FIRST_COMPLETED, Future, wait
 from dataclasses import dataclass
 from typing import (
+    TYPE_CHECKING,
     Callable,
     Dict,
     Iterator,
@@ -70,7 +70,6 @@ from typing import (
     Optional,
     Sequence,
     Tuple,
-    Union,
 )
 
 from repro.faults import FaultPlan, corrupt_file
@@ -95,10 +94,12 @@ from repro.obs.events import (
 )
 from repro.obs.recorder import FlightRecorder
 from repro.sim.options import check_at_least
-from repro.sim.pools import make_pool, parse_pool_spec
-from repro.sim.pools.base import CellTimeout, Pool
+from repro.sim.pools.base import CellTimeout
 from repro.sim.results import RunResult, RunSpec
 from repro.sim.store import META_VERSION, ResultStore
+
+if TYPE_CHECKING:
+    from repro.sim.pools.local import LocalProcessPool
 
 # The execution layer — the pool worker (and through it the driver, the
 # kernels and the policies), the pool classes, the chunk partition and
@@ -201,11 +202,6 @@ class BatchResult:
         return [outcome.result for outcome in self.outcomes]
 
     @property
-    def results(self) -> List[Optional[RunResult]]:
-        """Alias of :meth:`values` (property form)."""
-        return self.values()
-
-    @property
     def ok(self) -> List[CellOutcome]:
         return [o for o in self.outcomes if o.ok]
 
@@ -276,7 +272,7 @@ class EngineStats:
 class CellProgress:
     """One progress-callback notification.
 
-    ``in_flight`` counts cells currently submitted to the backend and
+    ``in_flight`` counts cells currently submitted to the pool and
     not yet resolved; ``eta_s`` is a uniform-rate estimate of the
     remaining batch wall-clock (None until one cell has finished, and
     on the final notification).
@@ -294,7 +290,7 @@ ProgressCallback = Callable[[CellProgress], None]
 
 
 class _PoolBroken(Exception):
-    """Internal signal: the backend died; these cells were in flight."""
+    """Internal signal: the pool died; these cells were in flight."""
 
     def __init__(self, interrupted: List[int], cause: BaseException):
         super().__init__(f"pool broken with {len(interrupted)} cells in flight")
@@ -304,7 +300,7 @@ class _PoolBroken(Exception):
 
 @dataclass(eq=False)
 class _Flight:
-    """One chunk submitted to the backend and not yet settled."""
+    """One chunk submitted to the pool and not yet settled."""
 
     chunk: List[int]
     #: ``time.perf_counter()`` at submission (the parent-side timing
@@ -323,19 +319,22 @@ class Engine:
     Parameters
     ----------
     jobs:
-        Worker processes for cells that must simulate.  ``1`` (default)
-        runs everything in the calling process; ``N > 1`` is shorthand
-        for ``pool="local:N"``.
+        Worker processes for cells that must simulate, the one
+        execution-width setting.  ``1`` (default) builds no pool and
+        runs everything in the calling process; ``N > 1`` builds a
+        :class:`~repro.sim.pools.local.LocalProcessPool` of ``N``
+        workers on first use.  The pool pre-builds the first batch's
+        benchmarks in every worker at spawn (docs/INTERNALS.md §13;
+        ``worker_warmup`` telemetry); later batches reuse the live pool
+        and the workers' memoised benchmarks.
     pool:
-        Execution backend: a spec string (``"serial"``, ``"local:4"``)
-        or an already constructed :class:`~repro.sim.pools.Pool`.
-        Overrides ``jobs``.  ``"serial"`` builds no pool and runs every
-        cell in the calling process; ``"local:N"`` is built through
-        :func:`repro.sim.pools.make_pool` on first use.  A pool
-        pre-builds the first batch's benchmarks in every worker
-        at spawn (docs/INTERNALS.md §13; ``worker_warmup`` telemetry);
-        later batches reuse the live pool and the workers' memoised
-        benchmarks.
+        A pool object to run on in place of the one ``jobs`` would
+        build (so not together with ``jobs``); its ``workers`` become
+        ``jobs``.  This is the seam that lets tests substitute stub
+        pools (the surface is
+        :class:`~repro.sim.pools.local.LocalProcessPool`'s).  A string
+        is a ``TypeError``: backend specs were retired for ``jobs``
+        (docs/INTERNALS.md §14).
     store:
         A :class:`ResultStore` for cross-process persistence, or ``None``
         to keep results in memory only.  Each simulated result is
@@ -360,7 +359,7 @@ class Engine:
         like ``"skip"``, but a batch in which *every* cell failed raises
         :class:`BatchExecutionError`.
     max_pool_rebuilds:
-        How many times a batch may rebuild a broken backend (worker
+        How many times a batch may rebuild a broken pool (worker
         crash recovery) before degrading to in-process serial execution
         for the interrupted cells (default 3; must be at least 0).
     fault_plan:
@@ -383,14 +382,14 @@ class Engine:
         degradation events ``worker_crash``, ``cell_failed``,
         ``batch_degraded``, ``timeout_disabled``); cells executed
         *serially* additionally stream their simulation-side tuning
-        events into the same session.  Cells that run through a pool
-        backend capture their tuning events worker-side instead
+        events into the same session.  Cells that run through the pool
+        capture their tuning events worker-side instead
         (bounded per cell by
         :data:`repro.obs.events.DEFAULT_CELL_EVENT_CAP`; events beyond
         it are counted in ``stats.remote_events_dropped``), ship them back
         on the chunk reply, and the engine clock-rebases and merges
         them into this session on per-worker/per-cell tracks — so one
-        unified trace covers every backend (docs/INTERNALS.md §15).
+        unified trace covers any ``jobs`` (docs/INTERNALS.md §15).
         The capture is requested only when this session is live;
         telemetry never changes what a cell computes.
     recorder:
@@ -423,7 +422,7 @@ class Engine:
         memory_cache: Optional[Dict] = None,
         telemetry=None,
         chunk_size: Optional[int] = None,
-        pool: Union[str, Pool, None] = None,
+        pool: Optional["LocalProcessPool"] = None,
         recorder: Optional[FlightRecorder] = None,
     ):
         if failure_policy not in FAILURE_POLICIES:
@@ -435,23 +434,16 @@ class Engine:
         check_at_least("max_retries", max_retries, 0)
         check_at_least("chunk_size", chunk_size, 1)
         check_at_least("max_pool_rebuilds", max_pool_rebuilds, 0)
-        if pool is None:
-            pool = f"local:{jobs}" if jobs > 1 else "serial"
-        # A spec is validated now and a local one built on first use
-        # (see ``pool``); ``serial`` leaves both fields None.
-        # ``backend`` names the backend and ``jobs`` is its parallel
-        # width, both known without building it.
-        self._pool: Optional[Pool] = None
-        self._pool_spec: Optional[str] = None
         if isinstance(pool, str):
-            kind, self.jobs = parse_pool_spec(pool)
-            if kind == "local":
-                self._pool_spec = pool
-            self.backend = kind
-        else:
-            self._pool = pool
-            self.backend = pool.name
-            self.jobs = pool.workers
+            raise TypeError(
+                f"Engine(pool={pool!r}): pool takes a pool object; set "
+                "the number of worker processes with jobs=N (backend "
+                "specs were retired, docs/INTERNALS.md §14)"
+            )
+        if pool is not None and jobs != 1:
+            raise TypeError("pass jobs or pool, not both")
+        self._pool = pool
+        self.jobs = jobs if pool is None else pool.workers
         self.store = store
         self.use_cache = use_cache
         self.cell_timeout = cell_timeout
@@ -480,22 +472,33 @@ class Engine:
         self._flights: Dict[Future, _Flight] = {}
 
     @property
-    def pool(self) -> Optional[Pool]:
-        """The execution backend, built from its spec on first use
-        (None for ``serial``, which runs every cell in-process).
+    def pool(self) -> Optional["LocalProcessPool"]:
+        """The worker pool, built on first use when ``jobs > 1`` (None
+        for ``jobs=1``, which runs every cell in-process).
 
-        Building it imports the pool classes and, through the worker
-        module, the simulator — so a local pool's workers fork from a
-        parent that has it loaded.
+        Building it imports the pool class and, through the worker
+        module, the simulator — so the workers fork from a parent that
+        has it loaded.
         """
-        if self._pool is None and self._pool_spec is not None:
-            self._pool = make_pool(self._pool_spec)
+        if self._pool is None and self.jobs > 1:
+            from repro.sim.pools.local import LocalProcessPool
+
+            self._pool = LocalProcessPool(self.jobs)
         return self._pool
+
+    @property
+    def backend(self) -> str:
+        """Where cells run, for telemetry and the run manifest:
+        ``"serial"``, or the pool's ``name`` (read without building it).
+        """
+        if self._pool is not None:
+            return self._pool.name
+        return "local" if self.jobs > 1 else "serial"
 
     # -- public API --------------------------------------------------------
 
     def run(self, cells: Sequence[RunSpec]) -> "BatchResult":
-        """Resolve every cell (cache, store, or backend) into a
+        """Resolve every cell (cache, store, or execution) into a
         :class:`BatchResult` of per-cell :class:`CellOutcome`\\ s.
 
         ``run(cells).values()`` gives the old list-of-results shape.
@@ -604,14 +607,14 @@ class Engine:
         return self.run([spec]).values()[0]
 
     def close(self) -> None:
-        """Shut down the execution backend (idempotent, exception-safe).
+        """Shut down the worker pool (idempotent, exception-safe).
 
         Waits for idle shutdown; the engine stays usable — the next
-        parallel batch simply starts (and re-warms) the backend again.
+        parallel batch simply starts (and re-warms) the pool again.
         Safe on a half-constructed engine (a constructor that raised
-        before assigning the pool) and on a pool whose backend state is
+        before assigning the pool) and on a pool whose state is
         already broken — e.g. closing after a degrade-to-serial: a
-        failing idle shutdown is retried fail-fast, and a backend that
+        failing idle shutdown is retried fail-fast, and a pool that
         will not even do that is abandoned rather than propagated.
         """
         pool = getattr(self, "_pool", None)
@@ -842,7 +845,7 @@ class Engine:
         if isinstance(error, CellTimeout):
             status = "timeout"
         elif isinstance(error, _PoolBroken) or (
-            self.pool is not None and self._pool_error(error)
+            self._pool is not None and self._pool_error(error)
         ):
             status = "crashed"
         else:
@@ -996,7 +999,7 @@ class Engine:
                 rebuilds += 1
                 self.stats.pool_rebuilds += 1
                 if rebuilds > self.max_pool_rebuilds:
-                    # The backend keeps dying: degrade to in-process
+                    # The pool keeps dying: degrade to in-process
                     # serial execution for whatever is left.
                     # Worker-crash injection never fires in the parent
                     # process, and a genuinely poisoned environment at
@@ -1041,8 +1044,8 @@ class Engine:
             )
         ]
 
-    def _ensure_pool(self, indices: List[int]) -> Pool:
-        """The live backend, starting (and warming) it if needed."""
+    def _ensure_pool(self, indices: List[int]) -> "LocalProcessPool":
+        """The live pool, starting (and warming) it if needed."""
         telemetry = self.telemetry
         pool = self.pool
         warm: Dict[str, None] = {}
@@ -1070,7 +1073,7 @@ class Engine:
         return pool
 
     def _run_round(self, indices: List[int]) -> None:
-        """One round against the persistent backend; raises
+        """One round against the persistent pool; raises
         :class:`_PoolBroken` on worker death.
 
         Cells go out in chunks (shared timeout/plan payload, per-cell
@@ -1078,7 +1081,7 @@ class Engine:
         table ``{future: _Flight}`` until it lands; retries are
         resubmitted as single-cell chunks so a flaky cell cannot hold
         healthy chunk-mates hostage.  Any failure path discards the
-        backend fail-fast — it may hold in-flight work of a poisoned
+        pool fail-fast — it may hold in-flight work of a poisoned
         batch and must not leak into the next one.
         """
         from repro.sim import schedule as schedule_mod
@@ -1113,7 +1116,7 @@ class Engine:
         except BaseException:
             # Fatal exits (CellExecutionError, _PoolBroken) must not sit
             # waiting for in-flight cells of a poisoned batch, and the
-            # backend itself is suspect: drop it fail-fast.  The clean
+            # pool itself is suspect: drop it fail-fast.  The clean
             # exit keeps the warm pool alive for the next batch.
             self._flights = {}
             self._in_flight = 0

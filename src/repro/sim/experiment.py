@@ -13,7 +13,7 @@ shims routing through one ``Engine.run(cells)`` entry point.
 from __future__ import annotations
 
 import sys
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence
 
 from repro.sim.config import ExperimentConfig
@@ -50,7 +50,6 @@ def set_default_store(store: Optional[ResultStore]) -> None:
 
 
 def make_engine(
-    jobs: Optional[int] = None,
     use_cache: bool = True,
     progress: Optional[ProgressCallback] = None,
     failure_policy: str = "raise",
@@ -63,17 +62,14 @@ def make_engine(
 
     ``options`` (an :class:`repro.sim.options.ExecutionOptions`, the
     CLI's execution flags) is how execution settings reach
-    :class:`Engine`: the backend, the chunk size, crash rebuilds,
-    and the persistent layer — ``no_store`` disables it, ``store_dir``
-    roots it elsewhere, and otherwise it is the module default store.
-    An explicit ``jobs`` overrides the options' backend.  ``telemetry``
-    and ``recorder`` pass straight through to :class:`Engine` (the
-    CLI's ``--trace`` / ``--record`` plumbing).
+    :class:`Engine`: ``jobs``, and the persistent layer — ``no_store``
+    disables it, ``store_dir`` roots it elsewhere, and otherwise it is
+    the module default store.  ``telemetry`` and ``recorder`` pass
+    straight through to :class:`Engine` (the CLI's ``--trace`` /
+    ``--record`` plumbing).
     """
     if options is None:
         options = ExecutionOptions()
-    if jobs is not None:
-        options = replace(options, backend=None, jobs=jobs)
     if options.no_store:
         store = None
     elif options.store_dir is not None:
@@ -81,14 +77,12 @@ def make_engine(
     else:
         store = get_default_store()
     return Engine(
-        pool=options.resolved_backend(),
+        jobs=options.jobs,
         store=store,
         use_cache=use_cache,
         progress=progress,
         failure_policy=failure_policy,
         fault_plan=fault_plan,
-        chunk_size=options.chunk_size,
-        max_pool_rebuilds=options.max_pool_rebuilds,
         telemetry=telemetry,
         recorder=recorder,
     )
@@ -238,7 +232,9 @@ def run_suite(
     """
     config = config or ExperimentConfig()
     engine = engine or make_engine(
-        jobs=jobs, use_cache=use_cache, progress=progress
+        use_cache=use_cache,
+        progress=progress,
+        options=ExecutionOptions(jobs=jobs),
     )
     names = list(names or BENCHMARK_NAMES)
     cells = [

@@ -1,9 +1,8 @@
 """One dataclass for every execution knob (docs/API.md "Execution
-backends" has the mapping table).
+width" has the mapping table).
 
-The execution parameters — ``--jobs``, ``--backend``, ``--store-dir``,
-``--no-store``, ``--chunk-size`` and ``--max-pool-rebuilds`` — live
-here: the CLI registers and parses them once
+The execution parameters — ``--jobs``, ``--store-dir`` and
+``--no-store`` — live here: the CLI registers and parses them once
 (:meth:`ExecutionOptions.add_arguments` /
 :meth:`ExecutionOptions.from_args`), and
 :func:`repro.sim.experiment.make_engine` maps the whole object onto
@@ -11,21 +10,19 @@ here: the CLI registers and parses them once
 meet.  Out-of-range values raise ``ValueError`` naming the argument
 when the object is built, before any batch starts.
 
-Backend resolution: an explicit ``backend`` spec wins; otherwise
-``jobs > 1`` means ``local:<jobs>`` and anything else means ``serial``
-— so the historical ``--jobs N`` contract is unchanged.  The backend
-is an execution *location*, never part of a result's identity:
+``jobs`` is the one execution-width setting: ``1`` runs every cell in
+the calling process, ``N > 1`` on a warm pool of N worker processes.
+Where a cell runs is never part of a result's identity:
 ``ExperimentConfig.fingerprint()`` does not see any of these knobs, so
-a result computed in a local pool or serially lands under the same
-store key (asserted by the conformance suite).
+a result computed in a pool or serially lands under the same store key
+(asserted by the conformance suite).  ``--backend``, ``--chunk-size``
+and ``--max-pool-rebuilds`` were retired (docs/INTERNALS.md §14).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from typing import Optional
-
-from repro.sim.pools import parse_pool_spec
 
 
 def check_at_least(name: str, value: Optional[int], floor: int) -> None:
@@ -37,37 +34,19 @@ def check_at_least(name: str, value: Optional[int], floor: int) -> None:
 
 @dataclass
 class ExecutionOptions:
-    """Where and how cells execute; never *what* they compute."""
+    """Where cells execute and where results persist; never *what* they
+    compute."""
 
-    #: Backend spec (``serial`` or ``local[:N]``); ``None`` derives one
-    #: from ``jobs``.
-    backend: Optional[str] = None
-    #: Worker processes when no explicit backend spec is given.
+    #: Worker processes: 1 runs every cell in the calling process.
     jobs: int = 1
     #: Persistent store directory (``None`` = ``results/store`` or
     #: ``$REPRO_STORE_DIR``).
     store_dir: Optional[str] = None
     #: Disable the persistent store entirely (memory cache only).
     no_store: bool = False
-    #: Cells per pool submission (``None`` = auto-size).
-    chunk_size: Optional[int] = None
-    #: Pool rebuilds per batch before degrading to serial.
-    max_pool_rebuilds: int = 3
 
     def __post_init__(self) -> None:
         check_at_least("--jobs", self.jobs, 1)
-        check_at_least("--chunk-size", self.chunk_size, 1)
-        check_at_least("--max-pool-rebuilds", self.max_pool_rebuilds, 0)
-        if self.backend is not None:
-            try:
-                parse_pool_spec(self.backend)
-            except ValueError as error:
-                raise ValueError(f"--backend: {error}") from None
-
-    def resolved_backend(self) -> str:
-        if self.backend is not None:
-            return self.backend
-        return f"local:{self.jobs}" if self.jobs > 1 else "serial"
 
     # -- argparse integration ----------------------------------------------
 
@@ -83,14 +62,6 @@ class ExecutionOptions:
             "results are identical for any value)",
         )
         parser.add_argument(
-            "--backend",
-            default=None,
-            metavar="SPEC",
-            help="execution backend: 'serial' or 'local[:N]' (N worker "
-            "processes, default: the CPU count); overrides --jobs, "
-            "results are bit-identical on both",
-        )
-        parser.add_argument(
             "--store-dir",
             default=None,
             metavar="PATH",
@@ -103,29 +74,11 @@ class ExecutionOptions:
             help="disable the persistent result store (in-memory cache "
             "only)",
         )
-        parser.add_argument(
-            "--chunk-size",
-            type=int,
-            default=None,
-            metavar="N",
-            help="cells per pool submission (default: auto-sized)",
-        )
-        parser.add_argument(
-            "--max-pool-rebuilds",
-            type=int,
-            default=3,
-            metavar="N",
-            help="worker-crash pool rebuilds per batch before degrading "
-            "to serial execution (default: 3)",
-        )
 
     @classmethod
     def from_args(cls, args) -> "ExecutionOptions":
         return cls(
-            backend=getattr(args, "backend", None),
             jobs=getattr(args, "jobs", 1),
             store_dir=getattr(args, "store_dir", None),
             no_store=bool(getattr(args, "no_store", False)),
-            chunk_size=getattr(args, "chunk_size", None),
-            max_pool_rebuilds=getattr(args, "max_pool_rebuilds", 3),
         )

@@ -21,6 +21,7 @@ from dataclasses import dataclass
 from typing import List, Optional, Sequence
 
 from repro.sim.config import ExperimentConfig
+from repro.sim.options import ExecutionOptions
 from repro.sim.results import RunResult, RunSpec
 from repro.sim.engine import Engine
 
@@ -106,7 +107,9 @@ def sweep_parameter(
     if engine is None:
         from repro.sim.experiment import make_engine
 
-        engine = make_engine(jobs=jobs, use_cache=use_cache)
+        engine = make_engine(
+            use_cache=use_cache, options=ExecutionOptions(jobs=jobs)
+        )
     cells: List[RunSpec] = []
     for value in values:
         config = copy.deepcopy(base_config or ExperimentConfig())

@@ -66,10 +66,6 @@ class StackBehavior(MemoryBehavior):
         _require_positive("span", span)
         self.span = span
 
-    @classmethod
-    def from_kwargs(cls, span: int = 256) -> "StackBehavior":
-        return cls(span=int(span))
-
     def generate(self, rng, frame_base, region_base, iteration, n_loads, n_stores):
         span = self.span
         randrange = rng.randrange
@@ -106,12 +102,6 @@ class StridedBehavior(MemoryBehavior):
         self.span = span
         self.stride = stride
         self.offset = offset
-
-    @classmethod
-    def from_kwargs(
-        cls, span: int, stride: int = WORD, offset: int = 0
-    ) -> "StridedBehavior":
-        return cls(span=int(span), stride=int(stride), offset=int(offset))
 
     def generate(self, rng, frame_base, region_base, iteration, n_loads, n_stores):
         base = region_base + self.offset
@@ -154,12 +144,6 @@ class WorkingSetBehavior(MemoryBehavior):
         self.locality = locality
         self.offset = offset
         self._hot_span = max(WORD, span // 8)
-
-    @classmethod
-    def from_kwargs(
-        cls, span: int, locality: float = 0.5, offset: int = 0
-    ) -> "WorkingSetBehavior":
-        return cls(span=int(span), locality=float(locality), offset=int(offset))
 
     def _addresses(self, rng, base: int, count: int) -> List[int]:
         span = self.span
@@ -217,16 +201,6 @@ class WanderingWindowBehavior(MemoryBehavior):
         self.region_span = region_span
         self.drift = drift
 
-    @classmethod
-    def from_kwargs(
-        cls, window: int, region_span: int, drift: int = 128
-    ) -> "WanderingWindowBehavior":
-        return cls(
-            window=int(window),
-            region_span=int(region_span),
-            drift=int(drift),
-        )
-
     def generate(self, rng, frame_base, region_base, iteration, n_loads, n_stores):
         position = (iteration * self.drift) % self.region_span
         window = self.window
@@ -270,10 +244,6 @@ class PointerChaseBehavior(MemoryBehavior):
         self.span = span
         self.offset = offset
 
-    @classmethod
-    def from_kwargs(cls, span: int, offset: int = 0) -> "PointerChaseBehavior":
-        return cls(span=int(span), offset=int(offset))
-
     def generate(self, rng, frame_base, region_base, iteration, n_loads, n_stores):
         base = region_base + self.offset
         span = self.span
@@ -309,37 +279,6 @@ class MixedBehavior(MemoryBehavior):
         self.uses_iteration = any(
             b.uses_iteration for b, _ in self.components
         )
-
-    @classmethod
-    def from_kwargs(
-        cls,
-        stack: float = 0.0,
-        ws_span: int = 0,
-        ws_weight: float = 0.0,
-        stride_span: int = 0,
-        stride_weight: float = 0.0,
-        stride: int = 64,
-        locality: float = 0.5,
-    ) -> "MixedBehavior":
-        """Assembler-friendly constructor from flat keyword arguments."""
-        parts: List[Tuple[MemoryBehavior, float]] = []
-        if stack > 0:
-            parts.append((StackBehavior(), float(stack)))
-        if ws_weight > 0:
-            parts.append(
-                (
-                    WorkingSetBehavior(int(ws_span), locality=float(locality)),
-                    float(ws_weight),
-                )
-            )
-        if stride_weight > 0:
-            parts.append(
-                (
-                    StridedBehavior(int(stride_span), stride=int(stride)),
-                    float(stride_weight),
-                )
-            )
-        return cls(parts)
 
     @staticmethod
     def _apportion(count: int, weights: List[float]) -> List[int]:

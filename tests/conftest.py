@@ -7,6 +7,7 @@ benchmarks/.
 
 from __future__ import annotations
 
+import os
 import random
 
 import pytest
@@ -104,6 +105,34 @@ def make_two_tier_program(
     main.ret("end", 1)
     main.done()
     return builder.build()
+
+
+@pytest.fixture(scope="session", autouse=True)
+def private_default_store(tmp_path_factory):
+    """Point the default result store at a session temp directory.
+
+    The default is the CWD-relative ``results/store``: without this, the
+    suite would read and write the developer's store, and an entry an
+    older checkout left under the same fingerprint would be served in
+    place of a simulation.  ``REPRO_STORE_DIR`` covers the subprocesses
+    tests start; both settings are restored afterwards.
+    """
+    from repro.sim.experiment import get_default_store, set_default_store
+    from repro.sim.store import ResultStore
+
+    previous_store = get_default_store()
+    previous_env = os.environ.get("REPRO_STORE_DIR")
+    root = tmp_path_factory.mktemp("store")
+    os.environ["REPRO_STORE_DIR"] = str(root)
+    set_default_store(ResultStore(root))
+    try:
+        yield root
+    finally:
+        set_default_store(previous_store)
+        if previous_env is None:
+            os.environ.pop("REPRO_STORE_DIR", None)
+        else:
+            os.environ["REPRO_STORE_DIR"] = previous_env
 
 
 def pytest_addoption(parser):

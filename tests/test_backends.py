@@ -1,10 +1,11 @@
-"""Backend conformance suite + concurrent-writer store stress.
+"""Execution-width conformance suite + concurrent-writer store stress.
 
-Both backends must honour the same contract (docs/INTERNALS.md §14):
-bit-identical results to the serial reference on a differential grid,
-crash-rebuild recovery for the process pool, warm-pool reuse across
-batches, and a result identity (``ExperimentConfig.fingerprint()``)
-that never sees *where* a cell executed.
+Every ``jobs`` value must honour the same contract (docs/INTERNALS.md
+§14): bit-identical results to the serial reference on a differential
+grid, crash-rebuild recovery for the process pool, warm-pool reuse
+across batches, and a result identity
+(``ExperimentConfig.fingerprint()``) that never sees *where* a cell
+executed.
 
 The store side: ≥4 concurrent writer processes hammering overlapping
 cells of a sharded :class:`~repro.sim.store.ResultStore` must leave no
@@ -25,16 +26,17 @@ from repro.sim.config import ExperimentConfig
 from repro.sim.driver import RunSpec
 from repro.sim.engine import Engine
 from repro.sim.options import ExecutionOptions
-from repro.sim.pools import BACKEND_KINDS, make_pool, parse_pool_spec
 from repro.sim.pools.local import BROKEN_EXCEPTIONS, LocalProcessPool
 from repro.sim.store import ResultStore
 
 SRC_DIR = str(Path(__file__).resolve().parent.parent / "src")
 BUDGET = 60_000
 
-#: One spec per backend kind parse_pool_spec accepts.  A new kind
-#: without a row here fails test_conformance_list_covers_the_registry.
-CONFORMANCE_SPECS = ("serial", "local:2")
+#: The in-process path and the process pool, with ids naming each as
+#: the CLI's stats line does (``backend=serial:1`` / ``local:2``).
+JOBS = pytest.mark.parametrize("jobs", [1, 2], ids=["serial", "local:2"])
+#: The process pool alone.
+POOL_JOBS = pytest.mark.parametrize("jobs", [2], ids=["local:2"])
 
 
 def config(**kwargs) -> ExperimentConfig:
@@ -53,79 +55,39 @@ def grid(cfg) -> list:
 def serial_reference():
     """The differential grid's ground truth, computed once per module."""
     return (
-        Engine(pool="serial", use_cache=False, memory_cache={})
+        Engine(use_cache=False, memory_cache={})
         .run(grid(config()))
         .values()
     )
 
 
-class TestRegistry:
-    def test_spec_parsing(self):
-        default = os.cpu_count() or 2
-        assert make_pool("local").workers == default
-        assert make_pool("local:").workers == default
-        assert make_pool("local:4").workers == 4
-        for spec in ("local:0", "local:-2"):
-            with pytest.raises(ValueError, match="local:N"):
-                make_pool(spec)
-        with pytest.raises(ValueError, match="integer worker count"):
-            make_pool("local:four")
-
-    def test_factories_produce_the_right_pools(self):
-        # ``serial`` is a valid spec but builds no pool: the engine runs
-        # those cells in-process.
-        with pytest.raises(ValueError, match="builds no pool"):
-            make_pool("serial")
-        assert Engine(pool="serial").pool is None
-        local = make_pool("local:3")
-        assert isinstance(local, LocalProcessPool)
-        assert local.workers == 3
-
-    def test_bad_specs_are_rejected(self):
-        with pytest.raises(ValueError, match="unknown backend"):
-            make_pool("slurm:4")
-        with pytest.raises(ValueError, match="serial"):
-            make_pool("serial:4")
-
-    def test_conformance_list_covers_the_registry(self):
-        # Every backend kind parse_pool_spec accepts must appear in the
-        # conformance grid, each row naming its own kind.
-        kinds = [parse_pool_spec(spec)[0] for spec in CONFORMANCE_SPECS]
-        assert sorted(kinds) == sorted(BACKEND_KINDS)
-
-
 class TestConformance:
-    """Every backend against the serial ground truth."""
+    """Every ``jobs`` against the serial ground truth."""
 
-    @pytest.mark.parametrize("spec", CONFORMANCE_SPECS)
-    def test_bit_identical_to_serial(self, spec, serial_reference):
-        with Engine(pool=spec, use_cache=False, memory_cache={}) as engine:
+    @JOBS
+    def test_bit_identical_to_serial(self, jobs, serial_reference):
+        with Engine(jobs=jobs, use_cache=False, memory_cache={}) as engine:
             produced = engine.run(grid(config())).values()
         assert produced == serial_reference
 
-    @pytest.mark.parametrize(
-        "spec", [s for s in CONFORMANCE_SPECS if s != "serial"]
-    )
-    def test_warm_pool_reused_across_batches(self, spec):
-        # (The serial backend has nothing to spawn: cells run on the
-        # engine's in-process path and these counters stay 0.)
+    @POOL_JOBS
+    def test_warm_pool_reused_across_batches(self, jobs):
+        # (jobs=1 has nothing to spawn: cells run on the engine's
+        # in-process path and these counters stay 0.)
         cells = grid(config())
-        with Engine(pool=spec, use_cache=False, memory_cache={}) as engine:
+        with Engine(jobs=jobs, use_cache=False, memory_cache={}) as engine:
             engine.run(cells)
             engine.run(cells)
         assert engine.stats.pools_spawned == 1
         assert engine.stats.pool_reuses == 1
 
-    @pytest.mark.parametrize(
-        "spec", [s for s in CONFORMANCE_SPECS if s != "serial"]
-    )
+    @POOL_JOBS
     def test_crash_rebuild_recovers_and_matches(
-        self, spec, serial_reference
+        self, jobs, serial_reference
     ):
-        pool = make_pool(spec)
         plan = FaultPlan(seed=7, worker_crash=0.3)
         with Engine(
-            pool=pool,
+            jobs=jobs,
             use_cache=False,
             memory_cache={},
             fault_plan=plan,
@@ -144,9 +106,7 @@ class TestConformance:
         # A worker_crash injection requires a disposable process; the
         # in-process serial path must never os._exit the test runner.
         plan = FaultPlan(seed=7, worker_crash=1.0)
-        engine = Engine(
-            pool="serial", use_cache=False, memory_cache={}, fault_plan=plan
-        )
+        engine = Engine(use_cache=False, memory_cache={}, fault_plan=plan)
         batch = engine.run([RunSpec("db", "baseline", config())])
         assert batch.outcomes[0].ok
         assert engine.stats.worker_crashes == 0
@@ -157,25 +117,25 @@ class TestConformance:
         # execution location.
         store = ResultStore(tmp_path / "store")
         cells = grid(config())
-        with Engine(pool="local:2", store=store, memory_cache={}) as writer:
+        with Engine(jobs=2, store=store, memory_cache={}) as writer:
             writer.run(cells)
         assert len(store) == len(cells)
-        reader = Engine(pool="serial", store=store, memory_cache={})
+        reader = Engine(store=store, memory_cache={})
         reader.run(cells)
         assert reader.stats.store_hits == len(cells)
         assert reader.stats.simulations == 0
 
     def test_simulated_entries_carry_timing_meta(self, tmp_path):
         # perf/harness.py attributes pool set-up time from every entry's
-        # measured seconds and executor: both backends must write them.
+        # measured seconds and executor: every jobs value must write them.
         import json
         import socket
 
         store = ResultStore(tmp_path / "store")
         pooled, serial = grid(config()), grid(config(seed=7))
-        with Engine(pool="local:2", store=store, memory_cache={}) as engine:
+        with Engine(jobs=2, store=store, memory_cache={}) as engine:
             engine.run(pooled)
-        Engine(pool="serial", store=store, memory_cache={}).run(serial)
+        Engine(store=store, memory_cache={}).run(serial)
         executors = {}
         for entry in store.entries():
             meta = json.loads(entry.path.read_text())["meta"]
@@ -191,11 +151,9 @@ class TestConformance:
 
 
 class TestPoolLifecycle:
-    @pytest.mark.parametrize(
-        "spec", [s for s in CONFORMANCE_SPECS if s != "serial"]
-    )
-    def test_start_is_idempotent_and_close_revives(self, spec):
-        pool = make_pool(spec)
+    @POOL_JOBS
+    def test_start_is_idempotent_and_close_revives(self, jobs):
+        pool = LocalProcessPool(jobs)
         assert pool.start() is True
         assert pool.alive
         assert pool.start() is False  # idempotent
@@ -206,90 +164,38 @@ class TestPoolLifecycle:
         pool.close()
 
     def test_submit_on_closed_pool_raises_broken(self):
-        pool = make_pool("local:1")  # never started: spawns nothing
+        pool = LocalProcessPool(1)  # never started: spawns nothing
         with pytest.raises(Exception) as excinfo:
             pool.submit_chunk(((), None, None))
         assert isinstance(excinfo.value, BROKEN_EXCEPTIONS)
 
 
 class TestExecutionOptions:
-    def test_backend_resolution(self):
-        assert ExecutionOptions().resolved_backend() == "serial"
-        assert ExecutionOptions(jobs=4).resolved_backend() == "local:4"
-        assert ExecutionOptions(
-            backend="local:2", jobs=4
-        ).resolved_backend() == "local:2"
-
     def test_argparse_round_trip(self):
         import argparse
 
         parser = argparse.ArgumentParser()
         ExecutionOptions.add_arguments(parser)
-        args = parser.parse_args(
-            [
-                "--backend", "local:3", "--store-dir", "/tmp/s",
-                "--chunk-size", "2", "--max-pool-rebuilds", "5",
-            ]
-        )
+        args = parser.parse_args(["--jobs", "3", "--store-dir", "/tmp/s"])
         options = ExecutionOptions.from_args(args)
-        assert options.backend == "local:3"
+        assert options.jobs == 3
         assert options.store_dir == "/tmp/s"
-        assert options.chunk_size == 2
-        assert options.max_pool_rebuilds == 5
         assert not options.no_store
 
     def test_engine_consumes_options(self, tmp_path):
         from repro.sim.experiment import make_engine
 
-        options = ExecutionOptions(
-            backend="local:3",
-            chunk_size=2,
-            max_pool_rebuilds=7,
-            store_dir=str(tmp_path / "store"),
-        )
+        options = ExecutionOptions(jobs=3, store_dir=str(tmp_path / "store"))
         engine = make_engine(options=options)
+        assert engine.backend == "local" and engine.jobs == 3
         assert isinstance(engine.pool, LocalProcessPool)
-        assert engine.jobs == 3
-        assert engine.chunk_size == 2
-        assert engine.max_pool_rebuilds == 7
+        assert engine.pool.workers == 3
         assert engine.store is not None
         assert engine.store.root == tmp_path / "store"
+        serial = make_engine()
+        assert serial.backend == "serial" and serial.pool is None
 
-    def test_explicit_arguments_beat_options(self):
-        from repro.sim.experiment import make_engine
-
-        options = ExecutionOptions(backend="local:3", chunk_size=2)
-        engine = make_engine(jobs=4, options=options)
-        assert isinstance(engine.pool, LocalProcessPool)
-        assert engine.jobs == 4
-        assert engine.chunk_size == 2
-
-    def test_explicit_default_valued_arguments_beat_options(self):
-        # An explicit ``jobs`` equal to its default value still wins
-        # over the options bundle's 2 workers.
-        from repro.sim.experiment import make_engine
-
-        options = ExecutionOptions(jobs=2, max_pool_rebuilds=7)
-        engine = make_engine(jobs=1, options=options)
-        assert engine.backend == "serial" and engine.pool is None
-        assert engine.jobs == 1
-        assert engine.max_pool_rebuilds == 7
-        from_options = make_engine(options=options)
-        assert isinstance(from_options.pool, LocalProcessPool)
-        assert from_options.jobs == 2
-        assert Engine().max_pool_rebuilds == 3
-
-    @pytest.mark.parametrize(
-        "argv, name",
-        [
-            (["--jobs", "0"], "--jobs"),
-            (["--chunk-size", "0"], "--chunk-size"),
-            (["--chunk-size", "-3"], "--chunk-size"),
-            (["--max-pool-rebuilds", "-1"], "--max-pool-rebuilds"),
-            (["--backend", "local:0"], "local:N"),
-            (["--backend", "local:-2"], "local:N"),
-        ],
-    )
+    @pytest.mark.parametrize("argv, name", [(["--jobs", "0"], "--jobs")])
     def test_out_of_range_arguments_raise_before_a_batch(
         self, argv, name, capsys
     ):
@@ -312,7 +218,7 @@ class TestExecutionOptions:
             ({"jobs": 0}, "jobs"),
             ({"chunk_size": 0}, "chunk_size"),
             ({"max_pool_rebuilds": -1}, "max_pool_rebuilds"),
-            ({"pool": "local:0"}, "local:N"),
+            ({"jobs": -2}, "jobs"),
             ({"max_retries": -1}, "max_retries"),
         ],
     )
@@ -320,17 +226,8 @@ class TestExecutionOptions:
         with pytest.raises(ValueError, match=name):
             Engine(**keywords)
 
-    def test_make_engine_keeps_the_options_backend(self):
-        # The `repro all --jobs 2` path: make_engine passes its own
-        # default jobs, which must not shadow the options' backend.
-        from repro.sim.experiment import make_engine
-
-        engine = make_engine(options=ExecutionOptions(jobs=2))
-        assert isinstance(engine.pool, LocalProcessPool)
-        assert engine.jobs == 2
-
     def test_fingerprint_never_sees_execution_knobs(self):
-        # The backend is a location, not an identity: no ExecutionOptions
+        # Where a cell runs is not its identity: no ExecutionOptions
         # field may leak into the config fingerprint or the cache key.
         cfg = config()
         fingerprint = cfg.fingerprint()

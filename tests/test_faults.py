@@ -185,7 +185,7 @@ class TestFailurePolicies:
             ]
         )
         assert batch.degraded
-        assert batch.results == [None, None]
+        assert batch.values() == [None, None]
         assert [o.status for o in batch] == ["failed", "failed"]
         assert all("InjectedFault" in o.error for o in batch.outcomes)
         assert all(o.attempts == 2 for o in batch.outcomes)

@@ -5,8 +5,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.policy import HotspotACEPolicy
-from repro.isa.assembler import assemble
-from repro.isa.disasm import disassemble_program
 from repro.phases.policy import BBVACEPolicy
 from repro.sim.config import MachineConfig, build_machine
 from repro.vm.vm import AdaptationHooks, VMConfig, VirtualMachine
@@ -75,31 +73,3 @@ class TestFuzzPolicies:
         assert (
             adaptive.stats.blocks_executed == static.stats.blocks_executed
         )
-
-
-class TestFuzzAssemblerRoundTrip:
-    @given(seed=st.integers(min_value=0, max_value=5_000))
-    @settings(max_examples=25, deadline=None)
-    def test_disassemble_reassemble_structure(self, seed):
-        original = random_program(seed, with_memory=False)
-        text = disassemble_program(original)
-        again = assemble(text)
-        assert set(again.methods) == set(original.methods)
-        for name, method in original.methods.items():
-            again_method = again.methods[name]
-            assert set(again_method.blocks) == set(method.blocks)
-            for bid, block in method.blocks.items():
-                again_block = again_method.blocks[bid]
-                assert again_block.n_instructions == block.n_instructions
-                assert again_block.successors() == block.successors()
-                assert [c.callee for c in again_block.calls] == [
-                    c.callee for c in block.calls
-                ]
-
-    @given(seed=st.integers(min_value=0, max_value=5_000))
-    @settings(max_examples=10, deadline=None)
-    def test_reassembled_program_runs(self, seed):
-        original = random_program(seed, with_memory=False)
-        again = assemble(disassemble_program(original))
-        vm = run_policy_on(again, AdaptationHooks(), budget=20_000)
-        assert vm.machine.instructions > 0

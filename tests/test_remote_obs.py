@@ -1,7 +1,7 @@
 """Distributed telemetry across the pool boundary (docs/INTERNALS.md §15).
 
-The contract under test: a live parent telemetry session makes every
-backend ship worker-side capture back on the chunk reply, clock-rebased
+The contract under test: a live parent telemetry session makes the
+pool's workers ship their capture back on the chunk reply, clock-rebased
 into one merged timeline — and none of it may ever change what a cell
 computes.  Plus the satellites: remote tracebacks on failures, unarmed
 timeouts surfaced through chunk telemetry, truncation accounting, the
@@ -41,8 +41,6 @@ from repro.sim.pools.worker import picklable, run_chunk
 
 BUDGET = 60_000
 
-#: Same conformance rows as tests/test_backends.py: one per backend kind.
-BACKENDS = ("serial", "local:2")
 
 
 def config(**kwargs) -> ExperimentConfig:
@@ -61,20 +59,20 @@ def grid(cfg) -> list:
 def reference():
     """Ground truth: the grid run serially with telemetry off."""
     return (
-        Engine(pool="serial", use_cache=False, memory_cache={})
+        Engine(use_cache=False, memory_cache={})
         .run(grid(config()))
         .values()
     )
 
 
 class TestBitIdentity:
-    """Telemetry-on must equal telemetry-off on every backend."""
+    """Telemetry-on must equal telemetry-off for every ``jobs``."""
 
-    @pytest.mark.parametrize("spec", BACKENDS)
-    def test_capture_never_changes_results(self, spec, reference):
+    @pytest.mark.parametrize("jobs", [1, 2], ids=["serial", "local:2"])
+    def test_capture_never_changes_results(self, jobs, reference):
         telemetry = Telemetry()
         with Engine(
-            pool=spec, use_cache=False, memory_cache={}, telemetry=telemetry
+            jobs=jobs, use_cache=False, memory_cache={}, telemetry=telemetry
         ) as engine:
             produced = engine.run(grid(config())).values()
         assert produced == reference
@@ -85,7 +83,7 @@ class TestBitIdentity:
         monkeypatch.setattr(engine_mod, "DEFAULT_CELL_EVENT_CAP", 4)
         telemetry = Telemetry()
         with Engine(
-            pool="local:2",
+            jobs=2,
             use_cache=False,
             memory_cache={},
             telemetry=telemetry,
@@ -103,7 +101,7 @@ class TestMergedTrace:
         telemetry = Telemetry()
         cfg = ExperimentConfig(max_instructions=300_000)
         with Engine(
-            pool="local:2",
+            jobs=2,
             use_cache=False,
             memory_cache={},
             telemetry=telemetry,
@@ -353,7 +351,7 @@ class TestChunkProtocol:
         # there and unarmed stays 0; the positive case is the thread
         # test above.  Here the parent merge path is exercised
         # directly.
-        engine = Engine(pool="serial", use_cache=False, memory_cache={})
+        engine = Engine(use_cache=False, memory_cache={})
         engine._merge_worker_snapshot(
             {"v": SNAPSHOT_VERSION, "unarmed_timeouts": 3, "cells": None},
             [0],
@@ -364,7 +362,6 @@ class TestChunkProtocol:
     def test_version_mismatch_degrades_to_no_telemetry(self):
         telemetry = Telemetry()
         engine = Engine(
-            pool="serial",
             use_cache=False,
             memory_cache={},
             telemetry=telemetry,
@@ -406,7 +403,7 @@ class TestPicklableTraceback:
     def test_remote_failure_surfaces_traceback_in_outcome(self):
         plan = FaultPlan(seed=3, cell_exception=1.0)
         with Engine(
-            pool="local:2",
+            jobs=2,
             use_cache=False,
             memory_cache={},
             fault_plan=plan,
@@ -425,7 +422,6 @@ class TestProgressHeartbeat:
         telemetry = Telemetry()
         seen: list = []
         engine = Engine(
-            pool="serial",
             use_cache=False,
             memory_cache={},
             telemetry=telemetry,
@@ -449,7 +445,6 @@ class TestFlightRecorder:
     def test_round_trip_manifest(self, tmp_path):
         recorder = FlightRecorder(tmp_path / "run.jsonl")
         engine = Engine(
-            pool="serial",
             use_cache=False,
             memory_cache={},
             recorder=recorder,
@@ -477,7 +472,6 @@ class TestFlightRecorder:
             raise ValueError(f"no {spec.benchmark_name}")
 
         engine = Engine(
-            pool="serial",
             use_cache=False,
             memory_cache={},
             recorder=recorder,
@@ -503,7 +497,6 @@ class TestFlightRecorder:
             raise ValueError("fatal")
 
         engine = Engine(
-            pool="serial",
             use_cache=False,
             memory_cache={},
             recorder=recorder,
@@ -520,12 +513,12 @@ class TestFlightRecorder:
         self, tmp_path, monkeypatch
     ):
         monkeypatch.setenv("REPRO_FLIGHT_DIR", str(tmp_path))
-        engine = Engine(pool="serial", use_cache=False, memory_cache={})
+        engine = Engine(use_cache=False, memory_cache={})
         assert engine.recorder is not None
         assert engine.recorder.path.parent == tmp_path
         monkeypatch.delenv("REPRO_FLIGHT_DIR")
         assert Engine(
-            pool="serial", use_cache=False, memory_cache={}
+            use_cache=False, memory_cache={}
         ).recorder is None
 
 

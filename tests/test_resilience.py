@@ -46,7 +46,7 @@ class TestCrashSafeResume:
     the first run never finished."""
 
     def _run_partial(self, done_specs, store):
-        engine = Engine(pool="serial", store=store, memory_cache={})
+        engine = Engine(store=store, memory_cache={})
         try:
             batch = engine.run(done_specs)
         finally:
@@ -67,7 +67,7 @@ class TestCrashSafeResume:
             return execute(spec)
 
         engine = Engine(
-            pool="serial", store=store, memory_cache={}, runner=runner
+            store=store, memory_cache={}, runner=runner
         )
         assert engine.recorder is None
         try:
@@ -81,7 +81,7 @@ class TestCrashSafeResume:
         store = ResultStore(tmp_path / "store")
         specs = cells(benchmarks=("db", "jess"))  # 6 cells
         self._run_partial(specs[:3], store)
-        engine = Engine(pool="serial", store=store, memory_cache={})
+        engine = Engine(store=store, memory_cache={})
         try:
             batch = engine.run(specs)
         finally:
@@ -97,7 +97,7 @@ class TestCrashSafeResume:
         specs = cells()
         self._run_partial(specs, store)
         store.path_for(*specs[0].cache_key()).unlink()
-        engine = Engine(pool="serial", store=store, memory_cache={})
+        engine = Engine(store=store, memory_cache={})
         try:
             batch = engine.run(specs)
         finally:
@@ -118,7 +118,7 @@ class TestCrashSafeResume:
             shard = store.shard_for(spec.cache_key()[2])
             shard.mkdir(parents=True, exist_ok=True)
             (shard / ".lease").touch()
-        engine = Engine(pool="serial", store=store, memory_cache={})
+        engine = Engine(store=store, memory_cache={})
         started = time.monotonic()
         try:
             batch = engine.run(specs)
@@ -136,8 +136,10 @@ class TestCloseRobustness:
     def test_close_idempotent_when_pool_broken(self):
         # Regression: closing an engine whose pool workers already died
         # must not raise — close() falls back to fail-fast and, at
-        # worst, abandons the backend.
-        engine = Engine(pool="local:1", use_cache=False)
+        # worst, abandons the pool.
+        from repro.sim.pools.local import LocalProcessPool
+
+        engine = Engine(pool=LocalProcessPool(1), use_cache=False)
         engine.pool.start()
         # The executor forks its worker on the first submission.
         engine.pool.submit_chunk(((), None, None)).result(timeout=60)
@@ -158,7 +160,7 @@ class TestRecorderHardening:
 
         recorder = FlightRecorder(tmp_path / "run.jsonl")
         engine = Engine(
-            pool="serial", use_cache=False, memory_cache={},
+            use_cache=False, memory_cache={},
             recorder=recorder,
         )
         try:
@@ -172,7 +174,7 @@ class TestRecorderHardening:
     def test_truncated_trailing_line_is_tolerated(self, tmp_path):
         recorder = FlightRecorder(tmp_path / "run.jsonl")
         engine = Engine(
-            pool="serial", use_cache=False, memory_cache={},
+            use_cache=False, memory_cache={},
             recorder=recorder,
         )
         try:

@@ -8,7 +8,11 @@ them gets an error before a campaign starts, not a run on a different
 configuration.  So do LPT scheduling's ``schedule`` and the runtime
 cost model's ``cost_model``/``cost_model_dir`` (§18), and manifest
 replay's ``--resume``/``resume=``: the result store is written through
-per cell, so a plain re-run continues a killed campaign (§16).
+per cell, so a plain re-run continues a killed campaign (§16).  And so
+do the backend spec language and its settings — ``--backend``,
+``--chunk-size``, ``--max-pool-rebuilds``, ``Engine(pool="local:N")``
+and ``make_engine(jobs=)``: ``jobs`` is the one execution-width
+setting (§14).
 """
 
 from __future__ import annotations
@@ -21,7 +25,6 @@ from repro.sim.config import ExperimentConfig
 from repro.sim.engine import Engine
 from repro.sim.experiment import make_engine
 from repro.sim.options import ExecutionOptions
-from repro.sim.pools import make_pool
 
 
 def test_turbo_kernel_names_the_retirement_note():
@@ -47,12 +50,40 @@ def test_decider_stream_is_not_a_keyword(stream):
         ExperimentConfig(decider_stream=stream)
 
 
-@pytest.mark.parametrize("backend", ["ssh:hosts.txt", "ssh-loopback:2"])
-def test_ssh_backends_name_the_retirement_note(backend):
-    with pytest.raises(ValueError, match=r"retired.*INTERNALS\.md §16"):
-        make_pool(backend)
-    with pytest.raises(ValueError, match=r"retired.*INTERNALS\.md §16"):
-        Engine(pool=backend)
+@pytest.mark.parametrize(
+    "flag",
+    [
+        ["--backend", "local:2"],
+        ["--chunk-size", "2"],
+        ["--max-pool-rebuilds", "5"],
+    ],
+)
+def test_cli_rejects_execution_width_flags(flag, capsys):
+    with pytest.raises(SystemExit):
+        build_parser().parse_args(["all", *flag])
+    assert f"unrecognized arguments: {' '.join(flag)}" in (
+        capsys.readouterr().err
+    )
+
+
+@pytest.mark.parametrize("spec", ["local:2", "serial", "ssh:hosts.txt"])
+def test_engine_pool_spec_is_a_type_error_naming_jobs(spec):
+    with pytest.raises(TypeError, match=r"jobs=N.*INTERNALS\.md §14"):
+        Engine(pool=spec)
+
+
+@pytest.mark.parametrize(
+    "keyword, value",
+    [("backend", "local:2"), ("chunk_size", 2), ("max_pool_rebuilds", 5)],
+)
+def test_backend_settings_are_not_options_fields(keyword, value):
+    with pytest.raises(TypeError, match=keyword):
+        ExecutionOptions(**{keyword: value})
+
+
+def test_jobs_is_not_a_make_engine_keyword():
+    with pytest.raises(TypeError, match="jobs"):
+        make_engine(jobs=2)
 
 
 def test_cli_rejects_straggler_factor(capsys):

@@ -1,10 +1,10 @@
-"""The engine's chunk partition, and its conformance on both backends.
+"""The engine's chunk partition, and its conformance for every ``jobs``.
 
 Every pool round is sliced by :func:`repro.sim.schedule.plan_round`:
 submission order, ``chunk_size`` cells per chunk, or — when that is
 ``None`` — ``ceil(n / (workers * 4))`` capped at 8.  A partition only
 decides which cells share a payload, so the batch must stay
-bit-identical to serial on every backend.
+bit-identical to serial for every ``jobs``.
 """
 
 from __future__ import annotations
@@ -22,8 +22,6 @@ from repro.sim.schedule import plan_round
 
 BUDGET = 25_000
 
-#: Same grid as tests/test_backends.py: one spec per backend kind.
-CONFORMANCE_SPECS = ("serial", "local:2")
 
 
 def grid() -> list:
@@ -100,21 +98,21 @@ def test_pool_round_emits_schedule_planned():
     assert stats.rounds_lpt == 0 and stats.predicted_makespan_s == 0.0
 
 
-@pytest.mark.parametrize("backend", CONFORMANCE_SPECS)
+@pytest.mark.parametrize("jobs", [1, 2], ids=["serial", "local:2"])
 @pytest.mark.parametrize(
     # ``fifo``: the default partition, one cell per chunk here; chunks
     # of four put cells of both benchmarks in one payload.
     "chunk_size", [None, 4], ids=["fifo", "chunks-of-4"]
 )
-def test_schedule_conformance_bit_identical(backend, chunk_size):
+def test_schedule_conformance_bit_identical(jobs, chunk_size):
     specs = grid()
-    reference = Engine(pool="serial", use_cache=False, memory_cache={})
+    reference = Engine(use_cache=False, memory_cache={})
     try:
         expected = reference.run(specs).values()
     finally:
         reference.close()
     engine = Engine(
-        pool=backend, use_cache=False, memory_cache={}, chunk_size=chunk_size
+        jobs=jobs, use_cache=False, memory_cache={}, chunk_size=chunk_size
     )
     try:
         batch = engine.run(specs)

@@ -34,7 +34,7 @@ from repro.sim.experiment import (
     set_default_store,
 )
 from repro.sim.options import ExecutionOptions
-from repro.sim.pools.base import Pool, PoolBrokenError
+from repro.sim.pools.base import PoolBrokenError
 from repro.sim.store import ResultStore
 
 BUDGET = 60_000
@@ -375,8 +375,8 @@ def completed_future(value) -> Future:
     return future
 
 
-class _SkewedPool(Pool):
-    """A backend whose workers answer in a foreign format."""
+class _SkewedPool:
+    """A pool whose workers answer in a foreign format."""
 
     name = "skewed"
     workers = 2
@@ -405,7 +405,7 @@ class _SkewedPool(Pool):
 
 
 class _DiesOnSecondSubmit(_SkewedPool):
-    """A backend that dies while the engine submits its second chunk,
+    """A pool that dies while the engine submits its second chunk,
     then answers every chunk after the rebuild."""
 
     def __init__(self):
@@ -436,6 +436,16 @@ def test_pool_death_mid_submission_resubmits_unsent_chunks(small_config):
     assert [outcome.status for outcome in batch] == ["ok"] * 3
     assert engine.stats.worker_crashes == 1
     assert engine.stats.pool_rebuilds == 1
+
+
+def test_a_pool_object_takes_its_width_from_its_workers():
+    # The pool seam sets the width; an explicit jobs beside it would be
+    # silently overridden, so it is refused.
+    pool = _DiesOnSecondSubmit()
+    engine = Engine(pool=pool)
+    assert engine.jobs == pool.workers and engine.backend == "skewed"
+    with pytest.raises(TypeError, match="jobs or pool"):
+        Engine(jobs=4, pool=pool)
 
 
 class TestReplyVersionSkew:

@@ -24,7 +24,12 @@ from repro.phases.classifier import PhaseOccurrenceStats
 from repro.phases.policy import BBVPolicyStats
 from repro.sim.config import ExperimentConfig
 from repro.sim.driver import HotspotSummary, RunResult, RunSpec, execute
-from repro.sim.store import STORE_SCHEMA_VERSION, ResultStore
+from repro.sim.store import (
+    DEFAULT_STORE_DIR,
+    STORE_SCHEMA_VERSION,
+    ResultStore,
+    default_store_dir,
+)
 
 SRC_DIR = str(Path(__file__).resolve().parent.parent / "src")
 
@@ -457,3 +462,23 @@ class TestConcurrentWriters:
         assert store.stale_tmp_files() == []
         assert store.corrupt_files() == []
         assert len(store) == 1
+
+
+class TestDefaultRoot:
+    def test_the_suite_never_touches_the_developer_store(self):
+        # tests/conftest.py points the default store, in this process and
+        # in the subprocesses tests start, at a session temp directory.
+        from repro.sim.experiment import get_default_store
+
+        developer_store = Path(DEFAULT_STORE_DIR).resolve()
+        assert get_default_store().root.resolve() != developer_store
+        assert default_store_dir().resolve() != developer_store
+        assert ResultStore().root == get_default_store().root
+
+    def test_default_root_is_results_store_unless_overridden(
+        self, monkeypatch, tmp_path
+    ):
+        monkeypatch.delenv("REPRO_STORE_DIR", raising=False)
+        assert ResultStore().root == Path("results/store")
+        monkeypatch.setenv("REPRO_STORE_DIR", str(tmp_path))
+        assert ResultStore().root == tmp_path

@@ -160,12 +160,6 @@ class TestMixedBehavior:
         behavior = MixedBehavior([(StackBehavior(), 5.0)])
         assert behavior.components[0][1] == pytest.approx(1.0)
 
-    def test_from_kwargs(self):
-        behavior = MixedBehavior.from_kwargs(
-            stack=0.5, ws_span=2048, ws_weight=0.5
-        )
-        assert len(behavior.components) == 2
-
     def test_rejects_empty(self):
         with pytest.raises(ValueError):
             MixedBehavior([])
