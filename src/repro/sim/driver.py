@@ -2,14 +2,15 @@
 
 Wires together workload, machine, VM, and policy, runs to the instruction
 budget, and packages everything the evaluation needs into a
-:class:`RunResult`.  The cell and result types live in the light
-:mod:`repro.sim.results`; this module re-exports them, and importing it
-loads the whole simulator.
+:class:`RunResult`; :func:`execute_group` runs cells that differ only
+in scheme as lanes of one fast-kernel VM.  The cell and result types
+live in the light :mod:`repro.sim.results`; this module re-exports
+them, and importing it loads the whole simulator.
 """
 
 from __future__ import annotations
 
-from typing import Dict
+from typing import Dict, List, Optional, Sequence
 
 from repro.core.policy import HotspotACEPolicy
 from repro.core.prediction import install_program_for_prediction
@@ -72,25 +73,55 @@ def execute(spec: RunSpec, telemetry=None, fault_plan=None) -> RunResult:
     denials and both policies for profiling noise/drift.  The engine
     refuses to cache results produced under a simulation-perturbing plan
     (see ``Engine._cell_cacheable``).
+
+    A cell is the one-lane case of :func:`execute_group`.
     """
-    config = spec.config or ExperimentConfig()
-    scheme = spec.scheme
-    policy = spec.policy
-    benchmark = spec.benchmark
-    max_instructions = spec.max_instructions
-    preload_database = spec.preload_database
+    return execute_group([spec], [telemetry], fault_plan)[0]
+
+
+def execute_group(
+    specs: Sequence[RunSpec],
+    telemetries: Optional[Sequence] = None,
+    fault_plan=None,
+) -> List[RunResult]:
+    """Execute cells that differ only in scheme as lanes of one VM.
+
+    The cells must share the benchmark, the configuration and the
+    budget; with more than one they must name distinct schemes, carry
+    no ``policy`` or ``preload_database`` and run on the fast kernel.
+    They then run in lockstep (docs/INTERNALS.md §12): one program
+    stream drives one machine and policy per cell, and each result is
+    bit-identical to executing its cell alone.  ``telemetries`` gives
+    each cell its own session (or ``None``); ``fault_plan`` is shared,
+    as :func:`execute` takes it.  Returns the results in cell order.
+    """
+    first = specs[0]
+    config = first.config or ExperimentConfig()
+    budget = first.max_instructions or config.max_instructions
+    if telemetries is None:
+        telemetries = [None] * len(specs)
+    if len(specs) > 1:
+        _check_group(specs, config, budget)
+    benchmark = first.benchmark
     built = (
         build_benchmark(benchmark) if isinstance(benchmark, str) else benchmark
     )
-    machine = build_machine(config.machine)
-    if policy is None:
-        policy = make_policy(scheme, config)
-    if fault_plan is not None:
-        machine.fault_plan = fault_plan
-        if hasattr(policy, "fault_plan"):
-            policy.fault_plan = fault_plan
-    if isinstance(policy, HotspotACEPolicy) and policy.predictor is not None:
-        install_program_for_prediction(machine, built.program)
+    lanes = []
+    for spec, telemetry in zip(specs, telemetries):
+        machine = build_machine(config.machine)
+        policy = spec.policy
+        if policy is None:
+            policy = make_policy(spec.scheme, config)
+        if fault_plan is not None:
+            machine.fault_plan = fault_plan
+            if hasattr(policy, "fault_plan"):
+                policy.fault_plan = fault_plan
+        if (
+            isinstance(policy, HotspotACEPolicy)
+            and policy.predictor is not None
+        ):
+            install_program_for_prediction(machine, built.program)
+        lanes.append((machine, policy, telemetry))
     vm_config = VMConfig(
         hot_threshold=config.hot_threshold,
         seed=config.seed,
@@ -98,25 +129,59 @@ def execute(spec: RunSpec, telemetry=None, fault_plan=None) -> RunResult:
         gc_period_instructions=built.spec.gc_period if built.spec.gc else 0,
     )
     vm_class = make_vm_class(getattr(config, "sim_kernel", "fast"))
+    machine, policy, telemetry = lanes[0]
     vm = vm_class(
         built.program,
         machine,
         policy=policy,
         config=vm_config,
         thread_entries=built.thread_entries,
-        preload_database=preload_database,
+        preload_database=first.preload_database,
         telemetry=telemetry,
+        **({"lanes": lanes[1:]} if len(lanes) > 1 else {}),
     )
-    vm.run(max_instructions or config.max_instructions)
+    vm.run(budget)
 
-    if telemetry is not None:
-        # Mirror the process-wide blockjit code-cache counters (compiles,
-        # hits, evictions, size) into the session's metrics registry so a
-        # traced run shows whether it ran warm or had to re-fuse.
-        from repro.vm.blockjit import publish_metrics
+    results = []
+    for machine, policy, telemetry in lanes:
+        if telemetry is not None:
+            # Mirror the process-wide blockjit code-cache counters
+            # (compiles, hits, evictions, size) into the session's
+            # metrics registry so a traced run shows whether it ran warm
+            # or had to re-fuse.
+            from repro.vm.blockjit import publish_metrics
 
-        publish_metrics(telemetry.metrics)
+            publish_metrics(telemetry.metrics)
+        results.append(_result(built, machine, policy, vm))
+    return results
 
+
+def _check_group(specs: Sequence[RunSpec], config, budget) -> None:
+    """Refuse cells that cannot share one program stream."""
+    first = specs[0]
+    schemes = [spec.scheme for spec in specs]
+    if len(set(schemes)) != len(schemes):
+        raise ValueError(f"lockstep cells need distinct schemes: {schemes}")
+    for spec in specs:
+        if (
+            spec.benchmark_name != first.benchmark_name
+            or (spec.config or ExperimentConfig()) != config
+            or (spec.max_instructions or config.max_instructions) != budget
+        ):
+            raise ValueError(
+                "lockstep cells must share benchmark, config and budget"
+            )
+        if spec.policy is not None or spec.preload_database is not None:
+            raise ValueError(
+                "lockstep cells take their policies from their schemes "
+                "and carry no preload_database"
+            )
+    if getattr(config, "sim_kernel", "fast") != "fast":
+        raise ValueError("lockstep cells run on the fast kernel")
+
+
+def _result(built, machine, policy, vm) -> RunResult:
+    """One lane's :class:`RunResult`."""
     hotspot_stats = (
         policy.finalize() if isinstance(policy, HotspotACEPolicy) else None
     )

@@ -33,7 +33,10 @@ live workers (``pool_reused`` telemetry) instead of paying spawn +
 warm-up again.  Cells are submitted in **chunks**: one pickled payload
 carries several cells plus the shared timeout/fault-plan, and workers
 memoise built benchmarks by name, so a 3-scheme sweep builds each
-benchmark once per worker rather than once per cell.  Call
+benchmark once per worker rather than once per cell.  Cacheable cells
+that differ only in scheme form a **lockstep group**, which the driver
+runs as lanes of one VM — serially, or in one chunk — and re-runs cell
+by cell if it fails (docs/INTERNALS.md §13).  Call
 :meth:`Engine.close` (or use the engine as a context manager) to shut
 the pool down; a dropped engine cleans up in ``__del__``.
 
@@ -470,6 +473,8 @@ class Engine:
         self._run_t0 = time.perf_counter()
         #: The in-flight table of the current pool round.
         self._flights: Dict[Future, _Flight] = {}
+        #: The lockstep group of each cell of the current pool round.
+        self._group_of: Dict[int, List[int]] = {}
 
     @property
     def pool(self) -> Optional["LocalProcessPool"]:
@@ -691,6 +696,7 @@ class Engine:
         result: RunResult,
         elapsed_s: Optional[float] = None,
         executed_by: Optional[str] = None,
+        group: Optional[str] = None,
     ) -> None:
         key = self._keys[index]
         if not self._cell_cacheable(key):
@@ -702,16 +708,17 @@ class Engine:
         # every cell it finished, and a re-run serves them from the
         # store (docs/INTERNALS.md §16).  Measured runtime and executor
         # identity ride along as the entry's meta block, for setup
-        # attribution and diagnosis.
-        meta = (
-            {
+        # attribution and diagnosis; a lockstep group's seconds are its
+        # first cell's, and every member names the group.
+        meta = None
+        if elapsed_s is not None:
+            meta = {
                 "v": META_VERSION,
                 "elapsed_s": round(float(elapsed_s), 6),
                 "executed_by": executed_by,
             }
-            if elapsed_s is not None
-            else None
-        )
+            if group is not None:
+                meta["group"] = group
         path = self.store.put(*key, result, meta)
         plan = self.fault_plan
         if plan is not None and plan.decide("store_corrupt", key):
@@ -776,11 +783,12 @@ class Engine:
         attempts: int,
         elapsed_s: Optional[float] = None,
         executed_by: Optional[str] = None,
+        group: Optional[str] = None,
     ) -> None:
         spec = self._specs[index]
         self.stats.simulations += 1
         self.telemetry.metrics.counter("engine.simulations").inc()
-        self._record(index, result, elapsed_s, executed_by)
+        self._record(index, result, elapsed_s, executed_by, group)
         self._finish(
             index,
             CellOutcome(
@@ -912,8 +920,8 @@ class Engine:
             self._run_pool(pool_eligible)
             in_pool = set(pool_eligible)
             serial = [i for i in pending if i not in in_pool]
-        for index in serial:
-            self._run_serial(index)
+        for group in self._groups(serial):
+            self._run_group(group)
 
     def _pool_eligible(self, spec: RunSpec) -> bool:
         return (
@@ -922,6 +930,82 @@ class Engine:
             and spec.policy is None
             and spec.preload_database is None
         )
+
+    def _groups(self, indices: List[int]) -> List[List[int]]:
+        """``indices`` split into lockstep groups, each at its first
+        member's place (docs/INTERNALS.md §13).
+
+        A group is the cells that share a benchmark and a config
+        fingerprint, run on the fast kernel, are cacheable and differ
+        only in scheme; the driver runs them as lanes of one VM.  A live
+        telemetry session keeps every cell alone, so each streams (or
+        captures) its own timeline.
+        """
+        if self.telemetry.enabled:
+            return [[index] for index in indices]
+        groups: List[List[int]] = []
+        by_key: Dict[Tuple[str, str], List[int]] = {}
+        for index in indices:
+            spec, key = self._specs[index], self._keys[index]
+            if not (
+                self._pool_eligible(spec)
+                and self._cell_cacheable(key)
+                and spec.config.sim_kernel == "fast"
+            ):
+                groups.append([index])
+                continue
+            group = by_key.get((key[0], key[2]))
+            if group is None:
+                group = by_key[(key[0], key[2])] = []
+                groups.append(group)
+            group.append(index)
+        return groups
+
+    def _run_group(self, group: List[int]) -> None:
+        """Run one group in the calling process: in lockstep, or — for
+        one cell, or after the lockstep run failed — cell by cell."""
+        if len(group) > 1 and self._run_lockstep(group):
+            return
+        for index in group:
+            self._run_serial(index)
+
+    def _run_lockstep(self, group: List[int]) -> bool:
+        """One lockstep attempt of ``group``; False if it failed (its
+        cells then run solo, with their own retries)."""
+        from repro.obs.remote import worker_origin
+        from repro.sim.pools.worker import group_name, run_group
+
+        specs = [self._specs[index] for index in group]
+        started = time.perf_counter()
+        try:
+            results = run_group(
+                [(spec, 1) for spec in specs],
+                self.cell_timeout,
+                self.fault_plan,
+                on_unarmed=self._note_unarmed_timeout,
+            )
+        except Exception as error:  # noqa: BLE001 — its cells re-run solo
+            self._note_lockstep_failure(group_name(specs), repr(error))
+            return False
+        elapsed_s = time.perf_counter() - started
+        name = group_name(specs)
+        for position, (index, result) in enumerate(zip(group, results)):
+            # The group's seconds go to its first cell, so summing
+            # ``elapsed_s`` over cells still gives the time spent.
+            self._record_success(
+                index, result, 1,
+                elapsed_s=elapsed_s if position == 0 else 0.0,
+                executed_by=worker_origin(), group=name,
+            )
+        return True
+
+    def _note_lockstep_failure(self, group: str, error: str) -> None:
+        """Leave a failed lockstep group in the flight recorder; its
+        cells re-run solo and settle with their own outcomes."""
+        if self.recorder is not None:
+            self.recorder.note(
+                "lockstep_failed", group=group, error=error[:200]
+            )
 
     def _run_serial(self, index: int) -> None:
         from repro.obs.remote import worker_origin
@@ -1011,8 +1095,8 @@ class Engine:
                             rebuilds=rebuilds,
                             cells=len(to_run),
                         )
-                    for index in to_run:
-                        self._run_serial(index)
+                    for group in self._groups(to_run):
+                        self._run_group(group)
                     return
 
     def _survivors_of_crash(self, broken: _PoolBroken) -> List[int]:
@@ -1088,9 +1172,12 @@ class Engine:
 
         telemetry = self.telemetry
         pool = self._ensure_pool(indices)
+        groups = self._groups(indices)
+        self._group_of = {index: group for group in groups for index in group}
+        indices = [index for group in groups for index in group]
         # Through the module: perf/tracing.py wraps this binding.
         chunks = schedule_mod.plan_round(
-            indices, pool.workers, self.chunk_size
+            indices, pool.workers, self.chunk_size, groups
         )
         self.stats.rounds_planned += 1
         round_t0 = time.perf_counter()
@@ -1156,14 +1243,31 @@ class Engine:
             )
         cells = tuple((i, specs[i], self._attempts[i]) for i in chunk)
         payload = (cells, self.cell_timeout, self.fault_plan)
+        sizes = self._group_sizes(chunk)
         if self._capture is not None:
             payload = payload + (self._capture,)
+        elif any(size > 1 for size in sizes):
+            payload = payload + (None, sizes)
         try:
             future = self.pool.submit_chunk(payload)
         except BROKEN_EXCEPTIONS as error:
             raise self._broken(error) from error
         self._flights[future] = _Flight(list(chunk), time.perf_counter())
         self._sync_in_flight()
+
+    def _group_sizes(self, chunk: List[int]) -> Tuple[int, ...]:
+        """The sizes of the lockstep groups ``chunk`` holds, in order (a
+        retry's single-cell chunk holds a group of one)."""
+        sizes: List[int] = []
+        previous = None
+        for index in chunk:
+            group = self._group_of[index]
+            if group is previous:
+                sizes[-1] += 1
+            else:
+                sizes.append(1)
+            previous = group
+        return tuple(sizes)
 
     def _sync_in_flight(self) -> None:
         self._in_flight = sum(
@@ -1199,14 +1303,14 @@ class Engine:
             raise self._broken(error) from error
         chunk = flight.chunk
         if error is None:
-            warmup, outcomes, cell_times, executed_by = self._read_reply(
-                future, flight
+            warmup, outcomes, cell_times, executed_by, groups = (
+                self._read_reply(future, flight)
             )
         else:
             # The chunk itself failed (not one of its cells — e.g. an
             # unpicklable payload): feed the error to every member
             # through the normal retry machinery.
-            warmup, executed_by, cell_times = None, None, {}
+            warmup, executed_by, cell_times, groups = None, None, {}, {}
             outcomes = [(index, "error", error) for index in chunk]
         telemetry = self.telemetry
         if warmup is not None:
@@ -1235,6 +1339,7 @@ class Engine:
                 attempts,
                 elapsed_s=cell_times.get(index),
                 executed_by=executed_by,
+                group=groups.get(index),
             )
         for index in retry:
             self._submit([index])
@@ -1242,15 +1347,19 @@ class Engine:
 
     def _read_reply(
         self, future: Future, flight: _Flight
-    ) -> Tuple[Optional[Dict], list, Dict[int, float], Optional[str]]:
+    ) -> Tuple[
+        Optional[Dict], list, Dict[int, float], Optional[str], Dict[int, str]
+    ]:
         """Unpack a landed chunk's ``(warmup, outcomes, chunk_info)``
         reply and feed its timings to the store meta and the telemetry
         merge.
 
-        Returns ``(warmup, outcomes, cell_times, executed_by)``.  A
-        reply in any other shape, or with a foreign snapshot version,
-        comes from a worker on another checkout: that aborts the batch
-        under every failure policy rather than being half-read.
+        Returns ``(warmup, outcomes, cell_times, executed_by, groups)``,
+        ``groups`` naming the lockstep group of each cell that ran in
+        one.  A reply in any other shape, or with a foreign snapshot
+        version, comes from a worker on another checkout: that aborts
+        the batch under every failure policy rather than being
+        half-read.
         """
         from repro.obs.remote import SNAPSHOT_VERSION
 
@@ -1288,8 +1397,11 @@ class Engine:
         for member in chunk:
             cell_times.setdefault(member, per_cell)
         executed_by = chunk_info.get("origin")
+        groups = {int(i): name for i, name in chunk_info.get("groups") or ()}
+        for group, error in chunk_info.get("lockstep_failures") or ():
+            self._note_lockstep_failure(group, error)
         self._merge_worker_snapshot(chunk_info, chunk, self._submitted_at)
-        return warmup, outcomes, cell_times, executed_by
+        return warmup, outcomes, cell_times, executed_by, groups
 
     def _merge_worker_snapshot(
         self,

@@ -8,7 +8,8 @@ The execution parameters — ``--jobs``, ``--store-dir`` and
 :func:`repro.sim.experiment.make_engine` maps the whole object onto
 :class:`repro.sim.engine.Engine`'s keywords — the one place the two
 meet.  Out-of-range values raise ``ValueError`` naming the argument
-when the object is built, before any batch starts.
+when the object is built, before any batch starts: the field (``jobs``)
+from a library call, the flag (``--jobs``) from parsed arguments.
 
 ``jobs`` is the one execution-width setting: ``1`` runs every cell in
 the calling process, ``N > 1`` on a warm pool of N worker processes.
@@ -46,7 +47,7 @@ class ExecutionOptions:
     no_store: bool = False
 
     def __post_init__(self) -> None:
-        check_at_least("--jobs", self.jobs, 1)
+        check_at_least("jobs", self.jobs, 1)
 
     # -- argparse integration ----------------------------------------------
 
@@ -77,8 +78,11 @@ class ExecutionOptions:
 
     @classmethod
     def from_args(cls, args) -> "ExecutionOptions":
+        jobs = getattr(args, "jobs", 1)
+        # Parsed arguments are answered in the command line's terms.
+        check_at_least("--jobs", jobs, 1)
         return cls(
-            jobs=getattr(args, "jobs", 1),
+            jobs=jobs,
             store_dir=getattr(args, "store_dir", None),
             no_store=bool(getattr(args, "no_store", False)),
         )

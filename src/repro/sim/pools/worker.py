@@ -21,7 +21,7 @@ from typing import Callable, Dict, List, Optional, Tuple
 from repro.faults import FaultPlan, InjectedFault
 from repro.obs.events import TIMEOUT_DISABLED
 from repro.obs.remote import SNAPSHOT_VERSION, ChunkCapture, worker_origin
-from repro.sim.driver import RunResult, RunSpec, execute
+from repro.sim.driver import RunResult, RunSpec, execute, execute_group
 from repro.sim.pools.base import CellTimeout, ChunkPayload
 
 #: Seconds between repeats of a cell's SIGALRM once its budget is spent
@@ -51,24 +51,65 @@ def run_with_alarm(
     unbounded.  The timer is disarmed twice, because a repeat may land
     in the first disarm.
     """
+    return _with_alarm(
+        lambda: execute(spec, telemetry=telemetry, fault_plan=fault_plan),
+        f"cell ({spec.benchmark_name!r}, {spec.scheme!r})",
+        timeout,
+        on_unarmed,
+    )
+
+
+def run_group(
+    cells: List[Tuple[RunSpec, int]],
+    timeout: Optional[float],
+    fault_plan: Optional[FaultPlan] = None,
+    on_unarmed: Optional[Callable[[], None]] = None,
+) -> List[RunResult]:
+    """Execute a lockstep group: ``cells`` are ``(spec, attempt)`` pairs
+    that :func:`repro.sim.driver.execute_group` runs as lanes of one VM.
+
+    Each cell's injected faults fire first, as they would before a solo
+    run; the group's budget is the per-cell ``timeout`` times its
+    cells.  Any exception means the group failed as a whole: the caller
+    re-runs its cells solo.
+    """
+    for spec, attempt in cells:
+        inject_cell_faults(fault_plan, spec, attempt)
+    specs = [spec for spec, _ in cells]
+    return _with_alarm(
+        lambda: execute_group(specs, fault_plan=fault_plan),
+        f"lockstep group {group_name(specs)!r}",
+        None if timeout is None else timeout * len(specs),
+        on_unarmed,
+    )
+
+
+def group_name(specs) -> str:
+    """How store meta and errors name a lockstep group:
+    ``benchmark:scheme,scheme,...``."""
+    return (
+        f"{specs[0].benchmark_name}:"
+        + ",".join(spec.scheme for spec in specs)
+    )
+
+
+def _with_alarm(run, label, timeout, on_unarmed):
+    """``run()``, bounded by SIGALRM (see :func:`run_with_alarm`)."""
     if timeout is None or timeout <= 0:
-        return execute(spec, telemetry=telemetry, fault_plan=fault_plan)
+        return run()
     if threading.current_thread() is not threading.main_thread():
         if on_unarmed is not None:
             on_unarmed()
-        return execute(spec, telemetry=telemetry, fault_plan=fault_plan)
+        return run()
 
     def _on_alarm(signum, frame):
-        raise CellTimeout(
-            f"cell ({spec.benchmark_name!r}, {spec.scheme!r}) exceeded "
-            f"{timeout:.1f}s"
-        )
+        raise CellTimeout(f"{label} exceeded {timeout:.1f}s")
 
     previous = signal.signal(signal.SIGALRM, _on_alarm)
     try:
         signal.setitimer(signal.ITIMER_REAL, timeout, ALARM_REPEAT_S)
         try:
-            return execute(spec, telemetry=telemetry, fault_plan=fault_plan)
+            return run()
         finally:
             signal.setitimer(signal.ITIMER_REAL, 0)
     finally:
@@ -175,45 +216,57 @@ def run_chunk(payload: ChunkPayload) -> tuple:
 
     ``payload`` is ``(cells, timeout, plan)`` — or, when the parent's
     telemetry session is live, ``(cells, timeout, plan, capture)`` with
-    ``capture`` a plain-dict spec (``{"max_events": N}``) — where
-    ``cells`` is a tuple of ``(index, spec, attempt)``; the timeout and
-    the fault plan are pickled once per chunk instead of once per cell.
+    ``capture`` a plain-dict spec (``{"max_events": N}``), or, when the
+    chunk holds lockstep groups, ``(cells, timeout, plan, None,
+    group_sizes)`` — where ``cells`` is a tuple of ``(index, spec,
+    attempt)`` and ``group_sizes`` splits its head into consecutive
+    groups (cells past them run solo); the timeout and the fault plan
+    are pickled once per chunk instead of once per cell.
     Returns ``(warmup, outcomes, chunk_info)``; each outcome is
     ``(index, "ok", result)`` or ``(index, "error", error)``.
     ``chunk_info`` always carries at least the executor's identity
     (``origin`` = ``host#pid``), per-cell measured seconds
-    (``cell_times``, a tuple of ``(index, seconds)``), the chunk's total
+    (``cell_times``, a tuple of ``(index, seconds)``: a group's seconds
+    go to its first cell, 0.0 to the others), the lockstep groups
+    (``groups``, a tuple of ``(index, group name)``) and the groups
+    that failed (``lockstep_failures``, ``(group name, error repr)``
+    pairs, for the flight recorder), the chunk's total
     service seconds (``service_s``), and the unarmed-timeout count; the
-    engine writes each cell's seconds and executor into its store entry's
-    ``meta`` block.  With a live capture it is the full
+    engine writes each cell's seconds, group and executor into its store
+    entry's ``meta`` block.  With a live capture it is the full
     clock-stamped telemetry snapshot, same extra keys included.
     Per-cell failures are *returned*, not raised, so one bad cell
-    cannot discard its chunk-mates' finished work.  A worker-crash
-    injection still hard-exits the process, so the parent observes a
-    broken pool exactly like a segfaulting or OOM-killed worker.
+    cannot discard its chunk-mates' finished work; a group that fails
+    re-runs its cells solo.  A worker-crash injection still hard-exits
+    the process, so the parent observes a broken pool exactly like a
+    segfaulting or OOM-killed worker.
 
     Telemetry never influences execution: cells run identically with and
     without a capture spec (the bit-identity grid in
     tests/test_remote_obs.py holds the contract).
     """
     global _WORKER_WARMUP
-    if len(payload) >= 4:
-        cells, timeout, plan, capture_spec = payload[:4]
-    else:
-        cells, timeout, plan = payload
-        capture_spec = None
+    cells, timeout, plan = payload[:3]
+    capture_spec = payload[3] if len(payload) >= 4 else None
+    sizes = payload[4] if len(payload) >= 5 else ()
     capture = ChunkCapture(capture_spec) if capture_spec else None
     unarmed = 0
     outcomes: List[Tuple[int, str, object]] = []
     cell_times: List[Tuple[int, float]] = []
+    groups: List[Tuple[int, str]] = []
+    failures: List[Tuple[str, str]] = []
     chunk_started = time.perf_counter()
-    for index, spec, attempt in cells:
+
+    def crash_point(spec, attempt):
         if plan is not None and plan.decide(
             "worker_crash", (spec.benchmark_name, spec.scheme, attempt)
         ):
             import os
 
             os._exit(17)
+
+    def run_solo(index, spec, attempt):
+        crash_point(spec, attempt)
         cell_telemetry = capture.begin_cell() if capture else None
 
         def _on_unarmed(telemetry=cell_telemetry):
@@ -255,6 +308,50 @@ def run_chunk(payload: ChunkPayload) -> tuple:
             )
             if capture is not None:
                 capture.end_cell(index, spec, status)
+
+    def run_lockstep(group) -> bool:
+        for _, spec, attempt in group:
+            crash_point(spec, attempt)
+
+        def _on_unarmed():
+            nonlocal unarmed
+            unarmed += 1
+
+        started = time.perf_counter()
+        try:
+            for _, spec, _ in group:
+                spec.benchmark = worker_built(spec.benchmark)
+            results = run_group(
+                [(spec, attempt) for _, spec, attempt in group],
+                timeout,
+                plan,
+                _on_unarmed,
+            )
+        except Exception as error:  # noqa: BLE001 — its cells re-run solo
+            failures.append(
+                (group_name([spec for _, spec, _ in group]), repr(error))
+            )
+            return False
+        elapsed = time.perf_counter() - started
+        name = group_name([spec for _, spec, _ in group])
+        for position, ((index, _, _), result) in enumerate(
+            zip(group, results)
+        ):
+            outcomes.append((index, "ok", result))
+            cell_times.append((index, elapsed if position == 0 else 0.0))
+            groups.append((index, name))
+        return True
+
+    start = 0
+    for size in sizes:
+        group = cells[start:start + size]
+        start += size
+        if size > 1 and capture is None and run_lockstep(group):
+            continue
+        for cell in group:
+            run_solo(*cell)
+    for cell in cells[start:]:
+        run_solo(*cell)
     warmup, _WORKER_WARMUP = _WORKER_WARMUP, None
     if capture is not None:
         chunk_info = capture.finish(unarmed)
@@ -264,9 +361,11 @@ def run_chunk(payload: ChunkPayload) -> tuple:
             "unarmed_timeouts": unarmed,
             "cells": None,
         }
-    # Executor identity and measured per-cell seconds ride every reply
-    # (store meta and the perf harness read them).
+    # Executor identity, measured per-cell seconds and lockstep groups
+    # ride every reply (store meta and the perf harness read them).
     chunk_info["origin"] = worker_origin()
     chunk_info["cell_times"] = tuple(cell_times)
+    chunk_info["groups"] = tuple(groups)
+    chunk_info["lockstep_failures"] = tuple(failures)
     chunk_info["service_s"] = time.perf_counter() - chunk_started
     return warmup, outcomes, chunk_info

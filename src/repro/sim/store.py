@@ -34,7 +34,8 @@ Entry layout (schema version 1)::
       "meta": {                       # optional execution metadata
         "v": 1,                       #   (its own schema version)
         "elapsed_s": 0.41,            # measured cell wall-clock
-        "executed_by": "host#pid"     # executor identity
+        "executed_by": "host#pid",    # executor identity
+        "group": "db:baseline,bbv,hotspot"  # lockstep group, if any
       }
     }
 
@@ -44,7 +45,10 @@ without it (written by older checkouts) read fine, and readers ignore a
 result identity; it serves setup attribution (``perf/harness.py``
 subtracts each worker's first cells from their progress times to find
 when simulation began) and diagnosis (which process ran a cell, and how
-long it took).
+long it took).  Cells the engine ran in lockstep (docs/INTERNALS.md
+§13) name their ``group``; the group's wall-clock is charged once, to
+its first cell, and its other cells record ``"elapsed_s": 0.0``, so the
+seconds still sum to the time spent.
 
 Robustness rules:
 

@@ -26,10 +26,6 @@ def _is_power_of_two(n: int) -> bool:
     return n > 0 and (n & (n - 1)) == 0
 
 
-#: Sentinel for dict.pop-with-default in the fast access path.
-_MISSING = object()
-
-
 class CacheStats:
     """Cumulative access statistics (monotonic over the cache's lifetime)."""
 
@@ -285,91 +281,6 @@ class Cache:
         st.writebacks += len(wb_lines)
         st.fills += len(miss_lines)
         return AccessResult(
-            read_hits, read_misses, write_hits, write_misses,
-            miss_lines, wb_lines,
-        )
-
-    def access_block(
-        self, loads: Sequence[int], stores: Sequence[int]
-    ) -> Tuple[int, int, int, int, List[int], List[int]]:
-        """Flat-tuple fast path: :meth:`access_many` minus the wrapper
-        object, restructured for speed.
-
-        Returns ``(read_hits, read_misses, write_hits, write_misses,
-        miss_lines, writeback_lines)``.  State transitions and statistics
-        are *identical* to :meth:`access_many` — the hit path uses a
-        single ``pop``-with-default instead of a membership probe plus
-        ``pop`` (one hash lookup saved per hit), which leaves the dict in
-        exactly the same insertion order; a hit on the set's MRU line
-        skips the re-insert altogether.  ``tests/test_properties.py``
-        drives both entry points with the same access streams to keep
-        them in lockstep.
-        """
-        line_shift = self._line_shift
-        set_mask = self._set_mask
-        sets = self._sets
-        mru = self._mru
-        assoc = self.associativity
-        miss_lines: List[int] = []
-        wb_lines: List[int] = []
-        miss_append = miss_lines.append
-        wb_append = wb_lines.append
-        missing = _MISSING
-
-        read_hits = 0
-        read_misses = 0
-        for addr in loads:
-            line = addr >> line_shift
-            i = line & set_mask
-            if mru[i] == line:
-                read_hits += 1
-                continue
-            s = sets[i]
-            mru[i] = line
-            prev = s.pop(line, missing)
-            if prev is not missing:
-                s[line] = prev  # LRU touch, keep dirty bit
-                read_hits += 1
-            else:
-                read_misses += 1
-                miss_append(line << line_shift)
-                if len(s) >= assoc:
-                    victim = next(iter(s))
-                    if s.pop(victim):
-                        wb_append(victim << line_shift)
-                s[line] = False
-
-        write_hits = 0
-        write_misses = 0
-        for addr in stores:
-            line = addr >> line_shift
-            i = line & set_mask
-            s = sets[i]
-            if mru[i] == line:
-                s[line] = True  # mark dirty; already last
-                write_hits += 1
-                continue
-            mru[i] = line
-            if s.pop(line, missing) is not missing:
-                s[line] = True  # LRU touch + mark dirty
-                write_hits += 1
-            else:
-                write_misses += 1
-                miss_append(line << line_shift)
-                if len(s) >= assoc:
-                    victim = next(iter(s))
-                    if s.pop(victim):
-                        wb_append(victim << line_shift)
-                s[line] = True
-
-        st = self.stats
-        st.read_accesses += read_hits + read_misses
-        st.read_misses += read_misses
-        st.write_accesses += write_hits + write_misses
-        st.write_misses += write_misses
-        st.writebacks += len(wb_lines)
-        st.fills += len(miss_lines)
-        return (
             read_hits, read_misses, write_hits, write_misses,
             miss_lines, wb_lines,
         )

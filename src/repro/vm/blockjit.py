@@ -17,7 +17,7 @@ When nothing reads a block's load/store address lists, the addresses
 are generated, pushed through the L1D and discarded.  The body snippet
 draws each address and applies the L1D state transition in the same
 step, skipping the intermediate lists: a hit on the set's MRU line
-inline, anything else through the run's shared ``touch`` helper.
+inline, anything else through the lane's ``touch`` helper.
 :func:`compile_fused_block` wraps one body in a stand-alone closure;
 the property tests pin the snippets through it.
 
@@ -36,13 +36,14 @@ cache state *exactly* like the readable pair
   word extraction costs more than it saves; see INTERNALS.md §12.)
 * the draw's address arithmetic is replaced by a **draw table**: for
   the affine behaviours (stack / working-set / pointer-chase) the line
-  index and the set index are pure functions of the draw ``r``, whose
-  range is small (``span // WORD`` values), so the bodies share
-  ``r -> (line, set index)`` tuples built once per ``(base, geometry,
-  range)`` and each access costs two tuple reads instead of four
-  big-int operations.  The tables hold exactly the values the reference
-  arithmetic produces — bit-identity is preserved by construction, and
-  geometry is part of the table key, so mid-run resizes switch tables.
+  index is a pure function of the draw ``r``, whose range is small
+  (``span // WORD`` values), so the bodies share ``r -> line`` tuples
+  built once per ``(base, line size, range)`` and each access costs a
+  tuple read instead of four big-int operations.  The tables hold
+  exactly the values the reference arithmetic produces — bit-identity
+  is preserved by construction.  The set index is ``line & set_mask``,
+  taken per lane from the live geometry, so a mid-run resize and the
+  lanes' different sizes all read one table.
 * ``MixedBehavior`` fuses in two phases: phase one draws every
   component's addresses in ``generate``'s order (per component, loads
   then stores) into unrolled locals; phase two applies the cache
@@ -50,13 +51,24 @@ cache state *exactly* like the readable pair
   Draw order and access order differ for mixes, which is why the
   single-pass form used for flat behaviours cannot apply.
 * the cache-update snippet and its ``touch`` helper make
-  ``Cache.access_block``'s transition: the MRU check, pop-with-default
-  LRU touch, write-allocate, dirty-victim writeback.
+  ``Cache.access_many``'s transition — the MRU check, LRU touch,
+  write-allocate, dirty-victim writeback — probing the set with one
+  pop-with-default.
 
 The stand-alone closure runs the same body with its own miss lists and
 returns ``(read_misses, write_misses, miss_lines, writeback_lines)``
 (``None`` for an empty list).  Inside a runner the misses go to two
-lists shared by the run, which one miss helper drains into the L2.
+lists per lane, which the lane's miss helper drains into its L2.
+
+Lanes
+-----
+A runner drives one or more *lanes* (docs/INTERNALS.md §12): machines
+that run the same program stream.  Everything the program decides —
+address draws, branch outcomes, the predictor, instruction counts,
+iteration and decider state — is computed once; each drawn line is then
+applied to every lane's L1D with that lane's ``set_mask``, and each
+lane keeps its own cycle, energy and miss locals (suffix ``_<lane>``).
+The lane count is part of the shape key; a single cell is one lane.
 
 The code cache
 --------------
@@ -212,35 +224,38 @@ def _signature(behavior) -> Optional[Tuple]:
     return _flat_signature(behavior)
 
 
-#: L1D state transition per address, as ``Cache.access_block`` makes it
-#: (kept in lockstep by the equivalence and property suites).
-#: ``{line}``/``{i}`` name the locals holding the line index and its set
-#: index.  A hit on the set's MRU line (``mru[{i}]``) does nothing more,
-#: and a store there only sets the dirty bit; anything else goes to the
-#: run's shared ``touch`` helper (:func:`line_touch`), which keeps the
-#: unrolled bodies, their compile and their code small.  ``touch``
-#: returns 1 on a miss: a body counts read misses only (its write misses
-#: are its miss lines minus its read misses).
+#: L1D state transition per address and lane, as ``Cache.access_many``
+#: makes it (kept in lockstep by the equivalence and property suites).
+#: ``{line}`` names the local holding the line index, ``{j}`` the lane.
+#: A hit on the set's MRU line (``mru_{j}[line & sm_{j}]``) does nothing
+#: more, and a store there only sets the dirty bit; anything else goes to the lane's
+#: ``touch`` helper (:func:`line_touch`), which keeps the unrolled
+#: bodies, their compile and their code small.  ``touch`` returns 1 on
+#: a miss: a body counts read misses only (its write misses are its miss
+#: lines minus its read misses).
 _LOAD = """\
-    if mru[{i}] != {line}:
-        r_m += touch({i}, {line}, False)
+    if mru_{j}[{line} & sm_{j}] != {line}:
+        r_m_{j} += touch_{j}({line} & sm_{j}, {line}, False)
 """
 
 _STORE = """\
-    if mru[{i}] == {line}:
-        sets[{i}][{line}] = True
+    i = {line} & sm_{j}
+    if mru_{j}[i] == {line}:
+        sets_{j}[i][{line}] = True
     else:
-        touch({i}, {line}, True)
+        touch_{j}(i, {line}, True)
 """
 
 
-def _access(line: str, i: str, is_store: bool) -> str:
-    return (_STORE if is_store else _LOAD).format(i=i, line=line)
+def _access(line: str, is_store: bool, lanes: int) -> str:
+    """The access of the line in ``line`` on every lane, in lane order."""
+    snippet = _STORE if is_store else _LOAD
+    return "".join(snippet.format(line=line, j=j) for j in range(lanes))
 
 
 def line_touch(l1, miss_lines: List[int], wb_lines: List[int]):
     """``touch(index, line, store)``: an L1D access that missed its set's
-    MRU line, as ``Cache.access_block`` does it — the LRU touch on a hit
+    MRU line, as ``Cache.access_many`` does it — the LRU touch on a hit
     (a store sets the dirty bit), or the line fill on a miss: record the
     miss line, evict the LRU victim of a full set (recording its
     writeback when dirty), insert the line.  Either way the line
@@ -271,37 +286,32 @@ def line_touch(l1, miss_lines: List[int], wb_lines: List[int]):
 
 
 def draw_table(key: Tuple) -> Tuple:
-    """Build (and keep process-wide) the ``r -> line`` / ``r -> set
-    index`` tuples for ``key = (base, line_shift, set_mask, n_values)``."""
-    base, line_shift, set_mask, n_values = key
+    """Build (and keep process-wide) the ``r -> line`` tuple for
+    ``key = (base, line_shift, n_values)``."""
+    base, line_shift, n_values = key
     if len(_LUTS) >= LUT_KEY_LIMIT:
         _LUTS.clear()
-    lines = []
-    idxs = []
-    for r in range(n_values):
-        line = (base + r * WORD) >> line_shift
-        lines.append(line)
-        idxs.append(line & set_mask)
-    pair = _LUTS[key] = (tuple(lines), tuple(idxs))
-    return pair
+    lines = _LUTS[key] = tuple(
+        (base + r * WORD) >> line_shift for r in range(n_values)
+    )
+    return lines
 
 
 def _lut_prologue(tag: str, base_expr: str, n_values: int) -> str:
     """Draw-table lookup (see :func:`draw_table`).
 
     The table is keyed by everything its values depend on — the base
-    address, the live cache geometry and the draw range — so a mid-run
-    resize (new ``set_mask``) or a different frame/region base selects
-    a different table, and bodies drawing from the same range share
-    one.  Entries are exactly the reference arithmetic's results,
-    computed once instead of per access.
+    address, the line size and the draw range — so a different
+    frame/region base selects a different table, and bodies drawing
+    from the same range share one.  Entries are exactly the reference
+    arithmetic's results, computed once instead of per access.  The set
+    index is not in the table: it depends on each lane's live geometry.
     """
     return (
-        f"    _k = ({base_expr}, line_shift, set_mask, {n_values})\n"
-        f"    _pair = LUTS.get(_k)\n"
-        f"    if _pair is None:\n"
-        f"        _pair = draw_table(_k)\n"
-        f"    lines{tag}, idxs{tag} = _pair\n"
+        f"    _k = ({base_expr}, line_shift, {n_values})\n"
+        f"    lines{tag} = LUTS.get(_k)\n"
+        f"    if lines{tag} is None:\n"
+        f"        lines{tag} = draw_table(_k)\n"
     )
 
 
@@ -310,20 +320,17 @@ def _draw_parts(behavior, n_loads: int, n_stores: int, tag: str, runner: bool,
     """Returns ``(prologue, load_snippet, store_snippet)``.
 
     Each snippet draws one address and leaves its cache-line index in
-    ``line`` and its set index in ``i`` (the address itself is never
-    materialised — only the line matters to the L1D).  ``tag``
-    suffixes every behaviour-local name so mixed-behaviour components
-    (and the blocks of one runner) can coexist; ``fb``/``rb`` name the
-    frame and region bases.  The prologue runs once per body.  A runner
-    binds ``random`` once per run; a closure fetches it per call.
+    ``line`` (the address itself is never materialised — only the line
+    matters to the L1D).  ``tag`` suffixes every behaviour-local name so
+    mixed-behaviour components (and the blocks of one runner) can
+    coexist; ``fb``/``rb`` name the frame and region bases.  The
+    prologue runs once per body.  A runner binds ``random`` once per
+    run; a closure fetches it per call.
     """
     if type(behavior) is StackBehavior:
         n, k = _u4(behavior.span)
         prologue = _lut_prologue(tag, fb, n)
-        snippet = _rejection_draw(n, k, "    ") + (
-            f"    line = lines{tag}[r]\n"
-            f"    i = idxs{tag}[r]\n"
-        )
+        snippet = _rejection_draw(n, k, "    ") + f"    line = lines{tag}[r]\n"
         return prologue, snippet, snippet
     if type(behavior) is WorkingSetBehavior:
         n_hot, k_hot = _u4(behavior._hot_span)
@@ -337,16 +344,12 @@ def _draw_parts(behavior, n_loads: int, n_stores: int, tag: str, runner: bool,
             + "    else:\n"
             + _rejection_draw(n_span, k_span, "        ")
             + f"    line = lines{tag}[r]\n"
-            + f"    i = idxs{tag}[r]\n"
         )
         return prologue, snippet, snippet
     if type(behavior) is PointerChaseBehavior:
         n, k = _u4(behavior.span)
         prologue = _lut_prologue(tag, f"{rb} + {behavior.offset}", n)
-        snippet = _rejection_draw(n, k, "    ") + (
-            f"    line = lines{tag}[r]\n"
-            f"    i = idxs{tag}[r]\n"
-        )
+        snippet = _rejection_draw(n, k, "    ") + f"    line = lines{tag}[r]\n"
         return prologue, snippet, snippet
     if type(behavior) is WanderingWindowBehavior:
         n, k = _u4(behavior.window)
@@ -357,7 +360,6 @@ def _draw_parts(behavior, n_loads: int, n_stores: int, tag: str, runner: bool,
         snippet = _rejection_draw(n, k, "    ") + (
             f"    line = ({rb}"
             f" + (position{tag} + r * {WORD}) % {span}) >> line_shift\n"
-            "    i = line & set_mask\n"
         )
         return prologue, snippet, snippet
     if type(behavior) is StridedBehavior:
@@ -374,7 +376,6 @@ def _draw_parts(behavior, n_loads: int, n_stores: int, tag: str, runner: bool,
         snippet = (
             f"    line = (base{tag} + off{tag}) >> line_shift\n"
             f"    off{tag} = (off{tag} + {stride}) % {span}\n"
-            "    i = line & set_mask\n"
         )
         return prologue, snippet, snippet
     raise AssertionError(f"unfusable behaviour {behavior!r}")
@@ -399,20 +400,20 @@ def _indent(source: str, spaces: int) -> str:
 
 
 def _emit_flat(behavior, n_loads: int, n_stores: int, tag: str, runner: bool,
-               bases: Tuple[str, str]):
+               bases: Tuple[str, str], lanes: int):
     """Body for a non-mixed behaviour."""
     prologue, load_snip, store_snip = _draw_parts(
         behavior, n_loads, n_stores, tag, runner, *bases
     )
     return (
         prologue
-        + _emit_refs(load_snip, _access("line", "i", False), n_loads)
-        + _emit_refs(store_snip, _access("line", "i", True), n_stores)
+        + _emit_refs(load_snip, _access("line", False, lanes), n_loads)
+        + _emit_refs(store_snip, _access("line", True, lanes), n_stores)
     )
 
 
 def _emit_mixed(behavior, n_loads: int, n_stores: int, tag: str, runner: bool,
-                bases: Tuple[str, str]):
+                bases: Tuple[str, str], lanes: int):
     """Two-phase body for ``MixedBehavior``, or ``None``.
 
     ``generate`` draws per component (its loads, then its stores) while
@@ -447,31 +448,32 @@ def _emit_mixed(behavior, n_loads: int, n_stores: int, tag: str, runner: bool,
         ):
             for _ in range(count):
                 line_var = f"ln{ref_id}"
-                i_var = f"ix{ref_id}"
                 ref_id += 1
                 draw_phase.append(
                     snip.replace("    line = ", f"    {line_var} = ")
-                    .replace("    i = ", f"    {i_var} = ")
-                    .replace("line & set_mask", f"{line_var} & set_mask")
                 )
-                tails.append(_access(line_var, i_var, is_store))
+                tails.append(_access(line_var, is_store, lanes))
     return "".join(prologues) + "".join(
         draw_phase + load_tails + store_tails
     )
 
 
 def _fused_body(behavior, n_loads: int, n_stores: int, tag: str, runner: bool,
-               bases: Tuple[str, str] = ("frame_base", "region_base")):
+               bases: Tuple[str, str] = ("frame_base", "region_base"),
+               lanes: int = 1):
     """Source of one body, or ``None`` if unfusable.
 
     The source sits at function-body indentation (4 spaces); ``bases``
-    names the frame and region bases it reads.
+    names the frame and region bases it reads; each access is applied
+    to ``lanes`` lanes.
     """
     if _signature(behavior) is None:
         return None
     if type(behavior) is MixedBehavior:
-        return _emit_mixed(behavior, n_loads, n_stores, tag, runner, bases)
-    return _emit_flat(behavior, n_loads, n_stores, tag, runner, bases)
+        return _emit_mixed(
+            behavior, n_loads, n_stores, tag, runner, bases, lanes
+        )
+    return _emit_flat(behavior, n_loads, n_stores, tag, runner, bases, lanes)
 
 
 def compile_fused_block(behavior, n_loads: int, n_stores: int):
@@ -479,8 +481,8 @@ def compile_fused_block(behavior, n_loads: int, n_stores: int):
 
     Returns ``fused(rng, frame_base, region_base, iteration, l1)`` or
     ``None`` when the behaviour has no fused form (custom behaviours,
-    oversized mixes).  ``fused`` runs the body a runner would and
-    returns ``(read_misses, write_misses, miss_lines,
+    oversized mixes).  ``fused`` runs the body a one-lane runner would
+    and returns ``(read_misses, write_misses, miss_lines,
     writeback_lines)``, an empty list as ``None``.
     """
     sig = _signature(behavior)
@@ -496,20 +498,25 @@ def compile_fused_block(behavior, n_loads: int, n_stores: int):
             "def fused(rng, frame_base, region_base, iteration, l1):\n"
             "    getrandbits = rng.getrandbits\n"
             "    line_shift = l1._line_shift\n"
-            "    set_mask = l1._set_mask\n"
-            "    sets = l1._sets\n"
-            "    mru = l1._mru\n"
+            "    sm_0 = l1._set_mask\n"
+            "    sets_0 = l1._sets\n"
+            "    mru_0 = l1._mru\n"
             "    miss_lines = []\n"
             "    wb_lines = []\n"
-            "    touch = line_touch(l1, miss_lines, wb_lines)\n"
-            "    r_m = 0\n"
+            "    touch_0 = line_touch(l1, miss_lines, wb_lines)\n"
+            "    r_m_0 = 0\n"
             + body
-            + "    return (r_m, len(miss_lines) - r_m, miss_lines or None,\n"
+            + "    return (r_m_0, len(miss_lines) - r_m_0,\n"
+            "            miss_lines or None,\n"
             "            wb_lines or None)\n"
         )
         return _exec(
             source, "fused", f"fused:{sig[0]}",
-            {"draw_table": draw_table, "LUTS": _LUTS, "line_touch": line_touch},
+            {
+                "draw_table": draw_table,
+                "LUTS": _LUTS,
+                "line_touch": line_touch,
+            },
         )
 
     return _cached(key, build)
@@ -520,7 +527,8 @@ def compile_fused_block(behavior, n_loads: int, n_stores: int):
 # ---------------------------------------------------------------------------
 
 #: Parameters of a runner factory, in order.  Everything a runner reads
-#: that is fixed for the (run, thread, method) it is bound to.
+#: that is fixed for the (run, thread, method) it is bound to.  The
+#: :data:`LANE_PARAMS` among them are tuples with one entry per lane.
 RUNNER_PARAMS = (
     "M",            # MachineModel: instructions, cycles
     "E1",           # L1D energy account: dynamic/leakage totals, prices
@@ -529,8 +537,9 @@ RUNNER_PARAMS = (
     "T",            # timing model: _ilp_factor
     "L1",           # L1D cache: geometry, MRU record
     "L1S",          # L1D statistics: read/write accesses
-    "PR",           # branch predictor: lookups, mispredictions
-    "PT",           # branch predictor counter table
+    "PR",           # the branch predictor the lanes share: lookups,
+                    # mispredictions
+    "PT",           # its counter table
     "ST",           # VMStats
     "TI",           # VMStats.thread_instructions
     "TID",          # thread id
@@ -543,15 +552,18 @@ RUNNER_PARAMS = (
     "missing",      # cache-probe sentinel
     "touch",        # touch(index, line, store): an L1D access past the
                     # MRU check; 1 on a miss
-    "ML",           # run-shared L1D miss-line list
-    "MISS",         # miss(read_misses) -> L2 misses; drains the lists
+    "ML",           # L1D miss-line list
+    "MISS",         # miss(read_misses, c, d1, ...) -> (c, d1): accounts
+                    # a body's L1D misses; drains the lists
     "IT",           # per-block iteration counters (this thread)
     "PS",           # per-block persistent decider states (this thread)
     "DC",           # per-block decider callables (non-inlined deciders)
-    "AL",           # AL(k, frame_base, iteration): address-list body
+    "AL",           # AL(k, frame_base, iteration): address-list body;
+                    # returns the read misses per lane
     "AD",           # True: bodies go through AL (an on_block reads them)
     "BV",           # True: add each block to the BBV bucket list BK
-    "BK",           # the BBV accumulator's bucket list
+    "BK",           # the BBV accumulator's bucket list (at most one
+                    # lane keeps one)
     "FF",           # fold flush(n_insns, thread_id), or None
     "region_base",  # the method's heap-region base
     "SP",           # the sampling profiler
@@ -570,6 +582,12 @@ RUNNER_PARAMS = (
     "IC",           # the L1I model: method_switches
     "RES",          # the L1I model's resident methods, in LRU order
 )
+
+#: The per-lane runner parameters: one entry per lane, in lane order.
+LANE_PARAMS = frozenset((
+    "M", "E1", "E2", "PIPE", "T", "L1", "L1S", "touch", "ML", "MISS",
+    "FF", "SP", "ENS", "EXS", "IC", "RES",
+))
 
 
 def decider_shape(decider) -> Optional[Tuple]:
@@ -632,7 +650,8 @@ def _method_key(blocks: Sequence) -> Tuple:
     return tuple(_block_key(dec, index) for dec in blocks)
 
 
-def compile_runner(blocks: Sequence, consts: Tuple, sites: Sequence = ()):
+def compile_runner(blocks: Sequence, consts: Tuple, sites: Sequence = (),
+                   lanes: int = 1):
     """Runner factory for a method's decoded blocks (compiled or cached).
 
     ``blocks`` are the method's :class:`~repro.vm.jit.DecodedBlock`
@@ -641,14 +660,17 @@ def compile_runner(blocks: Sequence, consts: Tuple, sites: Sequence = ()):
     predictor_mask, n_buckets, n_pipeline)``.  ``sites`` lists the
     calls to inline, in block and call order, as ``(block index, call
     number, callee blocks, callee entry index)``; a block's inlined
-    calls are a prefix of its calls.  The factory takes the
-    :data:`RUNNER_PARAMS` as keywords and returns ``run(activation,
-    max_steps, limit)``, which executes bodies from ``activation.bid``
-    until an exit and returns twice the micro-steps it consumed, plus
-    one when its last step was a body.
+    calls are a prefix of its calls.  ``lanes`` is the number of
+    machines the runner drives.  The factory takes the
+    :data:`RUNNER_PARAMS` as keywords (the :data:`LANE_PARAMS` as
+    ``lanes``-tuples) and returns ``run(activation, max_steps, limit)``,
+    which executes bodies from ``activation.bid`` until an exit and
+    returns twice the micro-steps it consumed, plus one when its last
+    step was a body.
     """
     key = (
         "runner",
+        lanes,
         consts,
         _method_key(blocks),
         tuple(
@@ -656,11 +678,14 @@ def compile_runner(blocks: Sequence, consts: Tuple, sites: Sequence = ()):
             for k, q, callee, entry in sites
         ),
     )
-    return _cached(key, lambda: _build_runner(blocks, consts, sites))
+    return _cached(
+        key, lambda: _build_runner(blocks, consts, sites, lanes)
+    )
 
 
-def _build_runner(blocks: Sequence, consts: Tuple, sites: Sequence):
-    emitter = _RunnerSource(blocks, consts, sites)
+def _build_runner(blocks: Sequence, consts: Tuple, sites: Sequence,
+                  lanes: int):
+    emitter = _RunnerSource(blocks, consts, sites, lanes)
     namespace = {
         "draw_table": draw_table,
         "LUTS": _LUTS,
@@ -676,11 +701,14 @@ def _build_runner(blocks: Sequence, consts: Tuple, sites: Sequence):
     )
 
 
-def _no_miss(n_loads: int, n_stores: int) -> str:
-    """A body's L1D dynamic energy when none of its accesses miss."""
+def _no_miss(n_loads: int, n_stores: int, j: int) -> str:
+    """Lane ``j``'s L1D dynamic energy for a body none of whose accesses
+    miss."""
     if not n_loads:
-        return f"{n_stores} * wn"
-    return f"{n_loads} * rn" + (f" + {n_stores} * wn" if n_stores else "")
+        return f"{n_stores} * wn_{j}"
+    return f"{n_loads} * rn_{j}" + (
+        f" + {n_stores} * wn_{j}" if n_stores else ""
+    )
 
 
 class _Frame:
@@ -732,14 +760,17 @@ class _Frame:
 class _RunnerSource:
     """Emits the source of one method's runner factory.
 
-    Locals of ``run``: ``ni``/``cy`` (instructions, cycles), ``d1``,
-    ``k1``, ``k2``, ``p<i>`` (L1D dynamic, L1D and L2 leakage, pipeline
-    energy totals), ``rn``/``wn``/``kn1``/``kn2``/``pn<i>`` (their
-    prices), ``ilp``, the L1D geometry, ``ra``/``wa``/``lk``/``mp``
-    (L1D access and predictor counters), ``nb`` (bodies run), ``nbm``
-    (bodies the step budget allows) and ``bi`` (current block number).
-    Every total keeps its per-block operands in the reference order;
-    the epilogue writes them all back.
+    Shared locals of ``run``: ``ni`` (instructions), the line shift,
+    ``ra``/``wa``/``lk``/``mp`` (L1D access and predictor counters, the
+    same for every lane), ``nb`` (bodies run), ``nbm`` (bodies the step
+    budget allows) and ``bi`` (current block number).  Per lane ``j``:
+    ``cy_j`` (cycles), ``d1_j``, ``k1_j``, ``k2_j``, ``p<i>_j`` (L1D
+    dynamic, L1D and L2 leakage, pipeline energy totals),
+    ``rn_j``/``wn_j``/``kn1_j``/``kn2_j``/``pn<i>_j`` (their prices),
+    ``ilp_j``, the L1D set mask, sets and MRU record, ``c_j`` (the
+    body's cycles) and ``r_m_j`` (its read misses).  Every total keeps
+    its per-block operands in the reference order; the epilogue writes
+    them all back.
 
     A runner with inlined calls also keeps ``ca`` (the activation on
     top of the stack), ``cx`` (steps beyond two per body: each inlined
@@ -748,7 +779,8 @@ class _RunnerSource:
     profile ``pf``, hotspot ``hi`` and entry count ``en``.
     """
 
-    def __init__(self, blocks: Sequence, consts: Tuple, sites: Sequence):
+    def __init__(self, blocks: Sequence, consts: Tuple, sites: Sequence,
+                 lanes: int = 1):
         (
             self.cpi,
             self.l2_latency,
@@ -759,6 +791,7 @@ class _RunnerSource:
             self.n_buckets,
             self.n_pipe,
         ) = consts
+        self.lanes = range(lanes)
         self.root = _Frame(blocks, 0, None)
         self.frames = [self.root]
         #: Inlined call ``j``: (caller block index, call number, callee
@@ -784,12 +817,22 @@ class _RunnerSource:
         pad = " " * indent
         self.lines.extend(pad + line for line in lines)
 
+    def per_lane(self, *templates: str) -> List[str]:
+        """``templates`` with ``{j}`` filled in for every lane, lane by
+        lane."""
+        return [t.format(j=j) for j in self.lanes for t in templates]
+
     def render(self) -> str:
         params = ", ".join(RUNNER_PARAMS)
         self.emit(0, f"def bind({params}):")
+        for name in RUNNER_PARAMS:
+            if name in LANE_PARAMS and name != "PIPE":
+                names = "".join(f"{name}_{j}, " for j in self.lanes)
+                self.emit(4, f"{names}= {name}")
         if self.n_pipe:
-            names = ", ".join(f"P{i}" for i in range(self.n_pipe))
-            self.emit(4, f"{names}, = PIPE")
+            for j in self.lanes:
+                names = "".join(f"P{i}_{j}, " for i in range(self.n_pipe))
+                self.emit(4, f"{names}= PIPE[{j}]")
         for j in range(len(self.sites)):
             self.emit(4, f"MT{j}, N{j}, IT{j}, PS{j}, DC{j}, AL{j}, rb{j} = "
                          f"IL[{j}]")
@@ -805,16 +848,24 @@ class _RunnerSource:
 
     def prologue(self, ind: int) -> None:
         e = self.emit
-        e(ind, "ni = M.instructions", "ni0 = ni", "cy = M.cycles",
-          "ilp = T._ilp_factor", "k1 = E1.leakage_nj", "kn1 = E1._leak_nj",
-          "k2 = E2.leakage_nj", "kn2 = E2._leak_nj")
+        e(ind, "ni = M_0.instructions", "ni0 = ni")
+        e(ind, *self.per_lane(
+            "cy_{j} = M_{j}.cycles", "ilp_{j} = T_{j}._ilp_factor",
+            "k1_{j} = E1_{j}.leakage_nj", "kn1_{j} = E1_{j}._leak_nj",
+            "k2_{j} = E2_{j}.leakage_nj", "kn2_{j} = E2_{j}._leak_nj",
+        ))
         for i in range(self.n_pipe):
-            e(ind, f"p{i} = P{i}.energy_nj", f"pn{i} = P{i}._nj")
+            e(ind, *self.per_lane(
+                f"p{i}_{{j}} = P{i}_{{j}}.energy_nj",
+                f"pn{i}_{{j}} = P{i}_{{j}}._nj",
+            ))
         if self.has_mem:
-            e(ind, "d1 = E1.dynamic_nj", "rn = E1._read_nj",
-              "wn = E1._write_nj", "sets = L1._sets", "mru = L1._mru",
-              "set_mask = L1._set_mask", "line_shift = L1._line_shift",
-              "ra = 0", "wa = 0")
+            e(ind, "line_shift = L1_0._line_shift", "ra = 0", "wa = 0")
+            e(ind, *self.per_lane(
+                "d1_{j} = E1_{j}.dynamic_nj", "rn_{j} = E1_{j}._read_nj",
+                "wn_{j} = E1_{j}._write_nj", "sets_{j} = L1_{j}._sets",
+                "mru_{j} = L1_{j}._mru", "sm_{j} = L1_{j}._set_mask",
+            ))
         if self.root.has_mem:
             e(ind, "frame_base = act.frame_base")
         if self.root.has_cond:
@@ -826,18 +877,27 @@ class _RunnerSource:
             e(ind, "s1 = sm + 1", "cx = 0", "hs = ni", "ca = act")
         e(ind, "bi = BIX[act.bid]" if len(self.root.blocks) > 1 else "bi = 0")
 
+    def sample(self, ind: int, name: str) -> None:
+        """Every lane's sampler catches up with its cycles."""
+        self.emit(ind, *self.per_lane(
+            "if cy_{j} >= SP_{j}._next_sample_at:",
+            f"    SP_{{j}}.advance(cy_{{j}}, {name})",
+        ))
+
     def epilogue(self, ind: int) -> None:
         e = self.emit
-        e(ind, "M.instructions = ni", "M.cycles = cy",
-          "E1.leakage_nj = k1", "E2.leakage_nj = k2")
+        e(ind, *self.per_lane(
+            "M_{j}.instructions = ni", "M_{j}.cycles = cy_{j}",
+            "E1_{j}.leakage_nj = k1_{j}", "E2_{j}.leakage_nj = k2_{j}",
+        ))
         for i in range(self.n_pipe):
-            e(ind, f"P{i}.energy_nj = p{i}")
+            e(ind, *self.per_lane(f"P{i}_{{j}}.energy_nj = p{i}_{{j}}"))
         if self.has_mem:
-            e(ind, "E1.dynamic_nj = d1")
+            e(ind, *self.per_lane("E1_{j}.dynamic_nj = d1_{j}"))
             if self.has_loads:
-                e(ind, "L1S.read_accesses += ra")
+                e(ind, *self.per_lane("L1S_{j}.read_accesses += ra"))
             if self.has_stores:
-                e(ind, "L1S.write_accesses += wa")
+                e(ind, *self.per_lane("L1S_{j}.write_accesses += wa"))
         if self.has_cond:
             e(ind, "PR.lookups += lk", "PR.mispredictions += mp")
         steps = "nb + nb + cx" if self.inlines else "nb + nb"
@@ -845,21 +905,21 @@ class _RunnerSource:
           "TI[TID] += seg",
           "if TH.hotspot_depth:",
           "    ST.instructions_in_hotspots += "
-          + ("ni - hs" if self.inlines else "seg"),
-          "if FF is not None:",
-          "    FF(seg, TID)")
+          + ("ni - hs" if self.inlines else "seg"))
+        e(ind, *self.per_lane(
+            "if FF_{j} is not None:", "    FF_{j}(seg, TID)"
+        ))
         if self.inlines:
             # Stopped between steps: at a caller's next call or next
             # block, after an inlined return.
             e(ind, "if ex == 3:", "    ca.bid = B[bi]", "    ca.phase = ph",
               f"    return ({steps}) << 1")
         # A call or return no gate stops is the next micro-step: run it
-        # here, after the sampler catches up with the body.  An even
+        # here, after the samplers catch up with the body.  An even
         # result tells the driver it happened.
-        e(ind, "if ex and ni < lim and nb < nbm:",
-          "    if cy >= SP._next_sample_at:",
-          "        SP.advance(cy, NAME)",
-          "    if ex == 1:",
+        e(ind, "if ex and ni < lim and nb < nbm:")
+        self.sample(ind + 4, "NAME")
+        e(ind, "    if ex == 1:",
           "        act.bid = B[bi]",
           "        act.phase = 2",
           "        INV(TH, CE[bi])",
@@ -942,8 +1002,9 @@ class _RunnerSource:
         runner's locals, or the way out to the driver's.
 
         The fast path needs a callee that is compiled, already hot (so
-        no detection can fire), L1I-resident and stub-free, and room in
-        the step budget for the launch and the callee's first body.
+        no detection can fire), L1I-resident and stub-free on every
+        lane, and room in the step budget for the launch and the
+        callee's first body.
         """
         e = self.emit
         k, q, entry, frame = self.sites[j]
@@ -954,13 +1015,15 @@ class _RunnerSource:
             cond = "IN and pf is not None"
         else:
             cond = "nb < (s1 - cx - 1) >> 1 and pf is not None"
-        e(ind, f"if {cond} and pf.is_hot and {name} in LV and "
-               f"{name} in RES and {name} not in ENS and "
-               f"{name} not in EXS:")
+        lanes = "".join(
+            f" and {name} in RES_{l} and {name} not in ENS_{l} and "
+            f"{name} not in EXS_{l}"
+            for l in self.lanes
+        )
+        e(ind, f"if {cond} and pf.is_hot and {name} in LV{lanes}:")
         ind += 4
         if q == 1:
-            e(ind, "if cy >= SP._next_sample_at:",
-              "    SP.advance(cy, NAME)")
+            self.sample(ind, "NAME")
         else:
             e(ind, "cx += 1", "nbm = (s1 - cx) >> 1")
         callee_entry = frame.blocks[entry]
@@ -973,13 +1036,15 @@ class _RunnerSource:
           f"ca.frame_base = {frame.fb} = SB - len(TS) * {FRAME_BYTES}",
           f"ca.loop_states = {frame.ls} = {{}}",
           "ca.entry_instructions = en = ni",
-          "ca.entry_cycles = cy",
+          "ca.entry_cycles = cy_0",
           "ca.is_hotspot = True",
           "ca.policy_token = None",
-          "TS.append(ca)",
-          "IC.method_switches += 1",
-          f"RES[{name}] = RES.pop({name})",
-          "if TH.hotspot_depth:",
+          "TS.append(ca)")
+        e(ind, *self.per_lane(
+            "IC_{j}.method_switches += 1",
+            f"RES_{{j}}[{name}] = RES_{{j}}.pop({name})",
+        ))
+        e(ind, "if TH.hotspot_depth:",
           "    ST.instructions_in_hotspots += ni - hs",
           "hs = ni",
           "TH.hotspot_depth += 1",
@@ -1003,8 +1068,8 @@ class _RunnerSource:
         locals, then the caller's next call or its terminator."""
         e = self.emit
         k, q, _, _ = self.sites[j]
-        e(ind, "if cy >= SP._next_sample_at:", f"    SP.advance(cy, N{j})",
-          "TS.pop()",
+        self.sample(ind, f"N{j}")
+        e(ind, "TS.pop()",
           "inc = ni - en",
           "cn = pf.completed_invocations + 1",
           "pf.completed_invocations = cn",
@@ -1042,13 +1107,17 @@ class _RunnerSource:
     def loop_state(self, frame: _Frame, k: int, dec):
         """Lines loading and storing a self-loop's hoisted state.
 
-        The load also computes the body's loop invariants once: its base
-        cycles and its no-miss L1D energy, with the float operations the
-        body would run.
+        The load also computes the body's loop invariants once per lane:
+        its base cycles and its no-miss L1D energy, with the float
+        operations the body would run.
         """
-        load = [f"hc = {dec.n_insns * self.cpi!r} / ilp"]
+        base = dec.n_insns * self.cpi
+        load = self.per_lane(f"hc_{{j}} = {base!r} / ilp_{{j}}")
         if _body_key(dec) is not None:
-            load.append(f"hd = {_no_miss(dec.n_loads, dec.n_stores)}")
+            load += [
+                f"hd_{j} = {_no_miss(dec.n_loads, dec.n_stores, j)}"
+                for j in self.lanes
+            ]
         store = []
         if dec.needs_iter:
             load.append(f"iteration = {frame.it}[{k}]")
@@ -1077,6 +1146,9 @@ class _RunnerSource:
         n_insns = dec.n_insns
         base = n_insns * self.cpi
         body_key = _body_key(dec)
+        cycles = (
+            "c_{j} = hc_{j}" if hoisted else f"c_{{j}} = {base!r} / ilp_{{j}}"
+        )
         if body_key is not None:
             nl, ns = dec.n_loads, dec.n_stores
             if dec.needs_iter and not hoisted:
@@ -1085,15 +1157,15 @@ class _RunnerSource:
             it = "iteration" if dec.needs_iter else "0"
             call = f"{frame.al}({k}, {frame.fb}, {it})"
             if nl:
-                call = "r_m = " + call
+                call = "".join(f"r_m_{j}, " for j in self.lanes) + "= " + call
             if body_key[1]:
                 source = _fused_body(
                     dec.gen, nl, ns, f"{frame.tag}{k}", True,
-                    (frame.fb, frame.rb),
+                    (frame.fb, frame.rb), len(self.lanes),
                 )
                 e(ind, "if AD:", f"    {call}", "else:")
                 if nl:
-                    e(ind + 4, "r_m = 0")
+                    e(ind + 4, *self.per_lane("r_m_{j} = 0"))
                 self.lines.append(_indent(source, ind).rstrip("\n"))
             else:
                 e(ind, call)
@@ -1104,27 +1176,30 @@ class _RunnerSource:
             if ns:
                 e(ind, f"wa += {ns}")
             overlap = 1.0 if dec.serialized else self.mlp
-            e(ind, "c = hc" if hoisted else f"c = {base!r} / ilp",
-              "if ML:",
-              "    l1m = len(ML)",
-              f"    l2m = MISS({'r_m' if nl else '0'})",
-              f"    c += l1m * {self.l2_latency / overlap!r}",
-              f"    c += l2m * {self.memory_latency / overlap!r}")
-            if nl:
-                e(ind, f"    d1 += {nl} * rn + ({ns} + l1m) * wn")
-            else:
-                e(ind, f"    d1 += ({ns} + l1m) * wn")
-            e(ind, "else:",
-              "    d1 += hd" if hoisted else f"    d1 += {_no_miss(nl, ns)}")
+            costs = (
+                f"{nl}, {ns}, {self.l2_latency / overlap!r}, "
+                f"{self.memory_latency / overlap!r}"
+            )
+            for j in self.lanes:
+                read_misses = f"r_m_{j}" if nl else "0"
+                e(ind, cycles.format(j=j),
+                  f"if ML_{j}:",
+                  f"    c_{j}, d1_{j} = MISS_{j}({read_misses}, c_{j}, d1_{j},"
+                  f" {costs})",
+                  "else:",
+                  f"    d1_{j} += hd_{j}" if hoisted
+                  else f"    d1_{j} += {_no_miss(nl, ns, j)}")
         else:
-            e(ind, "c = hc" if hoisted else f"c = {base!r} / ilp")
+            e(ind, *self.per_lane(cycles))
         if dec.decider is not None:
             self.decider(frame, k, dec, ind, hoisted)
             self.predictor(dec, ind)
-        e(ind, "k1 += c * kn1", "k2 += c * kn2")
+        e(ind, *self.per_lane("k1_{j} += c_{j} * kn1_{j}",
+                              "k2_{j} += c_{j} * kn2_{j}"))
         for i in range(self.n_pipe):
-            e(ind, f"p{i} += c * pn{i}")
-        e(ind, f"ni += {n_insns}", "cy += c", "nb += 1")
+            e(ind, *self.per_lane(f"p{i}_{{j}} += c_{{j}} * pn{i}_{{j}}"))
+        e(ind, f"ni += {n_insns}", *self.per_lane("cy_{j} += c_{j}"),
+          "nb += 1")
         bucket = (dec.block_pc >> 2) % self.n_buckets
         e(ind, "if BV:", f"    BK[{bucket}] += {n_insns}")
 
@@ -1168,7 +1243,10 @@ class _RunnerSource:
               f"taken, {ls}[{slot}] = {dc}[{k}].decide(st, rng)")
 
     def predictor(self, dec, ind: int) -> None:
+        """The shared predictor's lookup and update; a misprediction
+        costs every lane the penalty."""
         index = (dec.branch_pc >> 2) & self.pred_mask
+        penalty = self.per_lane(f"c_{{j}} += {self.penalty!r}")
         self.emit(
             ind,
             f"ctr = PT[{index}]",
@@ -1178,10 +1256,10 @@ class _RunnerSource:
             f"        PT[{index}] = ctr + 1",
             "        if ctr < 2:",
             "            mp += 1",
-            f"            c += {self.penalty!r}",
+            *("            " + line for line in penalty),
             "elif ctr:",
             f"    PT[{index}] = ctr - 1",
             "    if ctr > 1:",
             "        mp += 1",
-            f"        c += {self.penalty!r}",
+            *("        " + line for line in penalty),
         )

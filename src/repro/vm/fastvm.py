@@ -21,12 +21,17 @@ speed around one compiled *runner* per method (see
 * a count-only policy that declares a :class:`~repro.vm.vm.CountsFold`
   has its per-block hook kept by the runners; any other ``on_block``
   gets a per-block hook exit;
-* ``_invoke``/``_return`` inline the reference's DO service chain.
+* ``_invoke``/``_return`` inline the reference's DO service chain;
+* one VM may drive several *lanes* — machines and policies that run
+  the same program stream (a benchmark's scheme cells): the program's
+  decisions are made once, the machine-side work once per lane
+  (docs/INTERNALS.md §12).  A single cell is one lane.
 
 Bit-identity with the reference kernel is not an aspiration but a tested
 contract — ``tests/test_kernel_equivalence.py`` diffs the two kernels'
 ``RunResult`` bundles, telemetry timelines, and pinned configurations over
-the benchmark × scheme × config grid.  When editing either kernel, keep
+the benchmark × scheme × config grid, and ``tests/test_lockstep.py``
+holds every lane to its solo run.  When editing either kernel, keep
 the float *operation order* identical: energy prices, ``_ilp_factor`` and
 the L1D geometry change only through reconfigurations, which only run
 between exits, so a runner re-reads them on every entry; the totals are
@@ -35,12 +40,13 @@ written back before anything outside the runner can read or add to them.
 
 from __future__ import annotations
 
-from repro.obs.events import HOTSPOT_DETECTED, HOTSPOT_INVOKE
+from repro.obs.events import HOTSPOT_DETECTED, HOTSPOT_INVOKE, NULL_TELEMETRY
 from repro.trace.events import BlockEvent
 from repro.vm.activation import FRAME_BYTES, Activation
 from repro.vm.blockjit import decider_shape, line_touch
 from repro.vm.hotspot import HotspotInfo, MethodProfile
-from repro.vm.jit import TERM_GOTO, TERM_RETURN, BlockDecoder
+from repro.vm.jit import TERM_GOTO, TERM_RETURN, BlockDecoder, JITCompiler
+from repro.vm.sampler import SamplingProfiler
 from repro.vm.vm import AdaptationHooks, VirtualMachine, _EMPTY, _SENTINEL
 
 #: Bucket count runners are compiled for when no BBV fold is active —
@@ -123,55 +129,118 @@ def _fold_exact(fold, program) -> bool:
 
 
 def _miss_path(machine, miss_lines, wb_lines):
-    """The runners' shared L1D-miss helper.
+    """A lane's L1D-miss helper.
 
-    ``miss(read_misses)`` accounts one block's L1D misses (the run's
-    shared miss and writeback lists, in access order), sends them
-    through the L2 and the memory counters exactly as the reference's
-    ``consume`` does, empties the lists and returns the L2 misses.
+    ``miss(read_misses, c, d1, n_loads, n_stores, l2_cost,
+    memory_cost)`` accounts one body's L1D misses (the lane's miss and
+    writeback lists, in access order), sends them through the L2 and the
+    memory counters exactly as the reference's ``consume`` does and
+    empties the lists.  It returns the body's cycles ``c`` and the
+    lane's L1D dynamic energy ``d1`` with the misses' costs added, with
+    the runner's float operations: ``l2_cost`` and ``memory_cost`` are
+    the latencies over the body's overlap.  The L2 takes the fills as
+    reads and the writebacks as writes with ``Cache.access_many``'s
+    transition, inlined: only its counts are needed, so no L2 miss or
+    writeback list is built.  The L2 geometry and the prices are read
+    live; they change only through reconfigurations, between runner
+    exits.
     """
     hierarchy = machine.hierarchy
     l1_stats = hierarchy.l1d.stats
-    l2_access = hierarchy.l2.access_block
+    l2 = hierarchy.l2
+    l2_stats = l2.stats
     energy = machine.energy
+    l1e = energy.l1d
     l2e = energy.l2
     memory_access_nj = energy.memory_access_nj
+    missing = _SENTINEL
 
-    def miss(read_misses):
+    def miss(read_misses, c, d1, n_loads, n_stores, l2_cost, memory_cost):
         fills = len(miss_lines)
         l1_stats.read_misses += read_misses
         l1_stats.write_misses += fills - read_misses
         l1_stats.fills += fills
         if wb_lines:
             l1_stats.writebacks += len(wb_lines)
-        (l2_rh, l2_rm, l2_wh, l2_wm, _l2_miss, l2_wb) = l2_access(
-            miss_lines, wb_lines
-        )
+        line_shift = l2._line_shift
+        set_mask = l2._set_mask
+        sets = l2._sets
+        mru = l2._mru
+        assoc = l2.associativity
+        rh = rm = wh = wm = l2_wb = 0
+        for addr in miss_lines:
+            line = addr >> line_shift
+            i = line & set_mask
+            if mru[i] == line:
+                rh += 1
+                continue
+            s = sets[i]
+            mru[i] = line
+            prev = s.pop(line, missing)
+            if prev is not missing:
+                s[line] = prev
+                rh += 1
+            else:
+                rm += 1
+                if len(s) >= assoc and s.pop(next(iter(s))):
+                    l2_wb += 1
+                s[line] = False
+        for addr in wb_lines:
+            line = addr >> line_shift
+            i = line & set_mask
+            s = sets[i]
+            if mru[i] == line:
+                s[line] = True
+                wh += 1
+                continue
+            mru[i] = line
+            if s.pop(line, missing) is not missing:
+                wh += 1
+            else:
+                wm += 1
+                if len(s) >= assoc and s.pop(next(iter(s))):
+                    l2_wb += 1
+            s[line] = True
         miss_lines.clear()
         wb_lines.clear()
-        l2_misses = l2_rm + l2_wm
+        l2_misses = rm + wm
+        l2_stats.read_accesses += rh + rm
+        l2_stats.read_misses += rm
+        l2_stats.write_accesses += wh + wm
+        l2_stats.write_misses += wm
+        l2_stats.writebacks += l2_wb
+        l2_stats.fills += l2_misses
         hierarchy.memory_reads += l2_misses
-        hierarchy.memory_writes += len(l2_wb)
+        hierarchy.memory_writes += l2_wb
         l2e.dynamic_nj += (
-            (l2_rh + l2_rm) * l2e._read_nj
-            + (l2_wh + l2_wm + l2_misses) * l2e._write_nj
+            (rh + rm) * l2e._read_nj
+            + (wh + wm + l2_misses) * l2e._write_nj
         )
-        energy.memory_nj += (l2_misses + len(l2_wb)) * memory_access_nj
-        return l2_misses
+        energy.memory_nj += (l2_misses + l2_wb) * memory_access_nj
+        c += fills * l2_cost
+        c += l2_misses * memory_cost
+        if n_loads:
+            d1 += n_loads * l1e._read_nj + (n_stores + fills) * l1e._write_nj
+        else:
+            d1 += (n_stores + fills) * l1e._write_nj
+        return c, d1
 
     return miss
 
 
-def _address_path(blocks, rng, region_base, l1, touch, box):
+def _address_path(blocks, rng, region_base, l1s, touches, box):
     """``AL(k, frame_base, iteration)``: block ``k``'s body through its
     address lists.
 
-    Draws the addresses with ``MemoryBehavior.generate``, leaves them in
-    ``box`` for the hook's BlockEvent, and applies them to the L1D like
-    ``Cache.access_block`` without its statistics (the runner keeps
-    those).  Returns the read misses.  Serves behaviours without a
-    fused body, and every body while an ``on_block`` reads addresses.
+    Draws the addresses once with ``MemoryBehavior.generate``, leaves
+    them in ``box`` for the hooks' BlockEvents, and applies them to each
+    lane's L1D (``l1s``, with its ``touches`` helper) like
+    ``Cache.access_many`` without its statistics (the runner keeps
+    those).  Returns the read misses, per lane.  Serves behaviours
+    without a fused body, and every body while an ``on_block`` reads
+    addresses.
     """
+    lanes = tuple(zip(l1s, touches))
 
     def address_body(k, frame_base, iteration):
         dec = blocks[k]
@@ -181,62 +250,167 @@ def _address_path(blocks, rng, region_base, l1, touch, box):
         )
         box[0] = loads
         box[1] = stores
-        line_shift = l1._line_shift
-        set_mask = l1._set_mask
-        mru = l1._mru
-        read_misses = 0
-        for addr in loads:
-            line = addr >> line_shift
-            i = line & set_mask
-            if mru[i] != line:
-                read_misses += touch(i, line, False)
-        for addr in stores:
-            line = addr >> line_shift
-            i = line & set_mask
-            if mru[i] == line:
-                l1._sets[i][line] = True
-            else:
-                touch(i, line, True)
-        return read_misses
+        misses = []
+        for l1, touch in lanes:
+            line_shift = l1._line_shift
+            set_mask = l1._set_mask
+            mru = l1._mru
+            read_misses = 0
+            for addr in loads:
+                line = addr >> line_shift
+                i = line & set_mask
+                if mru[i] != line:
+                    read_misses += touch(i, line, False)
+            for addr in stores:
+                line = addr >> line_shift
+                i = line & set_mask
+                if mru[i] == line:
+                    l1._sets[i][line] = True
+                else:
+                    touch(i, line, True)
+            misses.append(read_misses)
+        return misses
 
     return address_body
 
 
-class FastVirtualMachine(VirtualMachine):
-    """Drop-in replacement for :class:`VirtualMachine`, ~3-5x faster."""
+def _lane_shape(machine) -> tuple:
+    """What the lanes of one run must share: the runner constants and
+    the L1D line size."""
+    return machine.timing.hot_constants() + (
+        machine.predictor._mask,
+        len(machine.energy.pipeline),
+        machine.hierarchy.l1d.line_size,
+    )
 
-    def __init__(self, *args, **kwargs):
+
+class LaneView:
+    """The VM as the policy of a lane after the first sees it.
+
+    Lane 0's view is the VM itself.  A later lane's view carries that
+    lane's ``machine``, ``policy``, ``telemetry``, ``sampler`` and
+    ``jit`` — a :class:`~repro.vm.jit.JITCompiler` whose compile levels
+    are the shared ones and whose entry/exit stubs are the lane's own —
+    and reads everything else (threads, the DO database, stats, config)
+    from the shared core.
+    """
+
+    def __init__(self, core, machine, policy, telemetry):
+        self.core = core
+        self.machine = machine
+        self.policy = policy or AdaptationHooks()
+        self.telemetry = (
+            telemetry if telemetry is not None else NULL_TELEMETRY
+        )
+        machine.telemetry = self.telemetry
+        self.sampler = SamplingProfiler(core.config.sample_period_cycles)
+        self.jit = JITCompiler(core.jit.top_level)
+        self.jit.levels = core.jit.levels
+        self.jit.compile_log = core.jit.compile_log
+
+    def __getattr__(self, name):
+        return getattr(self.core, name)
+
+
+class _Lane:
+    """One lane's state as the kernel reads it: its view, machine,
+    policy, sampler, telemetry and JIT stubs, how its per-block hook is
+    served, its L1D miss helpers and its BBV interval gate."""
+
+    __slots__ = (
+        "view", "machine", "policy", "sampler", "telemetry",
+        "entry_stubs", "exit_stubs", "l1i", "fold", "counts_hook",
+        "on_block", "addresses", "splitter", "miss_lines", "wb_lines",
+        "miss", "touch", "bbv_at", "bbv_synced",
+    )
+
+    def __init__(self, view, program):
+        self.view = view
+        machine = self.machine = view.machine
+        self.policy = view.policy
+        self.sampler = view.sampler
+        self.telemetry = view.telemetry
+        self.entry_stubs = view.jit.entry_stubs
+        self.exit_stubs = view.jit.exit_stubs
+        self.l1i = machine.hierarchy.l1i
+        (
+            self.fold,
+            self.counts_hook,
+            self.on_block,
+            self.addresses,
+        ) = _hook_plan(self.policy, program)
+        self.splitter = (
+            self.fold.splitter if self.fold is not None else None
+        )
+        self.miss_lines = []
+        self.wb_lines = []
+        self.miss = _miss_path(machine, self.miss_lines, self.wb_lines)
+        self.touch = line_touch(
+            machine.hierarchy.l1d, self.miss_lines, self.wb_lines
+        )
+        self.bbv_at = _NEVER
+        self.bbv_synced = 0
+
+
+class FastVirtualMachine(VirtualMachine):
+    """Drop-in replacement for :class:`VirtualMachine`, ~3-5x faster.
+
+    ``lanes`` adds further ``(machine, policy, telemetry)`` lanes to
+    the one the positional arguments give: every lane runs the same
+    program stream, each on its own machine under its own policy
+    (docs/INTERNALS.md §12).  The lanes' machines must share one
+    configuration; they take lane 0's branch predictor, whose state is
+    a function of the shared branch stream.  At most one lane's policy
+    may install JIT stubs, which own ``Activation.policy_token``, and at
+    most one may fold BBV buckets.
+    """
+
+    def __init__(self, *args, lanes=(), **kwargs):
         super().__init__(*args, **kwargs)
         machine = self.machine
-        (
-            self._fold,
-            self._counts_hook,
-            self._on_block,
-            self._addresses,
-        ) = _hook_plan(self.policy, self.program)
-        self._per_block = (
-            self._counts_hook is not None or self._on_block is not None
+        program = self.program
+        views = [self]
+        for lane_machine, lane_policy, lane_telemetry in lanes:
+            if _lane_shape(lane_machine) != _lane_shape(machine):
+                raise ValueError(
+                    "lanes must share one machine configuration"
+                )
+            lane_machine.predictor = machine.predictor
+            view = LaneView(self, lane_machine, lane_policy, lane_telemetry)
+            # As VirtualMachine.__init__ does for lane 0.
+            view.policy.attach(view)
+            for name, info in self.database.hotspots.items():
+                if name in program.methods:
+                    view.policy.on_hotspot_detected(info, view)
+            views.append(view)
+        self._lanes = [_Lane(view, program) for view in views]
+        self._machines = tuple(lane.machine for lane in self._lanes)
+        self._per_block = any(
+            lane.counts_hook is not None or lane.on_block is not None
+            for lane in self._lanes
         )
-        accumulator = (
-            self._fold.accumulator if self._fold is not None else None
-        )
+        self._addresses = any(lane.addresses for lane in self._lanes)
+        accumulators = [
+            lane.fold.accumulator
+            for lane in self._lanes
+            if lane.fold is not None and lane.fold.accumulator is not None
+        ]
+        if len(accumulators) > 1:
+            raise ValueError("at most one lane may fold BBV buckets")
+        #: The folded BBV accumulator, if a lane has one.
+        self._accumulator = accumulators[0] if accumulators else None
         self._decoder = BlockDecoder(
-            self.program,
+            program,
             machine.timing.hot_constants()
             + (
                 machine.predictor._mask,
-                accumulator.n_buckets
-                if accumulator is not None
+                self._accumulator.n_buckets
+                if self._accumulator is not None
                 else _DEFAULT_BUCKETS,
                 len(machine.energy.pipeline),
             ),
             self.config.gc_method,
-        )
-        self._miss_lines = []
-        self._wb_lines = []
-        self._miss = _miss_path(machine, self._miss_lines, self._wb_lines)
-        self._touch = line_touch(
-            machine.hierarchy.l1d, self._miss_lines, self._wb_lines
+            len(self._lanes),
         )
         self._address_box = [_EMPTY, _EMPTY]
         #: Bound runners, per thread: method name -> ``run``.
@@ -254,7 +428,6 @@ class FastVirtualMachine(VirtualMachine):
         self._max = 0
         self._limit = 0
         self._bbv_at = _NEVER
-        self._bbv_synced = 0
         # Stable per-run containers, pre-bound to shave attribute chains
         # off the _invoke/_return hot paths.  All are mutated in place
         # and never reassigned by the reference implementation.
@@ -263,6 +436,23 @@ class FastVirtualMachine(VirtualMachine):
         self._exit_stubs = self.jit.exit_stubs
         self._profiles = self.database._profiles
         self._hotspots = self.database.hotspots
+        self._fetch = tuple(
+            (lane.l1i, lane.machine) for lane in self._lanes
+        )
+        self._stubs = tuple(
+            (lane.entry_stubs, lane.exit_stubs, lane.telemetry, lane.view)
+            for lane in self._lanes
+        )
+        self._samplers = tuple(
+            (lane.machine, lane.sampler) for lane in self._lanes
+        )
+
+    def _charge_cycles(self, cycles: float) -> None:
+        """Charge VM-service time (JIT compiles) to every lane's clock."""
+        if cycles and self.config.charge_compile_cycles:
+            for machine in self._machines:
+                machine.cycles += cycles
+                machine.energy.add_cycles(cycles)
 
     def _invoke(self, thread, method) -> None:
         """Reference ``_invoke`` with its service chain inlined.
@@ -272,7 +462,8 @@ class FastVirtualMachine(VirtualMachine):
         sub-calls.  Rare branches replicate the reference verbatim
         (promotion mirrors ``HotspotDetector.on_invocation``; an L1I miss
         falls back to ``machine.on_method_entry``, whose hit path is only
-        the LRU refresh performed inline here).
+        the LRU refresh performed inline here).  The machine-side steps
+        run on every lane, in lane order.
         """
         machine = self.machine
         name = method.name
@@ -302,18 +493,19 @@ class FastVirtualMachine(VirtualMachine):
             self._charge_cycles(
                 self.jit.optimize_hotspot(method, machine.instructions)
             )
-            telemetry = self.telemetry
-            if telemetry.enabled:
-                telemetry.emit(
-                    HOTSPOT_DETECTED,
-                    ts=machine.instructions,
-                    track="vm",
-                    method=name,
-                    invocations=newly_hot.profile.invocations,
-                    mean_size=newly_hot.mean_size,
-                )
-                telemetry.metrics.counter("vm.hotspots_detected").inc()
-            self.policy.on_hotspot_detected(newly_hot, self)
+            for lane in self._lanes:
+                telemetry = lane.telemetry
+                if telemetry.enabled:
+                    telemetry.emit(
+                        HOTSPOT_DETECTED,
+                        ts=machine.instructions,
+                        track="vm",
+                        method=name,
+                        invocations=newly_hot.profile.invocations,
+                        mean_size=newly_hot.mean_size,
+                    )
+                    telemetry.metrics.counter("vm.hotspots_detected").inc()
+                lane.policy.on_hotspot_detected(newly_hot, lane.view)
         stack = thread.stack
         # Activation.__init__ unrolled (slot stores only; one call saved
         # per invocation adds up at this frequency).
@@ -330,20 +522,21 @@ class FastVirtualMachine(VirtualMachine):
         activation.is_hotspot = False
         activation.policy_token = None
         stack.append(activation)
-        l1i = machine.hierarchy.l1i
-        resident = l1i._resident
-        if name in resident:
-            l1i.method_switches += 1
-            resident[name] = resident.pop(name)
-        else:
-            machine.on_method_entry(name, method.code_footprint)
+        for l1i, lane_machine in self._fetch:
+            resident = l1i._resident
+            if name in resident:
+                l1i.method_switches += 1
+                resident[name] = resident.pop(name)
+            else:
+                lane_machine.on_method_entry(name, method.code_footprint)
         info = hotspots.get(name)
         if info is not None:
             activation.is_hotspot = True
             thread.hotspot_depth += 1
-            stub = self._entry_stubs.get(name)
-            if stub is not None:
-                stub.fn(info, activation, self)
+            for entry_stubs, _, _, view in self._stubs:
+                stub = entry_stubs.get(name)
+                if stub is not None:
+                    stub.fn(info, activation, view)
 
     def _return(self, thread) -> None:
         """Reference ``_return`` with the DO-database update inlined."""
@@ -370,17 +563,17 @@ class FastVirtualMachine(VirtualMachine):
             thread.hotspot_depth -= 1
             info = self._hotspots[name]
             info.instructions_inside += inclusive
-            stub = self._exit_stubs.get(name)
-            if stub is not None:
-                stub.fn(info, activation, self)
-            telemetry = self.telemetry
-            if telemetry.enabled and inclusive > 0:
-                telemetry.emit(
-                    HOTSPOT_INVOKE,
-                    ts=activation.entry_instructions,
-                    track=f"hotspot:{name}",
-                    dur=inclusive,
-                )
+            for _, exit_stubs, telemetry, view in self._stubs:
+                stub = exit_stubs.get(name)
+                if stub is not None:
+                    stub.fn(info, activation, view)
+                if telemetry.enabled and inclusive > 0:
+                    telemetry.emit(
+                        HOTSPOT_INVOKE,
+                        ts=activation.entry_instructions,
+                        track=f"hotspot:{name}",
+                        dur=inclusive,
+                    )
         if self._gc_active and name == self.config.gc_method:
             self._gc_active -= 1
 
@@ -411,7 +604,8 @@ class FastVirtualMachine(VirtualMachine):
                 ),
                 _address_path(
                     blocks, thread.rng, region_base,
-                    self.machine.hierarchy.l1d, self._touch,
+                    [m.hierarchy.l1d for m in self._machines],
+                    [lane.touch for lane in self._lanes],
                     self._address_box,
                 ),
                 region_base,
@@ -425,23 +619,23 @@ class FastVirtualMachine(VirtualMachine):
         iterations, persistent, deciders, address_path, region_base = (
             self._state(thread, method)
         )
-        machine = self.machine
-        energy = machine.energy
-        l1 = machine.hierarchy.l1d
-        l1i = machine.hierarchy.l1i
-        predictor = machine.predictor
+        lanes = self._lanes
+        machines = self._machines
+        l1s = tuple(m.hierarchy.l1d for m in machines)
+        l1is = tuple(m.hierarchy.l1i for m in machines)
+        folds = tuple(lane.fold for lane in lanes)
+        accumulator = self._accumulator
+        predictor = self.machine.predictor
         stats = self.stats
         rng = thread.rng
-        fold = self._fold
-        accumulator = fold.accumulator if fold is not None else None
         run = decoder.runners[method.name](
-            M=machine,
-            E1=energy.l1d,
-            E2=energy.l2,
-            PIPE=tuple(energy.pipeline.values()),
-            T=machine.timing,
-            L1=l1,
-            L1S=l1.stats,
+            M=machines,
+            E1=tuple(m.energy.l1d for m in machines),
+            E2=tuple(m.energy.l2 for m in machines),
+            PIPE=tuple(tuple(m.energy.pipeline.values()) for m in machines),
+            T=tuple(m.timing for m in machines),
+            L1=l1s,
+            L1S=tuple(l1.stats for l1 in l1s),
             PR=predictor,
             PT=predictor._table,
             ST=stats,
@@ -454,9 +648,9 @@ class FastVirtualMachine(VirtualMachine):
             getrandbits=rng.getrandbits,
             random=rng.random,
             missing=_SENTINEL,
-            touch=self._touch,
-            ML=self._miss_lines,
-            MISS=self._miss,
+            touch=tuple(lane.touch for lane in lanes),
+            ML=tuple(lane.miss_lines for lane in lanes),
+            MISS=tuple(lane.miss for lane in lanes),
             IT=iterations,
             PS=persistent,
             DC=deciders,
@@ -464,16 +658,17 @@ class FastVirtualMachine(VirtualMachine):
             AD=self._addresses,
             BV=accumulator is not None,
             BK=accumulator._buckets if accumulator is not None else None,
-            FF=fold.flush if fold is not None else None,
+            FF=tuple(fold.flush if fold is not None else None
+                     for fold in folds),
             region_base=region_base,
-            SP=self.sampler,
+            SP=tuple(lane.sampler for lane in lanes),
             NAME=method.name,
             INV=self._invoke,
             RET=self._return,
             CE=tuple(
                 dec.callees[0] if dec.n_calls else None for dec in blocks
             ),
-            IN=not self.telemetry.enabled,
+            IN=not any(lane.telemetry.enabled for lane in lanes),
             IL=tuple(
                 (callee, callee.name) + self._state(thread, callee)
                 for callee in decoder.sites[method.name]
@@ -481,10 +676,10 @@ class FastVirtualMachine(VirtualMachine):
             PF=self._profiles,
             HS=self._hotspots,
             LV=self._levels,
-            ENS=self._entry_stubs,
-            EXS=self._exit_stubs,
-            IC=l1i,
-            RES=l1i._resident,
+            ENS=tuple(lane.entry_stubs for lane in lanes),
+            EXS=tuple(lane.exit_stubs for lane in lanes),
+            IC=l1is,
+            RES=tuple(l1i._resident for l1i in l1is),
         )
         self._bound[thread.thread_id][method.name] = run
         return run
@@ -497,15 +692,17 @@ class FastVirtualMachine(VirtualMachine):
         threads = self.threads
         for thread in threads:
             self._invoke(thread, self.program.methods[thread.entry_method])
-        splitter = self._fold.splitter if self._fold is not None else None
         self._max = max_instructions
-        if splitter is not None:
-            self._bbv_synced = machine.instructions
-            self._bbv_at = (
-                machine.instructions
-                + splitter.interval_insns
-                - splitter.instructions_in_current
-            )
+        for lane in self._lanes:
+            splitter = lane.splitter
+            if splitter is not None:
+                lane.bbv_synced = machine.instructions
+                lane.bbv_at = (
+                    machine.instructions
+                    + splitter.interval_insns
+                    - splitter.instructions_in_current
+                )
+        self._bbv_at = min(lane.bbv_at for lane in self._lanes)
         self._limit = min(max_instructions, self._bbv_at)
         quantum = self.config.quantum_blocks
         while machine.instructions < max_instructions:
@@ -519,10 +716,12 @@ class FastVirtualMachine(VirtualMachine):
                     break
             if not alive:
                 break
-        if splitter is not None:
-            splitter.advance(machine.instructions - self._bbv_synced)
-            self._bbv_synced = machine.instructions
-        self.policy.on_run_end(self)
+        for lane in self._lanes:
+            splitter = lane.splitter
+            if splitter is not None:
+                splitter.advance(machine.instructions - lane.bbv_synced)
+                lane.bbv_synced = machine.instructions
+            lane.policy.on_run_end(lane.view)
 
     def _slice(self, thread, steps) -> None:
         """Run one thread for up to ``steps`` micro-steps.
@@ -539,7 +738,7 @@ class FastVirtualMachine(VirtualMachine):
         stack = thread.stack
         bound = self._bound[thread.thread_id]
         tables = self._decoder.tables
-        sampler = self.sampler
+        samplers = self._samplers
         max_instructions = self._max
         gc_period = self._gc_period
         per_block = self._per_block
@@ -593,58 +792,68 @@ class FastVirtualMachine(VirtualMachine):
                 # or return after it, or an inlined call's return.
                 continue
             # After the body, as in the reference's _execute_body: the
-            # policy's per-block work, then the sampler.  The body may
+            # policies' per-block work, then the samplers.  The body may
             # have been an inlined callee's, now on top of the stack.
             if machine.instructions >= self._bbv_at:
                 self._bbv_boundary()
             if per_block:
                 self._per_block_hook(thread, activation)
-            cycles = machine.cycles
-            if cycles >= sampler._next_sample_at:
-                sampler.advance(cycles, stack[-1].method.name)
+            for lane_machine, sampler in samplers:
+                cycles = lane_machine.cycles
+                if cycles >= sampler._next_sample_at:
+                    sampler.advance(cycles, stack[-1].method.name)
 
     def _bbv_boundary(self) -> None:
-        """Advance the folded interval splitter to now; fires the
-        boundary (or boundaries) the last block crossed."""
-        splitter = self._fold.splitter
+        """Advance each folded interval splitter whose boundary the last
+        block crossed to now; fires the boundary (or boundaries)."""
         now = self.machine.instructions
-        splitter.advance(now - self._bbv_synced)
-        self._bbv_synced = now
-        self._bbv_at = (
-            now + splitter.interval_insns - splitter.instructions_in_current
-        )
+        for lane in self._lanes:
+            if lane.bbv_at <= now:
+                splitter = lane.splitter
+                splitter.advance(now - lane.bbv_synced)
+                lane.bbv_synced = now
+                lane.bbv_at = (
+                    now
+                    + splitter.interval_insns
+                    - splitter.instructions_in_current
+                )
+        self._bbv_at = min(lane.bbv_at for lane in self._lanes)
         self._limit = min(self._max, self._bbv_at)
 
     def _per_block_hook(self, thread, activation) -> None:
-        """The per-block hook exit: the hook the runner's body owes."""
+        """The per-block hook exit: the hooks the runner's body owes,
+        lane by lane."""
         dec = self._decoder.tables[activation.method.name][activation.bid]
-        if self._counts_hook is not None:
-            self._counts_hook(
-                dec.n_insns, dec.block_pc, thread.thread_id, self.machine
+        for lane in self._lanes:
+            if lane.counts_hook is not None:
+                lane.counts_hook(
+                    dec.n_insns, dec.block_pc, thread.thread_id, lane.machine
+                )
+                continue
+            if lane.on_block is None:
+                continue
+            if dec.decider is not None:
+                taken = activation.loop_states["__pending__"]
+                branch_pc = dec.branch_pc
+            else:
+                taken = True
+                branch_pc = None
+            if lane.addresses and dec.gen is not None:
+                loads, stores = self._address_box
+            else:
+                loads = stores = _EMPTY
+            lane.on_block(
+                BlockEvent(
+                    dec.method_name,
+                    dec.bid,
+                    dec.n_insns,
+                    loads,
+                    stores,
+                    branch_pc,
+                    taken,
+                    dec.serialized,
+                    thread.thread_id,
+                    dec.block_pc,
+                ),
+                lane.machine,
             )
-            return
-        if dec.decider is not None:
-            taken = activation.loop_states["__pending__"]
-            branch_pc = dec.branch_pc
-        else:
-            taken = True
-            branch_pc = None
-        if self._addresses and dec.gen is not None:
-            loads, stores = self._address_box
-        else:
-            loads = stores = _EMPTY
-        self._on_block(
-            BlockEvent(
-                dec.method_name,
-                dec.bid,
-                dec.n_insns,
-                loads,
-                stores,
-                branch_pc,
-                taken,
-                dec.serialized,
-                thread.thread_id,
-                dec.block_pc,
-            ),
-            self.machine,
-        )

@@ -252,7 +252,8 @@ class BlockDecoder:
     cache miss, so the compile is part of the decode — and records in
     ``sites`` the callees its runner inlines, one per inlined call.
     Decoding requires the program to be laid out (branch PCs assigned),
-    which the VM already guarantees.
+    which the VM already guarantees.  ``lanes`` is the number of
+    machines the runners drive (see :mod:`repro.vm.blockjit`).
 
     A call is inlined when its callee is a leaf (no call blocks) of at
     most :data:`INLINE_LIMIT` blocks and is not ``gc_method``, every
@@ -260,13 +261,15 @@ class BlockDecoder:
     a return.
     """
 
-    __slots__ = ("program", "consts", "gc_method", "tables", "runners",
-                 "sites")
+    __slots__ = ("program", "consts", "gc_method", "lanes", "tables",
+                 "runners", "sites")
 
-    def __init__(self, program: Program, consts: Tuple, gc_method: str = ""):
+    def __init__(self, program: Program, consts: Tuple, gc_method: str = "",
+                 lanes: int = 1):
         self.program = program
         self.consts = consts
         self.gc_method = gc_method
+        self.lanes = lanes
         self.tables: Dict[str, Dict[str, DecodedBlock]] = {}
         self.runners: Dict[str, Callable] = {}
         self.sites: Dict[str, Tuple[Method, ...]] = {}
@@ -293,7 +296,7 @@ class BlockDecoder:
                     sites.append((k, q, list(callee_table.values()), entry))
                     callees.append(callee)
             self.runners[method.name] = compile_runner(
-                blocks, self.consts, sites
+                blocks, self.consts, sites, self.lanes
             )
             self.sites[method.name] = tuple(callees)
             self.tables[method.name] = table

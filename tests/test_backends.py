@@ -25,9 +25,11 @@ from repro.faults import FaultPlan
 from repro.sim.config import ExperimentConfig
 from repro.sim.driver import RunSpec
 from repro.sim.engine import Engine
+from repro.sim.experiment import run_suite
 from repro.sim.options import ExecutionOptions
 from repro.sim.pools.local import BROKEN_EXCEPTIONS, LocalProcessPool
 from repro.sim.store import ResultStore
+from repro.sim.sweeps import sweep_parameter
 
 SRC_DIR = str(Path(__file__).resolve().parent.parent / "src")
 BUDGET = 60_000
@@ -171,6 +173,20 @@ class TestPoolLifecycle:
 
 
 class TestExecutionOptions:
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda: ExecutionOptions(jobs=0),
+            lambda: run_suite(jobs=0),
+            lambda: sweep_parameter("hot_threshold", [2], jobs=0),
+        ],
+        ids=["options", "run_suite", "sweep_parameter"],
+    )
+    def test_library_calls_name_the_jobs_field(self, call):
+        # A library caller passed ``jobs``, not a command-line flag.
+        with pytest.raises(ValueError, match=r"^jobs must be at least 1"):
+            call()
+
     def test_argparse_round_trip(self):
         import argparse
 

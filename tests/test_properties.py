@@ -15,10 +15,10 @@ from repro.core.tuning import (
 from repro.isa.program import LoopDecider
 from repro.phases.bbv import BBVAccumulator, manhattan_distance, normalize
 from repro.trace.stream import IntervalSplitter
-from repro.uarch.cache import Cache
+from repro.uarch.cache import Cache, CacheStats
 from repro.uarch.registers import ReconfigurationGuard
 from repro.vm.blockjit import compile_fused_block, line_touch
-from repro.vm.fastvm import _address_path
+from repro.vm.fastvm import _address_path, _miss_path
 from repro.workloads.patterns import (
     MixedBehavior,
     PointerChaseBehavior,
@@ -411,22 +411,53 @@ class TestFusedClosureLockstep:
         assert compile_fused_block(mixed, 20, 10) is None
 
 
+def l2_miss_path(cache):
+    """The fast kernel's miss helper (``fastvm._miss_path``) with
+    ``cache`` as the L2: ``drive(loads, stores)`` sends ``loads`` in as
+    L1D fills (reads) and ``stores`` as L1D writebacks (writes)."""
+    namespace = types.SimpleNamespace
+    machine = namespace(
+        hierarchy=namespace(
+            l1d=namespace(stats=CacheStats()),
+            l2=cache,
+            memory_reads=0,
+            memory_writes=0,
+        ),
+        energy=namespace(
+            l1d=namespace(_read_nj=1.0, _write_nj=1.0),
+            l2=namespace(dynamic_nj=0.0, _read_nj=1.0, _write_nj=1.0),
+            memory_nj=0.0,
+            memory_access_nj=1.0,
+        ),
+    )
+    fills, writebacks = [], []
+    miss = _miss_path(machine, fills, writebacks)
+
+    def drive(loads, stores):
+        fills.extend(loads)
+        writebacks.extend(stores)
+        miss(0, 0.0, 0.0, 0, 0, 1.0, 1.0)
+
+    return drive
+
+
 class TestCacheInvariantsUnderKernelPaths:
     """ISSUE invariants (misses <= accesses, snapshot monotonicity,
     resize preserves access totals) exercised through *both* batched
-    entry points the kernels use."""
+    paths the kernels use: the reference's ``access_many`` and the fast
+    kernel's L2 miss helper."""
 
     @staticmethod
     def _drive(cache, loads, stores, path):
         if path == "access_many":
             cache.access_many(loads, stores)
         else:
-            cache.access_block(loads, stores)
+            l2_miss_path(cache)(loads, stores)
 
     @given(
         loads=addresses,
         stores=addresses,
-        path=st.sampled_from(["access_many", "access_block"]),
+        path=st.sampled_from(["access_many", "miss"]),
     )
     @settings(max_examples=60, deadline=None)
     def test_misses_never_exceed_accesses(self, loads, stores, path):
@@ -441,7 +472,7 @@ class TestCacheInvariantsUnderKernelPaths:
         batches=st.lists(
             st.tuples(addresses, addresses), min_size=1, max_size=8
         ),
-        path=st.sampled_from(["access_many", "access_block"]),
+        path=st.sampled_from(["access_many", "miss"]),
     )
     @settings(max_examples=40, deadline=None)
     def test_snapshot_monotonicity(self, batches, path):
@@ -553,7 +584,7 @@ _near = st.lists(
 )
 _mru_ops = st.lists(
     st.one_of(
-        st.tuples(st.sampled_from(["block", "many", "address"]), _near, _near),
+        st.tuples(st.sampled_from(["miss", "many", "address"]), _near, _near),
         st.tuples(st.just("touch"), st.integers(0, 4095), st.booleans()),
         st.tuples(st.just("flush")),
         st.tuples(
@@ -567,10 +598,10 @@ _mru_ops = st.lists(
 
 
 class TestMruRecord:
-    """Every path that touches the L1D — both batched entry points, the
-    runners' ``touch`` helper and the address-list path — keeps
-    ``Cache._mru`` the last line of its set, and the MRU shortcut leaves
-    the sets exactly as pop-and-re-insert LRU would."""
+    """Every path that touches a cache — ``access_many``, the runners'
+    ``touch`` helper, the address-list path and the L2 side of the miss
+    helper — keeps ``Cache._mru`` the last line of its set, and the MRU
+    shortcut leaves the sets exactly as pop-and-re-insert LRU would."""
 
     @given(ops=_mru_ops, policy=st.sampled_from(["selective", "flush"]))
     @settings(max_examples=150, deadline=None)
@@ -582,11 +613,14 @@ class TestMruRecord:
         model = _LruModel(cache)
         miss_lines, wb_lines = [], []
         touch = line_touch(cache, miss_lines, wb_lines)
+        as_l2 = l2_miss_path(cache)
         box = [None, None]
         for op in ops:
             kind = op[0]
-            if kind in ("block", "many"):
-                getattr(cache, f"access_{kind}")(op[1], op[2])
+            if kind == "many":
+                cache.access_many(op[1], op[2])
+            elif kind == "miss":
+                as_l2(op[1], op[2])
             elif kind == "address":
                 block = types.SimpleNamespace(
                     gen=_FixedAddresses(op[1], op[2]),
@@ -594,10 +628,10 @@ class TestMruRecord:
                     n_stores=len(op[2]),
                 )
                 body = _address_path(
-                    [block], random.Random(0), 0, cache, touch, box
+                    [block], random.Random(0), 0, (cache,), (touch,), box
                 )
                 body(0, 0, 0)
-            if kind in ("block", "many", "address"):
+            if kind in ("miss", "many", "address"):
                 for addr in op[1]:
                     model.touch(addr, False)
                 for addr in op[2]:
