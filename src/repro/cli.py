@@ -36,9 +36,12 @@ from typing import List, Optional
 from repro.report import exhibits
 from repro.sim.config import SIM_KERNELS, ExperimentConfig
 from repro.sim.experiment import run_suite
-from repro.sim.options import ExecutionOptions
+from repro.sim.options import ExecutionOptions, check_at_least
 from repro.sim.results import SCHEMES, RunSpec
 from repro.workloads.names import BENCHMARK_NAMES
+
+#: ``quick``'s instruction budget when ``--instructions`` is not given.
+QUICK_INSTRUCTIONS = 1_500_000
 
 SUITE_EXHIBITS = {
     "figure1": exhibits.figure1,
@@ -103,7 +106,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--instructions",
         type=int,
         default=None,
-        help="instruction budget per run (default: calibrated 6,000,000)",
+        help="instruction budget per run (default: calibrated 6,000,000; "
+        f"{QUICK_INSTRUCTIONS:,} for quick)",
     )
     parser.add_argument(
         "--hot-threshold",
@@ -184,6 +188,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def make_config(args) -> ExperimentConfig:
+    """The simulation flags as an ExperimentConfig; exits on bad values."""
+    try:
+        # Parsed arguments are answered in the command line's terms.
+        check_at_least("--instructions", args.instructions, 1)
+        check_at_least("--hot-threshold", args.hot_threshold, 1)
+    except ValueError as error:
+        print(f"error: {error}", file=sys.stderr)
+        raise SystemExit(2)
     config = ExperimentConfig()
     if args.instructions is not None:
         config.max_instructions = args.instructions
@@ -284,6 +296,7 @@ def run_command(args) -> int:
             file=sys.stderr,
         )
         return 2
+    config = make_config(args)
     tracing = args.trace is not None or args.metrics
     telemetry = Telemetry() if tracing else None
     # A traced run must observe live tuning decisions, so both cache
@@ -299,7 +312,6 @@ def run_command(args) -> int:
         progress=make_progress_printer(args),
         recorder=make_recorder(args),
     )
-    config = make_config(args)
     start = perf_counter()
     try:
         result = engine.run_one(RunSpec(args.bench, args.scheme, config))
@@ -362,6 +374,7 @@ def main(argv: Optional[List[str]] = None) -> int:
 
     from repro.sim.experiment import make_engine
 
+    config = make_config(args)
     engine = make_engine(
         failure_policy=args.on_error,
         fault_plan=make_fault_plan(args),
@@ -369,7 +382,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         progress=make_progress_printer(args),
         recorder=make_recorder(args),
     )
-    config = make_config(args)
     if args.exhibit == "quick":
         from repro.sim.engine import (
             BatchExecutionError,
@@ -377,7 +389,8 @@ def main(argv: Optional[List[str]] = None) -> int:
         )
         from repro.sim.experiment import compare_schemes
 
-        config.max_instructions = min(config.max_instructions, 1_500_000)
+        if args.instructions is None:
+            config.max_instructions = QUICK_INSTRUCTIONS
         start = perf_counter()
         try:
             comparison = compare_schemes(

@@ -28,6 +28,7 @@ from repro.energy.params import (
     DEFAULT_L2_ENERGY,
     MEMORY_ACCESS_NJ,
 )
+from repro.sim.options import check_at_least
 from repro.uarch.timing import TimingModel, TimingParams
 
 if TYPE_CHECKING:
@@ -217,6 +218,17 @@ class ExperimentConfig:
                 f"sim_kernel must be one of {SIM_KERNELS}, "
                 f"got {self.sim_kernel!r}"
             )
+        self.check_budgets()
+
+    def check_budgets(self) -> None:
+        """Raise ``ValueError`` naming the field when a budget is below 1.
+
+        Construction checks them; :meth:`repro.sim.engine.Engine.run`
+        checks again before a batch starts, since the fields can be
+        assigned later.
+        """
+        check_at_least("max_instructions", self.max_instructions, 1)
+        check_at_least("hot_threshold", self.hot_threshold, 1)
 
     def fingerprint(self) -> str:
         """Content hash over *every* nested knob (versioned, hex).

@@ -146,9 +146,9 @@ def execute_group(
     for machine, policy, telemetry in lanes:
         if telemetry is not None:
             # Mirror the process-wide blockjit code-cache counters
-            # (compiles, hits, evictions, size) into the session's
-            # metrics registry so a traced run shows whether it ran warm
-            # or had to re-fuse.
+            # (compiles, disk loads and writes, hits, evictions, size)
+            # into the session's metrics registry so a traced run shows
+            # whether it ran warm or had to re-fuse.
             from repro.vm.blockjit import publish_metrics
 
             publish_metrics(telemetry.metrics)

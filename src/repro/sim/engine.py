@@ -511,6 +511,8 @@ class Engine:
         ``values()`` slot holds ``None``.
         """
         specs = list(cells)
+        for spec in specs:
+            spec.config.check_budgets()
         # One fingerprint per cell per batch: lookup, de-duplication,
         # store writes and the flight recorder all share these keys.
         keys = [

@@ -80,10 +80,25 @@ resident.  Eviction is safe: a re-compiled shape yields identical code,
 and a bound runner keeps its own code alive.  ``cache_info()`` exposes
 the counters and ``publish_metrics()`` mirrors them into a
 :class:`repro.obs.MetricsRegistry` (``blockjit.*`` gauges).
+
+Below it, :func:`_exec` keeps the compiled code on disk, in
+:data:`DISK_CACHE_DIR`: one ``marshal`` entry per (source text, code
+label, interpreter magic number, ``sys.flags.optimize``).  The key is
+the source itself, so an entry is never stale and deleting the
+directory is always safe; a later process loads the code instead of
+compiling it again.  An unreadable entry compiles as if it were absent,
+and a failed write is skipped.
 """
 
 from __future__ import annotations
 
+import hashlib
+import importlib.util
+import marshal
+import os
+import sys
+import tempfile
+import types
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.isa.program import (
@@ -134,8 +149,40 @@ _MISSING = object()
 #: body that draws from the same range.
 _LUTS: Dict[Tuple, Tuple] = {}
 
-#: Monotonic codegen-cache telemetry (process lifetime).
-CACHE_STATS = {"compiles": 0, "hits": 0, "evictions": 0}
+#: Monotonic codegen-cache telemetry (process lifetime): ``compiles``
+#: counts calls to ``compile()``, ``hits`` in-process cache hits,
+#: ``loads`` code read from the disk cache and ``writes`` entries
+#: written to it.
+CACHE_STATS = {
+    "compiles": 0, "hits": 0, "evictions": 0, "loads": 0, "writes": 0,
+}
+
+
+def _disk_cache_dir() -> Optional[str]:
+    """``blockjit-<cache_tag>/`` in the directory that holds this
+    module's bytecode (the ``__pycache__`` next to it, or its mirror
+    under ``sys.pycache_prefix``); ``None`` when the interpreter has no
+    bytecode cache."""
+    tag = sys.implementation.cache_tag
+    if tag is None:
+        return None
+    pyc = importlib.util.cache_from_source(__file__)
+    return os.path.join(os.path.dirname(pyc), f"blockjit-{tag}")
+
+
+#: Directory of the on-disk code cache (``None`` turns it off).  It is
+#: the simulator's own JIT cache, not import bytecode, so
+#: ``PYTHONDONTWRITEBYTECODE`` does not apply to it.
+DISK_CACHE_DIR: Optional[str] = _disk_cache_dir()
+
+#: Header of every disk entry: entries another interpreter wrote are
+#: recompiled.
+_MAGIC = importlib.util.MAGIC_NUMBER
+
+#: What besides the label and the source an entry's code depends on.
+_KEY_PREFIX = _MAGIC + (
+    f"{sys.implementation.cache_tag}\0{sys.flags.optimize}\0".encode()
+)
 
 
 def cache_info() -> Dict[str, int]:
@@ -150,8 +197,9 @@ def publish_metrics(metrics) -> None:
 
 
 def clear_cache() -> int:
-    """Drop every compiled entry and draw table (tests); returns the
-    count of compiled entries dropped."""
+    """Drop every compiled entry and draw table of this process (tests;
+    the disk cache stays); returns the count of compiled entries
+    dropped."""
     count = len(_CACHE)
     _CACHE.clear()
     _LUTS.clear()
@@ -171,15 +219,57 @@ def _cached(key: Tuple, build: Callable[[], Optional[Callable]]):
         del _CACHE[next(iter(_CACHE))]
         CACHE_STATS["evictions"] += 1
     _CACHE[key] = fn
-    CACHE_STATS["compiles"] += 1
     return fn
 
 
 def _exec(source: str, name: str, label: str, namespace: Dict[str, object]):
     exec(  # noqa: S102 - source is assembled from validated literals
-        compile(source, f"<blockjit:{label}>", "exec"), namespace
+        _code(source, f"<blockjit:{label}>"), namespace
     )
     return namespace[name]
+
+
+def _code(source: str, filename: str):
+    """The code of ``source``: loaded from the disk cache, or compiled
+    and written there."""
+    directory = DISK_CACHE_DIR
+    if directory is None:
+        CACHE_STATS["compiles"] += 1
+        return compile(source, filename, "exec")
+    digest = hashlib.sha256(
+        _KEY_PREFIX + filename.encode() + b"\0" + source.encode()
+    ).hexdigest()
+    path = os.path.join(directory, digest)
+    try:
+        with open(path, "rb") as handle:
+            data = handle.read()
+        if data.startswith(_MAGIC):
+            code = marshal.loads(data[len(_MAGIC):])
+            if type(code) is types.CodeType:
+                CACHE_STATS["loads"] += 1
+                return code
+    except (OSError, EOFError, ValueError, TypeError):
+        pass
+    CACHE_STATS["compiles"] += 1
+    code = compile(source, filename, "exec")
+    # Atomic commit, as in the result store: concurrent writers of one
+    # key each replace a complete entry, and no reader sees a partial one.
+    try:
+        os.makedirs(directory, exist_ok=True)
+        fd, tmp_name = tempfile.mkstemp(dir=directory, suffix=".tmp")
+    except OSError:
+        return code
+    try:
+        with os.fdopen(fd, "wb") as handle:
+            handle.write(_MAGIC + marshal.dumps(code))
+        os.replace(tmp_name, path)
+        CACHE_STATS["writes"] += 1
+    except OSError:
+        try:
+            os.unlink(tmp_name)
+        except OSError:
+            pass
+    return code
 
 
 def _rejection_draw(n: int, k: int, indent: str) -> str:

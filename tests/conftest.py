@@ -135,6 +135,34 @@ def private_default_store(tmp_path_factory):
             os.environ["REPRO_STORE_DIR"] = previous_env
 
 
+@pytest.fixture(scope="session", autouse=True)
+def private_code_cache(tmp_path_factory):
+    """Point the blockjit disk code cache at a session temp directory.
+
+    Without this, the suite would load runners the checkout's cache
+    holds instead of compiling them, and fill it with the shapes of
+    fuzz and property programs.  Subprocesses that tests start find the
+    cache under their bytecode directory, so ``PYTHONPYCACHEPREFIX``
+    moves theirs into the session directory too; both settings are
+    restored afterwards.
+    """
+    from repro.vm import blockjit
+
+    previous_dir = blockjit.DISK_CACHE_DIR
+    previous_env = os.environ.get("PYTHONPYCACHEPREFIX")
+    root = tmp_path_factory.mktemp("code-cache")
+    os.environ["PYTHONPYCACHEPREFIX"] = str(root / "pycache")
+    blockjit.DISK_CACHE_DIR = str(root / "blockjit")
+    try:
+        yield root
+    finally:
+        blockjit.DISK_CACHE_DIR = previous_dir
+        if previous_env is None:
+            os.environ.pop("PYTHONPYCACHEPREFIX", None)
+        else:
+            os.environ["PYTHONPYCACHEPREFIX"] = previous_env
+
+
 def pytest_addoption(parser):
     parser.addoption(
         "--update-golden",

@@ -4,7 +4,16 @@ import json
 
 import pytest
 
-from repro.cli import ALL_EXHIBITS, build_parser, main, make_config
+from repro.cli import (
+    ALL_EXHIBITS,
+    QUICK_INSTRUCTIONS,
+    build_parser,
+    main,
+    make_config,
+)
+from repro.sim import experiment
+from repro.sim.config import ExperimentConfig
+from repro.sim.engine import Engine
 
 
 class TestParser:
@@ -108,6 +117,75 @@ class TestMain:
         stats = json.loads(stats_path.read_text())
         assert stats["simulations"] == 1
         assert stats["elapsed_seconds"] >= 0
+
+
+class _Captured(Exception):
+    """Stops ``quick`` once its cells' configuration is known."""
+
+
+class TestBudgets:
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["all", "--instructions", "0"],
+             "--instructions must be at least 1, got 0"),
+            (["all", "--instructions", "-5"],
+             "--instructions must be at least 1, got -5"),
+            (["quick", "--hot-threshold", "0"],
+             "--hot-threshold must be at least 1, got 0"),
+            (["run", "db", "--instructions", "0"],
+             "--instructions must be at least 1, got 0"),
+        ],
+    )
+    def test_out_of_range_budget_exits_before_a_cell(
+        self, argv, message, capsys, monkeypatch
+    ):
+        def no_batch(self, cells):
+            raise AssertionError("a batch started")
+
+        monkeypatch.setattr(Engine, "run", no_batch)
+        with pytest.raises(SystemExit) as excinfo:
+            main([*argv, "--no-store"])
+        assert excinfo.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == [f"error: {message}"]
+
+    @pytest.mark.parametrize("field", ["max_instructions", "hot_threshold"])
+    def test_library_calls_name_the_field(self, field):
+        message = f"{field} must be at least 1, got 0"
+        with pytest.raises(ValueError, match=message):
+            ExperimentConfig(**{field: 0})
+        # A field assigned after construction is refused before the
+        # batch starts.
+        config = ExperimentConfig()
+        setattr(config, field, 0)
+        engine = Engine(use_cache=False, memory_cache={})
+        with pytest.raises(ValueError, match=message):
+            experiment.run_suite(["db"], config, engine=engine)
+        assert engine.stats.simulations == 0
+
+    @pytest.mark.parametrize(
+        "argv, budget",
+        [
+            ([], QUICK_INSTRUCTIONS),
+            (["--instructions", "6000000"], 6_000_000),
+            (["--instructions", "300"], 300),
+        ],
+    )
+    def test_quick_caps_only_the_default_budget(
+        self, argv, budget, monkeypatch
+    ):
+        seen = []
+
+        def capture(benchmark, config, engine):
+            seen.append(config.max_instructions)
+            raise _Captured
+
+        monkeypatch.setattr(experiment, "compare_schemes", capture)
+        with pytest.raises(_Captured):
+            main(["quick", "--no-store", *argv])
+        assert seen == [budget]
 
 
 class TestStoreGC:

@@ -154,9 +154,10 @@ class TestCodeCacheBound:
         telemetry = Telemetry()
         execute(RunSpec("db", "baseline", config()), telemetry=telemetry)
         info = blockjit.cache_info()
-        for name in ("compiles", "hits", "evictions", "size", "limit"):
+        assert {"compiles", "loads", "writes", "hits"} <= info.keys()
+        for name, value in info.items():
             gauge = telemetry.metrics.gauge(f"blockjit.cache_{name}")
-            assert gauge.value == info[name]
+            assert gauge.value == value
 
 
 if __name__ == "__main__":
