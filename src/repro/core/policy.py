@@ -44,21 +44,56 @@ from repro.core.tuning import (
 )
 from repro.sim.results import HotspotPolicyStats
 from repro.trace.events import BlockEvent
+from repro.vm.activation import STACK_BASE, STACK_SPACING
 from repro.vm.hotspot import HotspotInfo
 from repro.vm.jit import EntryStub
 from repro.vm.vm import AdaptationHooks, CountsFold, VirtualMachine
 
 
+#: ``_apply_config``'s answers when no setting moves, shared by every call.
+_UNCHANGED = frozenset()
+_APPLIED_UNCHANGED = (True, _UNCHANGED)
+
+
 class _InvocationToken:
-    """Per-invocation state the entry stub hands to the exit stub."""
+    """Per-invocation state the entry stub hands to the exit stub.
 
-    __slots__ = ("kind", "config", "snapshot", "covered_cus")
+    Every token records the machine's instruction and cycle counts at
+    the entry, which is all the sampling code reads.  Only a tuning
+    trial also carries a full :class:`MachineSnapshot`: the profiling
+    code needs the window's energy metric as well.  A configuration
+    code token names the coverage its entry added (``covered_cus`` on
+    thread ``thread_id``), which the sampling code removes.
+    """
 
-    def __init__(self, kind, config, snapshot, covered_cus=()):
+    __slots__ = (
+        "kind", "config", "instructions", "cycles", "covered_cus",
+        "thread_id", "snapshot",
+    )
+
+    def __init__(
+        self, kind, config, machine, covered_cus=(), thread_id=0,
+        snapshot=None,
+    ):
         self.kind = kind
         self.config = config
-        self.snapshot = snapshot
+        self.instructions = machine.instructions
+        self.cycles = machine.cycles
         self.covered_cus = covered_cus
+        self.thread_id = thread_id
+        self.snapshot = snapshot
+
+    def window_ipc(self, machine, min_instructions: int) -> Optional[float]:
+        """IPC since the entry, or None if the window ran fewer than
+        ``min_instructions`` instructions or no cycles.  Bit-identical
+        to ``SnapshotDelta.ipc`` over the same window."""
+        instructions = machine.instructions - self.instructions
+        if instructions < min_instructions:
+            return None
+        cycles = machine.cycles - self.cycles
+        if cycles <= 0:
+            return None
+        return instructions / cycles
 
 
 class _IpcAccumulator:
@@ -140,7 +175,13 @@ class HotspotACEPolicy(AdaptationHooks):
         self._warmups: Dict[str, int] = {}
         self._slow_cus: frozenset = frozenset()
         self._cov_depth: Dict[str, List[int]] = {}
-        #: Per thread, the CUs whose coverage depth is positive.
+        #: Per CU, its ``_cov_depth`` row and its bit in a coverage mask.
+        self._cov_rows: Dict[str, Tuple[List[int], int]] = {}
+        #: Per mask, the CUs it covers, in ``_cov_depth`` order.
+        self._cov_sets: List[Tuple[str, ...]] = []
+        #: Per thread, the CUs whose coverage depth is positive, as a
+        #: mask and as a tuple.
+        self._cov_mask: List[int] = []
         self._covering: List[Tuple[str, ...]] = []
         self.vm: Optional[VirtualMachine] = None
         self.machine = None
@@ -164,6 +205,16 @@ class HotspotACEPolicy(AdaptationHooks):
             self.reconfig_count.setdefault(cu_name, 0)
             self.covered_insns.setdefault(cu_name, 0)
             self._cov_depth.setdefault(cu_name, [0] * n_threads)
+        names = list(self._cov_depth)
+        self._cov_rows = {
+            name: (self._cov_depth[name], 1 << i)
+            for i, name in enumerate(names)
+        }
+        self._cov_sets = [
+            tuple(name for i, name in enumerate(names) if mask >> i & 1)
+            for mask in range(1 << len(names))
+        ]
+        self._cov_mask = [0] * n_threads
         self._covering = [()] * n_threads
         max_interval = max(
             cu.reconfiguration_interval for cu in vm.machine.cus.values()
@@ -198,12 +249,18 @@ class HotspotACEPolicy(AdaptationHooks):
 
     def _cover(self, cu_names, tid: int, step: int) -> None:
         """Move the coverage depth of ``cu_names`` on thread ``tid``."""
-        depths = self._cov_depth
+        rows = self._cov_rows
+        masks = self._cov_mask
+        mask = masks[tid]
         for cu_name in cu_names:
-            depths[cu_name][tid] += step
-        self._covering[tid] = tuple(
-            cu_name for cu_name, d in depths.items() if d[tid] > 0
-        )
+            row, bit = rows[cu_name]
+            depth = row[tid] = row[tid] + step
+            if depth > 0:
+                mask |= bit
+            else:
+                mask &= ~bit
+        masks[tid] = mask
+        self._covering[tid] = self._cov_sets[mask]
 
     # -- hotspot detection -------------------------------------------------------
 
@@ -311,16 +368,21 @@ class HotspotACEPolicy(AdaptationHooks):
         measurement code inserts warm-up invocations.
         """
         machine = self.machine
-        needed = []
+        cus = machine.cus
         for cu_name, index in zip(state.cu_names, config):
-            if machine.cus[cu_name].current_index != index:
-                needed.append((cu_name, index))
-        if not needed:
-            return True, frozenset()
+            if cus[cu_name].current_index != index:
+                break
+        else:
+            return _APPLIED_UNCHANGED
+        needed = [
+            (cu_name, index)
+            for cu_name, index in zip(state.cu_names, config)
+            if cus[cu_name].current_index != index
+        ]
         now = machine.instructions
         for cu_name, _ in needed:
             if not machine.guard.would_grant(cu_name, now):
-                return False, frozenset()
+                return False, _UNCHANGED
         counter = (
             self.trial_count if actor == "tuning" else self.reconfig_count
         )
@@ -366,8 +428,9 @@ class HotspotACEPolicy(AdaptationHooks):
             # measure under the settled configuration.
             activation.policy_token = None
             return
+        machine = self.machine
         activation.policy_token = _InvocationToken(
-            "trial", trial, self.machine.snapshot()
+            "trial", trial, machine, snapshot=machine.snapshot()
         )
 
     # -- profiling code (hotspot exit, TUNING phase) ---------------------------------------
@@ -461,8 +524,10 @@ class HotspotACEPolicy(AdaptationHooks):
         else:
             target = state.best.config
             kind = "sample"
-        applied, changed = self._apply_config(state, target, actor="config")
-        self._cover(state.cu_names, activation_thread_id(activation, vm), 1)
+        applied, changed = self._apply_config(state, target, "config")
+        cu_names = state.cu_names
+        tid = activation_thread_id(activation, vm)
+        self._cover(cu_names, tid, 1)
         if kind == "verify" and (
             not applied or self._needs_warmup(hotspot.name, changed)
         ):
@@ -470,8 +535,7 @@ class HotspotACEPolicy(AdaptationHooks):
             # treat this invocation as warm-up (coverage still counted).
             kind = "warm"
         activation.policy_token = _InvocationToken(
-            kind, target, self.machine.snapshot(),
-            covered_cus=state.cu_names,
+            kind, target, self.machine, cu_names, tid
         )
 
     # -- sampling code (hotspot exit, CONFIGURED phase) --------------------------------------
@@ -485,20 +549,17 @@ class HotspotACEPolicy(AdaptationHooks):
             "warm",
         ):
             return
-        self._cover(
-            token.covered_cus, activation_thread_id(activation, vm), -1
-        )
+        self._cover(token.covered_cus, token.thread_id, -1)
         if token.kind == "warm":
             return
         state = self.states.get(hotspot.name)
         if state is None or state.phase is not TuningPhase.CONFIGURED:
             return
-        delta = self.machine.snapshot().delta(token.snapshot)
-        if delta.instructions < self.tuning.min_measurable_instructions:
+        ipc = token.window_ipc(
+            self.machine, self.tuning.min_measurable_instructions
+        )
+        if ipc is None:
             return
-        if delta.cycles <= 0:
-            return
-        ipc = delta.ipc
         plan = self.fault_plan
         if plan is not None and plan.perturbs_profiling:
             ipc, _ = plan.perturb_measurement(
@@ -653,6 +714,4 @@ class HotspotACEPolicy(AdaptationHooks):
 def activation_thread_id(activation, vm: VirtualMachine) -> int:
     """Recover the thread id owning an activation (frame bases encode it:
     each thread's frames live in its own stack window)."""
-    from repro.vm.activation import STACK_BASE, STACK_SPACING
-
     return (STACK_BASE - activation.frame_base) // STACK_SPACING

@@ -51,7 +51,7 @@ def normalize(vector: Sequence[int]) -> Tuple[float, ...]:
     total = sum(vector)
     if total <= 0:
         return tuple(0.0 for _ in vector)
-    return tuple(x / total for x in vector)
+    return tuple([x / total for x in vector])
 
 
 class BBVAccumulator:

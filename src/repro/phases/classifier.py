@@ -8,14 +8,30 @@ grants its BBV implementation "unlimited uncompressed signatures".
 Stability follows Figure 1's criterion: a phase *occurrence* (a maximal run
 of consecutive same-phase intervals) is stable iff it spans two or more
 intervals; single-interval occurrences are transitional.
+
+The Manhattan search prunes: a phase whose distance in the vector's
+heaviest bucket alone already exceeds the bound cannot be the phase
+:func:`manhattan_distance` would pick (docs/INTERNALS.md §20).
 """
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Tuple
 
 from repro.phases.bbv import BBVector, manhattan_distance, normalize
+
+#: Relative rounding margin per vector element.  Any float summation of
+#: n non-negative terms, plain (Python < 3.12) or compensated (3.12+),
+#: is within a relative n·eps of the exact sum, which is at least any
+#: one term.  So a term above ``bound * (1 + 4·n·eps)`` proves the full
+#: computed distance is above ``bound``.
+_MARGIN_PER_ELEMENT = 4 * sys.float_info.epsilon
+
+#: Absolute slack on the bound, which keeps it sound when the best
+#: distance so far is 0 or subnormal (where a relative margin rounds away).
+_BOUND_FLOOR = 2.0 ** -1000
 
 
 @dataclass
@@ -101,6 +117,8 @@ class PhaseClassifier:
         self._run_length = 0
         self.classifications = 0
         self.phase_history: List[int] = []
+        #: Subclasses that redefine ``_distance`` get the plain scan.
+        self._pruned = type(self)._distance is PhaseClassifier._distance
 
     # -- matching hooks (overridden by alternative detectors) -------------
 
@@ -114,9 +132,9 @@ class PhaseClassifier:
     def _merge(self, signature, prepared):
         """Refresh a matched phase's stored signature."""
         alpha = self.SIGNATURE_ALPHA
+        keep = 1 - alpha
         return tuple(
-            (1 - alpha) * s + alpha * v
-            for s, v in zip(signature, prepared)
+            [keep * s + alpha * v for s, v in zip(signature, prepared)]
         )
 
     # -- classification -----------------------------------------------------
@@ -129,13 +147,10 @@ class PhaseClassifier:
         classified as ``phase_id``.
         """
         prepared = self._prepare(vector)
-        best_pid = None
-        best_distance = None
-        for phase in self.phases.values():
-            distance = self._distance(prepared, phase.signature)
-            if best_distance is None or distance < best_distance:
-                best_distance = distance
-                best_pid = phase.pid
+        if self._pruned and prepared:
+            best_pid, best_distance = self._nearest_pruned(prepared)
+        else:
+            best_pid, best_distance = self._nearest(prepared)
         is_new = (
             best_pid is None or best_distance > self.similarity_threshold
         )
@@ -158,6 +173,53 @@ class PhaseClassifier:
             self._current_pid = pid
             self._run_length = 1
         return pid, is_new, self._run_length
+
+    def _nearest(self, prepared) -> Tuple[Optional[int], Optional[float]]:
+        """The first phase at the least ``_distance`` from ``prepared``,
+        as ``(pid, distance)``; ``(None, None)`` with no phases."""
+        best_pid = None
+        best_distance = None
+        for phase in self.phases.values():
+            distance = self._distance(prepared, phase.signature)
+            if best_distance is None or distance < best_distance:
+                best_distance = distance
+                best_pid = phase.pid
+        return best_pid, best_distance
+
+    def _nearest_pruned(
+        self, prepared
+    ) -> Tuple[Optional[int], Optional[float]]:
+        """:meth:`_nearest` under :func:`manhattan_distance`, skipping
+        phases that provably cannot decide the classification.
+
+        A phase is skipped when its distance in ``prepared``'s heaviest
+        bucket, one of the full distance's non-negative terms, exceeds
+        the bound by the rounding margin: its full distance is then
+        above the best so far (an earlier phase wins a tie anyway) or
+        above the similarity threshold (no phase above it is matched).
+        Every other phase's distance comes from
+        :func:`manhattan_distance` itself.  So the result equals
+        :meth:`_nearest`'s whenever that is within the threshold;
+        otherwise both make ``classify`` open a new phase.
+        """
+        scale = 1.0 + _MARGIN_PER_ELEMENT * len(prepared)
+        heaviest = max(prepared)
+        bucket = prepared.index(heaviest)
+        threshold = self.similarity_threshold
+        bound = threshold * scale + _BOUND_FLOOR
+        best_pid = None
+        best_distance = None
+        for phase in self.phases.values():
+            signature = phase.signature
+            if abs(heaviest - signature[bucket]) > bound:
+                continue
+            distance = manhattan_distance(prepared, signature)
+            if best_distance is None or distance < best_distance:
+                best_distance = distance
+                best_pid = phase.pid
+                if distance < threshold:
+                    bound = distance * scale + _BOUND_FLOOR
+        return best_pid, best_distance
 
     def _close_run(self) -> None:
         if self._current_pid is None or self._run_length == 0:

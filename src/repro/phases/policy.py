@@ -199,14 +199,16 @@ class BBVACEPolicy(AdaptationHooks):
         return tuple(0 for _ in self.cu_names)
 
     def _needs_warm_interval(self, pid: int, changed: frozenset) -> bool:
-        """Warm-up intervals after a reconfiguration (slow CUs need two —
-        their refill spans more than one sampling interval)."""
+        """Warm-up intervals after a reconfiguration.
+
+        A slow-CU change buys two, because its refill spans more than
+        one sampling interval.  A change of fast CUs alone buys none,
+        unlike the hotspot policy's one warm-up invocation: a fast CU
+        refills within one interval.  Every call draws down the
+        intervals still owed.
+        """
         if changed & self._slow_cus:
             self._warm_intervals[pid] = 2
-        elif changed:
-            self._warm_intervals[pid] = max(
-                self._warm_intervals.get(pid, 0), 0
-            )
         remaining = self._warm_intervals.get(pid, 0)
         if remaining > 0:
             self._warm_intervals[pid] = remaining - 1

@@ -40,13 +40,8 @@ class MachineSnapshot:
         "cycles",
         "l1d_energy_nj",
         "l2_energy_nj",
-        "l1d_dynamic_nj",
         "l2_dynamic_nj",
         "memory_nj",
-        "l1d_accesses",
-        "l1d_misses",
-        "l2_accesses",
-        "l2_misses",
         "pipeline_nj",
     )
 
@@ -55,16 +50,10 @@ class MachineSnapshot:
         self.cycles = machine.cycles
         energy = machine.energy
         self.l1d_energy_nj = energy.l1d.total_nj
-        self.l2_energy_nj = energy.l2.total_nj
-        self.l1d_dynamic_nj = energy.l1d.dynamic_nj
-        self.l2_dynamic_nj = energy.l2.dynamic_nj
+        l2 = energy.l2
+        self.l2_energy_nj = l2.total_nj
+        self.l2_dynamic_nj = l2.dynamic_nj
         self.memory_nj = energy.memory_nj
-        l1_stats = machine.hierarchy.l1d.stats
-        l2_stats = machine.hierarchy.l2.stats
-        self.l1d_accesses = l1_stats.accesses
-        self.l1d_misses = l1_stats.misses
-        self.l2_accesses = l2_stats.accesses
-        self.l2_misses = l2_stats.misses
         self.pipeline_nj = {
             name: component.energy_nj
             for name, component in energy.pipeline.items()
@@ -82,13 +71,8 @@ class SnapshotDelta:
         "cycles",
         "l1d_energy_nj",
         "l2_energy_nj",
-        "l1d_dynamic_nj",
         "l2_dynamic_nj",
         "memory_nj",
-        "l1d_accesses",
-        "l1d_misses",
-        "l2_accesses",
-        "l2_misses",
         "pipeline_nj",
     )
 
@@ -97,13 +81,8 @@ class SnapshotDelta:
         self.cycles = end.cycles - start.cycles
         self.l1d_energy_nj = end.l1d_energy_nj - start.l1d_energy_nj
         self.l2_energy_nj = end.l2_energy_nj - start.l2_energy_nj
-        self.l1d_dynamic_nj = end.l1d_dynamic_nj - start.l1d_dynamic_nj
         self.l2_dynamic_nj = end.l2_dynamic_nj - start.l2_dynamic_nj
         self.memory_nj = end.memory_nj - start.memory_nj
-        self.l1d_accesses = end.l1d_accesses - start.l1d_accesses
-        self.l1d_misses = end.l1d_misses - start.l1d_misses
-        self.l2_accesses = end.l2_accesses - start.l2_accesses
-        self.l2_misses = end.l2_misses - start.l2_misses
         self.pipeline_nj = {
             name: end.pipeline_nj[name] - start.pipeline_nj.get(name, 0.0)
             for name in end.pipeline_nj

@@ -1,8 +1,12 @@
 """End-to-end tests of the hotspot ACE policy on small programs."""
 
-from repro.core.policy import HotspotACEPolicy
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.core.policy import HotspotACEPolicy, _InvocationToken
 from repro.core.tuning import TuningPhase
 from repro.sim.config import MachineConfig, build_machine
+from repro.trace.events import BlockEvent
 from repro.vm.vm import VMConfig, VirtualMachine
 from tests.conftest import make_loop_program, make_two_tier_program
 
@@ -163,3 +167,47 @@ class TestPrediction:
         # right after the reference.
         assert state.config_list[1] == (3,)
         assert policy.predictor.predictions >= 1
+
+
+class TestSamplingWindow:
+    """The sampling code reads IPC from its token's (instructions,
+    cycles) pair instead of two machine snapshots."""
+
+    @given(
+        windows=st.lists(
+            st.lists(
+                st.tuples(
+                    st.integers(1, 200),
+                    st.lists(st.integers(0, 1 << 20), max_size=6),
+                    st.lists(st.integers(0, 1 << 20), max_size=4),
+                    st.booleans(),
+                ),
+                max_size=12,
+            ),
+            min_size=1,
+            max_size=4,
+        ),
+        resize=st.sampled_from([None, 0, 1, 2, 3]),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_token_ipc_equals_snapshot_delta(self, windows, resize):
+        machine = build_machine(MachineConfig())
+        for window in windows:
+            token = _InvocationToken("sample", (0,), machine)
+            before = machine.snapshot()
+            if resize is not None:
+                machine.request_reconfiguration("L1D", resize, "test")
+            for n_insns, loads, stores, taken in window:
+                machine.consume(
+                    BlockEvent(
+                        "m", "b", n_insns, [a * 8 for a in loads],
+                        [a * 8 for a in stores], 0x4000, taken,
+                    )
+                )
+            delta = machine.snapshot().delta(before)
+            for minimum in (0, 1, delta.instructions, delta.instructions + 1):
+                ipc = token.window_ipc(machine, minimum)
+                if delta.instructions < minimum or delta.cycles <= 0:
+                    assert ipc is None
+                else:
+                    assert ipc == delta.ipc

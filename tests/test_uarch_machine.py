@@ -132,7 +132,9 @@ class TestSnapshots:
         delta = machine.snapshot().delta(before)
         assert delta.instructions == 50
         assert delta.cycles > 0
-        assert delta.l1d_accesses == 1
+        assert delta.l1d_energy_nj == (
+            machine.energy.l1d.total_nj - before.l1d_energy_nj
+        )
         assert 0 < delta.ipc < 5
 
     def test_delta_energy_fields(self, machine):
