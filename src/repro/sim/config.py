@@ -260,7 +260,7 @@ def build_machine(config: Optional[MachineConfig] = None) -> MachineModel:
         PipelineEnergyModel,
     )
     from repro.uarch.branch import BimodalPredictor
-    from repro.uarch.cache import Cache
+    from repro.uarch.cache import Cache, TwoWayCache
     from repro.uarch.cu import (
         CacheSizeCU,
         ConfigurableUnit,
@@ -272,7 +272,11 @@ def build_machine(config: Optional[MachineConfig] = None) -> MachineModel:
 
     config = config or MachineConfig()
     params = config.params
-    l1d_cache = Cache(
+    # A 2-way L1D (every shipped configuration, paper Table 2) is kept as
+    # rank arrays, which the fast kernel's runners update; the L2 keeps
+    # dict sets at any associativity, which its miss path inlines.
+    l1d_class = TwoWayCache if config.l1d.associativity == 2 else Cache
+    l1d_cache = l1d_class(
         config.l1d.name,
         config.l1d.max_size,
         config.l1d.line_size,

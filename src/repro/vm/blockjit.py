@@ -51,9 +51,9 @@ cache state *exactly* like the readable pair
   Draw order and access order differ for mixes, which is why the
   single-pass form used for flat behaviours cannot apply.
 * the cache-update snippet and its ``touch`` helper make
-  ``Cache.access_many``'s transition — the MRU check, LRU touch,
-  write-allocate, dirty-victim writeback — probing the set with one
-  pop-with-default.
+  ``TwoWayCache.access_many``'s transition — the MRU check, the rank
+  swap of an LRU hit, write-allocate, dirty-victim writeback — on the
+  L1D's rank arrays (:class:`~repro.uarch.cache.TwoWayCache`).
 
 The stand-alone closure runs the same body with its own miss lists and
 returns ``(read_misses, write_misses, miss_lines, writeback_lines)``
@@ -141,9 +141,6 @@ TERM_COND = 2
 #: Process-wide cache of compiled runner factories and fused closures,
 #: keyed by shape.
 _CACHE: Dict[Tuple, Callable] = {}
-
-#: Cache-probe sentinel of :func:`line_touch`.
-_MISSING = object()
 
 #: Process-wide draw tables (see :func:`draw_table`), shared by every
 #: body that draws from the same range.
@@ -314,11 +311,12 @@ def _signature(behavior) -> Optional[Tuple]:
     return _flat_signature(behavior)
 
 
-#: L1D state transition per address and lane, as ``Cache.access_many``
-#: makes it (kept in lockstep by the equivalence and property suites).
-#: ``{line}`` names the local holding the line index, ``{j}`` the lane.
-#: A hit on the set's MRU line (``mru_{j}[line & sm_{j}]``) does nothing
-#: more, and a store there only sets the dirty bit; anything else goes to the lane's
+#: L1D state transition per address and lane, as
+#: ``TwoWayCache.access_many`` makes it (kept in lockstep by the
+#: equivalence and property suites).  ``{line}`` names the local holding
+#: the line index, ``{j}`` the lane.  A hit on the set's MRU line
+#: (``mru_{j}[line & sm_{j}]``) does nothing more, and a store there only
+#: sets its dirty flag (``dm_{j}``); anything else goes to the lane's
 #: ``touch`` helper (:func:`line_touch`), which keeps the unrolled
 #: bodies, their compile and their code small.  ``touch`` returns 1 on
 #: a miss: a body counts read misses only (its write misses are its miss
@@ -331,7 +329,7 @@ _LOAD = """\
 _STORE = """\
     i = {line} & sm_{j}
     if mru_{j}[i] == {line}:
-        sets_{j}[i][{line}] = True
+        dm_{j}[i] = 1
     else:
         touch_{j}(i, {line}, True)
 """
@@ -344,32 +342,37 @@ def _access(line: str, is_store: bool, lanes: int) -> str:
 
 
 def line_touch(l1, miss_lines: List[int], wb_lines: List[int]):
-    """``touch(index, line, store)``: an L1D access that missed its set's
-    MRU line, as ``Cache.access_many`` does it — the LRU touch on a hit
-    (a store sets the dirty bit), or the line fill on a miss: record the
-    miss line, evict the LRU victim of a full set (recording its
-    writeback when dirty), insert the line.  Either way the line
-    becomes the set's MRU line.  Returns 1 on a miss, else 0.  Reads the
-    live geometry, so one helper serves every runner of a run.
+    """``touch(index, line, store)``: an access of a
+    :class:`~repro.uarch.cache.TwoWayCache` that missed its set's MRU
+    line, as ``access_many`` does it — on a hit of the LRU line the two
+    ranks swap (a store sets the dirty bit); on a miss record the miss
+    line, evict the LRU line (recording its writeback when dirty),
+    demote the MRU line and make the line the MRU line.  Returns 1 on a
+    miss, else 0.  Reads the live arrays and geometry, so one helper
+    serves every runner of a run.
     """
     miss_append = miss_lines.append
     wb_append = wb_lines.append
-    missing = _MISSING
 
     def touch(i, line, store):
-        s = l1._sets[i]
-        l1._mru[i] = line
-        prev = s.pop(line, missing)
-        if prev is not missing:
-            s[line] = store or prev
+        mru = l1._mru
+        lru = l1._lru
+        dm = l1._dm
+        dl = l1._dl
+        if lru[i] == line:
+            lru[i] = mru[i]
+            mru[i] = line
+            dirty = dl[i]
+            dl[i] = dm[i]
+            dm[i] = store or dirty
             return 0
-        line_shift = l1._line_shift
-        miss_append(line << line_shift)
-        if len(s) >= l1.associativity:
-            victim = next(iter(s))
-            if s.pop(victim):
-                wb_append(victim << line_shift)
-        s[line] = store
+        if dl[i]:
+            wb_append(lru[i] << l1._line_shift)
+        lru[i] = mru[i]
+        dl[i] = dm[i]
+        mru[i] = line
+        dm[i] = store
+        miss_append(line << l1._line_shift)
         return 1
 
     return touch
@@ -589,8 +592,8 @@ def compile_fused_block(behavior, n_loads: int, n_stores: int):
             "    getrandbits = rng.getrandbits\n"
             "    line_shift = l1._line_shift\n"
             "    sm_0 = l1._set_mask\n"
-            "    sets_0 = l1._sets\n"
             "    mru_0 = l1._mru\n"
+            "    dm_0 = l1._dm\n"
             "    miss_lines = []\n"
             "    wb_lines = []\n"
             "    touch_0 = line_touch(l1, miss_lines, wb_lines)\n"
@@ -625,7 +628,7 @@ RUNNER_PARAMS = (
     "E2",           # L2 energy account: leakage total, price
     "PIPE",         # pipeline energy accounts, as a tuple
     "T",            # timing model: _ilp_factor
-    "L1",           # L1D cache: geometry, MRU record
+    "L1",           # L1D cache (a TwoWayCache): geometry, rank arrays
     "L1S",          # L1D statistics: read/write accesses
     "PR",           # the branch predictor the lanes share: lookups,
                     # mispredictions
@@ -639,7 +642,7 @@ RUNNER_PARAMS = (
     "rng",          # the thread's random stream
     "getrandbits",  # rng.getrandbits
     "random",       # rng.random
-    "missing",      # cache-probe sentinel
+    "missing",      # decider-state sentinel
     "touch",        # touch(index, line, store): an L1D access past the
                     # MRU check; 1 on a miss
     "ML",           # L1D miss-line list
@@ -953,8 +956,8 @@ class _RunnerSource:
             e(ind, "line_shift = L1_0._line_shift", "ra = 0", "wa = 0")
             e(ind, *self.per_lane(
                 "d1_{j} = E1_{j}.dynamic_nj", "rn_{j} = E1_{j}._read_nj",
-                "wn_{j} = E1_{j}._write_nj", "sets_{j} = L1_{j}._sets",
-                "mru_{j} = L1_{j}._mru", "sm_{j} = L1_{j}._set_mask",
+                "wn_{j} = E1_{j}._write_nj", "mru_{j} = L1_{j}._mru",
+                "dm_{j} = L1_{j}._dm", "sm_{j} = L1_{j}._set_mask",
             ))
         if self.root.has_mem:
             e(ind, "frame_base = act.frame_base")

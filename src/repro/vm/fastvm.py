@@ -42,6 +42,7 @@ from __future__ import annotations
 
 from repro.obs.events import HOTSPOT_DETECTED, HOTSPOT_INVOKE, NULL_TELEMETRY
 from repro.trace.events import BlockEvent
+from repro.uarch.cache import TwoWayCache
 from repro.vm.activation import FRAME_BYTES, Activation
 from repro.vm.blockjit import decider_shape, line_touch
 from repro.vm.hotspot import HotspotInfo, MethodProfile
@@ -265,7 +266,7 @@ def _address_path(blocks, rng, region_base, l1s, touches, box):
                 line = addr >> line_shift
                 i = line & set_mask
                 if mru[i] == line:
-                    l1._sets[i][line] = True
+                    l1._dm[i] = 1
                 else:
                     touch(i, line, True)
             misses.append(read_misses)
@@ -362,13 +363,24 @@ class FastVirtualMachine(VirtualMachine):
     configuration; they take lane 0's branch predictor, whose state is
     a function of the shared branch stream.  At most one lane's policy
     may install JIT stubs, which own ``Activation.policy_token``, and at
-    most one may fold BBV buckets.
+    most one may fold BBV buckets.  Every lane's L1D must be a 2-way
+    :class:`~repro.uarch.cache.TwoWayCache`, the paper's L1D (Table 2),
+    whose rank arrays the runners update.
     """
 
     def __init__(self, *args, lanes=(), **kwargs):
         super().__init__(*args, **kwargs)
         machine = self.machine
         program = self.program
+        for l1d in [machine.hierarchy.l1d] + [
+            lane[0].hierarchy.l1d for lane in lanes
+        ]:
+            if not isinstance(l1d, TwoWayCache):
+                raise ValueError(
+                    "the fast kernel needs a 2-way L1D (a TwoWayCache); "
+                    f"this machine's L1D is a {type(l1d).__name__} with "
+                    f"associativity {l1d.associativity}"
+                )
         views = [self]
         for lane_machine, lane_policy, lane_telemetry in lanes:
             if _lane_shape(lane_machine) != _lane_shape(machine):

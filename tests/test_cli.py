@@ -1,9 +1,11 @@
 """CLI tests (parser wiring and a tiny end-to-end invocation)."""
 
 import json
+from dataclasses import replace
 
 import pytest
 
+from repro import cli
 from repro.cli import (
     ALL_EXHIBITS,
     QUICK_INSTRUCTIONS,
@@ -117,6 +119,29 @@ class TestMain:
         stats = json.loads(stats_path.read_text())
         assert stats["simulations"] == 1
         assert stats["elapsed_seconds"] >= 0
+
+
+class TestNonTwoWayL1D:
+    def test_fast_kernel_refusal_is_one_error_line(
+        self, capsys, monkeypatch
+    ):
+        def four_way_l1d(args):
+            config = make_config(args)
+            machine = config.machine
+            config.machine = replace(
+                machine, l1d=replace(machine.l1d, associativity=4)
+            )
+            return config
+
+        monkeypatch.setattr(cli, "make_config", four_way_l1d)
+        assert main(
+            ["quick", "--no-store", "--instructions", "20000"]
+        ) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        (line,) = captured.err.splitlines()
+        assert line.startswith("error: ")
+        assert "L1D" in line and "associativity 4" in line
 
 
 class _Captured(Exception):

@@ -4,6 +4,7 @@ invariants."""
 import random
 import types
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -15,7 +16,7 @@ from repro.core.tuning import (
 from repro.isa.program import LoopDecider
 from repro.phases.bbv import BBVAccumulator, manhattan_distance, normalize
 from repro.trace.stream import IntervalSplitter
-from repro.uarch.cache import Cache, CacheStats
+from repro.uarch.cache import Cache, CacheStats, TwoWayCache
 from repro.uarch.registers import ReconfigurationGuard
 from repro.vm.blockjit import compile_fused_block, line_touch
 from repro.vm.fastvm import _address_path, _miss_path
@@ -336,7 +337,7 @@ class TestFusedClosureLockstep:
         fused = compile_fused_block(behavior, n_loads, n_stores)
         assert fused is not None
         ref_cache = Cache("c", 1 * KB, 64, 2, sizes=(1 * KB,))
-        fast_cache = Cache("c", 1 * KB, 64, 2, sizes=(1 * KB,))
+        fast_cache = TwoWayCache("c", 1 * KB, 64, sizes=(1 * KB,))
         ref_rng = random.Random(seed)
         fast_rng = random.Random(seed)
         frame_base, region_base = 0x1000_0000, 0x2000_0000
@@ -357,11 +358,8 @@ class TestFusedClosureLockstep:
         assert (wb_lines or []) == result.writeback_lines
         # ...and identical cache state, dirty bits and LRU order included
         # (dict order is insertion order, which *is* the LRU order here).
-        assert list(fast_cache._sets[0].items()) == list(
-            ref_cache._sets[0].items()
-        )
-        assert fast_cache._sets == ref_cache._sets
-        assert_mru_invariant(fast_cache)
+        assert set_contents(fast_cache) == set_contents(ref_cache)
+        assert_two_way_invariant(fast_cache)
 
     @given(
         behavior=fusable_behaviors,
@@ -382,7 +380,7 @@ class TestFusedClosureLockstep:
         fused = compile_fused_block(mixed, n_loads, n_stores)
         assert fused is not None
         ref_cache = Cache("c", 1 * KB, 64, 2, sizes=(1 * KB,))
-        fast_cache = Cache("c", 1 * KB, 64, 2, sizes=(1 * KB,))
+        fast_cache = TwoWayCache("c", 1 * KB, 64, sizes=(1 * KB,))
         ref_rng = random.Random(seed)
         fast_rng = random.Random(seed)
         frame_base, region_base = 0x1000_0000, 0x2000_0000
@@ -399,8 +397,8 @@ class TestFusedClosureLockstep:
         )
         assert (miss_lines or []) == result.miss_lines
         assert (wb_lines or []) == result.writeback_lines
-        assert fast_cache._sets == ref_cache._sets
-        assert_mru_invariant(fast_cache)
+        assert set_contents(fast_cache) == set_contents(ref_cache)
+        assert_two_way_invariant(fast_cache)
 
     def test_oversized_mixed_blocks_keep_the_list_path(self):
         """Mixes beyond the unroll budget stay unfused (no loop form
@@ -520,6 +518,39 @@ class TestCacheInvariantsUnderKernelPaths:
 # ---------------------------------------------------------------------------
 
 
+def set_contents(cache):
+    """Each set's ``(line, dirty)`` pairs, oldest first, of a dict
+    :class:`Cache` or a :class:`TwoWayCache`."""
+    if isinstance(cache, TwoWayCache):
+        return [
+            [(line, bool(dirty))
+             for line, dirty in ((lru, dl), (mru, dm)) if line is not None]
+            for lru, dl, mru, dm in zip(
+                cache._lru, cache._dl, cache._mru, cache._dm
+            )
+        ]
+    return [list(s.items()) for s in cache._sets]
+
+
+def assert_two_way_invariant(cache):
+    """A set holding one line keeps it in rank 0, two lines differ,
+    every line sits in its own set, and an empty rank is clean."""
+    n_sets = cache.n_sets
+    assert len(cache._mru) == len(cache._lru) == n_sets
+    assert len(cache._dm) == len(cache._dl) == n_sets
+    for i, (mru, lru, dm, dl) in enumerate(
+        zip(cache._mru, cache._lru, cache._dm, cache._dl)
+    ):
+        assert dm in (0, 1) and dl in (0, 1)
+        if mru is None:
+            assert lru is None and not dm, i
+        if lru is None:
+            assert not dl, i
+        else:
+            assert lru != mru and lru & cache._set_mask == i, i
+        assert mru is None or mru & cache._set_mask == i, i
+
+
 def assert_mru_invariant(cache):
     """``_mru[i]`` is ``None`` or the last line of set ``i``."""
     assert len(cache._mru) == len(cache._sets)
@@ -535,36 +566,97 @@ class _LruModel:
     def __init__(self, cache):
         self.line_shift = cache._line_shift
         self.assoc = cache.associativity
-        self.sets = [dict() for _ in cache._sets]
+        self.sets = [dict() for _ in range(cache.n_sets)]
+        self.stats = CacheStats()
+        self.miss_lines = []
+        self.wb_lines = []
 
     def touch(self, addr, store):
+        """One access, without statistics; True on a miss.  The miss
+        line and a dirty victim go to ``miss_lines`` and ``wb_lines``."""
         line = addr >> self.line_shift
         s = self.sets[line & (len(self.sets) - 1)]
         if line in s:
             dirty = s.pop(line)
             s[line] = True if store else dirty
-            return
+            return False
+        self.miss_lines.append(line << self.line_shift)
         if len(s) >= self.assoc:
-            s.pop(next(iter(s)))
+            victim = next(iter(s))
+            if s.pop(victim):
+                self.wb_lines.append(victim << self.line_shift)
         s[line] = store
+        return True
+
+    def take(self):
+        """The miss and writeback lines since the last call."""
+        lines = self.miss_lines, self.wb_lines
+        self.miss_lines, self.wb_lines = [], []
+        return lines
+
+    def access_many(self, loads, stores):
+        """``Cache.access_many``'s misses and traffic, counted in
+        ``stats``: ``(read misses, write misses, miss lines, writeback
+        lines)``."""
+        read_misses = sum(self.touch(addr, False) for addr in loads)
+        write_misses = sum(self.touch(addr, True) for addr in stores)
+        miss_lines, wb_lines = self.take()
+        st = self.stats
+        st.read_accesses += len(loads)
+        st.read_misses += read_misses
+        st.write_accesses += len(stores)
+        st.write_misses += write_misses
+        st.writebacks += len(wb_lines)
+        st.fills += len(miss_lines)
+        return read_misses, write_misses, miss_lines, wb_lines
+
+    def _written_back(self, dirty):
+        self.stats.flushes += 1
+        self.stats.flushed_dirty_lines += len(dirty)
+        self.stats.writebacks += len(dirty)
+        return dirty
 
     def flush(self):
+        """Every dirty line, set by set, oldest first."""
+        dirty = [
+            line << self.line_shift
+            for s in self.sets
+            for line, d in s.items()
+            if d
+        ]
         for s in self.sets:
             s.clear()
+        return self._written_back(dirty)
 
     def resize(self, n_sets, policy):
+        """The dirty lines a resize to ``n_sets`` writes back, set by
+        set, oldest first."""
         if n_sets == len(self.sets):
-            return
+            return []
+        self.stats.resizes += 1
         if policy == "flush":
+            dirty = self.flush()
             self.sets = [dict() for _ in range(n_sets)]
-        elif n_sets < len(self.sets):
+            return dirty
+        mask = n_sets - 1
+        if n_sets < len(self.sets):
+            gone = [s.items() for s in self.sets[n_sets:]]
             self.sets = self.sets[:n_sets]
         else:
-            mask = n_sets - 1
+            gone = [
+                [(line, d) for line, d in s.items() if line & mask != i]
+                for i, s in enumerate(self.sets)
+            ]
             self.sets = [
                 {line: d for line, d in s.items() if line & mask == i}
                 for i, s in enumerate(self.sets)
             ] + [dict() for _ in range(n_sets - len(self.sets))]
+        return self._written_back([
+            line << self.line_shift
+            for lines in gone
+            for line, d in lines
+            if d
+        ])
 
 
 class _FixedAddresses:
@@ -582,45 +674,103 @@ class _FixedAddresses:
 _near = st.lists(
     st.integers(min_value=0, max_value=4095), min_size=0, max_size=12
 )
-_mru_ops = st.lists(
-    st.one_of(
-        st.tuples(st.sampled_from(["miss", "many", "address"]), _near, _near),
-        st.tuples(st.just("touch"), st.integers(0, 4095), st.booleans()),
+
+
+def _cache_ops(batches, touch):
+    """Random interleavings of batched accesses (``batches`` names the
+    paths), single ``touch`` accesses when ``touch``, flushes and
+    resizes."""
+    kinds = [
+        st.tuples(st.sampled_from(batches), _near, _near),
         st.tuples(st.just("flush")),
         st.tuples(
             st.just("resize"),
             st.sampled_from([4 * KB, 2 * KB, 1 * KB, 512]),
         ),
-    ),
-    min_size=1,
-    max_size=25,
-)
+    ]
+    if touch:
+        kinds.append(
+            st.tuples(st.just("touch"), st.integers(0, 4095), st.booleans())
+        )
+    return st.lists(st.one_of(*kinds), min_size=1, max_size=25)
+
+
+def _stats(stats):
+    return {name: getattr(stats, name) for name in CacheStats.__slots__}
 
 
 class TestMruRecord:
-    """Every path that touches a cache — ``access_many``, the runners'
-    ``touch`` helper, the address-list path and the L2 side of the miss
-    helper — keeps ``Cache._mru`` the last line of its set, and the MRU
-    shortcut leaves the sets exactly as pop-and-re-insert LRU would."""
+    """Both paths that touch a dict :class:`Cache` — ``access_many`` and
+    the L2 side of the fast kernel's miss helper — keep ``Cache._mru``
+    the last line of its set, and the MRU shortcut leaves the sets
+    exactly as pop-and-re-insert LRU would."""
 
-    @given(ops=_mru_ops, policy=st.sampled_from(["selective", "flush"]))
+    @given(
+        ops=_cache_ops(["many", "miss"], touch=False),
+        policy=st.sampled_from(["selective", "flush"]),
+    )
     @settings(max_examples=150, deadline=None)
     def test_interleaved_paths_match_plain_lru(self, ops, policy):
         cache = Cache(
-            "c", 4 * KB, 64, 2, sizes=(4 * KB, 2 * KB, 1 * KB, 512),
+            "c", 4 * KB, 64, 4, sizes=(4 * KB, 2 * KB, 1 * KB, 512),
             resize_policy=policy,
         )
         model = _LruModel(cache)
-        miss_lines, wb_lines = [], []
-        touch = line_touch(cache, miss_lines, wb_lines)
         as_l2 = l2_miss_path(cache)
-        box = [None, None]
         for op in ops:
             kind = op[0]
             if kind == "many":
                 cache.access_many(op[1], op[2])
             elif kind == "miss":
                 as_l2(op[1], op[2])
+            if kind in ("miss", "many"):
+                for addr in op[1]:
+                    model.touch(addr, False)
+                for addr in op[2]:
+                    model.touch(addr, True)
+            elif kind == "flush":
+                cache.flush()
+                model.flush()
+            else:
+                cache.resize(op[1])
+                model.resize(cache.n_sets, policy)
+            assert set_contents(cache) == [
+                list(s.items()) for s in model.sets
+            ]
+            assert_mru_invariant(cache)
+
+
+class TestTwoWayCache:
+    """A :class:`TwoWayCache` through every path that touches an L1D —
+    ``access_many``, the runners' access (the MRU check, then the
+    ``touch`` helper), the address-list path, ``flush`` and ``resize``
+    under both policies — against pop-and-re-insert LRU: the same
+    misses and writebacks in the same order, the same statistics and
+    the same sets, oldest line first."""
+
+    @given(
+        ops=_cache_ops(["many", "address"], touch=True),
+        policy=st.sampled_from(["selective", "flush"]),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_interleavings_match_plain_lru(self, ops, policy):
+        cache = TwoWayCache(
+            "c", 4 * KB, 64, sizes=(4 * KB, 2 * KB, 1 * KB, 512),
+            resize_policy=policy,
+        )
+        model = _LruModel(cache)
+        miss_lines, wb_lines = [], []
+        touch = line_touch(cache, miss_lines, wb_lines)
+        box = [None, None]
+        for op in ops:
+            kind = op[0]
+            if kind == "many":
+                result = cache.access_many(op[1], op[2])
+                assert (
+                    result.read_misses, result.write_misses,
+                    result.miss_lines, result.writeback_lines,
+                ) == model.access_many(op[1], op[2])
+                assert result.accesses == len(op[1]) + len(op[2])
             elif kind == "address":
                 block = types.SimpleNamespace(
                     gen=_FixedAddresses(op[1], op[2]),
@@ -630,25 +780,46 @@ class TestMruRecord:
                 body = _address_path(
                     [block], random.Random(0), 0, (cache,), (touch,), box
                 )
-                body(0, 0, 0)
-            if kind in ("miss", "many", "address"):
-                for addr in op[1]:
-                    model.touch(addr, False)
+                assert body(0, 0, 0) == [
+                    sum(model.touch(addr, False) for addr in op[1])
+                ]
                 for addr in op[2]:
                     model.touch(addr, True)
             elif kind == "touch":
-                # The runners' access past the MRU check.
+                # The runners' snippet: the MRU check inline, then touch.
                 line = op[1] >> cache._line_shift
-                missed = line not in cache._sets[line & cache._set_mask]
-                assert touch(line & cache._set_mask, line, op[2]) == missed
-                model.touch(op[1], op[2])
+                i = line & cache._set_mask
+                if cache._mru[i] == line:
+                    missed = 0
+                    if op[2]:
+                        cache._dm[i] = 1
+                else:
+                    missed = touch(i, line, op[2])
+                assert missed == model.touch(op[1], op[2])
             elif kind == "flush":
-                cache.flush()
-                model.flush()
+                assert cache.flush() == model.flush()
             else:
-                cache.resize(op[1])
-                model.resize(len(cache._sets), policy)
-            assert [list(s.items()) for s in cache._sets] == [
+                dirty = cache.resize(op[1])
+                assert dirty == model.resize(cache.n_sets, policy)
+            if kind in ("address", "touch"):
+                assert (miss_lines, wb_lines) == model.take()
+                miss_lines.clear()
+                wb_lines.clear()
+            assert _stats(cache.stats) == _stats(model.stats)
+            assert set_contents(cache) == [
                 list(s.items()) for s in model.sets
             ]
-            assert_mru_invariant(cache)
+            assert_two_way_invariant(cache)
+            assert cache.resident_lines == sum(map(len, model.sets))
+            assert cache.dirty_lines == sum(
+                d for s in model.sets for d in s.values()
+            )
+            for s in model.sets:
+                for line, dirty in s.items():
+                    addr = line << cache._line_shift
+                    assert cache.contains(addr)
+                    assert cache.is_dirty(addr) == dirty
+
+    def test_rejects_other_associativities(self):
+        with pytest.raises(ValueError, match="associativity 2, got 4"):
+            TwoWayCache("c", 4 * KB, 64, 4)

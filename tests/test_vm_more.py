@@ -1,6 +1,12 @@
 """Additional VM behaviour tests: preloading, quantum, detection edges."""
 
-from repro.sim.config import MachineConfig, build_machine
+from dataclasses import replace
+
+import pytest
+
+from repro.sim.config import L1D_CONFIG, MachineConfig, build_machine
+from repro.uarch.cache import TwoWayCache
+from repro.vm.fastvm import FastVirtualMachine
 from repro.vm.hotspot import DODatabase
 from repro.vm.vm import AdaptationHooks, VMConfig, VirtualMachine
 from tests.conftest import make_loop_program, make_two_tier_program
@@ -164,4 +170,23 @@ class TestInstructionsInsideHotspots:
         assert (
             vm.stats.instructions_in_hotspots
             > 0.8 * vm.machine.instructions
+        )
+
+
+class TestFastKernelL1D:
+    """The fast kernel's runners update a 2-way L1D's rank arrays, so
+    any other L1D is refused when the VM is built."""
+
+    def test_two_way_l1d_is_the_rank_array_cache(self):
+        machine = build_machine(MachineConfig())
+        assert isinstance(machine.hierarchy.l1d, TwoWayCache)
+        assert not isinstance(machine.hierarchy.l2, TwoWayCache)
+
+    def test_four_way_l1d_is_refused_at_build(self):
+        four_way = MachineConfig(l1d=replace(L1D_CONFIG, associativity=4))
+        with pytest.raises(ValueError, match="L1D .*associativity 4"):
+            FastVirtualMachine(make_loop_program(), build_machine(four_way))
+        # The reference kernel runs any associativity.
+        VirtualMachine(make_loop_program(), build_machine(four_way)).run(
+            20_000
         )
