@@ -266,6 +266,14 @@ def make_recorder(args):
     return recorder
 
 
+def config_error(error: ValueError) -> int:
+    """Report a configuration the engine refused before any cell ran
+    (a budget below 1, a kernel that cannot run the machine) as one
+    ``error:`` line; returns the usage exit code."""
+    print(f"error: {error}", file=sys.stderr)
+    return 2
+
+
 def dump_stats_json(args, engine, elapsed: float) -> None:
     """Satisfy ``--stats-json``: engine counters, machine-readable."""
     if args.stats_json is None:
@@ -315,6 +323,8 @@ def run_command(args) -> int:
     start = perf_counter()
     try:
         result = engine.run_one(RunSpec(args.bench, args.scheme, config))
+    except ValueError as error:
+        return config_error(error)
     except (CellExecutionError, BatchExecutionError) as error:
         elapsed = perf_counter() - start
         print(f"error: {error}", file=sys.stderr)
@@ -396,6 +406,8 @@ def main(argv: Optional[List[str]] = None) -> int:
             comparison = compare_schemes(
                 (args.benchmarks or ["db"])[0], config, engine=engine
             )
+        except ValueError as error:
+            return config_error(error)
         except (CellExecutionError, BatchExecutionError) as error:
             elapsed = perf_counter() - start
             print(f"error: {error}", file=sys.stderr)
@@ -422,6 +434,8 @@ def main(argv: Optional[List[str]] = None) -> int:
     start = perf_counter()
     try:
         suite = run_suite(args.benchmarks, config, engine=engine)
+    except ValueError as error:
+        return config_error(error)
     except (CellExecutionError, BatchExecutionError) as error:
         elapsed = perf_counter() - start
         print(f"error: {error}", file=sys.stderr)

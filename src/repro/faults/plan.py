@@ -33,10 +33,11 @@ contract, applied to faults).
 
 from __future__ import annotations
 
-import hashlib
 import math
 from dataclasses import dataclass, field, fields
 from typing import Dict, Optional, Tuple
+
+from repro.hashing import sha256
 
 
 class InjectedFault(RuntimeError):
@@ -66,7 +67,7 @@ def deterministic_uniform(seed: int, site: str, key: Tuple) -> float:
     schedule of the others.
     """
     token = f"{seed}|{site}|{key!r}".encode()
-    digest = hashlib.sha256(token).digest()
+    digest = sha256(token).digest()
     return int.from_bytes(digest[:8], "big") / 2.0**64
 
 

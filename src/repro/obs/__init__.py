@@ -21,96 +21,65 @@ uninstrumented one.  See docs/INTERNALS.md §10 for the architecture and
 overhead contract.
 """
 
-from repro.obs.events import (
-    BATCH_DEGRADED,
-    CACHE_RESIZE,
-    CELL_DONE,
-    CELL_EXEC,
-    CELL_FAILED,
-    CELL_START,
-    CONFIG_DEMOTED,
-    CONFIG_PINNED,
-    CONFIG_TRIED,
-    EVENT_TYPES,
-    Event,
-    EventLog,
-    HOTSPOT_DETECTED,
-    HOTSPOT_INVOKE,
-    HOTSPOT_UNMANAGED,
-    MEMORY_HIT,
-    NULL_TELEMETRY,
-    NullTelemetry,
-    PHASE_TRANSITION,
-    PROGRESS,
-    RECONFIG_APPLIED,
-    RECONFIG_DENIED,
-    RETRY,
-    SAMPLING_RETUNE,
-    STORE_HIT,
-    TIMEOUT,
-    TIMEOUT_DISABLED,
-    TUNING_STARTED,
-    Telemetry,
-    WALL_CLOCK_EVENTS,
-    WORKER_CRASH,
-)
-from repro.obs.export import (
-    chrome_trace,
-    summary_markdown,
-    timeline_markdown,
-    write_chrome_trace,
-    write_jsonl,
-)
-from repro.obs.recorder import FlightRecorder
-from repro.obs.registry import (
-    Counter,
-    Gauge,
-    Histogram,
-    MetricsRegistry,
-    NullMetricsRegistry,
-)
+#: Public name -> defining module.  Every name is imported on first
+#: access (PEP 562), so importing one submodule (the engine imports
+#: ``repro.obs.events``) loads neither the exporters nor the flight
+#: recorder.
+_LAZY = {
+    "BATCH_DEGRADED": "repro.obs.events",
+    "CACHE_RESIZE": "repro.obs.events",
+    "CELL_DONE": "repro.obs.events",
+    "CELL_EXEC": "repro.obs.events",
+    "CELL_FAILED": "repro.obs.events",
+    "CELL_START": "repro.obs.events",
+    "CONFIG_DEMOTED": "repro.obs.events",
+    "CONFIG_PINNED": "repro.obs.events",
+    "CONFIG_TRIED": "repro.obs.events",
+    "Counter": "repro.obs.registry",
+    "EVENT_TYPES": "repro.obs.events",
+    "Event": "repro.obs.events",
+    "EventLog": "repro.obs.events",
+    "FlightRecorder": "repro.obs.recorder",
+    "Gauge": "repro.obs.registry",
+    "HOTSPOT_DETECTED": "repro.obs.events",
+    "HOTSPOT_INVOKE": "repro.obs.events",
+    "HOTSPOT_UNMANAGED": "repro.obs.events",
+    "Histogram": "repro.obs.registry",
+    "MEMORY_HIT": "repro.obs.events",
+    "MetricsRegistry": "repro.obs.registry",
+    "NULL_TELEMETRY": "repro.obs.events",
+    "NullMetricsRegistry": "repro.obs.registry",
+    "NullTelemetry": "repro.obs.events",
+    "PHASE_TRANSITION": "repro.obs.events",
+    "PROGRESS": "repro.obs.events",
+    "RECONFIG_APPLIED": "repro.obs.events",
+    "RECONFIG_DENIED": "repro.obs.events",
+    "RETRY": "repro.obs.events",
+    "SAMPLING_RETUNE": "repro.obs.events",
+    "STORE_HIT": "repro.obs.events",
+    "TIMEOUT": "repro.obs.events",
+    "TIMEOUT_DISABLED": "repro.obs.events",
+    "TUNING_STARTED": "repro.obs.events",
+    "Telemetry": "repro.obs.events",
+    "WALL_CLOCK_EVENTS": "repro.obs.events",
+    "WORKER_CRASH": "repro.obs.events",
+    "chrome_trace": "repro.obs.export",
+    "summary_markdown": "repro.obs.export",
+    "timeline_markdown": "repro.obs.export",
+    "write_chrome_trace": "repro.obs.export",
+    "write_jsonl": "repro.obs.export",
+}
 
-__all__ = [
-    "BATCH_DEGRADED",
-    "CACHE_RESIZE",
-    "CELL_DONE",
-    "CELL_EXEC",
-    "CELL_FAILED",
-    "CELL_START",
-    "CONFIG_DEMOTED",
-    "CONFIG_PINNED",
-    "CONFIG_TRIED",
-    "Counter",
-    "EVENT_TYPES",
-    "Event",
-    "EventLog",
-    "FlightRecorder",
-    "Gauge",
-    "HOTSPOT_DETECTED",
-    "HOTSPOT_INVOKE",
-    "HOTSPOT_UNMANAGED",
-    "Histogram",
-    "MEMORY_HIT",
-    "MetricsRegistry",
-    "NULL_TELEMETRY",
-    "NullMetricsRegistry",
-    "NullTelemetry",
-    "PHASE_TRANSITION",
-    "PROGRESS",
-    "RECONFIG_APPLIED",
-    "RECONFIG_DENIED",
-    "RETRY",
-    "SAMPLING_RETUNE",
-    "STORE_HIT",
-    "TIMEOUT",
-    "TIMEOUT_DISABLED",
-    "TUNING_STARTED",
-    "Telemetry",
-    "WALL_CLOCK_EVENTS",
-    "WORKER_CRASH",
-    "chrome_trace",
-    "summary_markdown",
-    "timeline_markdown",
-    "write_chrome_trace",
-    "write_jsonl",
-]
+__all__ = sorted(_LAZY)
+
+
+def __getattr__(name):
+    try:
+        module_name = _LAZY[name]
+    except KeyError:
+        raise AttributeError(
+            f"module {__name__!r} has no attribute {name!r}"
+        ) from None
+    import importlib
+
+    return getattr(importlib.import_module(module_name), name)

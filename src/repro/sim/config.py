@@ -11,7 +11,6 @@ on (DESIGN.md §2).  Cache geometries are kept at the paper's values.
 from __future__ import annotations
 
 import dataclasses
-import hashlib
 import json
 from dataclasses import dataclass, field, replace
 from typing import TYPE_CHECKING, Dict, Optional, Tuple
@@ -28,6 +27,7 @@ from repro.energy.params import (
     DEFAULT_L2_ENERGY,
     MEMORY_ACCESS_NJ,
 )
+from repro.hashing import sha256
 from repro.sim.options import check_at_least
 from repro.uarch.timing import TimingModel, TimingParams
 
@@ -230,6 +230,23 @@ class ExperimentConfig:
         check_at_least("max_instructions", self.max_instructions, 1)
         check_at_least("hot_threshold", self.hot_threshold, 1)
 
+    def check_kernel(self) -> None:
+        """Raise ``ValueError`` when the kernel cannot run this machine.
+
+        The fast kernel's runners update a 2-way L1D's rank arrays
+        (:class:`~repro.uarch.cache.TwoWayCache`), so it refuses any
+        other associativity; the reference kernel runs them all.
+        :meth:`repro.sim.engine.Engine.run` checks before a batch
+        starts, so such a batch fails once, before any cell runs.
+        """
+        associativity = self.machine.l1d.associativity
+        if self.sim_kernel == "fast" and associativity != 2:
+            raise ValueError(
+                "the fast kernel needs a 2-way L1D; this configuration's "
+                f"L1D has associativity {associativity} (use "
+                "sim_kernel='reference')"
+            )
+
     def fingerprint(self) -> str:
         """Content hash over *every* nested knob (versioned, hex).
 
@@ -249,7 +266,7 @@ class ExperimentConfig:
         blob = json.dumps(
             payload, sort_keys=True, separators=(",", ":")
         )
-        return hashlib.sha256(blob.encode("utf-8")).hexdigest()
+        return sha256(blob.encode("utf-8")).hexdigest()
 
 
 def build_machine(config: Optional[MachineConfig] = None) -> MachineModel:

@@ -60,9 +60,8 @@ parent process — they are not guaranteed picklable and are never cached.
 
 from __future__ import annotations
 
+import os
 import time
-import traceback as traceback_mod
-from concurrent.futures import FIRST_COMPLETED, Future, wait
 from dataclasses import dataclass
 from typing import (
     TYPE_CHECKING,
@@ -75,7 +74,6 @@ from typing import (
     Tuple,
 )
 
-from repro.faults import FaultPlan, corrupt_file
 from repro.obs.events import (
     BATCH_DEGRADED,
     CELL_DONE,
@@ -95,13 +93,16 @@ from repro.obs.events import (
     WORKER_CRASH,
     WORKER_WARMUP,
 )
-from repro.obs.recorder import FlightRecorder
 from repro.sim.options import check_at_least
 from repro.sim.pools.base import CellTimeout
 from repro.sim.results import RunResult, RunSpec
 from repro.sim.store import META_VERSION, ResultStore
 
 if TYPE_CHECKING:
+    from concurrent.futures import Future
+
+    from repro.faults import FaultPlan
+    from repro.obs.recorder import FlightRecorder
     from repro.sim.pools.local import LocalProcessPool
 
 # The execution layer — the pool worker (and through it the driver, the
@@ -419,14 +420,14 @@ class Engine:
         max_retries: int = 1,
         failure_policy: str = "raise",
         max_pool_rebuilds: int = 3,
-        fault_plan: Optional[FaultPlan] = None,
+        fault_plan: Optional["FaultPlan"] = None,
         progress: Optional[ProgressCallback] = None,
         runner: Optional[Callable[[RunSpec], RunResult]] = None,
         memory_cache: Optional[Dict] = None,
         telemetry=None,
         chunk_size: Optional[int] = None,
         pool: Optional["LocalProcessPool"] = None,
-        recorder: Optional[FlightRecorder] = None,
+        recorder: Optional["FlightRecorder"] = None,
     ):
         if failure_policy not in FAILURE_POLICIES:
             raise ValueError(
@@ -461,9 +462,11 @@ class Engine:
         )
         self.telemetry = telemetry if telemetry is not None else NULL_TELEMETRY
         self.chunk_size = chunk_size
-        self.recorder = (
-            recorder if recorder is not None else FlightRecorder.from_env()
-        )
+        if recorder is None and os.environ.get("REPRO_FLIGHT_DIR"):
+            from repro.obs.recorder import FlightRecorder
+
+            recorder = FlightRecorder.from_env()
+        self.recorder = recorder
         self.stats = EngineStats()
         self._unarmed_warned = False
         #: Per-track high-water marks for clock-rebased worker events;
@@ -472,7 +475,7 @@ class Engine:
         self._in_flight = 0
         self._run_t0 = time.perf_counter()
         #: The in-flight table of the current pool round.
-        self._flights: Dict[Future, _Flight] = {}
+        self._flights: Dict["Future", _Flight] = {}
         #: The lockstep group of each cell of the current pool round.
         self._group_of: Dict[int, List[int]] = {}
 
@@ -511,13 +514,7 @@ class Engine:
         ``values()`` slot holds ``None``.
         """
         specs = list(cells)
-        for spec in specs:
-            spec.config.check_budgets()
-        # One fingerprint per cell per batch: lookup, de-duplication,
-        # store writes and the flight recorder all share these keys.
-        keys = [
-            spec.cache_key() if spec.cacheable else None for spec in specs
-        ]
+        keys = _batch_keys(specs)
         recorder = self.recorder
         if recorder is not None:
             recorder.begin_batch(
@@ -724,6 +721,8 @@ class Engine:
         path = self.store.put(*key, result, meta)
         plan = self.fault_plan
         if plan is not None and plan.decide("store_corrupt", key):
+            from repro.faults import corrupt_file
+
             corrupt_file(path)
 
     def _finish(self, index: int, outcome: CellOutcome) -> None:
@@ -862,8 +861,10 @@ class Engine:
             status = "failed"
         tb = getattr(error, "remote_traceback", None)
         if tb is None and error.__traceback__ is not None:
+            import traceback
+
             tb = "".join(
-                traceback_mod.format_exception(
+                traceback.format_exception(
                     type(error), error, error.__traceback__
                 )
             )
@@ -1170,6 +1171,8 @@ class Engine:
         pool fail-fast — it may hold in-flight work of a poisoned
         batch and must not leak into the next one.
         """
+        from concurrent.futures import FIRST_COMPLETED, wait
+
         from repro.sim import schedule as schedule_mod
 
         telemetry = self.telemetry
@@ -1296,7 +1299,7 @@ class Engine:
 
         return isinstance(error, BROKEN_EXCEPTIONS)
 
-    def _land(self, future: Future) -> None:
+    def _land(self, future: "Future") -> None:
         """Settle one finished chunk: each of its cells succeeds, is
         retried, or fails for good."""
         flight = self._flights.pop(future)
@@ -1348,7 +1351,7 @@ class Engine:
         self._sync_in_flight()
 
     def _read_reply(
-        self, future: Future, flight: _Flight
+        self, future: "Future", flight: _Flight
     ) -> Tuple[
         Optional[Dict], list, Dict[int, float], Optional[str], Dict[int, str]
     ]:
@@ -1434,6 +1437,36 @@ class Engine:
             hwm=self._remote_hwm,
         )
         self.stats.remote_events_dropped += merged["dropped"]
+
+
+def _batch_keys(
+    specs: List[RunSpec],
+) -> List[Optional[Tuple[str, str, str]]]:
+    """Check each cell's configuration, then give every cacheable cell
+    its cache key (None for the others).
+
+    A batch usually shares one configuration object across its cells,
+    so each distinct ``(config, max_instructions)`` pair is
+    fingerprinted once.  The memo lives for this call only: the
+    configuration is mutable, and a later batch must see its changes.
+    Lookup, de-duplication, store writes and the flight recorder all
+    share these keys.
+    """
+    fingerprints: Dict[Tuple[int, Optional[int]], str] = {}
+    keys: List[Optional[Tuple[str, str, str]]] = []
+    for spec in specs:
+        spec.config.check_budgets()
+        spec.config.check_kernel()
+        if not spec.cacheable:
+            keys.append(None)
+            continue
+        # The specs hold their configs alive, so no two share an id.
+        mark = (id(spec.config), spec.max_instructions)
+        fingerprint = fingerprints.get(mark)
+        if fingerprint is None:
+            fingerprint = fingerprints[mark] = spec.effective_fingerprint()
+        keys.append((spec.benchmark_name, spec.scheme, fingerprint))
+    return keys
 
 
 def _identity(

@@ -76,7 +76,6 @@ from __future__ import annotations
 
 import json
 import os
-import tempfile
 import time
 from dataclasses import dataclass
 from pathlib import Path
@@ -290,7 +289,10 @@ class ResultStore:
         if meta:
             payload["meta"] = meta
         # The temp file lives in the shard so the commit rename never
-        # crosses a filesystem boundary.
+        # crosses a filesystem boundary.  Only writers need tempfile, so
+        # a run served from the store never imports it.
+        import tempfile
+
         fd, tmp_name = tempfile.mkstemp(
             dir=str(path.parent), prefix=path.name, suffix=".tmp"
         )

@@ -92,7 +92,6 @@ and a failed write is skipped.
 
 from __future__ import annotations
 
-import hashlib
 import importlib.util
 import marshal
 import os
@@ -101,6 +100,7 @@ import tempfile
 import types
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
+from repro.hashing import sha256
 from repro.isa.program import (
     AlternatingDecider,
     LoopDecider,
@@ -233,7 +233,7 @@ def _code(source: str, filename: str):
     if directory is None:
         CACHE_STATS["compiles"] += 1
         return compile(source, filename, "exec")
-    digest = hashlib.sha256(
+    digest = sha256(
         _KEY_PREFIX + filename.encode() + b"\0" + source.encode()
     ).hexdigest()
     path = os.path.join(directory, digest)

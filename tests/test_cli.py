@@ -134,14 +134,17 @@ class TestNonTwoWayL1D:
             return config
 
         monkeypatch.setattr(cli, "make_config", four_way_l1d)
+        # A configuration error: the batch fails once, before any cell
+        # runs, so no attempt is made and none retried.
         assert main(
             ["quick", "--no-store", "--instructions", "20000"]
-        ) == 1
+        ) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
         (line,) = captured.err.splitlines()
         assert line.startswith("error: ")
         assert "L1D" in line and "associativity 4" in line
+        assert "attempt" not in line and "retr" not in line
 
 
 class _Captured(Exception):

@@ -341,18 +341,24 @@ class TestMakeEngineStore:
         assert engine.store.root == tmp_path / "elsewhere"
 
 
+@pytest.fixture
+def fingerprint_calls(monkeypatch):
+    """One entry per ``ExperimentConfig.fingerprint`` call from now on."""
+    calls = []
+    original = ExperimentConfig.fingerprint
+
+    def counting(self):
+        calls.append(1)
+        return original(self)
+
+    monkeypatch.setattr(ExperimentConfig, "fingerprint", counting)
+    return calls
+
+
 class TestOneFingerprintPerCell:
     def test_cache_key_computed_once_per_cell(
-        self, monkeypatch, small_config
+        self, fingerprint_calls, small_config
     ):
-        calls = []
-        original = ExperimentConfig.fingerprint
-
-        def counting(self):
-            calls.append(1)
-            return original(self)
-
-        monkeypatch.setattr(ExperimentConfig, "fingerprint", counting)
         result = cached_run("db", "baseline", small_config, use_cache=False)
         engine = Engine(
             store=None, memory_cache={}, runner=lambda spec: result
@@ -361,11 +367,47 @@ class TestOneFingerprintPerCell:
             RunSpec(name, "baseline", small_config)
             for name in ("db", "jess", "db")
         ]
-        calls.clear()
+        fingerprint_calls.clear()
         batch = engine.run(cells)
         assert all(outcome.ok for outcome in batch)
         assert engine.stats.deduplicated == 1
-        assert len(calls) == len(cells)
+        # The cells share one config object: one fingerprint per batch.
+        assert len(fingerprint_calls) == 1
+
+    def test_suite_batch_fingerprints_its_config_once(
+        self, fingerprint_calls, small_config
+    ):
+        result = cached_run("db", "baseline", small_config, use_cache=False)
+        engine = Engine(
+            store=None, memory_cache={}, runner=lambda spec: result
+        )
+        fingerprint_calls.clear()
+        suite = run_suite(config=small_config, engine=engine)
+        assert len(suite.comparisons) == 7
+        assert engine.stats.simulations == 21
+        assert len(fingerprint_calls) == 1
+
+    def test_a_config_mutated_between_batches_gets_a_new_key(
+        self, small_config
+    ):
+        result = cached_run("db", "baseline", small_config, use_cache=False)
+        memory = {}
+        ran = []
+
+        def runner(spec):
+            ran.append(spec.config.seed)
+            return result
+
+        engine = Engine(store=None, memory_cache=memory, runner=runner)
+        seed = small_config.seed
+        engine.run([RunSpec("db", "baseline", small_config)])
+        small_config.seed += 1
+        engine.run([RunSpec("db", "baseline", small_config)])
+        # The memo lives for one call: the second batch fingerprints
+        # the mutated config afresh and misses the first entry.
+        assert ran == [seed, seed + 1]
+        assert engine.stats.memory_hits == 0
+        assert len(memory) == 2
 
 
 def completed_future(value) -> Future:

@@ -332,6 +332,22 @@ class TestFingerprint:
         rather than happen as a side effect of a config refactor."""
         assert ExperimentConfig(**overrides).fingerprint() == expected
 
+    def test_fingerprint_hash_is_cpythons_own_sha256(self):
+        """The fingerprint hashes with CPython's builtin SHA-256
+        (``_sha256`` up to 3.11, ``_sha2`` from 3.12), not OpenSSL's;
+        the pinned keys above hold on every version CI runs."""
+        import hashlib
+        import importlib
+        import platform
+
+        from repro.hashing import sha256
+
+        if platform.python_implementation() == "CPython":
+            builtin = "_sha2" if sys.version_info >= (3, 12) else "_sha256"
+            assert sha256 is importlib.import_module(builtin).sha256
+        blob = b'{"config":{},"version":2}'
+        assert sha256(blob).hexdigest() == hashlib.sha256(blob).hexdigest()
+
     def test_effective_fingerprint_folds_budget_override(self):
         config = ExperimentConfig(max_instructions=100_000)
         spec = RunSpec("db", "baseline", config)
