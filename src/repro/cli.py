@@ -163,7 +163,7 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         metavar="PATH",
         help="dump the engine's stats counters (simulations, memory/store "
-        "hits, retries, timeouts) as JSON to PATH ('-' for stdout)",
+        "hits, failures, timeouts) as JSON to PATH ('-' for stdout)",
     )
     parser.add_argument(
         "--inject",
@@ -176,13 +176,12 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--on-error",
-        choices=["raise", "skip", "partial"],
+        choices=["raise", "skip"],
         default="raise",
         dest="on_error",
         help="batch failure policy: 'raise' aborts on the first cell "
-        "that exhausts its retries (default); 'skip'/'partial' keep "
-        "serving surviving cells ('partial' still fails when no cell "
-        "succeeded)",
+        "that fails (default); 'skip' keeps serving the other cells. "
+        "Each cell runs once; re-run to simulate the failed ones",
     )
     return parser
 
@@ -294,7 +293,7 @@ def dump_stats_json(args, engine, elapsed: float) -> None:
 def run_command(args) -> int:
     """The ``run`` exhibit: one traced benchmark/scheme cell."""
     from repro.obs import Telemetry, write_chrome_trace
-    from repro.sim.engine import BatchExecutionError, CellExecutionError
+    from repro.sim.engine import CellExecutionError
     from repro.sim.experiment import make_engine
 
     if args.bench is None:
@@ -325,7 +324,7 @@ def run_command(args) -> int:
         result = engine.run_one(RunSpec(args.bench, args.scheme, config))
     except ValueError as error:
         return config_error(error)
-    except (CellExecutionError, BatchExecutionError) as error:
+    except CellExecutionError as error:
         elapsed = perf_counter() - start
         print(f"error: {error}", file=sys.stderr)
         dump_stats_json(args, engine, elapsed)

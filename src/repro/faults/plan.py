@@ -22,8 +22,10 @@ function of ``(seed, site, key)`` — the key names *what* is being
 faulted (cell identity + attempt, CU + instruction count, hotspot +
 sample index), never *when* the question was asked.  The same seed
 therefore reproduces the same fault schedule regardless of worker
-scheduling, cache hits, or retry interleaving, and a plan pickled into a
-pool worker decides identically to its parent-process original.
+scheduling or cache hits, and a plan pickled into a pool worker decides
+identically to its parent-process original.  The engine runs each cell
+once, so a cell's attempt is always 1: a re-run under the same plan
+hits the same faults, and recovery is a re-run without it.
 
 With no plan installed (``fault_plan=None`` everywhere), every hook is a
 single ``is not None`` check on an untaken branch — results are
@@ -87,12 +89,12 @@ class FaultPlan:
     worker_crash:
         Probability that a pool worker hard-exits (``os._exit``) instead
         of executing its cell — surfaces as ``BrokenProcessPool`` in the
-        engine, which must rebuild the pool and resubmit survivors.
+        engine, which settles the round's unsettled cells as crashed.
         Only ever fired inside pool worker processes, never in the
         parent (a serial run cannot crash the caller).
     cell_exception:
         Probability that a cell raises :class:`InjectedFault` instead of
-        executing (exercises retry + ``failure_policy`` paths).
+        executing (exercises the ``failure_policy`` paths).
     cell_timeout:
         Probability that a cell raises
         :class:`~repro.sim.engine.CellTimeout` immediately (exercises

@@ -54,7 +54,6 @@ _LAZY = {
     "PROGRESS": "repro.obs.events",
     "RECONFIG_APPLIED": "repro.obs.events",
     "RECONFIG_DENIED": "repro.obs.events",
-    "RETRY": "repro.obs.events",
     "SAMPLING_RETUNE": "repro.obs.events",
     "STORE_HIT": "repro.obs.events",
     "TIMEOUT": "repro.obs.events",

@@ -52,7 +52,6 @@ CELL_START = "cell_start"
 CELL_DONE = "cell_done"
 STORE_HIT = "store_hit"
 MEMORY_HIT = "memory_hit"
-RETRY = "retry"
 TIMEOUT = "timeout"
 # Wall-clock failure/degradation events (graceful-degradation paths):
 WORKER_CRASH = "worker_crash"
@@ -98,7 +97,6 @@ EVENT_TYPES: Tuple[str, ...] = (
     CELL_DONE,
     STORE_HIT,
     MEMORY_HIT,
-    RETRY,
     TIMEOUT,
     WORKER_CRASH,
     CELL_FAILED,
@@ -119,7 +117,6 @@ WALL_CLOCK_EVENTS = frozenset(
         CELL_DONE,
         STORE_HIT,
         MEMORY_HIT,
-        RETRY,
         TIMEOUT,
         WORKER_CRASH,
         CELL_FAILED,

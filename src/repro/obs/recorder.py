@@ -7,13 +7,13 @@ the process is gone.  One :class:`FlightRecorder` writes one append-only
 JSONL file per engine run, flushed record by record so a crashed or
 killed run still leaves everything it knew on disk:
 
-* ``begin_batch`` — backend name, worker count, failure policy, retry
-  budget, fault-plan spec, and every cell's ``(benchmark, scheme,
+* ``begin_batch`` — backend name, worker count, failure policy, cell
+  timeout, fault-plan spec, and every cell's ``(benchmark, scheme,
   config-fingerprint)`` identity;
 * ``cell`` — one record per terminal cell outcome (status, attempts,
   source layer, error + remote traceback for failures);
-* ``note`` — degradation breadcrumbs (worker crashes, pool rebuilds,
-  degrade-to-serial transitions, unarmed timeouts);
+* ``note`` — degradation breadcrumbs (worker crashes, failed lockstep
+  groups);
 * ``end_batch`` / ``batch_aborted`` — outcome tally, engine counters,
   telemetry truncation counts.
 
@@ -49,7 +49,8 @@ from typing import Dict, List, Optional, Union
 #: fields linking a continued run to the manifest it replayed and
 #: counting that replay's partition.  v3 drops those two fields: a
 #: re-run is served by the result store and never reads a manifest.
-SCHEMA_VERSION = 3
+#: v4 drops ``begin_batch``'s ``max_retries``: each cell runs once.
+SCHEMA_VERSION = 4
 
 
 class FlightRecorder:
@@ -103,7 +104,6 @@ class FlightRecorder:
         workers: int,
         failure_policy: str,
         cell_timeout: Optional[float],
-        max_retries: int,
         fault_plan: Optional[object],
         cells: List[Dict[str, object]],
     ) -> None:
@@ -114,7 +114,6 @@ class FlightRecorder:
             workers=workers,
             failure_policy=failure_policy,
             cell_timeout=cell_timeout,
-            max_retries=max_retries,
             fault_plan=None if fault_plan is None else repr(fault_plan),
             cells=cells,
         )
@@ -143,7 +142,7 @@ class FlightRecorder:
         )
 
     def note(self, what: str, **fields: object) -> None:
-        """A degradation breadcrumb (worker crash, degrade-to-serial...)."""
+        """A degradation breadcrumb (worker crash, failed lockstep group)."""
         self._write("note", what=what, **fields)
 
     def end_batch(self, batch, stats, events_dropped: int = 0) -> None:

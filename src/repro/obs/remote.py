@@ -231,8 +231,8 @@ def merge_chunk_info(
 
     Returns ``{"events": appended, "dropped": worker_truncations}``.
     ``hwm`` is the caller's per-track high-water-mark dict; it must
-    outlive the batch so tracks stay monotone across chunks and pool
-    rebuilds.
+    outlive the batch so tracks stay monotone across chunks, batches
+    and pool respawns.
     """
     if chunk_info.get("v") != SNAPSHOT_VERSION:
         return {"events": 0, "dropped": 0}

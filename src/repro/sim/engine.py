@@ -14,8 +14,8 @@ entry point for that.  It layers three mechanisms under a single
    so *fresh processes* — another CLI invocation, another pytest
    worker — reuse runs too;
 3. an execution **pool** (:class:`repro.sim.pools.local.LocalProcessPool`,
-   when ``jobs > 1``) with per-cell timeout and bounded retry for the
-   cells that actually have to simulate.
+   when ``jobs > 1``) with a per-cell timeout for the cells that
+   actually have to simulate.
 
 Results are deterministic: a cell's outcome depends only on its
 :class:`~repro.sim.results.RunSpec`, never on scheduling or location, so
@@ -30,26 +30,26 @@ initializer that pre-builds the batch's benchmarks (method runners
 compile into each worker's process-wide blockjit code cache on first
 execution) — and later batches on the same engine reuse the
 live workers (``pool_reused`` telemetry) instead of paying spawn +
-warm-up again.  Cells are submitted in **chunks**: one pickled payload
-carries several cells plus the shared timeout/fault-plan, and workers
-memoise built benchmarks by name, so a 3-scheme sweep builds each
-benchmark once per worker rather than once per cell.  Cacheable cells
-that differ only in scheme form a **lockstep group**, which the driver
-runs as lanes of one VM — serially, or in one chunk — and re-runs cell
-by cell if it fails (docs/INTERNALS.md §13).  Call
-:meth:`Engine.close` (or use the engine as a context manager) to shut
-the pool down; a dropped engine cleans up in ``__del__``.
+warm-up again.  Cacheable cells that differ only in scheme form a
+**lockstep group** (:func:`repro.sim.schedule.plan_round`), which the
+driver runs as lanes of one VM, and re-runs cell by cell if it fails
+(docs/INTERNALS.md §13).  On the pool, each group or lone cell is one
+submission (a *chunk*): one pickled payload carries its cells plus the
+shared timeout/fault-plan, and workers memoise built benchmarks by
+name.  Call :meth:`Engine.close` (or use the engine as a context
+manager) to shut the pool down; a dropped engine cleans up in
+``__del__``.
 
-Graceful degradation (docs/INTERNALS.md §11): ``failure_policy``
-selects what a cell that exhausts its retry budget does to the batch —
-``"raise"`` (default, legacy) aborts with :class:`CellExecutionError`,
-while ``"skip"`` and ``"partial"`` record a per-cell failure and keep
-serving the surviving cells (``"partial"`` additionally raises
-:class:`BatchExecutionError` when *no* cell succeeded).  A worker death
-(any exception in :data:`~repro.sim.pools.local.BROKEN_EXCEPTIONS`) is
-recovered by restarting the pool and resubmitting the interrupted
-cells; after ``max_pool_rebuilds`` the engine degrades further to
-in-process serial execution.
+Failures (docs/INTERNALS.md §11): every cell of a batch runs once.  A
+cell that fails, times out or loses its worker settles at once, as
+``failure_policy`` says: ``"raise"`` (default) aborts the batch with
+:class:`CellExecutionError`, while ``"skip"`` records a per-cell
+failure and keeps serving the other cells.  A worker death (any
+exception in :data:`~repro.sim.pools.local.BROKEN_EXCEPTIONS`) settles
+every cell of the round not settled yet as ``"crashed"`` and closes the
+pool; the next batch spawns a new one.  Recovery is a re-run: each
+simulated result is written through to the store as its cell settles,
+so running the same cells again simulates only the ones that failed.
 Seeded fault injection for all of these paths lives in
 :mod:`repro.faults`.
 
@@ -85,7 +85,6 @@ from repro.obs.events import (
     POOL_REUSED,
     POOL_SPAWNED,
     PROGRESS,
-    RETRY,
     SCHEDULE_PLANNED,
     STORE_HIT,
     TIMEOUT,
@@ -106,8 +105,8 @@ if TYPE_CHECKING:
     from repro.sim.pools.local import LocalProcessPool
 
 # The execution layer — the pool worker (and through it the driver, the
-# kernels and the policies), the pool classes, the chunk partition and
-# worker telemetry — is imported where a cell first executes
+# kernels and the policies), the pool classes and worker telemetry — is
+# imported where a cell first executes
 # or a pool starts, never at module import: a batch the caches answer
 # whole never loads the simulator (docs/INTERNALS.md, "Import layering").
 
@@ -117,8 +116,8 @@ SOURCE_STORE = "store"
 SOURCE_SIMULATED = "simulated"
 SOURCE_FAILED = "failed"
 
-#: Batch failure policies (see the module docstring's state machine).
-FAILURE_POLICIES = ("raise", "skip", "partial")
+#: Batch failure policies (see the module docstring).
+FAILURE_POLICIES = ("raise", "skip")
 
 #: Shared across all Engine instances by default, so e.g. the CLI's
 #: exhibit loop and the bench fixtures see each other's runs.
@@ -132,34 +131,27 @@ def clear_memory_cache() -> int:
 
 
 class CellExecutionError(RuntimeError):
-    """A cell kept failing after the engine's retry budget was spent."""
+    """A cell failed, timed out or lost its worker under
+    ``failure_policy="raise"``."""
 
-    def __init__(self, spec: RunSpec, attempts: int, cause: BaseException):
+    def __init__(self, spec: RunSpec, cause: BaseException):
         super().__init__(
-            f"cell ({spec.benchmark_name!r}, {spec.scheme!r}) failed after "
-            f"{attempts} attempt(s): {cause!r}"
+            f"cell ({spec.benchmark_name!r}, {spec.scheme!r}) failed: "
+            f"{cause!r}"
         )
         self.spec = spec
-        self.attempts = attempts
         self.cause = cause
 
 
 class BatchExecutionError(RuntimeError):
     """A degraded batch the caller cannot proceed with.
 
-    The engine raises it under ``failure_policy="partial"`` when *every*
-    cell failed; facades that need a complete batch (e.g.
-    ``compare_schemes``) raise it for any failed cell.  Carries the
-    assembled :class:`BatchResult` so callers can still inspect the
-    per-cell outcomes.
+    Facades that need a complete batch (e.g. ``compare_schemes``) raise
+    it for any failed cell.  Carries the assembled :class:`BatchResult`
+    so callers can still inspect the per-cell outcomes.
     """
 
-    def __init__(self, batch: "BatchResult", message: Optional[str] = None):
-        if message is None:
-            message = (
-                f"all {len(batch)} cell(s) of the batch failed; first "
-                f"error: {batch.failures[0].error}"
-            )
+    def __init__(self, batch: "BatchResult", message: str):
         super().__init__(message)
         self.batch = batch
 
@@ -170,12 +162,12 @@ class CellOutcome:
 
     ``status`` is ``"ok"`` (with ``result`` set and ``source`` naming the
     layer that produced it), or one of the failure kinds: ``"failed"``
-    (exception exhausted the retry budget), ``"timeout"`` (final error
-    was a :class:`CellTimeout`), ``"crashed"`` (worker-process deaths
-    exhausted the budget).  Failed cells carry ``repr`` of the final
-    error, ``result=None``, and — when available — the formatted
-    ``traceback`` (a pool worker's via its ``remote_traceback``
-    attribute, or the local one).
+    (the cell raised), ``"timeout"`` (it raised :class:`CellTimeout`),
+    ``"crashed"`` (a worker died before the cell settled).  ``attempts``
+    is 1 for a cell that ran and 0 for one a cache answered.  Failed
+    cells carry ``repr`` of the error, ``result=None``, and — when
+    available — the formatted ``traceback`` (a pool worker's via its
+    ``remote_traceback`` attribute, or the local one).
     """
 
     spec: RunSpec
@@ -245,11 +237,9 @@ class EngineStats:
     memory_hits: int = 0
     store_hits: int = 0
     deduplicated: int = 0
-    retries: int = 0
     timeouts: int = 0
     failures: int = 0
     worker_crashes: int = 0
-    pool_rebuilds: int = 0
     pools_spawned: int = 0
     pool_reuses: int = 0
     #: Cells that requested a timeout the engine could not arm (SIGALRM
@@ -258,8 +248,7 @@ class EngineStats:
     #: Worker-side telemetry events truncated at the per-cell capture
     #: cap before the snapshot shipped (docs/INTERNALS.md §15).
     remote_events_dropped: int = 0
-    #: Pool rounds partitioned into chunks, and their summed wall-clock
-    #: seconds.
+    #: Pool rounds, and their summed wall-clock seconds.
     rounds_planned: int = 0
     actual_makespan_s: float = 0.0
     #: Always 0 since LPT planning was retired (docs/INTERNALS.md §18);
@@ -293,15 +282,6 @@ class CellProgress:
 ProgressCallback = Callable[[CellProgress], None]
 
 
-class _PoolBroken(Exception):
-    """Internal signal: the pool died; these cells were in flight."""
-
-    def __init__(self, interrupted: List[int], cause: BaseException):
-        super().__init__(f"pool broken with {len(interrupted)} cells in flight")
-        self.interrupted = interrupted
-        self.cause = cause
-
-
 @dataclass(eq=False)
 class _Flight:
     """One chunk submitted to the pool and not yet settled."""
@@ -310,6 +290,9 @@ class _Flight:
     #: ``time.perf_counter()`` at submission (the parent-side timing
     #: fallback for cells the worker did not time).
     started: float
+    #: Telemetry timestamp at submission, and the display lane.
+    submitted_us: float
+    track: str
 
 
 class Engine:
@@ -350,22 +333,15 @@ class Engine:
         nothing is read, nothing is written, every cell simulates.
     cell_timeout:
         Per-cell wall-clock budget in seconds (None = unbounded).  A
-        timed-out cell is retried like any other failure.
-    max_retries:
-        Extra attempts per cell after the first failure (at least 0).
-        Retries are resubmitted at once, without backoff.
+        timed-out cell fails like any other.
     failure_policy:
-        ``"raise"`` (default): a cell that exhausts its retries aborts
-        the batch with :class:`CellExecutionError` — the legacy
-        contract.  ``"skip"``: the failure is recorded as a
-        :class:`CellOutcome` and the batch keeps going; ``run()``
-        leaves ``None`` in that cell's ``values()`` slot.  ``"partial"``:
-        like ``"skip"``, but a batch in which *every* cell failed raises
-        :class:`BatchExecutionError`.
-    max_pool_rebuilds:
-        How many times a batch may rebuild a broken pool (worker
-        crash recovery) before degrading to in-process serial execution
-        for the interrupted cells (default 3; must be at least 0).
+        What a cell that fails, times out or loses its worker does to
+        the batch; each cell runs once.  ``"raise"`` (default): the
+        batch aborts with :class:`CellExecutionError`.  ``"skip"``: the
+        failure is recorded as a :class:`CellOutcome` and the batch
+        keeps going; ``run()`` leaves ``None`` in that cell's
+        ``values()`` slot.  A re-run of the same cells on the same
+        store simulates only the failed ones (docs/INTERNALS.md §11).
     fault_plan:
         Optional :class:`repro.faults.FaultPlan`.  ``None`` (default)
         injects nothing and adds no overhead.  A plan whose sites
@@ -381,8 +357,8 @@ class Engine:
     telemetry:
         Optional :class:`repro.obs.Telemetry` session.  The engine emits
         wall-clock scheduling events into it (``cell_start``,
-        ``cell_done``, ``store_hit``, ``memory_hit``, ``retry``,
-        ``timeout``, a per-cell ``progress`` heartbeat, and the
+        ``cell_done``, ``store_hit``, ``memory_hit``, ``timeout``, a
+        per-cell ``progress`` heartbeat, and the
         degradation events ``worker_crash``, ``cell_failed``,
         ``batch_degraded``, ``timeout_disabled``); cells executed
         *serially* additionally stream their simulation-side tuning
@@ -401,14 +377,6 @@ class Engine:
         JSONL manifest (batch config, per-cell outcomes, degradation
         notes).  Defaults to :meth:`FlightRecorder.from_env`, i.e. a
         recorder under ``$REPRO_FLIGHT_DIR`` when that is set.
-    chunk_size:
-        Cells per pool submission (at least 1).  ``None`` (default)
-        picks ``ceil(cells / (workers * 4))`` capped at 8 — enough
-        chunks to keep every worker busy for several rounds while
-        amortising pickling, without collapsing the crash-retry
-        granularity of small batches
-        (:func:`repro.sim.schedule.plan_round`).  Retries are always
-        resubmitted as single-cell chunks.
     """
 
     def __init__(
@@ -417,27 +385,26 @@ class Engine:
         store: Optional[ResultStore] = None,
         use_cache: bool = True,
         cell_timeout: Optional[float] = None,
-        max_retries: int = 1,
         failure_policy: str = "raise",
-        max_pool_rebuilds: int = 3,
         fault_plan: Optional["FaultPlan"] = None,
         progress: Optional[ProgressCallback] = None,
         runner: Optional[Callable[[RunSpec], RunResult]] = None,
         memory_cache: Optional[Dict] = None,
         telemetry=None,
-        chunk_size: Optional[int] = None,
         pool: Optional["LocalProcessPool"] = None,
         recorder: Optional["FlightRecorder"] = None,
     ):
+        if failure_policy == "partial":
+            raise ValueError(
+                'failure_policy "partial" was retired: use "skip" and '
+                "check the batch's outcomes (docs/INTERNALS.md §11)"
+            )
         if failure_policy not in FAILURE_POLICIES:
             raise ValueError(
                 f"failure_policy must be one of {FAILURE_POLICIES}, got "
                 f"{failure_policy!r}"
             )
         check_at_least("jobs", jobs, 1)
-        check_at_least("max_retries", max_retries, 0)
-        check_at_least("chunk_size", chunk_size, 1)
-        check_at_least("max_pool_rebuilds", max_pool_rebuilds, 0)
         if isinstance(pool, str):
             raise TypeError(
                 f"Engine(pool={pool!r}): pool takes a pool object; set "
@@ -451,9 +418,7 @@ class Engine:
         self.store = store
         self.use_cache = use_cache
         self.cell_timeout = cell_timeout
-        self.max_retries = max_retries
         self.failure_policy = failure_policy
-        self.max_pool_rebuilds = max_pool_rebuilds
         self.fault_plan = fault_plan
         self.progress = progress
         self.runner = runner
@@ -461,7 +426,6 @@ class Engine:
             _MEMORY_CACHE if memory_cache is None else memory_cache
         )
         self.telemetry = telemetry if telemetry is not None else NULL_TELEMETRY
-        self.chunk_size = chunk_size
         if recorder is None and os.environ.get("REPRO_FLIGHT_DIR"):
             from repro.obs.recorder import FlightRecorder
 
@@ -476,8 +440,6 @@ class Engine:
         self._run_t0 = time.perf_counter()
         #: The in-flight table of the current pool round.
         self._flights: Dict["Future", _Flight] = {}
-        #: The lockstep group of each cell of the current pool round.
-        self._group_of: Dict[int, List[int]] = {}
 
     @property
     def pool(self) -> Optional["LocalProcessPool"]:
@@ -510,8 +472,8 @@ class Engine:
         :class:`BatchResult` of per-cell :class:`CellOutcome`\\ s.
 
         ``run(cells).values()`` gives the old list-of-results shape.
-        Under ``failure_policy="skip"``/``"partial"`` a failed cell's
-        ``values()`` slot holds ``None``.
+        Under ``failure_policy="skip"`` a failed cell's ``values()`` slot
+        holds ``None``.
         """
         specs = list(cells)
         keys = _batch_keys(specs)
@@ -522,7 +484,6 @@ class Engine:
                 workers=self.jobs,
                 failure_policy=self.failure_policy,
                 cell_timeout=self.cell_timeout,
-                max_retries=self.max_retries,
                 fault_plan=self.fault_plan,
                 cells=[_identity(s, k) for s, k in zip(specs, keys)],
             )
@@ -602,8 +563,6 @@ class Engine:
                 total=len(batch),
             )
             telemetry.metrics.counter("engine.batches_degraded").inc()
-            if self.failure_policy == "partial" and not batch.ok:
-                raise BatchExecutionError(batch)
         return batch
 
     def run_one(self, spec: RunSpec) -> RunResult:
@@ -617,7 +576,7 @@ class Engine:
         parallel batch simply starts (and re-warms) the pool again.
         Safe on a half-constructed engine (a constructor that raised
         before assigning the pool) and on a pool whose state is
-        already broken — e.g. closing after a degrade-to-serial: a
+        already broken — e.g. one a worker death left behind: a
         failing idle shutdown is retried fail-fast, and a pool that
         will not even do that is abandoned rather than propagated.
         """
@@ -781,7 +740,6 @@ class Engine:
         self,
         index: int,
         result: RunResult,
-        attempts: int,
         elapsed_s: Optional[float] = None,
         executed_by: Optional[str] = None,
         group: Optional[str] = None,
@@ -796,66 +754,36 @@ class Engine:
                 spec=spec,
                 status="ok",
                 result=result,
-                attempts=attempts,
+                attempts=1,
                 source=SOURCE_SIMULATED,
             ),
         )
 
     def _settle_error(
-        self,
-        index: int,
-        attempts: int,
-        error: BaseException,
-        track: Optional[str] = None,
-        reason: Optional[str] = None,
-    ) -> bool:
-        """One failed attempt of cell ``index``: True when it should be
-        retried, False once it failed for good under a skip/partial
-        policy (``"raise"`` raises :class:`CellExecutionError`).
+        self, index: int, error: BaseException, track: Optional[str] = None
+    ) -> None:
+        """Cell ``index`` failed: raise :class:`CellExecutionError` under
+        ``"raise"``, record the failure under ``"skip"``.
 
-        The serial path, the pool path and crash recovery all settle
-        errors here; ``track`` and ``reason`` label the events.
+        The serial path, the pool path and a worker death all settle
+        errors here; ``track`` labels the timeout event.
         """
         spec = self._specs[index]
         telemetry = self.telemetry
-        where = {} if track is None else {"track": track}
         if isinstance(error, CellTimeout):
             self.stats.timeouts += 1
             telemetry.emit_wall(
                 TIMEOUT,
-                **where,
+                **({} if track is None else {"track": track}),
                 benchmark=spec.benchmark_name,
                 scheme=spec.scheme,
             )
             telemetry.metrics.counter("engine.timeouts").inc()
-        if attempts > self.max_retries:
-            if self.failure_policy == "raise":
-                raise CellExecutionError(spec, attempts, error) from error
-            self._record_failure(index, attempts, error)
-            return False
-        self.stats.retries += 1
-        if reason is not None:
-            where["reason"] = reason
-        telemetry.emit_wall(
-            RETRY,
-            benchmark=spec.benchmark_name,
-            scheme=spec.scheme,
-            attempt=attempts,
-            **where,
-        )
-        telemetry.metrics.counter("engine.retries").inc()
-        return True
-
-    def _record_failure(
-        self, index: int, attempts: int, error: BaseException
-    ) -> None:
-        """Terminal failure of one cell under skip/partial policies."""
-        spec = self._specs[index]
+        if self.failure_policy == "raise":
+            raise CellExecutionError(spec, error) from error
         if isinstance(error, CellTimeout):
             status = "timeout"
-        elif isinstance(error, _PoolBroken) or (
-            self._pool is not None and self._pool_error(error)
-        ):
+        elif self._pool is not None and self._pool_error(error):
             status = "crashed"
         else:
             status = "failed"
@@ -869,13 +797,12 @@ class Engine:
                 )
             )
         self.stats.failures += 1
-        telemetry = self.telemetry
         telemetry.emit_wall(
             CELL_FAILED,
             benchmark=spec.benchmark_name,
             scheme=spec.scheme,
             status=status,
-            attempts=attempts,
+            attempts=1,
             error=repr(error)[:200],
         )
         telemetry.metrics.counter("engine.cell_failures").inc()
@@ -885,7 +812,7 @@ class Engine:
                 spec=spec,
                 status=status,
                 error=repr(error),
-                attempts=attempts,
+                attempts=1,
                 source=SOURCE_FAILED,
                 traceback=tb,
             ),
@@ -907,23 +834,22 @@ class Engine:
     # -- execution ---------------------------------------------------------
 
     def _execute_pending(self, pending: List[int]) -> None:
-        pool_eligible = [
-            i for i in pending if self._pool_eligible(self._specs[i])
-        ]
+        from repro.sim import schedule as schedule_mod
+
+        # Through the module: perf/tracing.py wraps this binding.
+        groups = schedule_mod.plan_round(pending, self._lockstep_key)
+        pooled = [g for g in groups if self._pool_eligible(self._specs[g[0]])]
         # A single eligible cell normally runs serially (cheaper, and it
         # streams simulation telemetry directly) — unless the parent's
         # telemetry session is live, in which case routing through the
         # pool exercises the same capture/merge path a multi-cell batch
         # uses, keeping traces uniform across batch sizes.
-        serial = pending
         if self.pool is not None and (
-            len(pool_eligible) > 1
-            or (pool_eligible and self.telemetry.enabled)
+            sum(map(len, pooled)) > 1 or (pooled and self.telemetry.enabled)
         ):
-            self._run_pool(pool_eligible)
-            in_pool = set(pool_eligible)
-            serial = [i for i in pending if i not in in_pool]
-        for group in self._groups(serial):
+            self._run_pool(pooled)
+            groups = [g for g in groups if g not in pooled]
+        for group in groups:
             self._run_group(group)
 
     def _pool_eligible(self, spec: RunSpec) -> bool:
@@ -934,9 +860,10 @@ class Engine:
             and spec.preload_database is None
         )
 
-    def _groups(self, indices: List[int]) -> List[List[int]]:
-        """``indices`` split into lockstep groups, each at its first
-        member's place (docs/INTERNALS.md §13).
+    def _lockstep_key(self, index: int) -> Optional[Tuple[str, str]]:
+        """What cell ``index`` shares with the cells it may run in
+        lockstep with, or None when it runs alone (docs/INTERNALS.md
+        §13).
 
         A group is the cells that share a benchmark and a config
         fingerprint, run on the fast kernel, are cacheable and differ
@@ -944,25 +871,15 @@ class Engine:
         telemetry session keeps every cell alone, so each streams (or
         captures) its own timeline.
         """
-        if self.telemetry.enabled:
-            return [[index] for index in indices]
-        groups: List[List[int]] = []
-        by_key: Dict[Tuple[str, str], List[int]] = {}
-        for index in indices:
-            spec, key = self._specs[index], self._keys[index]
-            if not (
-                self._pool_eligible(spec)
-                and self._cell_cacheable(key)
-                and spec.config.sim_kernel == "fast"
-            ):
-                groups.append([index])
-                continue
-            group = by_key.get((key[0], key[2]))
-            if group is None:
-                group = by_key[(key[0], key[2])] = []
-                groups.append(group)
-            group.append(index)
-        return groups
+        spec, key = self._specs[index], self._keys[index]
+        if (
+            self.telemetry.enabled
+            or not self._pool_eligible(spec)
+            or not self._cell_cacheable(key)
+            or spec.config.sim_kernel != "fast"
+        ):
+            return None
+        return key[0], key[2]
 
     def _run_group(self, group: List[int]) -> None:
         """Run one group in the calling process: in lockstep, or — for
@@ -973,8 +890,9 @@ class Engine:
             self._run_serial(index)
 
     def _run_lockstep(self, group: List[int]) -> bool:
-        """One lockstep attempt of ``group``; False if it failed (its
-        cells then run solo, with their own retries)."""
+        """One lockstep run of ``group``; False if it failed (its cells
+        then run solo, so the failure settles on the cell it belongs
+        to)."""
         from repro.obs.remote import worker_origin
         from repro.sim.pools.worker import group_name, run_group
 
@@ -996,7 +914,7 @@ class Engine:
             # The group's seconds go to its first cell, so summing
             # ``elapsed_s`` over cells still gives the time spent.
             self._record_success(
-                index, result, 1,
+                index, result,
                 elapsed_s=elapsed_s if position == 0 else 0.0,
                 executed_by=worker_origin(), group=name,
             )
@@ -1016,36 +934,31 @@ class Engine:
 
         spec = self._specs[index]
         telemetry = self.telemetry
-        attempts = 0
-        while True:
-            attempts += 1
-            started = telemetry.now_us()
-            telemetry.emit_wall(
-                CELL_START,
-                track="worker:0",
-                ts=started,
-                benchmark=spec.benchmark_name,
-                scheme=spec.scheme,
-                attempt=attempts,
-            )
-            cell_t0 = time.perf_counter()
-            try:
-                if self.runner is not None:
-                    result = self.runner(spec)
-                else:
-                    inject_cell_faults(self.fault_plan, spec, attempts)
-                    result = run_with_alarm(
-                        spec,
-                        self.cell_timeout,
-                        telemetry if telemetry.enabled else None,
-                        fault_plan=self.fault_plan,
-                        on_unarmed=self._note_unarmed_timeout,
-                    )
-            except Exception as error:  # noqa: BLE001 — retry boundary
-                if self._settle_error(index, attempts, error, "worker:0"):
-                    continue
-                return
-            break
+        started = telemetry.now_us()
+        telemetry.emit_wall(
+            CELL_START,
+            track="worker:0",
+            ts=started,
+            benchmark=spec.benchmark_name,
+            scheme=spec.scheme,
+            attempt=1,
+        )
+        cell_t0 = time.perf_counter()
+        try:
+            if self.runner is not None:
+                result = self.runner(spec)
+            else:
+                inject_cell_faults(self.fault_plan, spec, 1)
+                result = run_with_alarm(
+                    spec,
+                    self.cell_timeout,
+                    telemetry if telemetry.enabled else None,
+                    fault_plan=self.fault_plan,
+                    on_unarmed=self._note_unarmed_timeout,
+                )
+        except Exception as error:  # noqa: BLE001 — the cell's outcome
+            self._settle_error(index, error, "worker:0")
+            return
         elapsed_s = time.perf_counter() - cell_t0
         telemetry.emit_wall(
             CELL_DONE,
@@ -1056,80 +969,10 @@ class Engine:
             scheme=spec.scheme,
         )
         self._record_success(
-            index, result, attempts,
-            elapsed_s=elapsed_s, executed_by=worker_origin(),
+            index, result, elapsed_s=elapsed_s, executed_by=worker_origin()
         )
 
     # -- pool execution -----------------------------------------------------
-
-    def _run_pool(self, indices: List[int]) -> None:
-        """Backend fan-out with worker-crash recovery.
-
-        Attempt counters, display lanes, and submission ordinals survive
-        pool rebuilds, so a cell's retry budget is global across crashes
-        and the telemetry lanes stay stable.
-        """
-        self._attempts: Dict[int, int] = {i: 0 for i in indices}
-        self._lanes: Dict[int, int] = {}
-        self._submitted_at: Dict[int, float] = {}
-        self._submissions = 0
-        to_run = list(indices)
-        rebuilds = 0
-        while to_run:
-            try:
-                self._run_round(to_run)
-                return
-            except _PoolBroken as broken:
-                to_run = self._survivors_of_crash(broken)
-                if not to_run:
-                    return
-                rebuilds += 1
-                self.stats.pool_rebuilds += 1
-                if rebuilds > self.max_pool_rebuilds:
-                    # The pool keeps dying: degrade to in-process
-                    # serial execution for whatever is left.
-                    # Worker-crash injection never fires in the parent
-                    # process, and a genuinely poisoned environment at
-                    # least fails with an attributable per-cell error.
-                    if self.recorder is not None:
-                        self.recorder.note(
-                            "degraded_to_serial",
-                            backend=self.pool.name,
-                            rebuilds=rebuilds,
-                            cells=len(to_run),
-                        )
-                    for group in self._groups(to_run):
-                        self._run_group(group)
-                    return
-
-    def _survivors_of_crash(self, broken: _PoolBroken) -> List[int]:
-        """Split crash-interrupted cells into resubmittable vs. exhausted."""
-        telemetry = self.telemetry
-        self.stats.worker_crashes += 1
-        telemetry.emit_wall(
-            WORKER_CRASH,
-            backend=self.pool.name,
-            interrupted=len(broken.interrupted),
-            error=repr(broken.cause)[:200],
-        )
-        telemetry.metrics.counter("engine.worker_crashes").inc()
-        if self.recorder is not None:
-            self.recorder.note(
-                "worker_crash",
-                backend=self.pool.name,
-                interrupted=len(broken.interrupted),
-                error=repr(broken.cause)[:200],
-            )
-        return [
-            index
-            for index in broken.interrupted
-            if self._settle_error(
-                index,
-                self._attempts[index],
-                broken.cause,
-                reason="worker_crash",
-            )
-        ]
 
     def _ensure_pool(self, indices: List[int]) -> "LocalProcessPool":
         """The live pool, starting (and warming) it if needed."""
@@ -1159,135 +1002,114 @@ class Engine:
             telemetry.metrics.counter("engine.pool_reuses").inc()
         return pool
 
-    def _run_round(self, indices: List[int]) -> None:
-        """One round against the persistent pool; raises
-        :class:`_PoolBroken` on worker death.
+    def _run_pool(self, groups: List[List[int]]) -> None:
+        """One round against the persistent pool: each group is one
+        chunk (one pickled payload, per-cell outcomes back), and every
+        submitted chunk sits in the in-flight table ``{future:
+        _Flight}`` until it lands.
 
-        Cells go out in chunks (shared timeout/plan payload, per-cell
-        outcomes back) and every submitted chunk sits in the in-flight
-        table ``{future: _Flight}`` until it lands; retries are
-        resubmitted as single-cell chunks so a flaky cell cannot hold
-        healthy chunk-mates hostage.  Any failure path discards the
-        pool fail-fast — it may hold in-flight work of a poisoned
-        batch and must not leak into the next one.
+        A worker death settles every cell of the round not settled yet
+        — in flight or never submitted — as ``"crashed"``.  Any failure
+        path discards the pool fail-fast: it may hold in-flight work of
+        a poisoned batch and must not leak into the next one, which
+        spawns a fresh pool.
         """
         from concurrent.futures import FIRST_COMPLETED, wait
 
-        from repro.sim import schedule as schedule_mod
+        from repro.sim.pools.local import BROKEN_EXCEPTIONS
 
         telemetry = self.telemetry
-        pool = self._ensure_pool(indices)
-        groups = self._groups(indices)
-        self._group_of = {index: group for group in groups for index in group}
         indices = [index for group in groups for index in group]
-        # Through the module: perf/tracing.py wraps this binding.
-        chunks = schedule_mod.plan_round(
-            indices, pool.workers, self.chunk_size, groups
-        )
+        pool = self._ensure_pool(indices)
         self.stats.rounds_planned += 1
         round_t0 = time.perf_counter()
-        self._round = indices
         self._flights = {}
         # Worker-side telemetry capture is requested only when the
         # parent session is live, so the NULL_TELEMETRY default keeps
         # the 3-field payload on the wire.
-        self._capture = (
-            {"max_events": DEFAULT_CELL_EVENT_CAP}
+        capture = (
+            ({"max_events": DEFAULT_CELL_EVENT_CAP},)
             if telemetry.enabled
-            else None
+            else ()
         )
         try:
-            for chunk in chunks:
-                self._submit(chunk)
+            for lane, group in enumerate(groups):
+                self._submit(group, lane % pool.workers, capture)
             while self._flights:
                 finished, _ = wait(
                     list(self._flights), return_when=FIRST_COMPLETED
                 )
                 for future in finished:
                     self._land(future)
+        except BROKEN_EXCEPTIONS as error:
+            self._drop_pool(pool)
+            self._settle_crash(indices, error)
         except BaseException:
-            # Fatal exits (CellExecutionError, _PoolBroken) must not sit
-            # waiting for in-flight cells of a poisoned batch, and the
-            # pool itself is suspect: drop it fail-fast.  The clean
-            # exit keeps the warm pool alive for the next batch.
-            self._flights = {}
-            self._in_flight = 0
-            pool.close(fail_fast=True)
+            # Fatal exits (CellExecutionError, a store failure) must not
+            # sit waiting for in-flight cells of a poisoned batch.  The
+            # clean exit keeps the warm pool alive for the next batch.
+            self._drop_pool(pool)
             raise
         actual_s = time.perf_counter() - round_t0
         self.stats.actual_makespan_s += actual_s
         telemetry.emit_wall(
             SCHEDULE_PLANNED,
             backend=pool.name,
-            chunks=len(chunks),
+            chunks=len(groups),
             cells=len(indices),
             actual_makespan_s=round(actual_s, 4),
         )
         telemetry.metrics.counter("engine.rounds_planned").inc()
 
-    def _submit(self, chunk: List[int]) -> None:
-        """Put one chunk in flight: a first submission or a single-cell
-        retry."""
-        from repro.sim.pools.local import BROKEN_EXCEPTIONS
+    def _drop_pool(self, pool: "LocalProcessPool") -> None:
+        self._flights = {}
+        self._in_flight = 0
+        pool.close(fail_fast=True)
 
+    def _settle_crash(self, indices: List[int], error: BaseException) -> None:
+        """A worker died: settle every cell of ``indices`` not settled
+        yet (under ``"raise"``, the first raises)."""
+        unsettled = [i for i in indices if self._outcomes[i] is None]
+        detail = {
+            "backend": self.pool.name,
+            "interrupted": len(unsettled),
+            "error": repr(error)[:200],
+        }
+        self.stats.worker_crashes += 1
+        self.telemetry.emit_wall(WORKER_CRASH, **detail)
+        self.telemetry.metrics.counter("engine.worker_crashes").inc()
+        if self.recorder is not None:
+            self.recorder.note("worker_crash", **detail)
+        for index in unsettled:
+            self._settle_error(index, error)
+
+    def _submit(self, chunk: List[int], lane: int, capture: tuple) -> None:
+        """Put one chunk in flight."""
         specs = self._specs
         telemetry = self.telemetry
-        lane = self._submissions % max(1, self.pool.workers)
-        self._submissions += 1
+        track = f"worker:{lane}"
+        submitted_us = telemetry.now_us()
         for index in chunk:
-            self._attempts[index] += 1
-            self._lanes.setdefault(index, lane)
-            self._submitted_at[index] = telemetry.now_us()
             telemetry.emit_wall(
                 CELL_START,
-                track=f"worker:{self._lanes[index]}",
-                ts=self._submitted_at[index],
+                track=track,
+                ts=submitted_us,
                 benchmark=specs[index].benchmark_name,
                 scheme=specs[index].scheme,
-                attempt=self._attempts[index],
+                attempt=1,
             )
-        cells = tuple((i, specs[i], self._attempts[i]) for i in chunk)
-        payload = (cells, self.cell_timeout, self.fault_plan)
-        sizes = self._group_sizes(chunk)
-        if self._capture is not None:
-            payload = payload + (self._capture,)
-        elif any(size > 1 for size in sizes):
-            payload = payload + (None, sizes)
-        try:
-            future = self.pool.submit_chunk(payload)
-        except BROKEN_EXCEPTIONS as error:
-            raise self._broken(error) from error
-        self._flights[future] = _Flight(list(chunk), time.perf_counter())
+        cells = tuple((i, specs[i], 1) for i in chunk)
+        future = self.pool.submit_chunk(
+            (cells, self.cell_timeout, self.fault_plan) + capture
+        )
+        self._flights[future] = _Flight(
+            list(chunk), time.perf_counter(), submitted_us, track
+        )
         self._sync_in_flight()
-
-    def _group_sizes(self, chunk: List[int]) -> Tuple[int, ...]:
-        """The sizes of the lockstep groups ``chunk`` holds, in order (a
-        retry's single-cell chunk holds a group of one)."""
-        sizes: List[int] = []
-        previous = None
-        for index in chunk:
-            group = self._group_of[index]
-            if group is previous:
-                sizes[-1] += 1
-            else:
-                sizes.append(1)
-            previous = group
-        return tuple(sizes)
 
     def _sync_in_flight(self) -> None:
         self._in_flight = sum(
             len(flight.chunk) for flight in self._flights.values()
-        )
-
-    def _broken(self, cause: BaseException) -> _PoolBroken:
-        """Empty the in-flight table into a :class:`_PoolBroken` naming
-        every cell of the round not settled yet: in flight, awaiting a
-        retry, or — when the pool died mid-submission — never
-        submitted."""
-        self._flights = {}
-        self._in_flight = 0
-        return _PoolBroken(
-            [i for i in self._round if self._outcomes[i] is None], cause
         )
 
     @staticmethod
@@ -1300,12 +1122,12 @@ class Engine:
         return isinstance(error, BROKEN_EXCEPTIONS)
 
     def _land(self, future: "Future") -> None:
-        """Settle one finished chunk: each of its cells succeeds, is
-        retried, or fails for good."""
+        """Settle one finished chunk: each of its cells succeeds or
+        fails.  A dead worker's error is raised, for :meth:`_run_pool`."""
         flight = self._flights.pop(future)
         error = future.exception()
         if self._pool_error(error):
-            raise self._broken(error) from error
+            raise error
         chunk = flight.chunk
         if error is None:
             warmup, outcomes, cell_times, executed_by, groups = (
@@ -1313,41 +1135,33 @@ class Engine:
             )
         else:
             # The chunk itself failed (not one of its cells — e.g. an
-            # unpicklable payload): feed the error to every member
-            # through the normal retry machinery.
+            # unpicklable payload): every member fails with its error.
             warmup, executed_by, cell_times, groups = None, None, {}, {}
             outcomes = [(index, "error", error) for index in chunk]
         telemetry = self.telemetry
         if warmup is not None:
             telemetry.emit_wall(WORKER_WARMUP, **warmup)
             telemetry.metrics.counter("engine.worker_warmups").inc()
-        retry: List[int] = []
         for index, status, value in outcomes:
-            track = f"worker:{self._lanes[index]}"
-            attempts = self._attempts[index]
             if status != "ok":
-                if self._settle_error(index, attempts, value, track):
-                    retry.append(index)
+                self._settle_error(index, value, flight.track)
                 continue
             spec = self._specs[index]
             telemetry.emit_wall(
                 CELL_DONE,
-                track=track,
-                ts=self._submitted_at[index],
-                dur=telemetry.now_us() - self._submitted_at[index],
+                track=flight.track,
+                ts=flight.submitted_us,
+                dur=telemetry.now_us() - flight.submitted_us,
                 benchmark=spec.benchmark_name,
                 scheme=spec.scheme,
             )
             self._record_success(
                 index,
                 value,
-                attempts,
                 elapsed_s=cell_times.get(index),
                 executed_by=executed_by,
                 group=groups.get(index),
             )
-        for index in retry:
-            self._submit([index])
         self._sync_in_flight()
 
     def _read_reply(
@@ -1405,14 +1219,11 @@ class Engine:
         groups = {int(i): name for i, name in chunk_info.get("groups") or ()}
         for group, error in chunk_info.get("lockstep_failures") or ():
             self._note_lockstep_failure(group, error)
-        self._merge_worker_snapshot(chunk_info, chunk, self._submitted_at)
+        self._merge_worker_snapshot(chunk_info, flight.submitted_us)
         return warmup, outcomes, cell_times, executed_by, groups
 
     def _merge_worker_snapshot(
-        self,
-        chunk_info: Dict,
-        chunk: List[int],
-        submitted_at: Dict[int, float],
+        self, chunk_info: Dict, submitted_us: float
     ) -> None:
         """Fold one chunk's worker-side telemetry snapshot into the
         parent session (docs/INTERNALS.md §15).
@@ -1432,7 +1243,7 @@ class Engine:
         merged = merge_chunk_info(
             telemetry,
             chunk_info,
-            submitted_at_us=min(submitted_at[i] for i in chunk),
+            submitted_at_us=submitted_us,
             receipt_us=telemetry.now_us(),
             hwm=self._remote_hwm,
         )

@@ -190,7 +190,7 @@ def compare_schemes(
     cells = [RunSpec(benchmark, scheme, config) for scheme in SCHEMES]
     batch = engine.run(cells)
     if batch.degraded:
-        # The comparison needs all three schemes; under "skip"/"partial"
+        # The comparison needs all three schemes; under "skip"
         # a missing cell makes it meaningless, so refuse cleanly rather
         # than hand the caller None results.
         failed = ", ".join(

@@ -5,7 +5,8 @@ The chunk protocol is :func:`repro.sim.pools.worker.run_chunk`: a
 payload of ``(cells, timeout, fault_plan)`` — extended to ``(cells,
 timeout, fault_plan, capture)`` when the parent's telemetry session is
 live (docs/INTERNALS.md §15) — with ``cells`` a tuple of
-``(index, spec, attempt)`` triples, answered by
+``(index, spec, attempt)`` triples (one cell, or one lockstep group;
+``attempt`` is always 1), answered by
 ``(warmup, outcomes, chunk_info)`` where each outcome is
 ``(index, "ok", result)`` or ``(index, "error", exception)`` and
 ``chunk_info`` is the worker's snapshot: at minimum its executor
@@ -45,5 +46,4 @@ class CellTimeout(Exception):
 
 class PoolBrokenError(RuntimeError):
     """A pool was used while closed or not started (analogue of
-    ``BrokenProcessPool``); the engine treats it as a crash and runs
-    its rebuild/degrade machinery."""
+    ``BrokenProcessPool``); the engine treats it as a worker death."""

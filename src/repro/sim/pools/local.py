@@ -28,11 +28,9 @@ class LocalProcessPool:
     the engine's in-process path bit for bit.  Workers survive across
     batches; the spawn-time initializer pre-builds the batch's
     benchmarks (``worker_warmup`` telemetry).  On a dead worker (any of
-    :data:`BROKEN_EXCEPTIONS`) the engine restarts the pool and
-    resubmits the interrupted cells, up to ``max_pool_rebuilds`` times,
-    before degrading to the in-process path (which streams simulation
-    telemetry and can arm SIGALRM timeouts — things a worker boundary
-    hides).
+    :data:`BROKEN_EXCEPTIONS`) the engine settles the round's unsettled
+    cells as crashed and closes the pool fail-fast; its next batch
+    starts a fresh one.
     """
 
     #: Surfaced in telemetry events and as ``Engine.backend``.
@@ -72,7 +70,7 @@ class LocalProcessPool:
         """Shut workers down (idempotent; :meth:`start` revives the pool).
 
         ``fail_fast`` drops pending work without waiting — used when the
-        pool is suspect (crash recovery, batch abort, interpreter
+        pool is suspect (a worker death, batch abort, interpreter
         teardown).
         """
         executor, self._executor = self._executor, None

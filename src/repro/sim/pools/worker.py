@@ -168,7 +168,7 @@ def pool_initializer(benchmarks: Tuple[str, ...]) -> None:
     here: each method's runner compiles on its first execution in this
     worker, and only for methods that run.  Best-effort by design: a
     failure here must not poison the pool (the cell itself will rebuild
-    and surface the real error through the retry machinery).
+    and fail with the real error).
     """
     global _WORKER_WARMUP
     started = time.perf_counter()
@@ -216,12 +216,9 @@ def run_chunk(payload: ChunkPayload) -> tuple:
 
     ``payload`` is ``(cells, timeout, plan)`` — or, when the parent's
     telemetry session is live, ``(cells, timeout, plan, capture)`` with
-    ``capture`` a plain-dict spec (``{"max_events": N}``), or, when the
-    chunk holds lockstep groups, ``(cells, timeout, plan, None,
-    group_sizes)`` — where ``cells`` is a tuple of ``(index, spec,
-    attempt)`` and ``group_sizes`` splits its head into consecutive
-    groups (cells past them run solo); the timeout and the fault plan
-    are pickled once per chunk instead of once per cell.
+    ``capture`` a plain-dict spec (``{"max_events": N}``) — where
+    ``cells`` is a tuple of ``(index, spec, attempt)``: one cell, or a
+    lockstep group that runs as lanes of one VM.
     Returns ``(warmup, outcomes, chunk_info)``; each outcome is
     ``(index, "ok", result)`` or ``(index, "error", error)``.
     ``chunk_info`` always carries at least the executor's identity
@@ -235,11 +232,11 @@ def run_chunk(payload: ChunkPayload) -> tuple:
     engine writes each cell's seconds, group and executor into its store
     entry's ``meta`` block.  With a live capture it is the full
     clock-stamped telemetry snapshot, same extra keys included.
-    Per-cell failures are *returned*, not raised, so one bad cell
-    cannot discard its chunk-mates' finished work; a group that fails
-    re-runs its cells solo.  A worker-crash injection still hard-exits
-    the process, so the parent observes a broken pool exactly like a
-    segfaulting or OOM-killed worker.
+    Per-cell failures are *returned*, not raised; a group that fails
+    re-runs its cells solo, so each failure lands on its own cell.  A
+    worker-crash injection hard-exits the process, so the parent
+    observes a broken pool exactly like a segfaulting or OOM-killed
+    worker.
 
     Telemetry never influences execution: cells run identically with and
     without a capture spec (the bit-identity grid in
@@ -248,7 +245,6 @@ def run_chunk(payload: ChunkPayload) -> tuple:
     global _WORKER_WARMUP
     cells, timeout, plan = payload[:3]
     capture_spec = payload[3] if len(payload) >= 4 else None
-    sizes = payload[4] if len(payload) >= 5 else ()
     capture = ChunkCapture(capture_spec) if capture_spec else None
     unarmed = 0
     outcomes: List[Tuple[int, str, object]] = []
@@ -299,7 +295,7 @@ def run_chunk(payload: ChunkPayload) -> tuple:
                     ),
                 )
             )
-        except Exception as error:  # noqa: BLE001 — parent retries
+        except Exception as error:  # noqa: BLE001 — the cell's outcome
             status = "error"
             outcomes.append((index, "error", picklable(error)))
         finally:
@@ -342,16 +338,9 @@ def run_chunk(payload: ChunkPayload) -> tuple:
             groups.append((index, name))
         return True
 
-    start = 0
-    for size in sizes:
-        group = cells[start:start + size]
-        start += size
-        if size > 1 and capture is None and run_lockstep(group):
-            continue
-        for cell in group:
+    if len(cells) < 2 or not run_lockstep(cells):
+        for cell in cells:
             run_solo(*cell)
-    for cell in cells[start:]:
-        run_solo(*cell)
     warmup, _WORKER_WARMUP = _WORKER_WARMUP, None
     if capture is not None:
         chunk_info = capture.finish(unarmed)

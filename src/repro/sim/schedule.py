@@ -1,47 +1,35 @@
-"""The engine's chunk partition for one pool round.
+"""The engine's lockstep groups: which pending cells run together.
 
-Cells stay in submission order and are sliced into consecutive chunks
-of ``chunk_size`` cells, or — when it is ``None`` — of
-``ceil(n / (workers * 4))`` cells capped at 8: enough chunks to keep
-every worker busy for several rounds while amortising pickling,
-without collapsing the crash-retry granularity of small batches.
-
-Cells the engine runs in lockstep (docs/INTERNALS.md §13) form a
-*group*; a chunk never splits one: it closes at the first group
-boundary at or after ``chunk_size`` cells.
-
-A partition only decides *which cells share a pickled payload*:
-results land by batch index, so any partition is bit-identical to
-serial (tests/test_schedule.py).  Cost-model LPT packing used to offer
-a second partition; it was retired because it did not cut wall time
-(docs/INTERNALS.md §18).
+Cells the engine may run in lockstep (docs/INTERNALS.md §13) share a
+*lockstep key*; cells without one run alone.  A group is one serial
+lockstep run, or one pool submission, so a round is a list of groups in
+submission order.  Where cells run never changes what they compute:
+results land by batch index, so any grouping is bit-identical to serial
+(tests/test_schedule.py).  ``perf/tracing.py`` wraps this function by
+name, so the engine calls it through the module.
 """
 
 from __future__ import annotations
 
-import math
-from typing import List, Optional
+from typing import Callable, Dict, Hashable, List, Optional
 
 
 def plan_round(
-    indices: List[int],
-    workers: int,
-    chunk_size: Optional[int] = None,
-    groups: Optional[List[List[int]]] = None,
+    indices: List[int], lockstep_key: Callable[[int], Optional[Hashable]]
 ) -> List[List[int]]:
-    """Partition one round's cell indices into chunks, in dispatch order.
-
-    ``groups`` (default: every cell alone) splits ``indices`` into runs
-    of consecutive cells that must share a chunk.
-    """
-    size = chunk_size
-    if size is None:
-        size = min(8, max(1, math.ceil(len(indices) / (max(1, workers) * 4))))
-    chunks: List[List[int]] = []
-    chunk: List[int] = []
-    for group in groups if groups is not None else ([i] for i in indices):
-        chunk = chunk + group
-        if len(chunk) >= size:
-            chunks.append(chunk)
-            chunk = []
-    return chunks + ([chunk] if chunk else [])
+    """Split ``indices`` into groups, in order: cells with the same
+    non-None ``lockstep_key`` form one group at its first member's
+    place; every other cell is a group of its own."""
+    groups: List[List[int]] = []
+    by_key: Dict[Hashable, List[int]] = {}
+    for index in indices:
+        key = lockstep_key(index)
+        if key is None:
+            groups.append([index])
+            continue
+        group = by_key.get(key)
+        if group is None:
+            group = by_key[key] = []
+            groups.append(group)
+        group.append(index)
+    return groups

@@ -2,26 +2,29 @@
 
 Everything here runs under an injected-fault schedule with real process
 pools — worker crashes (``os._exit`` → ``BrokenProcessPool``), injected
-timeouts, corrupted store entries — and asserts the engine's graceful
-degradation: batches complete with per-cell outcomes, broken pools are
-rebuilt (and eventually degraded to serial execution), and the same seed
-reproduces the same fault schedule and the same outcomes.
+timeouts, corrupted store entries — and asserts the engine's settle
+rules: each cell runs once, every cell of a batch ends with an outcome,
+a worker death settles the cells of its round as crashed, and a plain
+re-run without the plan completes the batch from the store.  Which
+cells a crash interrupts is a scheduling fact, so no test asserts an
+exact crashed set.
 
 CI runs this file as its own step with a hard job timeout, so a
-regression that deadlocks the pool-recovery path fails fast instead of
-hanging the whole workflow.
+regression that deadlocks the pool path fails fast instead of hanging
+the whole workflow.
 """
 
 from __future__ import annotations
 
 import json
+from concurrent.futures.process import BrokenProcessPool
 
 import pytest
 
 from repro.faults import FaultPlan, PROBABILITY_SITES
 from repro.sim.config import ExperimentConfig
-from repro.sim.driver import RunSpec
-from repro.sim.engine import Engine
+from repro.sim.driver import RunSpec, execute
+from repro.sim.engine import CellExecutionError, Engine
 from repro.sim.store import ResultStore
 from repro.workloads.specjvm import BENCHMARK_NAMES
 
@@ -40,90 +43,99 @@ def suite_cells(config):
 
 
 class TestChaosGate:
-    """The ISSUE's acceptance gate: 7 benchmarks × 2 schemes under chaos."""
+    """7 benchmarks × 2 schemes under chaos."""
 
     PLAN = dict(seed=1305, worker_crash=0.2, cell_timeout=0.15,
                 store_corrupt=0.5)
 
-    def run_once(self, tmp_path, tag):
+    def run_once(self, tmp_path, tag, **overrides):
         config = ExperimentConfig(max_instructions=BUDGET)
-        plan = FaultPlan(**self.PLAN)
+        plan = FaultPlan(**{**self.PLAN, **overrides})
         store = ResultStore(tmp_path / f"store-{tag}")
-        engine = Engine(
+        with Engine(
             jobs=2,
             store=store,
             memory_cache={},
             fault_plan=plan,
-            max_retries=5,
-            failure_policy="partial",
-        )
-        batch = engine.run(suite_cells(config))
+            failure_policy="skip",
+        ) as engine:
+            batch = engine.run(suite_cells(config))
         return engine, plan, batch
+
+    @staticmethod
+    def doomed(plan):
+        """The cells whose own draws fault them: never ``ok``."""
+        return {
+            (name, scheme)
+            for name in BENCHMARK_NAMES
+            for scheme in SCHEMES
+            if any(
+                plan.decide(site, (name, scheme, 1))
+                for site in ("worker_crash", "cell_timeout")
+            )
+        }
 
     def test_degraded_batch_completes_with_per_cell_outcomes(
         self, tmp_path
     ):
         engine, plan, batch = self.run_once(tmp_path, "gate")
         assert len(batch) == len(BENCHMARK_NAMES) * len(SCHEMES)
+        assert None not in batch.outcomes
+        doomed = self.doomed(plan)
         for outcome in batch:
             assert outcome.status in ("ok", "failed", "timeout", "crashed")
+            assert outcome.attempts == 1
             if outcome.ok:
                 assert outcome.result is not None
+                key = (outcome.spec.benchmark_name, outcome.spec.scheme)
+                assert key not in doomed
             else:
                 assert outcome.result is None and outcome.error
-        # The schedule at this seed actually exercised the chaos paths.
-        assert engine.stats.worker_crashes >= 1
-        assert engine.stats.pool_rebuilds >= 1
-        assert engine.stats.retries >= 1
-        assert plan.injected.get("store_corrupt", 0) >= 1
-        # The schedule *contains* timeout draws; whether a given draw's
-        # attempt ever executes is scheduling-dependent under crash
-        # interference (INTERNALS.md §11), so the executed-timeout count
-        # is asserted in the deterministic no-crash test below instead.
+        assert engine.stats.failures == len(batch.failures)
+        # The schedule at this seed draws crashes, so a worker died.
         assert any(
-            plan.decide("cell_timeout", (name, scheme, attempt))
+            plan.decide("worker_crash", (name, scheme, 1))
             for name in BENCHMARK_NAMES
             for scheme in SCHEMES
-            for attempt in range(1, 7)
         )
+        assert engine.stats.worker_crashes >= 1
+        assert "crashed" in batch.counts()
 
     def test_same_seed_reproduces_schedule_and_outcomes(self, tmp_path):
-        _, _, first = self.run_once(tmp_path, "a")
-        _, _, second = self.run_once(tmp_path, "b")
+        _, plan_a, first = self.run_once(tmp_path, "a")
+        _, plan_b, second = self.run_once(tmp_path, "b")
         # Identical fault schedule: decisions are pure functions of
         # (seed, site, key), independent of pool scheduling.
-        plan_a = FaultPlan(**self.PLAN)
-        plan_b = FaultPlan(**self.PLAN)
         for site in PROBABILITY_SITES:
             for name in BENCHMARK_NAMES:
                 for scheme in SCHEMES:
-                    for attempt in range(1, 7):
-                        key = (name, scheme, attempt)
-                        assert plan_a.decide(site, key) == plan_b.decide(
-                            site, key
-                        )
-        # Identical outcomes: same statuses, and bit-identical results
-        # for the surviving cells (simulation is deterministic no matter
-        # how many crash-interrupted attempts preceded it).
-        assert [o.status for o in first] == [o.status for o in second]
+                    key = (name, scheme, 1)
+                    assert plan_a.decide(site, key) == plan_b.decide(
+                        site, key
+                    )
+        # Cells their own draws doom fail in both runs; a cell that
+        # survived both is bit-identical (simulation is deterministic;
+        # which bystanders a crash interrupts is not).
+        doomed = self.doomed(plan_a)
         for a, b in zip(first, second):
-            if a.ok:
+            if (a.spec.benchmark_name, a.spec.scheme) in doomed:
+                assert not a.ok and not b.ok
+            if a.ok and b.ok:
                 assert a.result == b.result
 
     def test_corrupted_entries_quarantined_by_next_reader(self, tmp_path):
-        engine, plan, batch = self.run_once(tmp_path, "quarantine")
+        # Without crashes every cell that survives its own draws is
+        # stored, so the corruption count is a pure function of the seed.
+        engine, plan, batch = self.run_once(
+            tmp_path, "quarantine", worker_crash=0.0
+        )
         store = engine.store
         corrupted = plan.injected.get("store_corrupt", 0)
         assert corrupted >= 1
-        # A fresh engine over the same store must quarantine every
-        # damaged entry it touches and re-simulate those cells — the
-        # batch still completes.
-        reader = Engine(
-            jobs=1,
-            store=store,
-            memory_cache={},
-            failure_policy="partial",
-        )
+        # A fresh engine over the same store, without the plan, must
+        # quarantine every damaged entry it touches and re-simulate
+        # those cells with the failed ones — the batch completes.
+        reader = Engine(jobs=1, store=store, memory_cache={})
         rerun = reader.run(
             suite_cells(ExperimentConfig(max_instructions=BUDGET))
         )
@@ -131,60 +143,73 @@ class TestChaosGate:
         assert len(store.corrupt_files()) == corrupted
         for path in store.corrupt_files():
             assert store.quarantine_reason(path)
+        assert all(o.ok for o in rerun)
+        assert reader.stats.simulations == len(batch.failures) + corrupted
         for a, b in zip(batch, rerun):
-            if a.ok and b.ok:
+            if a.ok:
                 assert a.result == b.result
 
-
-class TestPoolCrashRecovery:
-    def test_persistent_crashes_degrade_to_serial(self, tmp_path):
-        # Every pool attempt crashes; after the rebuild budget the
-        # engine must fall back to in-process serial execution (where
-        # worker_crash never fires) and still produce every result.
-        config = ExperimentConfig(max_instructions=BUDGET)
-        plan = FaultPlan(seed=0, worker_crash=1.0)
-        engine = Engine(
-            jobs=2,
-            store=ResultStore(tmp_path / "store"),
-            memory_cache={},
-            fault_plan=plan,
-            max_retries=10,
-            max_pool_rebuilds=2,
-            failure_policy="partial",
-        )
-        cells = [
-            RunSpec(name, "baseline", config)
-            for name in BENCHMARK_NAMES[:3]
+    def test_rerun_without_the_plan_simulates_exactly_the_failed_cells(
+        self, tmp_path
+    ):
+        engine, _, batch = self.run_once(tmp_path, "rerun", store_corrupt=0.0)
+        assert batch.failures
+        cells = suite_cells(ExperimentConfig(max_instructions=BUDGET))
+        with Engine(jobs=2, store=engine.store, memory_cache={}) as reader:
+            rerun = reader.run(cells)
+        assert reader.stats.simulations == len(batch.failures)
+        assert reader.stats.store_hits == len(batch.ok)
+        assert [o.source for o in rerun] == [
+            "store" if o.ok else "simulated" for o in batch
         ]
-        batch = engine.run(cells)
-        assert not batch.degraded
-        assert all(o.ok for o in batch)
-        assert engine.stats.worker_crashes >= 1
-        assert engine.stats.pool_rebuilds >= engine.max_pool_rebuilds
-        assert engine.stats.simulations == len(cells)
+        assert rerun.values() == [execute(spec) for spec in cells]
 
-    def test_exhausted_crash_budget_fails_cells_not_process(self, tmp_path):
-        # Tight retry budget: cells die as "crashed" outcomes instead of
-        # taking the batch (or the parent process) down.
+
+class TestWorkerDeath:
+    """``worker_crash=1.0``: every pool worker dies on its first cell."""
+
+    def cells(self):
         config = ExperimentConfig(max_instructions=BUDGET)
-        plan = FaultPlan(seed=0, worker_crash=1.0)
-        engine = Engine(
+        return [
+            RunSpec(name, "baseline", config) for name in BENCHMARK_NAMES[:3]
+        ]
+
+    def test_crash_settles_every_cell_and_the_next_batch_respawns(
+        self, tmp_path
+    ):
+        store = ResultStore(tmp_path / "store")
+        cells = self.cells()
+        with Engine(
             jobs=2,
-            store=None,
+            store=store,
             memory_cache={},
-            fault_plan=plan,
-            max_retries=1,
-            max_pool_rebuilds=10,
+            fault_plan=FaultPlan(seed=0, worker_crash=1.0),
             failure_policy="skip",
+        ) as engine:
+            batch = engine.run(cells)
+            assert [o.status for o in batch] == ["crashed"] * len(cells)
+            assert all("BrokenProcessPool" in o.error for o in batch)
+            assert engine.stats.worker_crashes == 1
+            assert not engine.pool.alive and len(store) == 0
+            # Recovery is a re-run without the plan; the engine spawns
+            # a fresh pool for it.
+            engine.fault_plan = None
+            rerun = engine.run(cells)
+        assert all(o.ok for o in rerun)
+        assert engine.stats.pools_spawned == 2
+        assert rerun.values() == [execute(spec) for spec in cells]
+
+    def test_crash_under_raise_aborts_the_batch(self):
+        engine = Engine(
+            jobs=2,
+            use_cache=False,
+            memory_cache={},
+            fault_plan=FaultPlan(seed=0, worker_crash=1.0),
         )
-        cells = [
-            RunSpec(name, "baseline", config)
-            for name in BENCHMARK_NAMES[:2]
-        ]
-        batch = engine.run(cells)
-        assert batch.degraded
-        assert [o.status for o in batch] == ["crashed", "crashed"]
-        assert all("BrokenProcessPool" in (o.error or "") for o in batch)
+        with engine, pytest.raises(CellExecutionError) as caught:
+            engine.run(self.cells())
+        assert isinstance(caught.value.cause, BrokenProcessPool)
+        assert not engine.pool.alive
 
 
 class TestNoCrashChaosDeterminism:
@@ -192,8 +217,8 @@ class TestNoCrashChaosDeterminism:
         self, tmp_path
     ):
         # Without worker crashes no cell can be interrupted by a
-        # neighbour, so even the per-cell attempt counts are pure
-        # functions of the seed and must reproduce exactly.
+        # neighbour, so every outcome record is a pure function of the
+        # seed and must reproduce exactly.
         def run(tag):
             config = ExperimentConfig(max_instructions=BUDGET)
             engine = Engine(
@@ -203,7 +228,6 @@ class TestNoCrashChaosDeterminism:
                 fault_plan=FaultPlan(
                     seed=77, cell_exception=0.3, cell_timeout=0.2
                 ),
-                max_retries=3,
                 failure_policy="skip",
             )
             return engine, engine.run(suite_cells(config))
@@ -235,7 +259,7 @@ class TestChaosCLI:
                 "--instructions", str(BUDGET),
                 "--store-dir", str(tmp_path / "store"),
                 "--inject", "seed=9,cell_exception=0.2,cell_timeout=0.1",
-                "--on-error", "partial",
+                "--on-error", "skip",
                 "--stats-json", str(stats_path),
             ]
         )

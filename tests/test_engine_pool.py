@@ -12,10 +12,10 @@ from __future__ import annotations
 import pytest
 
 from repro.obs.events import Telemetry
-from repro.sim import schedule as schedule_mod
 from repro.sim.config import ExperimentConfig
 from repro.sim.driver import RunSpec, execute
 from repro.sim.engine import Engine
+from repro.sim.pools.local import LocalProcessPool
 from repro.sim.store import ResultStore
 from repro.vm import blockjit
 
@@ -105,16 +105,20 @@ class TestPersistentPool:
         assert reader.stats.store_hits == len(cells)
         assert reader.stats.simulations == 0
 
-    def test_chunk_size_knob_is_honoured(self):
+    def test_each_lockstep_group_is_one_submission(self):
+        class CountingPool(LocalProcessPool):
+            def submit_chunk(self, payload):
+                payloads.append(payload)
+                return super().submit_chunk(payload)
+
+        payloads = []
         cells = suite_cells(config())
-        with Engine(
-            jobs=2, use_cache=False, memory_cache={}, chunk_size=2
-        ) as engine:
-            assert schedule_mod.plan_round(
-                list(range(len(cells))), engine.pool.workers, engine.chunk_size
-            ) == [[0, 1], [2, 3]]
+        with Engine(pool=CountingPool(2), memory_cache={}) as engine:
             results = engine.run(cells).values()
-        assert all(r is not None for r in results)
+        # Each benchmark's two scheme cells travel as one 3-field chunk.
+        assert [[i for i, _, _ in p[0]] for p in payloads] == [[0, 1], [2, 3]]
+        assert all(len(p) == 3 for p in payloads)
+        assert results == [execute(spec) for spec in cells]
 
 
 class TestSerialWarmStart:

@@ -21,11 +21,7 @@ from repro.faults import PROBABILITY_SITES, FaultPlan
 from repro.obs import SAMPLING_RETUNE, TIMEOUT_DISABLED, Telemetry
 from repro.sim.config import ExperimentConfig, MachineConfig, build_machine
 from repro.sim.driver import RunSpec, execute
-from repro.sim.engine import (
-    BatchExecutionError,
-    CellExecutionError,
-    Engine,
-)
+from repro.sim.engine import CellExecutionError, Engine
 from repro.sim.store import ResultStore
 from tests.conftest import make_loop_program
 
@@ -152,8 +148,20 @@ class TestFaultPlan:
 
 
 # ---------------------------------------------------------------------------
-# Engine degradation: failure policies, outcomes, retry accounting
+# Engine degradation: failure policies and per-cell outcomes
 # ---------------------------------------------------------------------------
+
+
+def split_plan(doomed, spared):
+    """A ``cell_exception`` plan that fires for ``doomed`` and not for
+    ``spared`` (``(benchmark, scheme)`` pairs) on their one attempt."""
+    for seed in range(200):
+        plan = FaultPlan(seed=seed, cell_exception=0.6)
+        if plan.decide("cell_exception", doomed + (1,)) and not plan.decide(
+            "cell_exception", spared + (1,)
+        ):
+            return plan
+    raise AssertionError("no seed under 200 split the two cells")
 
 
 class TestFailurePolicies:
@@ -163,20 +171,14 @@ class TestFailurePolicies:
 
     def test_raise_policy_aborts_like_before(self, small_config):
         plan = FaultPlan(seed=0, cell_exception=1.0)
-        engine = Engine(
-            memory_cache={}, fault_plan=plan, max_retries=1
-        )
+        engine = Engine(memory_cache={}, fault_plan=plan)
         with pytest.raises(CellExecutionError):
             engine.run([RunSpec("db", "baseline", small_config)])
 
     def test_skip_policy_returns_none_slots(self, small_config):
-        # Doom exactly the cells whose every attempt draws a fault.
         plan = FaultPlan(seed=0, cell_exception=1.0)
         engine = Engine(
-            memory_cache={},
-            fault_plan=plan,
-            max_retries=1,
-            failure_policy="skip",
+            memory_cache={}, fault_plan=plan, failure_policy="skip"
         )
         batch = engine.run(
             [
@@ -188,37 +190,14 @@ class TestFailurePolicies:
         assert batch.values() == [None, None]
         assert [o.status for o in batch] == ["failed", "failed"]
         assert all("InjectedFault" in o.error for o in batch.outcomes)
-        assert all(o.attempts == 2 for o in batch.outcomes)
+        # Each cell ran once: a failure settles at once.
+        assert all(o.attempts == 1 for o in batch.outcomes)
         assert engine.stats.failures == 2
-        assert engine.stats.retries == 2
 
-    def test_partial_policy_serves_survivors(self, small_config):
-        # Fire on some (benchmark, scheme, attempt) keys but not others:
-        # pick a seed/probability where db survives and jess fails.
-        plan = None
-        for seed in range(200):
-            candidate = FaultPlan(seed=seed, cell_exception=0.6)
-            db_ok = not any(
-                candidate._uniform(
-                    "cell_exception", ("db", "baseline", n)
-                ) < 0.6
-                for n in (1, 2)
-            )
-            jess_doomed = all(
-                candidate._uniform(
-                    "cell_exception", ("jess", "baseline", n)
-                ) < 0.6
-                for n in (1, 2)
-            )
-            if db_ok and jess_doomed:
-                plan = FaultPlan(seed=seed, cell_exception=0.6)
-                break
-        assert plan is not None, "no seed under 200 split the two cells"
+    def test_skip_policy_serves_survivors(self, small_config):
+        plan = split_plan(("jess", "baseline"), ("db", "baseline"))
         engine = Engine(
-            memory_cache={},
-            fault_plan=plan,
-            max_retries=1,
-            failure_policy="partial",
+            memory_cache={}, fault_plan=plan, failure_policy="skip"
         )
         batch = engine.run(
             [
@@ -233,37 +212,19 @@ class TestFailurePolicies:
         assert len(batch.ok) == 1 and len(batch.failures) == 1
         assert batch.counts() == {"ok": 1, "failed": 1}
 
-    def test_partial_policy_raises_when_all_fail(self, small_config):
-        plan = FaultPlan(seed=0, cell_exception=1.0)
-        engine = Engine(
-            memory_cache={},
-            fault_plan=plan,
-            max_retries=0,
-            failure_policy="partial",
-        )
-        with pytest.raises(BatchExecutionError) as excinfo:
-            engine.run([RunSpec("db", "baseline", small_config)])
-        assert len(excinfo.value.batch.failures) == 1
-
     def test_injected_timeout_counts_and_statuses(self, small_config):
         plan = FaultPlan(seed=0, cell_timeout=1.0)
         engine = Engine(
-            memory_cache={},
-            fault_plan=plan,
-            max_retries=1,
-            failure_policy="skip",
+            memory_cache={}, fault_plan=plan, failure_policy="skip"
         )
         batch = engine.run([RunSpec("db", "baseline", small_config)])
         assert batch.outcomes[0].status == "timeout"
-        assert engine.stats.timeouts == 2  # both attempts timed out
+        assert engine.stats.timeouts == 1
 
     def test_failed_leader_fails_duplicates_too(self, small_config):
         plan = FaultPlan(seed=0, cell_exception=1.0)
         engine = Engine(
-            memory_cache={},
-            fault_plan=plan,
-            max_retries=0,
-            failure_policy="skip",
+            memory_cache={}, fault_plan=plan, failure_policy="skip"
         )
         batch = engine.run(
             [
@@ -275,24 +236,32 @@ class TestFailurePolicies:
         assert engine.stats.deduplicated == 1
         assert engine.stats.simulations == 0
 
-    def test_retry_recovers_single_attempt_fault(self, small_config):
-        # A seed where attempt 1 faults and attempt 2 succeeds.
-        seed = next(
-            s
-            for s in range(500)
-            if FaultPlan(seed=s, cell_exception=0.5)._uniform(
-                "cell_exception", ("db", "baseline", 1)
-            ) < 0.5
-            and FaultPlan(seed=s, cell_exception=0.5)._uniform(
-                "cell_exception", ("db", "baseline", 2)
-            ) >= 0.5
-        )
-        plan = FaultPlan(seed=seed, cell_exception=0.5)
-        engine = Engine(memory_cache={}, fault_plan=plan, max_retries=1)
-        batch = engine.run([RunSpec("db", "baseline", small_config)])
-        assert batch.outcomes[0].ok
-        assert batch.outcomes[0].attempts == 2
-        assert engine.stats.retries == 1
+    def test_rerun_without_the_plan_recovers_a_faulted_cell(
+        self, tmp_path, small_config
+    ):
+        # A re-run under the same plan draws the same faults; recovery
+        # is a re-run without it, on the same store.
+        cells = [
+            RunSpec("db", "baseline", small_config),
+            RunSpec("jess", "baseline", small_config),
+        ]
+        plan = split_plan(("db", "baseline"), ("jess", "baseline"))
+        store = ResultStore(tmp_path / "store")
+        first = Engine(
+            store=store, memory_cache={}, fault_plan=plan,
+            failure_policy="skip",
+        ).run(cells)
+        assert [o.status for o in first] == ["failed", "ok"]
+        again = Engine(
+            store=store, memory_cache={}, fault_plan=plan,
+            failure_policy="skip",
+        ).run(cells)
+        assert [o.status for o in again] == ["failed", "ok"]
+        engine = Engine(store=store, memory_cache={})
+        batch = engine.run(cells)
+        assert [o.source for o in batch] == ["simulated", "store"]
+        assert engine.stats.simulations == 1
+        assert batch.values()[0] == execute(cells[0])
 
     def test_degradation_events_emitted(self, small_config):
         telemetry = Telemetry()
@@ -300,7 +269,6 @@ class TestFailurePolicies:
         engine = Engine(
             memory_cache={},
             fault_plan=plan,
-            max_retries=0,
             failure_policy="skip",
             telemetry=telemetry,
         )

@@ -19,11 +19,11 @@ from repro.faults import FaultPlan
 from repro.obs.events import Telemetry
 from repro.obs.recorder import FlightRecorder
 from repro.obs.remote import SNAPSHOT_VERSION
-from repro.sim import schedule as schedule_mod
 from repro.sim.config import ExperimentConfig
 from repro.sim.driver import SCHEMES, RunSpec, execute, execute_group
 from repro.sim.engine import Engine
 from repro.sim.pools.worker import run_chunk
+from repro.sim.schedule import plan_round
 from repro.sim.store import ResultStore
 from repro.workloads.specjvm import BENCHMARK_NAMES
 from tests.equivalence import simulated_timeline
@@ -147,19 +147,14 @@ def test_store_hit_inside_a_group(tmp_path):
 
 def one_lane_fault_plan(bench):
     """A plan whose ``cell_exception`` fires for exactly one scheme of
-    ``bench`` on its first attempt and for none on the second."""
+    ``bench`` (on its one attempt)."""
     for seed in range(1000):
         plan = FaultPlan(seed=seed, cell_exception=0.3)
-
-        def fired(attempt):
-            return [
-                s
-                for s in SCHEMES
-                if plan._uniform("cell_exception", (bench, s, attempt)) < 0.3
-            ]
-
-        if len(fired(1)) == 1 and not fired(2):
-            return seed, fired(1)[0]
+        fired = [
+            s for s in SCHEMES if plan.decide("cell_exception", (bench, s, 1))
+        ]
+        if len(fired) == 1:
+            return seed, fired[0]
     raise AssertionError("no such seed")
 
 
@@ -206,19 +201,21 @@ def test_injected_fault_on_one_lane_reruns_the_group_solo(tmp_path, where):
         memory_cache={},
         pool=pool,
         fault_plan=FaultPlan(seed=seed, cell_exception=0.3),
-        max_retries=1,
+        failure_policy="skip",
         recorder=recorder,
     )
     cells = group_specs("db")
     batch = engine.run(cells)
-    assert [o.status for o in batch] == ["ok"] * 3
-    assert [o.attempts for o in batch] == [
-        2 if spec.scheme == faulty else 1 for spec in cells
+    # The solo re-run lands the fault on its own cell; the others run.
+    assert [o.status for o in batch] == [
+        "failed" if spec.scheme == faulty else "ok" for spec in cells
     ]
     for spec, outcome in zip(cells, batch):
-        assert tree(outcome.result) == tree(execute(spec))
+        if outcome.ok:
+            assert tree(outcome.result) == tree(execute(spec))
     # The group failed as a whole, so every cell ran alone; the flight
     # recorder names the group and the fault.
+    assert len(metas(store)) == 2
     assert all("group" not in m for m in metas(store).values())
     (note,) = [
         r for r in FlightRecorder.read(recorder.path)
@@ -227,16 +224,12 @@ def test_injected_fault_on_one_lane_reruns_the_group_solo(tmp_path, where):
     assert note["group"] == "db:baseline,bbv,hotspot"
     assert "InjectedFault" in note["error"] and faulty in note["error"]
     if pool is not None:
-        assert pool.payloads[0][4] == (3,)
+        (payload,) = pool.payloads
+        assert [index for index, _, _ in payload[0]] == [0, 1, 2]
 
 
-@pytest.mark.parametrize("chunk_size", [None, 1, 2])
-def test_chunk_planning_never_splits_a_group(tmp_path, chunk_size):
-    # 21 cells on 4 workers go 2 to a chunk cell by cell; groups of 3
-    # must travel whole.
-    assert schedule_mod.plan_round(list(range(21)), 4) == [
-        [i, i + 1] for i in range(0, 20, 2)
-    ] + [[20]]
+def test_each_group_is_one_submission(tmp_path):
+    # 21 cells on 4 workers: one 3-field chunk per benchmark's group.
     pool = InlinePool(4)
     config = ExperimentConfig(max_instructions=40_000)
     cells = [
@@ -245,20 +238,12 @@ def test_chunk_planning_never_splits_a_group(tmp_path, chunk_size):
         for scheme in SCHEMES
     ]
     engine = Engine(
-        store=ResultStore(tmp_path / "store"),
-        memory_cache={},
-        pool=pool,
-        chunk_size=chunk_size,
+        store=ResultStore(tmp_path / "store"), memory_cache={}, pool=pool
     )
     results = engine.run(cells).values()
     chunks = [[index for index, _, _ in p[0]] for p in pool.payloads]
-    assert sorted(i for chunk in chunks for i in chunk) == list(range(21))
-    for chunk in chunks:
-        assert len(chunk) % 3 == 0
-        assert {i // 3 for i in chunk} == set(
-            range(chunk[0] // 3, chunk[0] // 3 + len(chunk) // 3)
-        )
-    assert all(p[4] == (3,) * (len(p[0]) // 3) for p in pool.payloads)
+    assert chunks == [[i, i + 1, i + 2] for i in range(0, 21, 3)]
+    assert all(len(p) == 3 for p in pool.payloads)
     for spec, result in zip(cells, results):
         assert tree(result) == tree(execute(spec))
 
@@ -271,7 +256,7 @@ def test_groups_need_cacheable_untraced_fast_cells(tmp_path):
     ):
         engine._specs = cells
         engine._keys = [spec.cache_key() for spec in cells]
-        assert engine._groups([0, 1, 2]) == [[0], [1], [2]]
+        assert plan_round([0, 1, 2], engine._lockstep_key) == [[0], [1], [2]]
     engine = Engine(memory_cache={})
     engine._specs = cells + [
         RunSpec(
@@ -281,19 +266,23 @@ def test_groups_need_cacheable_untraced_fast_cells(tmp_path):
         )
     ]
     engine._keys = [spec.cache_key() for spec in engine._specs]
-    assert engine._groups([3, 0, 1, 2]) == [[3], [0, 1, 2]]
+    assert plan_round([3, 0, 1, 2], engine._lockstep_key) == [[3], [0, 1, 2]]
 
 
 def test_chunk_reply_names_groups(tmp_path):
-    specs = group_specs("db") + group_specs("jess")[:1]
-    cells = tuple((i, spec, 1) for i, spec in enumerate(specs))
-    _, outcomes, info = run_chunk((cells, None, None, None, (3,)))
+    cells = tuple((i, spec, 1) for i, spec in enumerate(group_specs("db")))
+    _, outcomes, info = run_chunk((cells, None, None))
     assert info["v"] == SNAPSHOT_VERSION
-    assert [status for _, status, _ in outcomes] == ["ok"] * 4
+    assert [status for _, status, _ in outcomes] == ["ok"] * 3
     assert dict(info["groups"]) == {
         0: "db:baseline,bbv,hotspot",
         1: "db:baseline,bbv,hotspot",
         2: "db:baseline,bbv,hotspot",
     }
     times = dict(info["cell_times"])
-    assert times[0] > 0 and times[1] == times[2] == 0.0 and times[3] > 0
+    assert times[0] > 0 and times[1] == times[2] == 0.0
+    # A lone cell is a chunk of its own and names no group.
+    solo = ((3, group_specs("jess")[0], 1),)
+    _, outcomes, info = run_chunk((solo, None, None))
+    assert [status for _, status, _ in outcomes] == ["ok"]
+    assert info["groups"] == () and dict(info["cell_times"])[3] > 0

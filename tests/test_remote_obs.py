@@ -354,8 +354,7 @@ class TestChunkProtocol:
         engine = Engine(use_cache=False, memory_cache={})
         engine._merge_worker_snapshot(
             {"v": SNAPSHOT_VERSION, "unarmed_timeouts": 3, "cells": None},
-            [0],
-            {0: 0.0},
+            0.0,
         )
         assert engine.stats.timeouts_unarmed == 3
 
@@ -368,8 +367,7 @@ class TestChunkProtocol:
         )
         engine._merge_worker_snapshot(
             {"v": 999, "unarmed_timeouts": 0, "cells": [{"bogus": 1}]},
-            [0],
-            {0: 0.0},
+            0.0,
         )
         assert len(telemetry.log) == 0
         assert engine.stats.remote_events_dropped == 0
@@ -407,7 +405,6 @@ class TestPicklableTraceback:
             use_cache=False,
             memory_cache={},
             fault_plan=plan,
-            max_retries=0,
             failure_policy="skip",
         ) as engine:
             batch = engine.run(grid(config()))
@@ -476,7 +473,6 @@ class TestFlightRecorder:
             memory_cache={},
             recorder=recorder,
             runner=exploding_runner,
-            max_retries=0,
             failure_policy="skip",
         )
         engine.run([RunSpec("db", "baseline", config())])
@@ -501,7 +497,6 @@ class TestFlightRecorder:
             memory_cache={},
             recorder=recorder,
             runner=exploding_runner,
-            max_retries=0,
         )
         with pytest.raises(Exception):
             engine.run([RunSpec("db", "baseline", config())])

@@ -12,7 +12,9 @@ per cell, so a plain re-run continues a killed campaign (§16).  And so
 do the backend spec language and its settings — ``--backend``,
 ``--chunk-size``, ``--max-pool-rebuilds``, ``Engine(pool="local:N")``
 and ``make_engine(jobs=)``: ``jobs`` is the one execution-width
-setting (§14).
+setting (§14).  And so does in-process recovery — ``max_retries``,
+``max_pool_rebuilds``, ``chunk_size`` and the ``partial`` failure
+policy: each cell runs once, and a re-run is the recovery (§11).
 """
 
 from __future__ import annotations
@@ -156,3 +158,23 @@ def test_resume_is_not_a_run_keyword():
 def test_resume_is_not_a_make_engine_keyword():
     with pytest.raises(TypeError, match="resume"):
         make_engine(resume="runs/run.jsonl")
+
+
+@pytest.mark.parametrize(
+    "keyword", ["max_retries", "max_pool_rebuilds", "chunk_size"]
+)
+def test_recovery_settings_are_not_engine_keywords(keyword):
+    with pytest.raises(TypeError, match=keyword):
+        Engine(**{keyword: 1})
+
+
+@pytest.mark.parametrize("build", [Engine, make_engine])
+def test_partial_policy_names_the_retirement_note(build):
+    with pytest.raises(ValueError, match=r"partial.*INTERNALS\.md §11"):
+        build(failure_policy="partial")
+
+
+def test_cli_rejects_partial_policy(capsys):
+    with pytest.raises(SystemExit):
+        build_parser().parse_args(["all", "--on-error", "partial"])
+    assert "invalid choice: 'partial'" in capsys.readouterr().err

@@ -1,4 +1,4 @@
-"""Engine behaviour: caching layers, fan-out parity, retries, shims.
+"""Engine behaviour: caching layers, fan-out parity, failures, shims.
 
 The acceptance bar for the engine redesign: parallel execution is
 bit-identical to serial, cache layers compose (memory → store →
@@ -160,39 +160,37 @@ class TestCacheLayers:
 
 
 class TestRetryAndTimeout:
-    def test_flaky_runner_retried(self, small_config):
+    def test_flaky_runner_fails_once_and_a_rerun_completes(
+        self, small_config
+    ):
         calls = {"n": 0}
 
         def flaky(spec):
             calls["n"] += 1
-            if calls["n"] < 3:
+            if calls["n"] == 1:
                 raise RuntimeError("transient")
             return execute(spec)
 
-        engine = Engine(
-            memory_cache={}, runner=flaky, max_retries=2
-        )
-        result = engine.run_one(RunSpec("db", "baseline", small_config))
-        assert result.benchmark == "db"
-        assert calls["n"] == 3
-        assert engine.stats.retries == 2
-        assert engine.stats.simulations == 1
+        engine = Engine(memory_cache={}, runner=flaky)
+        spec = RunSpec("db", "baseline", small_config)
+        with pytest.raises(CellExecutionError):
+            engine.run_one(spec)
+        assert calls["n"] == 1 and engine.stats.simulations == 0
+        assert engine.run_one(spec).benchmark == "db"
+        assert calls["n"] == 2 and engine.stats.simulations == 1
 
     def test_persistent_failure_raises(self, small_config):
         def broken(spec):
             raise RuntimeError("always broken")
 
-        engine = Engine(memory_cache={}, runner=broken, max_retries=1)
+        engine = Engine(memory_cache={}, runner=broken)
         with pytest.raises(CellExecutionError) as excinfo:
             engine.run_one(RunSpec("db", "baseline", small_config))
-        assert excinfo.value.attempts == 2
         assert isinstance(excinfo.value.cause, RuntimeError)
 
     def test_cell_timeout_counts_and_raises(self, small_config):
         # A 50 ms budget is far below any real simulation.
-        engine = Engine(
-            memory_cache={}, cell_timeout=0.05, max_retries=0
-        )
+        engine = Engine(memory_cache={}, cell_timeout=0.05)
         with pytest.raises(CellExecutionError) as excinfo:
             engine.run_one(
                 RunSpec(
@@ -448,7 +446,7 @@ class _SkewedPool:
 
 class _DiesOnSecondSubmit(_SkewedPool):
     """A pool that dies while the engine submits its second chunk,
-    then answers every chunk after the rebuild."""
+    then answers every chunk after it is started again."""
 
     def __init__(self):
         super().__init__(
@@ -463,21 +461,39 @@ class _DiesOnSecondSubmit(_SkewedPool):
         return super().submit_chunk(payload)
 
 
-def test_pool_death_mid_submission_resubmits_unsent_chunks(small_config):
-    # Three cells on two workers go out one chunk each; the pool dies
-    # on the second submit, so the third chunk was never sent.  It must
-    # be resubmitted with the interrupted ones, not left unsettled.
+def test_pool_death_mid_submission_settles_every_cell(small_config):
+    # Three cells go out one chunk each; the pool dies on the second
+    # submit, so the third chunk was never sent.  Every cell of the
+    # round settles as crashed — none is left without an outcome — and
+    # the pool is closed; the next batch on the engine starts it again.
+    pool = _DiesOnSecondSubmit()
     engine = Engine(
-        pool=_DiesOnSecondSubmit(), use_cache=False, memory_cache={}
+        pool=pool, use_cache=False, memory_cache={}, failure_policy="skip"
     )
     cells = [
         RunSpec(name, "baseline", small_config)
         for name in ("db", "jess", "jack")
     ]
     batch = engine.run(cells)
-    assert [outcome.status for outcome in batch] == ["ok"] * 3
-    assert engine.stats.worker_crashes == 1
-    assert engine.stats.pool_rebuilds == 1
+    assert None not in batch.outcomes
+    assert [outcome.status for outcome in batch] == ["crashed"] * 3
+    assert all("worker died" in outcome.error for outcome in batch)
+    assert engine.stats.worker_crashes == 1 and not pool.alive
+    assert [o.status for o in engine.run(cells)] == ["ok"] * 3
+    assert engine.stats.pools_spawned == 2
+
+
+def test_pool_death_under_raise_aborts_the_batch(small_config):
+    pool = _DiesOnSecondSubmit()
+    engine = Engine(pool=pool, use_cache=False, memory_cache={})
+    cells = [
+        RunSpec(name, "baseline", small_config)
+        for name in ("db", "jess", "jack")
+    ]
+    with pytest.raises(CellExecutionError) as caught:
+        engine.run(cells)
+    assert isinstance(caught.value.cause, PoolBrokenError)
+    assert engine.stats.worker_crashes == 1 and not pool.alive
 
 
 def test_a_pool_object_takes_its_width_from_its_workers():
@@ -491,7 +507,7 @@ def test_a_pool_object_takes_its_width_from_its_workers():
 
 
 class TestReplyVersionSkew:
-    @pytest.mark.parametrize("policy", ["raise", "skip", "partial"])
+    @pytest.mark.parametrize("policy", ["raise", "skip"])
     @pytest.mark.parametrize(
         "reply, version",
         [
