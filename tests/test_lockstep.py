@@ -228,9 +228,11 @@ def test_injected_fault_on_one_lane_reruns_the_group_solo(tmp_path, where):
         assert [index for index, _, _ in payload[0]] == [0, 1, 2]
 
 
-def test_each_group_is_one_submission(tmp_path):
-    # 21 cells on 4 workers: one 3-field chunk per benchmark's group.
-    pool = InlinePool(4)
+@pytest.mark.parametrize("workers", [1, 2, 4])
+def test_each_group_is_one_submission(tmp_path, workers):
+    # 21 cells, whatever the pool's width: one 3-field chunk per
+    # benchmark's group.
+    pool = InlinePool(workers)
     config = ExperimentConfig(max_instructions=40_000)
     cells = [
         RunSpec(bench, scheme, config)

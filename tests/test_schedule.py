@@ -38,6 +38,10 @@ class TestPlanner:
     def test_cells_without_a_key_run_alone(self):
         assert plan_round([7, 3, 5], lambda index: None) == [[7], [3], [5]]
 
+    def test_single_cell_is_a_group_of_its_own(self):
+        assert plan_round([4], lambda index: None) == [[4]]
+        assert plan_round([4], lambda index: "key") == [[4]]
+
     def test_keyed_cells_group_at_their_first_member(self):
         keys = {0: "a", 1: None, 2: "b", 3: "a", 4: "b", 5: None}
         assert plan_round([0, 1, 2, 3, 4, 5], keys.get) == [
